@@ -33,7 +33,6 @@
 #include "data/dataset_registry.h"
 #include "serve/fleet_server.h"
 #include "serve/loadgen.h"
-#include "tensor/tensor.h"
 #include "util/env.h"
 
 namespace conformer::bench {
@@ -57,8 +56,7 @@ struct Row {
 // yardstick.
 double MeasureCapacity(serve::InferenceSession* session,
                        const data::Batch& batch) {
-  ClearBufferPool();
-  session->Predict(batch);  // Warm-up: activation-buffer pool.
+  session->Predict(batch);  // Warm-up.
   int64_t iters = 0;
   const auto start = Clock::now();
   double elapsed = 0.0;

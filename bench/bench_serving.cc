@@ -21,7 +21,6 @@
 
 #include "data/dataset_registry.h"
 #include "serve/batching_queue.h"
-#include "tensor/tensor.h"
 #include "util/env.h"
 #include "util/thread_pool.h"
 #include "util/metrics.h"
@@ -38,17 +37,11 @@ double MinSeconds() {
 }
 
 /// Runs `fn` (one full pass over `series_per_iter` series) until the wall
-/// budget is spent; returns series forecast per second.
-///
-/// Every row starts from an empty activation-buffer pool (re-warmed by the
-/// untimed first pass), so each row measures its own steady state: the pool
-/// recycles by buffer size, and a row that ran earlier with a different
-/// batch geometry would otherwise leave the pool full of wrong-sized
-/// buffers and flip later rows into a different allocation mode.
+/// budget is spent; returns series forecast per second. An untimed first
+/// pass absorbs one-off costs such as plan capture.
 template <typename Fn>
 double MeasureSeriesPerSec(int64_t series_per_iter, Fn fn) {
-  ClearBufferPool();
-  fn();  // Warm-up: populates the session's activation-buffer pool.
+  fn();  // Warm-up.
   int64_t iters = 0;
   const auto start = Clock::now();
   double elapsed = 0.0;
@@ -180,8 +173,7 @@ int Main() {
     const auto interarrival =
         std::chrono::nanoseconds(static_cast<int64_t>(1e9 / (2.0 * capacity)));
     const int64_t deadline_us = static_cast<int64_t>(16 * 1e6 / capacity);
-    ClearBufferPool();
-    session->Predict(singles[0]);  // Warm-up: activation-buffer pool.
+    session->Predict(singles[0]);  // Warm-up.
 
     int64_t submitted = 0, delivered = 0, shed = 0, rejected = 0;
     std::vector<std::future<Result<serve::Forecast>>> futures;

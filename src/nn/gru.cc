@@ -17,11 +17,6 @@ GruCell::GruCell(int64_t input_size, int64_t hidden_size)
   b_hh_ = RegisterParameter("b_hh", UniformInit({3 * hidden_size}, bound));
 }
 
-Tensor GruCell::Step(const Tensor& x, const Tensor& h) const {
-  CONFORMER_CHECK_EQ(x.size(-1), input_size_);
-  return StepPrecomputed(Add(MatMul(x, w_ih_), b_ih_), h);
-}
-
 Tensor GruCell::InputGates(const Tensor& x) const {
   CONFORMER_CHECK_EQ(x.size(-1), input_size_);
   const int64_t batch = x.size(0);
@@ -31,20 +26,8 @@ Tensor GruCell::InputGates(const Tensor& x) const {
                  {batch, length, 3 * hidden_size_});
 }
 
-Tensor GruCell::StepPrecomputed(const Tensor& gi, const Tensor& h) const {
-  const int64_t hs = hidden_size_;
-  Tensor gh = Add(MatMul(h, w_hh_), b_hh_);  // [B, 3h]
-  Tensor gi_r = Slice(gi, 1, 0, hs);
-  Tensor gi_z = Slice(gi, 1, hs, 2 * hs);
-  Tensor gi_n = Slice(gi, 1, 2 * hs, 3 * hs);
-  Tensor gh_r = Slice(gh, 1, 0, hs);
-  Tensor gh_z = Slice(gh, 1, hs, 2 * hs);
-  Tensor gh_n = Slice(gh, 1, 2 * hs, 3 * hs);
-  Tensor r = Sigmoid(Add(gi_r, gh_r));
-  Tensor z = Sigmoid(Add(gi_z, gh_z));
-  Tensor n = Tanh(Add(gi_n, Mul(r, gh_n)));
-  // h' = (1 - z) * n + z * h
-  return Add(Mul(Sub(Tensor::Ones(z.shape()), z), n), Mul(z, h));
+Tensor GruCell::Forward(const Tensor& x) const {
+  return GruSequence(InputGates(x), w_hh_, b_hh_);
 }
 
 Gru::Gru(int64_t input_size, int64_t hidden_size, int64_t num_layers)
@@ -59,34 +42,23 @@ Gru::Gru(int64_t input_size, int64_t hidden_size, int64_t num_layers)
 
 GruOutput Gru::Forward(const Tensor& x) const {
   CONFORMER_CHECK_EQ(x.dim(), 3) << "Gru expects [B, L, input]";
-  const int64_t batch = x.size(0);
   const int64_t length = x.size(1);
+  CONFORMER_CHECK_GE(length, 1) << "Gru needs at least one step";
 
-  std::vector<Tensor> states(cells_.size());
-  for (auto& s : states) s = Tensor::Zeros({batch, hidden_size_});
-
-  std::vector<Tensor> outputs;
-  outputs.reserve(length);
-  std::vector<Tensor> first_states(cells_.size());
-  // Layer 0's input-side projections for every step are one batched matmul;
-  // deeper layers consume freshly produced states and keep the step path.
-  Tensor gates0 = cells_[0]->InputGates(x);
-  for (int64_t t = 0; t < length; ++t) {
-    Tensor gi = Squeeze(Slice(gates0, 1, t, t + 1), 1);  // [B, 3h]
-    states[0] = cells_[0]->StepPrecomputed(gi, states[0]);
-    Tensor input = states[0];
-    if (t == 0) first_states[0] = states[0];
-    for (size_t l = 1; l < cells_.size(); ++l) {
-      states[l] = cells_[l]->Step(input, states[l]);
-      input = states[l];
-      if (t == 0) first_states[l] = states[l];
-    }
-    outputs.push_back(input);
+  // Each layer is one batched input projection plus one GruSequence op; the
+  // next layer consumes the whole output sequence.
+  std::vector<Tensor> first_states;
+  std::vector<Tensor> last_states;
+  Tensor seq = x;
+  for (const auto& cell : cells_) {
+    seq = cell->Forward(seq);  // [B, L, h]
+    first_states.push_back(Squeeze(Slice(seq, 1, 0, 1), 1));
+    last_states.push_back(Squeeze(Slice(seq, 1, length - 1, length), 1));
   }
 
   GruOutput out;
-  out.output = StackTensors(outputs, /*dim=*/1);  // [B, L, h]
-  out.last_hidden = StackTensors(states, /*dim=*/0);
+  out.output = seq;
+  out.last_hidden = StackTensors(last_states, /*dim=*/0);
   out.first_hidden = StackTensors(first_states, /*dim=*/0);
   return out;
 }

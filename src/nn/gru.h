@@ -26,16 +26,13 @@ class GruCell : public Module {
  public:
   GruCell(int64_t input_size, int64_t hidden_size);
 
-  /// One step: x [B, input], h [B, hidden] -> new h [B, hidden].
-  Tensor Step(const Tensor& x, const Tensor& h) const;
-
   /// Input-side gate pre-activations for a whole sequence in one matmul:
-  /// x [B, L, input] -> [B, L, 3*hidden]. StepPrecomputed consumes slices
-  /// of this, which keeps the per-step work to the recurrent matmul only.
+  /// x [B, L, input] -> [B, L, 3*hidden].
   Tensor InputGates(const Tensor& x) const;
 
-  /// One step given this step's precomputed input gates gi [B, 3*hidden].
-  Tensor StepPrecomputed(const Tensor& gi, const Tensor& h) const;
+  /// The layer over a whole sequence from a zero state: x [B, L, input] ->
+  /// every step's state [B, L, hidden]. InputGates plus one GruSequence op.
+  Tensor Forward(const Tensor& x) const;
 
   int64_t hidden_size() const { return hidden_size_; }
 

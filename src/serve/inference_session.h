@@ -2,10 +2,9 @@
 //
 // An InferenceSession owns one eval-mode Forecaster restored from a PR-3
 // checkpoint (model section only, every CRC validated) and answers
-// Predict() calls under InferenceModeGuard: no autograd tape, and op
-// outputs drawn from the calling thread's activation-buffer pool, so a
-// warm session allocates almost nothing per request. Results are bitwise
-// identical to an eval-mode training forward (see serve_test.cc).
+// Predict() calls under InferenceModeGuard, so no autograd tape is built.
+// Results are bitwise identical to an eval-mode training forward (see
+// serve_test.cc).
 //
 // Sessions also hot-reload: Reload(checkpoint) stages a fresh parameter
 // set off the serving lock, then atomically swaps it in under the same

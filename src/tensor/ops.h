@@ -166,6 +166,14 @@ Tensor MseLoss(const Tensor& pred, const Tensor& target);
 /// Mean absolute error over all elements.
 Tensor MaeLoss(const Tensor& pred, const Tensor& target);
 
+/// One GRU layer (torch gate layout r, z, n) over a whole sequence from a
+/// zero state, as a single op: `gates` [B, L, 3h] holds the input-side
+/// pre-activations x·W_ih + b_ih of every step; returns the state after
+/// every step, [B, L, h]. Per step: gh = h·W_hh + b_hh,
+/// r|z = sigmoid(gi + gh), n = tanh(gi_n + r*gh_n), h' = (1-z)*n + z*h, in
+/// exactly that float order. Backward is hand-written BPTT.
+Tensor GruSequence(const Tensor& gates, const Tensor& w_hh, const Tensor& b_hh);
+
 /// Adds `b` (must broadcast) — convenience for bias terms: a + b.
 inline Tensor AddBias(const Tensor& a, const Tensor& b) { return Add(a, b); }
 

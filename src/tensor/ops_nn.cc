@@ -45,7 +45,171 @@ void ParallelRows(const DimSplit& s, RowFn row_fn) {
   });
 }
 
+// GruSequence's per-step working set: the carried state [B, h], the
+// recurrent pre-activations gh [B, 3h] and the r|z activations [B, 2h].
+// Thread-local and grown on first use, so plan replay allocates nothing
+// after warm-up and one replay closure can run on many threads at once.
+float* GruStepScratch(int64_t n) {
+  thread_local std::vector<float> scratch;
+  if (static_cast<int64_t>(scratch.size()) < n) scratch.resize(n);
+  return scratch.data();
+}
+
+// Runs one GRU layer over `length` steps from a zero state, writing every
+// state to `out` [B, L, h]. The float order per element is the composed
+// per-step graph's: Gemm for h·W_hh, then + b_hh, sigmoid(gi + gh) through
+// the dispatched kernel, tanh(gi_n + r*gh_n), ((1-z)*n) + (z*h). When
+// `saved` is non-null it receives, time-major, h_{t-1} [L, B, h] followed by
+// r, z, n, gh_n [L, B, 4h] for the backward pass.
+void GruSequenceForward(const float* gates, const float* w_hh,
+                        const float* b_hh, int64_t batch, int64_t length,
+                        int64_t hs, float* out, float* saved) {
+  const int64_t g3 = 3 * hs;
+  float* h = GruStepScratch(batch * (hs + g3 + 2 * hs));
+  float* gh = h + batch * hs;
+  float* rz = gh + batch * g3;
+  std::fill(h, h + batch * hs, 0.0f);
+  float* saved_h = saved;
+  float* saved_act = saved == nullptr ? nullptr : saved + length * batch * hs;
+  for (int64_t t = 0; t < length; ++t) {
+    kernels::Gemm(false, false, batch, g3, hs, h, w_hh, gh,
+                  /*accumulate=*/false);
+    for (int64_t b = 0; b < batch; ++b) {
+      const float* gi = gates + (b * length + t) * g3;
+      float* ghb = gh + b * g3;
+      float* rzb = rz + b * 2 * hs;
+      float* hb = h + b * hs;
+      float* ob = out + (b * length + t) * hs;
+      for (int64_t j = 0; j < g3; ++j) ghb[j] = ghb[j] + b_hh[j];
+      for (int64_t j = 0; j < 2 * hs; ++j) rzb[j] = gi[j] + ghb[j];
+      vec::SigmoidN(rzb, rzb, 2 * hs);
+      float* sa = nullptr;
+      if (saved != nullptr) {
+        sa = saved_act + (t * batch + b) * 4 * hs;
+        std::copy(hb, hb + hs, saved_h + (t * batch + b) * hs);
+        std::copy(rzb, rzb + 2 * hs, sa);
+        std::copy(ghb + 2 * hs, ghb + g3, sa + 3 * hs);
+      }
+      for (int64_t j = 0; j < hs; ++j) {
+        const float r = rzb[j];
+        const float z = rzb[hs + j];
+        const float n = std::tanh(gi[2 * hs + j] + r * ghb[2 * hs + j]);
+        if (sa != nullptr) sa[2 * hs + j] = n;
+        hb[j] = (1.0f - z) * n + z * hb[j];
+        ob[j] = hb[j];
+      }
+    }
+  }
+}
+
 }  // namespace
+
+Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
+                   const Tensor& b_hh) {
+  CONFORMER_PROFILE_SCOPE("gru_sequence");
+  CONFORMER_CHECK(gates.defined() && w_hh.defined() && b_hh.defined());
+  CONFORMER_CHECK_EQ(w_hh.dim(), 2) << "GruSequence w_hh must be [h, 3h]";
+  const int64_t hs = w_hh.size(0);
+  const int64_t g3 = 3 * hs;
+  CONFORMER_CHECK_EQ(w_hh.size(1), g3)
+      << "GruSequence w_hh must be [h, 3h], got "
+      << ShapeToString(w_hh.shape());
+  CONFORMER_CHECK(b_hh.shape() == Shape{g3})
+      << "GruSequence b_hh must be [" << g3 << "], got "
+      << ShapeToString(b_hh.shape());
+  CONFORMER_CHECK(gates.dim() == 3 && gates.size(2) == g3)
+      << "GruSequence gates must be [B, L, " << g3 << "], got "
+      << ShapeToString(gates.shape());
+  const int64_t batch = gates.size(0);
+  const int64_t length = gates.size(1);
+
+  const bool record = internal::ShouldRecord({gates, w_hh, b_hh});
+  std::vector<float> out = internal::AcquireBuffer(batch * length * hs);
+  std::vector<float> saved;
+  if (record) saved.resize(length * batch * 5 * hs);
+  GruSequenceForward(gates.data(), w_hh.data(), b_hh.data(), batch, length, hs,
+                     out.data(), record ? saved.data() : nullptr);
+
+  Tensor gates_in = gates;
+  Tensor w_in = w_hh;
+  Tensor b_in = b_hh;
+  auto backward = [gates_in, w_in, b_in, saved = std::move(saved), batch,
+                   length, hs, g3](TensorImpl& self) mutable {
+    const auto needs = [](const Tensor& t) {
+      return t.requires_grad() || t.impl()->node != nullptr;
+    };
+    const int64_t rows = length * batch;
+    const float* gd = self.grad.data();
+    const float* saved_h = saved.data();
+    const float* saved_act = saved_h + rows * hs;
+    // dgh: gradient wrt each step's recurrent pre-activations h·W_hh + b_hh,
+    // time-major [L, B, 3h] so one step's block is a contiguous Gemm operand.
+    std::vector<float> dgh(rows * g3);
+    std::vector<float> dgates(gates_in.numel());
+    std::vector<float> dh(batch * hs, 0.0f);  // dL/dh_t from later steps.
+    std::vector<float> dh_prev(batch * hs);
+    for (int64_t t = length - 1; t >= 0; --t) {
+      for (int64_t b = 0; b < batch; ++b) {
+        const float* hp = saved_h + (t * batch + b) * hs;
+        const float* act = saved_act + (t * batch + b) * 4 * hs;
+        const float* g = gd + (b * length + t) * hs;
+        float* dghb = dgh.data() + (t * batch + b) * g3;
+        float* dgi = dgates.data() + (b * length + t) * g3;
+        for (int64_t j = 0; j < hs; ++j) {
+          const float r = act[j];
+          const float z = act[hs + j];
+          const float n = act[2 * hs + j];
+          const float d = g[j] + dh[b * hs + j];
+          const float dn = d * (1.0f - z) * (1.0f - n * n);
+          const float dz = d * (hp[j] - n) * z * (1.0f - z);
+          const float dr = dn * act[3 * hs + j] * r * (1.0f - r);
+          dgi[j] = dr;
+          dgi[hs + j] = dz;
+          dgi[2 * hs + j] = dn;
+          dghb[j] = dr;
+          dghb[hs + j] = dz;
+          dghb[2 * hs + j] = dn * r;
+          dh_prev[b * hs + j] = d * z;
+        }
+      }
+      if (t == 0) break;
+      // dL/dh_{t-1} = d*z + dgh_t · W_hh^T.
+      kernels::Gemm(false, true, batch, hs, g3, dgh.data() + t * batch * g3,
+                    w_in.data(), dh_prev.data(), /*accumulate=*/true);
+      std::swap(dh, dh_prev);
+    }
+    if (needs(gates_in)) {
+      gates_in.impl()->AccumulateGrad(dgates.data(), gates_in.numel());
+    }
+    if (needs(w_in)) {
+      // dW_hh = sum_t h_{t-1}^T · dgh_t, as one Gemm over every (t, b) row.
+      std::vector<float> dw(hs * g3);
+      kernels::Gemm(true, false, hs, g3, rows, saved_h, dgh.data(), dw.data(),
+                    /*accumulate=*/false);
+      w_in.impl()->AccumulateGrad(dw.data(), hs * g3);
+    }
+    if (needs(b_in)) {
+      std::vector<float> db(g3, 0.0f);
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* row = dgh.data() + r * g3;
+        for (int64_t j = 0; j < g3; ++j) db[j] += row[j];
+      }
+      b_in.impl()->AccumulateGrad(db.data(), g3);
+    }
+  };
+  Tensor result = internal::MakeOpResult({batch, length, hs}, std::move(out),
+                                         {gates, w_hh, b_hh},
+                                         std::move(backward), "GruSequence");
+  internal::MaybeCaptureStep(
+      result, {gates, w_hh, b_hh},
+      {"GruSequence", /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
+        return [batch, length, hs](const float* const* in, float* o) {
+          GruSequenceForward(in[0], in[1], in[2], batch, length, hs, o,
+                             /*saved=*/nullptr);
+        };
+      });
+  return result;
+}
 
 Tensor Softmax(const Tensor& a, int64_t dim) {
   CONFORMER_PROFILE_SCOPE("softmax");

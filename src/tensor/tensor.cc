@@ -6,7 +6,6 @@
 
 #include "tensor/alloc_stats.h"
 #include "tensor/capture.h"
-#include "util/metrics.h"
 
 namespace conformer {
 
@@ -44,7 +43,6 @@ TensorImpl::TensorImpl(Shape shape_in, std::vector<float> values)
 
 TensorImpl::~TensorImpl() {
   internal::RecordFree(static_cast<int64_t>(data.size()) * sizeof(float));
-  internal::MaybeRecycleBuffer(&data);
 }
 
 void TensorImpl::AccumulateGrad(const float* delta, int64_t n) {
@@ -229,27 +227,6 @@ void Tensor::CopyDataFrom(const Tensor& src) {
 
 namespace {
 thread_local bool g_recording_enabled = true;
-thread_local bool g_pooling_enabled = false;
-
-// Recycled activation buffers of the calling thread, sorted ascending by
-// capacity. Bounded so a one-off huge batch cannot pin memory forever.
-struct BufferPool {
-  // Hard caps: total retained bytes and buffer count per thread.
-  static constexpr int64_t kMaxBytes = int64_t{256} << 20;
-  static constexpr size_t kMaxBuffers = 4096;
-
-  std::vector<std::vector<float>> buffers;  // sorted by capacity()
-  int64_t bytes = 0;
-};
-
-BufferPool& Pool() {
-  thread_local BufferPool pool;
-  return pool;
-}
-
-bool CapacityLess(const std::vector<float>& buf, size_t capacity) {
-  return buf.capacity() < capacity;
-}
 }  // namespace
 
 NoGradGuard::NoGradGuard() : previous_(g_recording_enabled) {
@@ -260,69 +237,12 @@ NoGradGuard::~NoGradGuard() { g_recording_enabled = previous_; }
 
 bool GradRecordingEnabled() { return g_recording_enabled; }
 
-InferenceModeGuard::InferenceModeGuard()
-    : previous_recording_(g_recording_enabled),
-      previous_pooling_(g_pooling_enabled) {
-  g_recording_enabled = false;
-  g_pooling_enabled = true;
-}
-
-InferenceModeGuard::~InferenceModeGuard() {
-  g_recording_enabled = previous_recording_;
-  g_pooling_enabled = previous_pooling_;
-}
-
-bool BufferPoolEnabled() { return g_pooling_enabled; }
-
-void ClearBufferPool() {
-  BufferPool& pool = Pool();
-  pool.buffers.clear();
-  pool.buffers.shrink_to_fit();
-  pool.bytes = 0;
-}
+void ClearBufferPool() {}
 
 namespace internal {
 
 std::vector<float> AcquireBuffer(int64_t n) {
-  if (!g_pooling_enabled || n <= 0) {
-    return std::vector<float>(static_cast<size_t>(n < 0 ? 0 : n));
-  }
-  static metrics::Counter& hits =
-      metrics::Registry::Global().GetCounter("tensor.pool_hits");
-  static metrics::Counter& misses =
-      metrics::Registry::Global().GetCounter("tensor.pool_misses");
-  BufferPool& pool = Pool();
-  const size_t want = static_cast<size_t>(n);
-  auto it = std::lower_bound(pool.buffers.begin(), pool.buffers.end(), want,
-                             CapacityLess);
-  // Refuse grossly oversized buffers (capacity > 4n): handing a huge buffer
-  // to a tiny tensor would starve the large requests the buffer was kept for.
-  if (it != pool.buffers.end() && it->capacity() <= 4 * want) {
-    std::vector<float> buf = std::move(*it);
-    pool.bytes -= static_cast<int64_t>(buf.capacity()) * sizeof(float);
-    pool.buffers.erase(it);
-    buf.assign(want, 0.0f);  // Same zero-fill as std::vector<float>(n).
-    hits.Increment();
-    return buf;
-  }
-  misses.Increment();
-  return std::vector<float>(want);
-}
-
-void MaybeRecycleBuffer(std::vector<float>* data) {
-  if (!g_pooling_enabled || data->capacity() == 0) return;
-  BufferPool& pool = Pool();
-  const int64_t bytes = static_cast<int64_t>(data->capacity()) * sizeof(float);
-  if (pool.buffers.size() >= BufferPool::kMaxBuffers ||
-      pool.bytes + bytes > BufferPool::kMaxBytes) {
-    return;  // Pool full: let the vector free normally.
-  }
-  auto it = std::lower_bound(pool.buffers.begin(), pool.buffers.end(),
-                             data->capacity(), CapacityLess);
-  pool.buffers.insert(it, std::move(*data));
-  pool.bytes += bytes;
-  data->clear();
-  data->shrink_to_fit();
+  return std::vector<float>(static_cast<size_t>(n < 0 ? 0 : n));
 }
 
 bool ShouldRecord(const std::vector<Tensor>& inputs) {

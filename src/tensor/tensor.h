@@ -154,34 +154,12 @@ class NoGradGuard {
 /// True when op recording is currently enabled.
 bool GradRecordingEnabled();
 
-/// \brief RAII inference mode for the serving path (docs/SERVING.md):
-/// disables autograd recording like NoGradGuard AND activates the calling
-/// thread's activation-buffer pool, so repeated forward passes reuse the
-/// buffers freed by earlier ones instead of round-tripping the allocator.
-///
-/// The pool is thread-local and persists across guard instances, which is
-/// what makes "preallocate once, reuse every request" work: the first
-/// Predict() populates it, later ones mostly hit it. Pooled buffers are
-/// zero-filled on reuse, so results are bitwise identical to the unpooled
-/// path. Nestable; tensors that escape the guard are recycled (or plainly
-/// freed) whenever their last reference dies.
-class InferenceModeGuard {
- public:
-  InferenceModeGuard();
-  ~InferenceModeGuard();
-  InferenceModeGuard(const InferenceModeGuard&) = delete;
-  InferenceModeGuard& operator=(const InferenceModeGuard&) = delete;
+/// RAII inference mode for the serving path (docs/SERVING.md): the serving
+/// layer's name for NoGradGuard, since op outputs need nothing else there.
+using InferenceModeGuard = NoGradGuard;
 
- private:
-  bool previous_recording_;
-  bool previous_pooling_;
-};
-
-/// True when the calling thread's activation-buffer pool is active.
-bool BufferPoolEnabled();
-
-/// Frees every buffer held by the calling thread's pool (tests; long-lived
-/// servers that change batch geometry can call it to drop stale sizes).
+/// No-op, kept for source compatibility: op outputs are plain allocations,
+/// so there is no per-thread buffer cache to drop.
 void ClearBufferPool();
 
 namespace internal {
@@ -189,16 +167,8 @@ namespace internal {
 /// True if autograd should record an op over these inputs.
 bool ShouldRecord(const std::vector<Tensor>& inputs);
 
-/// A zero-filled buffer of `n` floats for an op output. Under an active
-/// InferenceModeGuard this reuses a recycled buffer from the thread's pool
-/// when one of a suitable capacity exists (bumping the tensor.pool_hits /
-/// tensor.pool_misses counters); otherwise it is a plain allocation,
-/// identical to std::vector<float>(n).
+/// A zero-filled buffer of `n` floats for an op output (empty for n <= 0).
 std::vector<float> AcquireBuffer(int64_t n);
-
-/// Hands a dying TensorImpl's storage to the thread's pool when pooling is
-/// active (and the pool has room); otherwise lets it free normally.
-void MaybeRecycleBuffer(std::vector<float>* data);
 
 /// Builds the output tensor for an op: attaches an AutogradNode with the
 /// given backward fn when recording is active.

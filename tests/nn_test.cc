@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <sstream>
 
 #include "nn/conv1d.h"
@@ -253,6 +256,189 @@ TEST(GruTest, GradCheckSmall) {
       },
       params, /*eps=*/1e-2, /*tolerance=*/8e-2);
   EXPECT_TRUE(r.passed) << r.message;
+}
+
+// -- GRU: fused GruSequence vs the composed per-step oracle -----------------------
+
+struct GruLayerParams {
+  Tensor w_ih, w_hh, b_ih, b_hh;
+};
+
+// Reads each layer's parameters by their checkpoint names.
+std::vector<GruLayerParams> GruParams(const Gru& gru) {
+  std::map<std::string, Tensor> by_name;
+  for (const auto& [name, t] : gru.NamedParameters()) by_name[name] = t;
+  std::vector<GruLayerParams> layers;
+  for (int64_t l = 0; l < gru.num_layers(); ++l) {
+    const std::string p = "layer" + std::to_string(l) + ".";
+    layers.push_back({by_name.at(p + "w_ih"), by_name.at(p + "w_hh"),
+                      by_name.at(p + "b_ih"), by_name.at(p + "b_hh")});
+  }
+  return layers;
+}
+
+// One composed cell step from precomputed input gates gi [B, 3h]: six gate
+// slices and a dozen elementwise ops, in the float order GruSequence must
+// reproduce.
+Tensor ReferenceGruStep(const GruLayerParams& p, const Tensor& gi,
+                        const Tensor& h) {
+  const int64_t hs = p.w_hh.size(0);
+  Tensor gh = Add(MatMul(h, p.w_hh), p.b_hh);
+  Tensor r = Sigmoid(Add(Slice(gi, 1, 0, hs), Slice(gh, 1, 0, hs)));
+  Tensor z = Sigmoid(Add(Slice(gi, 1, hs, 2 * hs), Slice(gh, 1, hs, 2 * hs)));
+  Tensor n = Tanh(Add(Slice(gi, 1, 2 * hs, 3 * hs),
+                      Mul(r, Slice(gh, 1, 2 * hs, 3 * hs))));
+  return Add(Mul(Sub(Tensor::Ones(z.shape()), z), n), Mul(z, h));
+}
+
+// The per-timestep GRU that GruSequence replaced: layer 0 slices batched
+// input gates per step, deeper layers project each fresh state on its own.
+GruOutput ReferenceGruForward(const Gru& gru, const Tensor& x) {
+  const std::vector<GruLayerParams> layers = GruParams(gru);
+  const int64_t batch = x.size(0);
+  const int64_t length = x.size(1);
+  const int64_t hs = gru.hidden_size();
+  const GruLayerParams& p0 = layers[0];
+  Tensor gates0 = Reshape(
+      Add(MatMul(Reshape(x, {batch * length, x.size(2)}), p0.w_ih), p0.b_ih),
+      {batch, length, 3 * hs});
+  std::vector<Tensor> states(layers.size(), Tensor::Zeros({batch, hs}));
+  std::vector<Tensor> first(layers.size());
+  std::vector<Tensor> outputs;
+  for (int64_t t = 0; t < length; ++t) {
+    Tensor input;
+    for (size_t l = 0; l < layers.size(); ++l) {
+      const GruLayerParams& p = layers[l];
+      Tensor gi = l == 0 ? Squeeze(Slice(gates0, 1, t, t + 1), 1)
+                         : Add(MatMul(input, p.w_ih), p.b_ih);
+      states[l] = ReferenceGruStep(p, gi, states[l]);
+      input = states[l];
+      if (t == 0) first[l] = states[l];
+    }
+    outputs.push_back(input);
+  }
+  return {StackTensors(outputs, 1), StackTensors(states, 0),
+          StackTensors(first, 0)};
+}
+
+void ExpectBitwiseEqual(const Tensor& a, const Tensor& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()))
+      << what << " differs from the composed reference";
+}
+
+// max |a - b| over max |b|: the gradient agreement measure.
+double RelativeError(const Tensor& a, const Tensor& b) {
+  double diff = 0.0;
+  double scale = 1e-12;
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    const float d = std::fabs(a.data()[i] - b.data()[i]);
+    diff = std::max(diff, static_cast<double>(d));
+    scale = std::max(scale, static_cast<double>(std::fabs(b.data()[i])));
+  }
+  return diff / scale;
+}
+
+struct GruGeometry {
+  int64_t layers, batch, length;
+};
+
+std::vector<GruGeometry> GruGeometries() {
+  std::vector<GruGeometry> out;
+  for (int64_t layers : {1, 2}) {
+    for (int64_t batch : {1, 3}) {
+      for (int64_t length : {1, 5}) out.push_back({layers, batch, length});
+    }
+  }
+  return out;
+}
+
+TEST(GruTest, ParameterNamesAreCheckpointStable) {
+  Gru gru(3, 4, 2);
+  std::map<std::string, Shape> got;
+  for (const auto& [name, t] : gru.NamedParameters()) got[name] = t.shape();
+  const std::map<std::string, Shape> want = {
+      {"layer0.w_ih", {3, 12}}, {"layer0.w_hh", {4, 12}},
+      {"layer0.b_ih", {12}},    {"layer0.b_hh", {12}},
+      {"layer1.w_ih", {4, 12}}, {"layer1.w_hh", {4, 12}},
+      {"layer1.b_ih", {12}},    {"layer1.b_hh", {12}}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(GruTest, ForwardBitwiseMatchesComposedReference) {
+  for (const GruGeometry& g : GruGeometries()) {
+    SCOPED_TRACE(::testing::Message() << "layers=" << g.layers << " B="
+                                      << g.batch << " L=" << g.length);
+    Gru gru(3, 4, g.layers);
+    Rng rng(31);
+    Tensor x = Tensor::Randn({g.batch, g.length, 3}, &rng);
+    const GruOutput want = ReferenceGruForward(gru, x);
+    const GruOutput got = gru.Forward(x);
+    ExpectBitwiseEqual(got.output, want.output, "output");
+    ExpectBitwiseEqual(got.last_hidden, want.last_hidden, "last_hidden");
+    ExpectBitwiseEqual(got.first_hidden, want.first_hidden, "first_hidden");
+  }
+}
+
+TEST(GruTest, GradientsMatchComposedReference) {
+  for (const GruGeometry& g : GruGeometries()) {
+    SCOPED_TRACE(::testing::Message() << "layers=" << g.layers << " B="
+                                      << g.batch << " L=" << g.length);
+    Gru gru(3, 4, g.layers);
+    Rng rng(32);
+    Tensor x = Tensor::Randn({g.batch, g.length, 3}, &rng);
+    const Tensor proj = Tensor::Randn({g.batch, g.length, 4}, &rng);
+    const Tensor proj_last = Tensor::Randn({g.layers, g.batch, 4}, &rng);
+    const Tensor proj_first = Tensor::Randn({g.layers, g.batch, 4}, &rng);
+    x.set_requires_grad(true);
+    // Every output feeds the loss, so gradient reaches each step through the
+    // sequence, the first state and the last state.
+    auto run = [&](const GruOutput& out) {
+      gru.ZeroGrad();
+      x.ZeroGrad();
+      Tensor loss = Add(Sum(Mul(out.output, proj)),
+                        Add(Sum(Mul(out.last_hidden, proj_last)),
+                            Sum(Mul(out.first_hidden, proj_first))));
+      loss.Backward();
+      std::vector<Tensor> grads = {x.grad()};
+      for (const Tensor& p : gru.Parameters()) grads.push_back(p.grad());
+      return grads;
+    };
+    const std::vector<Tensor> want = run(ReferenceGruForward(gru, x));
+    const std::vector<Tensor> got = run(gru.Forward(x));
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_LE(RelativeError(got[i], want[i]), 1e-5) << "gradient " << i;
+    }
+  }
+}
+
+TEST(GruTest, GruSequenceGradCheck) {
+  Rng rng(33);
+  auto leaf = [&](const Shape& shape) {
+    Tensor t = MulScalar(Tensor::Randn(shape, &rng), 0.5f).Detach();
+    t.set_requires_grad(true);
+    return t;
+  };
+  const Tensor proj = Tensor::Randn({2, 4, 3}, &rng);
+  GradCheckResult r = CheckGradients(
+      [&](const std::vector<Tensor>& in) {
+        return Sum(Mul(GruSequence(in[0], in[1], in[2]), proj));
+      },
+      {leaf({2, 4, 9}), leaf({3, 9}), leaf({9})}, /*eps=*/1e-2,
+      /*tolerance=*/1e-2);
+  EXPECT_TRUE(r.passed) << r.message << " (max err " << r.max_abs_error << ")";
+}
+
+TEST(GruTest, GruSequenceChecksShapes) {
+  const Tensor gates = Tensor::Zeros({2, 3, 12});
+  const Tensor w_hh = Tensor::Zeros({4, 12});
+  const Tensor b_hh = Tensor::Zeros({12});
+  EXPECT_DEATH(GruSequence(Tensor::Zeros({2, 3, 11}), w_hh, b_hh), "gates");
+  EXPECT_DEATH(GruSequence(Tensor::Zeros({6, 12}), w_hh, b_hh), "gates");
+  EXPECT_DEATH(GruSequence(gates, Tensor::Zeros({4, 11}), b_hh), "w_hh");
+  EXPECT_DEATH(GruSequence(gates, w_hh, Tensor::Zeros({4})), "b_hh");
 }
 
 // -- LSTM -----------------------------------------------------------------------

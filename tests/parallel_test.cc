@@ -365,6 +365,16 @@ TEST_F(ParallelTest, Conv2dForwardAndBackward) {
   });
 }
 
+TEST_F(ParallelTest, GruSequenceForwardAndBackward) {
+  // Batch 24 x 3h 96 puts the per-step recurrent Gemms and the backward
+  // weight Gemm past the row grain, so 8 threads really split them.
+  ExpectBitwiseIdentical([] {
+    return ForwardBackward(
+        [](const Inputs& in) { return GruSequence(in[0], in[1], in[2]); },
+        {{24, 6, 96}, {32, 96}, {96}});
+  });
+}
+
 TEST_F(ParallelTest, TimesNetLitePeriodPathForwardAndBackward) {
   // Whole period-adaptive path: FFT period selection, grid fold, 2-D convs,
   // softmax recombine. Params are built once; only execution is re-run.

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
 #include <tuple>
 
 #include "attention/multi_head_attention.h"
@@ -354,24 +357,48 @@ TEST(GruPropertyTest, BatchElementsAreIndependent) {
   }
 }
 
-TEST(GruPropertyTest, PrecomputedPathMatchesStepPath) {
-  // Gru::Forward uses InputGates for layer 0; a 2-layer GRU uses Step for
-  // layer 1. Both must agree with a manual unrolled Step loop.
+TEST(GruPropertyTest, SequencePrefixMatchesShorterRun) {
+  // GruSequence is causal and starts from a zero state: running it over the
+  // first t steps of the precomputed input gates reproduces the first t
+  // states of the full run bitwise, for every t.
   nn::GruCell cell(3, 4);
   Rng rng(17);
   Tensor x = Tensor::Randn({2, 5, 3}, &rng);
   NoGradGuard guard;
-  Tensor gates = cell.InputGates(x);
-  Tensor h1 = Tensor::Zeros({2, 4});
-  Tensor h2 = Tensor::Zeros({2, 4});
+  const Tensor gates = cell.InputGates(x);
+  const Tensor full = cell.Forward(x);
+  std::map<std::string, Tensor> params;
+  for (const auto& [name, t] : cell.NamedParameters()) params[name] = t;
+  for (int64_t t = 1; t <= 5; ++t) {
+    const Tensor prefix = GruSequence(Slice(gates, 1, 0, t),
+                                      params.at("w_hh"), params.at("b_hh"));
+    const Tensor expected = Slice(full, 1, 0, t);
+    ASSERT_EQ(prefix.shape(), expected.shape());
+    EXPECT_EQ(0, std::memcmp(prefix.data(), expected.data(),
+                             sizeof(float) * prefix.numel()))
+        << "t=" << t;
+  }
+}
+
+TEST(GruPropertyTest, BatchedInputGatesMatchPerStepProjection) {
+  // Deeper GRU layers project the whole previous-layer sequence in one
+  // matmul; row-blocked Gemm makes each row bitwise equal to projecting
+  // that step on its own.
+  nn::GruCell cell(3, 4);
+  Rng rng(18);
+  Tensor x = Tensor::Randn({2, 5, 3}, &rng);
+  NoGradGuard guard;
+  const Tensor gates = cell.InputGates(x);
+  std::map<std::string, Tensor> params;
+  for (const auto& [name, t] : cell.NamedParameters()) params[name] = t;
   for (int64_t t = 0; t < 5; ++t) {
-    Tensor xt = Squeeze(Slice(x, 1, t, t + 1), 1);
-    Tensor gt = Squeeze(Slice(gates, 1, t, t + 1), 1);
-    h1 = cell.Step(xt, h1);
-    h2 = cell.StepPrecomputed(gt, h2);
-    for (int64_t i = 0; i < h1.numel(); ++i) {
-      EXPECT_NEAR(h1.data()[i], h2.data()[i], 1e-5) << "t=" << t;
-    }
+    const Tensor step = Add(MatMul(Squeeze(Slice(x, 1, t, t + 1), 1),
+                                   params.at("w_ih")),
+                            params.at("b_ih"));
+    const Tensor batched = Squeeze(Slice(gates, 1, t, t + 1), 1);
+    EXPECT_EQ(0, std::memcmp(step.data(), batched.data(),
+                             sizeof(float) * step.numel()))
+        << "t=" << t;
   }
 }
 

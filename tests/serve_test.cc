@@ -1,5 +1,5 @@
 // Serving-layer suite (docs/SERVING.md): inference-mode bitwise parity with
-// the recording forward pass, activation-buffer-pool reuse, params-only
+// the recording forward pass, the inference guard's state handling, params-only
 // checkpoint loading, checkpoint -> InferenceSession -> Predict round-trips
 // for Conformer and three registered baselines, batched-vs-single bitwise
 // transparency, BatchingQueue coalescing/drain behaviour, and the latency
@@ -68,62 +68,30 @@ TEST(InferenceModeTest, BitwiseEqualsRecordingForward) {
     const Tensor recorded = model->Forward(batch);
     EXPECT_TRUE(recorded.requires_grad()) << name;
 
-    ClearBufferPool();
-    Tensor inference_cold, inference_warm;
+    Tensor inference;
     {
       InferenceModeGuard guard;
-      inference_cold = model->Forward(batch);  // Pool empty: all misses.
-      inference_warm = model->Forward(batch);  // Recycled buffers.
+      inference = model->Forward(batch);
     }
-    EXPECT_FALSE(inference_cold.requires_grad()) << name;
-    ASSERT_EQ(inference_cold.impl()->node, nullptr) << name;
-    ExpectTensorsBitwiseEqual(recorded, inference_cold,
-                              std::string(name) + " cold inference");
-    ExpectTensorsBitwiseEqual(recorded, inference_warm,
-                              std::string(name) + " warm inference");
-    ClearBufferPool();
+    EXPECT_FALSE(inference.requires_grad()) << name;
+    ASSERT_EQ(inference.impl()->node, nullptr) << name;
+    ExpectTensorsBitwiseEqual(recorded, inference,
+                              std::string(name) + " inference");
   }
 }
 
-TEST(InferenceModeTest, BufferPoolRecyclesAcrossCalls) {
-  data::DatasetSplits splits = MakeTestSplits();
-  const data::Batch batch = splits.test.GetRange(0, 2);
-  auto model =
-      models::MakeForecaster("gru", TestWindow(), splits.test.dims()).value();
-  model->SetTraining(false);
-
-  metrics::Counter& hits =
-      metrics::Registry::Global().GetCounter("tensor.pool_hits");
-  ClearBufferPool();
-  {
-    InferenceModeGuard guard;
-    EXPECT_TRUE(BufferPoolEnabled());
-    (void)model->Forward(batch);
-    const int64_t hits_after_cold = hits.value();
-    (void)model->Forward(batch);
-    EXPECT_GT(hits.value(), hits_after_cold)
-        << "second forward should reuse recycled activation buffers";
-  }
-  EXPECT_FALSE(BufferPoolEnabled());
-  ClearBufferPool();
-}
-
-TEST(InferenceModeTest, GuardRestoresPreviousState) {
+TEST(InferenceModeTest, GuardDisablesRecordingAndRestoresPreviousState) {
   EXPECT_TRUE(GradRecordingEnabled());
-  EXPECT_FALSE(BufferPoolEnabled());
   {
     InferenceModeGuard outer;
     EXPECT_FALSE(GradRecordingEnabled());
-    EXPECT_TRUE(BufferPoolEnabled());
     {
       InferenceModeGuard inner;
       EXPECT_FALSE(GradRecordingEnabled());
     }
     EXPECT_FALSE(GradRecordingEnabled());
-    EXPECT_TRUE(BufferPoolEnabled());
   }
   EXPECT_TRUE(GradRecordingEnabled());
-  EXPECT_FALSE(BufferPoolEnabled());
 }
 
 // -- Params-only checkpoint loading ---------------------------------------

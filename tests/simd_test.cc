@@ -510,6 +510,17 @@ TEST_F(SimdTest, StridedConv1dGraphAcrossLevels) {
       {{2, 3, 33}, {4, 3, 3}, {4}}, "strided-conv1d");
 }
 
+TEST_F(SimdTest, GruSequenceAcrossLevels) {
+  // h = 5: the 2h-wide sigmoid span has a scalar tail after one 8-lane
+  // vector. nn_test pins GruSequence to the composed per-step graph, whose
+  // ops are level-invariant, so this closes the contract at every level.
+  ExpectGraphIdenticalAcrossLevels(
+      [](const std::vector<Tensor>& in) {
+        return GruSequence(in[0], in[1], in[2]);
+      },
+      {{3, 7, 15}, {5, 15}, {15}}, "gru-sequence");
+}
+
 TEST_F(SimdTest, TimesNetLiteForwardBackwardAcrossLevels) {
   // The whole period-adaptive path (host FFT selection + grid convs) must
   // produce identical forecasts and parameter gradients at every level.
