@@ -14,51 +14,18 @@
 // asserts it stays >= 5x at L = 336 and 720 (single thread).
 
 #include <algorithm>
-#include <chrono>
 #include <complex>
-#include <cstdio>
-#include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "fft/autocorrelation.h"
 #include "fft/fft.h"
 #include "fft/plan.h"
-#include "util/env.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace conformer::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-// Per-measurement wall budget; CONFORMER_BENCH_MIN_MILLIS overrides the
-// default 100ms (CI uses 300ms to tame runner noise).
-double MinSeconds() {
-  static const double min_seconds =
-      static_cast<double>(GetEnvInt("CONFORMER_BENCH_MIN_MILLIS", 100)) * 1e-3;
-  return min_seconds;
-}
-
-template <typename Fn>
-double MeasureOpsPerSec(Fn fn, double min_seconds = MinSeconds()) {
-  fn();  // warm-up (also builds/caches any FFT plan the loop needs)
-  int64_t iters = 0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < min_seconds);
-  return static_cast<double>(iters) / elapsed;
-}
-
-struct Result {
-  std::string kernel;
-  int64_t threads;
-  double ops_per_sec;
-};
 
 // Faithful replica of the pre-PR non-power-of-two fallback in
 // fft::AutoCorrelation (direct O(n^2) circular correlation).
@@ -80,11 +47,10 @@ std::vector<double> MakeColumns(int64_t count, int64_t length, uint64_t seed) {
 }
 
 int Main() {
-  const int64_t hw = std::max<int64_t>(
-      1, static_cast<int64_t>(std::thread::hardware_concurrency()));
+  const int64_t hw = HardwareThreads();
   // The paper's window: 4 batch rows x 7 ETT variables = 28 columns per step.
   const int64_t kBatchDims = 28;
-  std::vector<Result> results;
+  std::vector<BenchRow> results;
 
   ThreadPool::Global().SetNumThreads(1);
 
@@ -149,15 +115,7 @@ int Main() {
   }
   ThreadPool::Global().SetNumThreads(hw);
 
-  std::printf("{\"hardware_concurrency\": %lld, \"results\": [",
-              static_cast<long long>(hw));
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::printf(
-        "%s\n  {\"kernel\": \"%s\", \"threads\": %lld, \"ops_per_sec\": %.3f}",
-        i == 0 ? "" : ",", results[i].kernel.c_str(),
-        static_cast<long long>(results[i].threads), results[i].ops_per_sec);
-  }
-  std::printf("\n]}\n");
+  PrintBenchJson(results);
   return 0;
 }
 

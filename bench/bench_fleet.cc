@@ -24,53 +24,27 @@
 // on one core — the ratio measures isolation overhead, not saturation.
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "data/dataset_registry.h"
 #include "serve/fleet_server.h"
 #include "serve/loadgen.h"
-#include "util/env.h"
 
 namespace conformer::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MinSeconds() {
-  static const double min_seconds =
-      static_cast<double>(GetEnvInt("CONFORMER_BENCH_MIN_MILLIS", 100)) * 1e-3;
-  return min_seconds;
-}
-
-struct Row {
-  std::string kernel;
-  int64_t threads;
-  double ops_per_sec;
-};
 
 // Direct (queueless) Predict capacity in series/sec — the load points'
 // yardstick.
 double MeasureCapacity(serve::InferenceSession* session,
                        const data::Batch& batch) {
-  session->Predict(batch);  // Warm-up.
-  int64_t iters = 0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    session->Predict(batch);
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < MinSeconds());
-  return static_cast<double>(iters * batch.size()) / elapsed;
+  return static_cast<double>(batch.size()) *
+         MeasureOpsPerSec([&] { session->Predict(batch); });
 }
 
 int Main() {
-  const int64_t threads = std::max<int64_t>(
-      1, static_cast<int64_t>(std::thread::hardware_concurrency()));
+  const int64_t threads = HardwareThreads();
 
   // Two linear tenants at different horizons: fast enough for the smoke
   // job, structurally a real mixed-geometry fleet. Untrained weights —
@@ -119,7 +93,7 @@ int Main() {
   options.num_clients = 2;
   options.seed = 1234;
 
-  std::vector<Row> rows;
+  std::vector<BenchRow> rows;
   rows.push_back(
       {"fleet_tenants", threads, static_cast<double>(fleet.tenant_count())});
 
@@ -147,15 +121,7 @@ int Main() {
   }
   fleet.Shutdown();
 
-  std::printf("{\"hardware_concurrency\": %lld, \"results\": [",
-              static_cast<long long>(threads));
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::printf(
-        "%s\n  {\"kernel\": \"%s\", \"threads\": %lld, \"ops_per_sec\": %.3f}",
-        i == 0 ? "" : ",", rows[i].kernel.c_str(),
-        static_cast<long long>(rows[i].threads), rows[i].ops_per_sec);
-  }
-  std::printf("\n]}\n");
+  PrintBenchJson(rows);
   return 0;
 }
 

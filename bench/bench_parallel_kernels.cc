@@ -15,56 +15,20 @@
 // rather than speedup.
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "attention/attention.h"
+#include "bench/bench_util.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/vec/vec.h"
-#include "util/env.h"
 #include "util/thread_pool.h"
 
 namespace conformer::bench {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-// Per-measurement wall budget: longer windows tighten run-to-run variance on
-// noisy machines (CI runners, shared containers). CONFORMER_BENCH_MIN_MILLIS
-// overrides the default 100ms.
-double MinSeconds() {
-  static const double min_seconds =
-      static_cast<double>(GetEnvInt("CONFORMER_BENCH_MIN_MILLIS", 100)) * 1e-3;
-  return min_seconds;
-}
-
-// Runs `fn` repeatedly until at least `min_seconds` have elapsed and returns
-// iterations per second.
-template <typename Fn>
-double MeasureOpsPerSec(Fn fn, double min_seconds = MinSeconds()) {
-  fn();  // warm-up (also first-touch of any lazily grown pool state)
-  int64_t iters = 0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < min_seconds);
-  return static_cast<double>(iters) / elapsed;
-}
-
-struct Result {
-  std::string kernel;
-  int64_t threads;
-  double ops_per_sec;
-};
-
-void BenchAtThreadCount(int64_t threads, std::vector<Result>* results) {
+void BenchAtThreadCount(int64_t threads, std::vector<BenchRow>* results) {
   ThreadPool::Global().SetNumThreads(threads);
   NoGradGuard guard;
   Rng rng(7);
@@ -126,7 +90,7 @@ void BenchAtThreadCount(int64_t threads, std::vector<Result>* results) {
 // isolates vectorization (no pool dispatch in the numerator or denominator).
 // The raw span kernels are benched directly; Gemm goes through
 // kernels::Gemm, whose inner loops dispatch per level.
-void BenchSimdLevels(std::vector<Result>* results) {
+void BenchSimdLevels(std::vector<BenchRow>* results) {
   ThreadPool::Global().SetNumThreads(1);
   NoGradGuard guard;
   Rng rng(11);
@@ -170,26 +134,17 @@ void BenchSimdLevels(std::vector<Result>* results) {
 }
 
 int Main() {
-  const int64_t hw = std::max<int64_t>(
-      1, static_cast<int64_t>(std::thread::hardware_concurrency()));
+  const int64_t hw = HardwareThreads();
   std::vector<int64_t> counts = {1, 2, 4, hw};
   std::sort(counts.begin(), counts.end());
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
 
-  std::vector<Result> results;
+  std::vector<BenchRow> results;
   for (int64_t t : counts) BenchAtThreadCount(t, &results);
   BenchSimdLevels(&results);
   ThreadPool::Global().SetNumThreads(hw);
 
-  std::printf("{\"hardware_concurrency\": %lld, \"results\": [",
-              static_cast<long long>(hw));
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::printf(
-        "%s\n  {\"kernel\": \"%s\", \"threads\": %lld, \"ops_per_sec\": %.3f}",
-        i == 0 ? "" : ",", results[i].kernel.c_str(),
-        static_cast<long long>(results[i].threads), results[i].ops_per_sec);
-  }
-  std::printf("\n]}\n");
+  PrintBenchJson(results);
   return 0;
 }
 

@@ -1,8 +1,9 @@
 // Serving-throughput benchmark (docs/SERVING.md): the same request stream
 // served three ways — one request at a time, directly coalesced batches,
-// and through the BatchingQueue with concurrent clients — so the value of
-// micro-batching is a single JSON diff. Emits the bench_parallel_kernels
-// JSON schema so CI can gate it with tools/compare_bench.py:
+// and through a one-tenant FleetServer with concurrent clients — so the
+// value of micro-batching is a single JSON diff. Emits the
+// bench_parallel_kernels JSON schema so CI can gate it with
+// tools/compare_bench.py:
 //
 //   {"hardware_concurrency": N,
 //    "results": [{"kernel": "serve_seq_b1", "threads": T,
@@ -14,50 +15,26 @@
 // batches only amortize per-call overhead).
 
 #include <chrono>
-#include <cstdio>
 #include <future>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "data/dataset_registry.h"
-#include "serve/batching_queue.h"
-#include "util/env.h"
+#include "serve/fleet_server.h"
 #include "util/thread_pool.h"
-#include "util/metrics.h"
 
 namespace conformer::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double MinSeconds() {
-  static const double min_seconds =
-      static_cast<double>(GetEnvInt("CONFORMER_BENCH_MIN_MILLIS", 100)) * 1e-3;
-  return min_seconds;
-}
-
-/// Runs `fn` (one full pass over `series_per_iter` series) until the wall
-/// budget is spent; returns series forecast per second. An untimed first
-/// pass absorbs one-off costs such as plan capture.
+/// Series forecast per second of `fn`, one full pass over `series_per_iter`
+/// series.
 template <typename Fn>
 double MeasureSeriesPerSec(int64_t series_per_iter, Fn fn) {
-  fn();  // Warm-up.
-  int64_t iters = 0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < MinSeconds());
-  return static_cast<double>(iters * series_per_iter) / elapsed;
+  return static_cast<double>(series_per_iter) * MeasureOpsPerSec(fn);
 }
-
-struct Row {
-  std::string kernel;
-  int64_t threads;
-  double ops_per_sec;
-};
 
 int Main() {
   const int64_t threads = ThreadPool::Global().num_threads();
@@ -79,7 +56,7 @@ int Main() {
     singles.push_back(splits.test.GetRange(r % splits.test.size(), 1));
   }
 
-  std::vector<Row> rows;
+  std::vector<BenchRow> rows;
 
   // One forward pass per request: the no-batching floor.
   rows.push_back({"serve_seq_b1", threads,
@@ -124,10 +101,16 @@ int Main() {
     }
   }
 
-  // The real serving path: concurrent clients through the BatchingQueue.
+  // The real serving path: concurrent clients through a one-tenant,
+  // one-shard fleet over the eager Conformer.
+  const std::string key =
+      serve::MakeTenantKey(config.model_name, config.window.pred_len);
+  serve::TenantSpec spec;
+  spec.session = config;
   {
-    serve::BatchingQueue queue(session.get(),
-                               {.max_batch_size = 8, .max_queue_delay_us = 500});
+    serve::FleetServer fleet({.num_dispatchers = 1});
+    spec.queue = {.max_batch_size = 8, .max_queue_delay_us = 500};
+    if (!fleet.AddTenant(key, spec).ok()) return 1;
     const int64_t kClients = 4;
     rows.push_back({"serve_queue_b8", threads,
                     MeasureSeriesPerSec(kRequests, [&] {
@@ -137,7 +120,7 @@ int Main() {
                           std::vector<std::future<Result<serve::Forecast>>>
                               futures;
                           for (int64_t r = c; r < kRequests; r += kClients) {
-                            futures.push_back(queue.Submit(singles[r]));
+                            futures.push_back(fleet.Submit(key, singles[r]));
                           }
                           for (auto& f : futures) f.get();
                         });
@@ -161,19 +144,20 @@ int Main() {
   //                               (a ratio in [0,1], not a rate)
   {
     double capacity = 0.0;
-    for (const Row& row : rows) {
+    for (const BenchRow& row : rows) {
       if (row.kernel.rfind("serve_plan_", 0) == 0) continue;  // replay, not
                                                               // the queue path
       capacity = std::max(capacity, row.ops_per_sec);
     }
-    serve::BatchingQueue queue(session.get(),
-                               {.max_batch_size = 8,
-                                .max_queue_delay_us = 500,
-                                .max_queue_depth = 16});
+    serve::FleetServer fleet({.num_dispatchers = 1});
+    spec.queue = {.max_batch_size = 8,
+                  .max_queue_delay_us = 500,
+                  .max_queue_depth = 16};
+    if (!fleet.AddTenant(key, spec).ok()) return 1;
     const auto interarrival =
         std::chrono::nanoseconds(static_cast<int64_t>(1e9 / (2.0 * capacity)));
     const int64_t deadline_us = static_cast<int64_t>(16 * 1e6 / capacity);
-    session->Predict(singles[0]);  // Warm-up.
+    fleet.session(key)->Predict(singles[0]);  // Warm-up.
 
     int64_t submitted = 0, delivered = 0, shed = 0, rejected = 0;
     std::vector<std::future<Result<serve::Forecast>>> futures;
@@ -183,7 +167,7 @@ int Main() {
     do {
       std::this_thread::sleep_until(next_arrival);
       next_arrival += interarrival;
-      futures.push_back(queue.Submit(singles[submitted % kRequests],
+      futures.push_back(fleet.Submit(key, singles[submitted % kRequests],
                                      {.deadline_us = deadline_us}));
       ++submitted;
       elapsed = std::chrono::duration<double>(Clock::now() - start).count();
@@ -198,7 +182,7 @@ int Main() {
         ++rejected;
       }
     }
-    queue.Shutdown();
+    fleet.Shutdown();
     const double total =
         std::chrono::duration<double>(Clock::now() - start).count();
     rows.push_back({"serve_overload_goodput_b8", threads,
@@ -208,16 +192,7 @@ int Main() {
                         static_cast<double>(submitted)});
   }
 
-  std::printf("{\"hardware_concurrency\": %lld, \"results\": [",
-              static_cast<long long>(std::max<int64_t>(
-                  1, std::thread::hardware_concurrency())));
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::printf(
-        "%s\n  {\"kernel\": \"%s\", \"threads\": %lld, \"ops_per_sec\": %.3f}",
-        i == 0 ? "" : ",", rows[i].kernel.c_str(),
-        static_cast<long long>(rows[i].threads), rows[i].ops_per_sec);
-  }
-  std::printf("\n]}\n");
+  PrintBenchJson(rows);
   return 0;
 }
 

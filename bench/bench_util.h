@@ -1,6 +1,8 @@
 // Shared harness for the table/figure reproduction benches: scaled-down
 // experiment configs, a train-and-evaluate runner, and the table printer
-// emitting the same row structure the paper reports.
+// emitting the same row structure the paper reports. Also the timer, row
+// type and JSON printer shared by the micro-benches (bench_parallel_kernels,
+// bench_fft, bench_serving, bench_fleet).
 //
 // Scaling: the paper trains input-96 models with d_model 512 on an A100;
 // this repo runs on one CPU core, so the default "quick" scale shrinks
@@ -11,10 +13,12 @@
 #define CONFORMER_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -178,6 +182,61 @@ class ResultTable {
   std::vector<std::string> models_;
   std::map<std::pair<std::string, std::string>, Score> cells_;
 };
+
+/// Per-measurement wall budget of the micro-benches: longer windows tighten
+/// run-to-run variance on noisy machines. CONFORMER_BENCH_MIN_MILLIS
+/// overrides the default 100ms.
+inline double MinSeconds() {
+  static const double min_seconds =
+      static_cast<double>(GetEnvInt("CONFORMER_BENCH_MIN_MILLIS", 100)) * 1e-3;
+  return min_seconds;
+}
+
+/// Runs `fn` once untimed (absorbing one-off costs: plan capture, FFT plan
+/// builds, first-touch of pooled buffers), then repeatedly until
+/// MinSeconds() have elapsed; returns calls per second.
+template <typename Fn>
+double MeasureOpsPerSec(Fn fn) {
+  using Clock = std::chrono::steady_clock;
+  fn();
+  int64_t iters = 0;
+  const auto start = Clock::now();
+  double elapsed = 0.0;
+  do {
+    fn();
+    ++iters;
+    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
+  } while (elapsed < MinSeconds());
+  return static_cast<double>(iters) / elapsed;
+}
+
+inline int64_t HardwareThreads() {
+  return std::max<int64_t>(
+      1, static_cast<int64_t>(std::thread::hardware_concurrency()));
+}
+
+/// \brief One micro-bench measurement.
+struct BenchRow {
+  std::string kernel;
+  int64_t threads;
+  double ops_per_sec;
+};
+
+/// Prints `rows` as the JSON document tools/compare_bench.py diffs:
+///
+///   {"hardware_concurrency": N,
+///    "results": [{"kernel": "gemm_512", "threads": 1, "ops_per_sec": ...}]}
+inline void PrintBenchJson(const std::vector<BenchRow>& rows) {
+  std::printf("{\"hardware_concurrency\": %lld, \"results\": [",
+              static_cast<long long>(HardwareThreads()));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::printf(
+        "%s\n  {\"kernel\": \"%s\", \"threads\": %lld, \"ops_per_sec\": %.3f}",
+        i == 0 ? "" : ",", rows[i].kernel.c_str(),
+        static_cast<long long>(rows[i].threads), rows[i].ops_per_sec);
+  }
+  std::printf("\n]}\n");
+}
 
 }  // namespace conformer::bench
 

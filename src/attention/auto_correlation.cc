@@ -50,22 +50,24 @@ Tensor AutoCorrelationAttention::ForwardEager(const Tensor& q,
   }
   const int64_t length = lq;
 
-  // --- Candidate lags from the FFT of the batch-averaged correlation. ---
-  // fft::CrossCorrelation is exact and O(L log L) at any query length (it
-  // folds the padded linear correlation back to circular), so non-power-of-
-  // two decoder lengths no longer fall back to a direct O(L^2) scan.
+  // --- Candidate lags per row from the FFT of its correlation. ---
+  // Every row picks its own top-k lags from its channel-averaged q/k, so a
+  // served forecast never depends on the requests it is batched with
+  // (DESIGN.md §2). fft::CrossCorrelation is exact and O(L log L) at any
+  // query length (it folds the padded linear correlation back to circular),
+  // so non-power-of-two decoder lengths never fall back to a direct O(L^2)
+  // scan.
   const int64_t top_k = std::min<int64_t>(
       length - 1,
       factor_ * static_cast<int64_t>(
                     std::ceil(std::log(std::max<int64_t>(2, length)))));
-  std::vector<int64_t> lags;
+  std::vector<std::vector<int64_t>> lags(bh);
   {
     NoGradGuard guard;
     const float* qd = q.data();
     const float* kd = k.data();
-    // Average q/k over batch and channels into two 1-D series.
-    std::vector<double> q_series(length, 0.0);
-    std::vector<double> k_series(length, 0.0);
+    std::vector<double> q_series(length);
+    std::vector<double> k_series(length);
     for (int64_t b = 0; b < bh; ++b) {
       for (int64_t t = 0; t < length; ++t) {
         double qacc = 0.0;
@@ -74,33 +76,38 @@ Tensor AutoCorrelationAttention::ForwardEager(const Tensor& q,
           qacc += qd[(b * length + t) * dk + d];
           kacc += kd[(b * length + t) * dk + d];
         }
-        q_series[t] += qacc;
-        k_series[t] += kacc;
+        q_series[t] = qacc;
+        k_series[t] = kacc;
       }
+      lags[b] = fft::TopKLags(fft::CrossCorrelation(q_series, k_series), top_k);
     }
-    std::vector<double> corr = fft::CrossCorrelation(q_series, k_series);
-    lags = fft::TopKLags(corr, top_k);
   }
-  CONFORMER_CHECK(!lags.empty());
+  const int64_t n_lags = static_cast<int64_t>(lags[0].size());
+  CONFORMER_CHECK_GT(n_lags, 0);
 
   // --- Differentiable per-lag scores and delay aggregation. ---
   std::vector<Tensor> scores;  // each [BH, 1]
   std::vector<Tensor> rolled_v;
-  scores.reserve(lags.size());
-  rolled_v.reserve(lags.size());
-  for (int64_t lag : lags) {
-    // R(lag) = mean_t,d ( q_t . k_{t+lag} ): roll k backwards by lag.
-    Tensor k_shift = Roll(k, 1, -lag);
+  scores.reserve(n_lags);
+  rolled_v.reserve(n_lags);
+  std::vector<int64_t> shifted(bh * length);
+  for (int64_t i = 0; i < n_lags; ++i) {
+    // R(lag) = mean_t,d ( q_t . k_{t+lag} ): each row gathers its k and v
+    // rolled backwards by its own i-th lag.
+    for (int64_t b = 0; b < bh; ++b) {
+      for (int64_t t = 0; t < length; ++t) {
+        shifted[b * length + t] = (t + lags[b][i]) % length;
+      }
+    }
+    Tensor k_shift = BatchedIndexSelect(k, shifted, length);
     scores.push_back(Mean(Mul(q, k_shift), {1, 2}, /*keepdim=*/false));
-    rolled_v.push_back(Roll(v, 1, -lag));
+    rolled_v.push_back(BatchedIndexSelect(v, shifted, length));
   }
   Tensor score_mat = StackTensors(scores, /*dim=*/1);       // [BH, n_lags]
   Tensor weights = Softmax(score_mat, -1);                  // [BH, n_lags]
   Tensor out = Tensor::Zeros({bh, length, v.size(2)});
-  for (size_t i = 0; i < lags.size(); ++i) {
-    Tensor w = Reshape(Slice(weights, 1, static_cast<int64_t>(i),
-                             static_cast<int64_t>(i) + 1),
-                       {bh, 1, 1});
+  for (int64_t i = 0; i < n_lags; ++i) {
+    Tensor w = Reshape(Slice(weights, 1, i, i + 1), {bh, 1, 1});
     out = Add(out, Mul(w, rolled_v[i]));
   }
   return out;

@@ -3,9 +3,10 @@
 // the auto-correlation of q against k, and V is aggregated across the top-k
 // time-delayed copies.
 //
-// Candidate lags are selected with the FFT (no gradient); the per-lag scores
-// and the delay aggregation are recomputed differentiably in the time domain
-// so training matches the original operator (see DESIGN.md §2).
+// Candidate lags are selected per row with the FFT (no gradient); the
+// per-lag scores and the delay aggregation are recomputed differentiably in
+// the time domain so training matches the original operator (see DESIGN.md
+// §2).
 
 #ifndef CONFORMER_ATTENTION_AUTO_CORRELATION_H_
 #define CONFORMER_ATTENTION_AUTO_CORRELATION_H_

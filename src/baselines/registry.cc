@@ -1,5 +1,7 @@
 #include "baselines/registry.h"
 
+#include <mutex>
+
 #include "baselines/deepar.h"
 #include "baselines/gru_forecaster.h"
 #include "baselines/linear_forecaster.h"
@@ -15,94 +17,117 @@
 
 namespace conformer::models {
 
+namespace {
+
+using Window = data::WindowConfig;
+using Params = ModelHyperParams;
+using Model = std::unique_ptr<Forecaster>;
+
+/// The Transformer-family baselines differ only in their attention preset.
+template <TransformerConfig (*Preset)()>
+Model MakeTransformer(const Window& window, int64_t dims, const Params& p) {
+  TransformerConfig config = Preset();
+  config.d_model = p.d_model;
+  config.n_heads = p.n_heads;
+  config.d_ff = 2 * p.d_model;
+  config.ma_kernel = p.ma_kernel;
+  config.dropout = p.dropout;
+  config.attn.seed = p.seed;
+  return std::make_unique<TransformerForecaster>(config, window, dims);
+}
+
+struct Entry {
+  const char* name;
+  Model (*make)(const Window& window, int64_t dims, const Params& p);
+};
+
+/// Every registry model, in AvailableModels() order.
+const Entry kModels[] = {
+    {"conformer",
+     [](const Window& window, int64_t dims, const Params& p) -> Model {
+       core::ConformerConfig config;
+       config.d_model = p.d_model;
+       config.n_heads = p.n_heads;
+       config.ma_kernel = p.ma_kernel;
+       config.dropout = p.dropout;
+       config.seed = p.seed;
+       if (p.univariate) config.dec_rnn_layers = 1;
+       return std::make_unique<core::ConformerModel>(config, window, dims);
+     }},
+    {"longformer", MakeTransformer<LongformerConfig>},
+    {"autoformer", MakeTransformer<AutoformerConfig>},
+    {"informer", MakeTransformer<InformerConfig>},
+    {"reformer", MakeTransformer<ReformerConfig>},
+    {"logtrans", MakeTransformer<LogTransConfig>},
+    {"transformer", MakeTransformer<VanillaTransformerConfig>},
+    {"gru",
+     [](const Window& window, int64_t dims, const Params& p) -> Model {
+       return std::make_unique<GruForecaster>(window, dims, p.hidden);
+     }},
+    {"lstm",
+     [](const Window& window, int64_t dims, const Params& p) -> Model {
+       return std::make_unique<LstmForecaster>(window, dims, p.hidden);
+     }},
+    {"lstnet",
+     [](const Window& window, int64_t dims, const Params& p) -> Model {
+       return std::make_unique<LstNet>(window, dims, p.hidden, /*kernel=*/6,
+                                       p.hidden, p.dropout);
+     }},
+    {"nbeats",
+     [](const Window& window, int64_t dims, const Params& p) -> Model {
+       return std::make_unique<NBeats>(window, dims, /*blocks=*/3,
+                                       2 * p.hidden);
+     }},
+    {"ts2vec",
+     [](const Window& window, int64_t dims, const Params& p) -> Model {
+       return std::make_unique<Ts2Vec>(window, dims, p.hidden);
+     }},
+    {"deepar",
+     [](const Window& window, int64_t dims, const Params& p) -> Model {
+       return std::make_unique<DeepAr>(window, dims, p.hidden, /*layers=*/2,
+                                       p.seed);
+     }},
+    {"timesnet",
+     [](const Window& window, int64_t dims, const Params& p) -> Model {
+       return std::make_unique<TimesNetLite>(window, dims, p.d_model,
+                                             /*top_k=*/3);
+     }},
+    {"linear",
+     [](const Window& window, int64_t dims, const Params&) -> Model {
+       return std::make_unique<LinearForecaster>(window, dims);
+     }},
+    {"naive",
+     [](const Window& window, int64_t dims, const Params&) -> Model {
+       return std::make_unique<NaiveForecaster>(window, dims);
+     }},
+    {"seasonal_naive",
+     [](const Window& window, int64_t dims, const Params& p) -> Model {
+       return std::make_unique<SeasonalNaiveForecaster>(window, dims,
+                                                        p.seasonal_period);
+     }},
+};
+
+}  // namespace
+
 std::vector<std::string> AvailableModels() {
-  return {"conformer", "longformer", "autoformer", "informer",
-          "reformer",  "logtrans",   "transformer", "gru",
-          "lstm",      "lstnet",     "nbeats",      "ts2vec",
-          "deepar",    "timesnet",   "linear",      "naive",
-          "seasonal_naive"};
+  std::vector<std::string> names;
+  for (const Entry& entry : kModels) names.emplace_back(entry.name);
+  return names;
 }
 
 Result<std::unique_ptr<Forecaster>> MakeForecaster(
     const std::string& name, data::WindowConfig window, int64_t dims,
     const ModelHyperParams& params) {
   const std::string key = ToLower(name);
-
-  if (key == "conformer") {
-    core::ConformerConfig config;
-    config.d_model = params.d_model;
-    config.n_heads = params.n_heads;
-    config.ma_kernel = params.ma_kernel;
-    config.dropout = params.dropout;
-    config.seed = params.seed;
-    if (params.univariate) config.dec_rnn_layers = 1;
-    return std::unique_ptr<Forecaster>(
-        std::make_unique<core::ConformerModel>(config, window, dims));
+  for (const Entry& entry : kModels) {
+    if (key != entry.name) continue;
+    // Parameter initializers draw from the unsynchronized GlobalRng(), and
+    // serving builds models from several threads at once (concurrent
+    // Reload / AddTenant calls), so construction is serialized.
+    static std::mutex construct_mu;
+    std::lock_guard<std::mutex> lock(construct_mu);
+    return entry.make(window, dims, params);
   }
-
-  auto make_transformer =
-      [&](TransformerConfig config) -> std::unique_ptr<Forecaster> {
-    config.d_model = params.d_model;
-    config.n_heads = params.n_heads;
-    config.d_ff = 2 * params.d_model;
-    config.ma_kernel = params.ma_kernel;
-    config.dropout = params.dropout;
-    config.attn.seed = params.seed;
-    return std::make_unique<TransformerForecaster>(config, window, dims);
-  };
-
-  if (key == "longformer") return make_transformer(LongformerConfig());
-  if (key == "informer") return make_transformer(InformerConfig());
-  if (key == "autoformer") return make_transformer(AutoformerConfig());
-  if (key == "reformer") return make_transformer(ReformerConfig());
-  if (key == "logtrans") return make_transformer(LogTransConfig());
-  if (key == "transformer") {
-    return make_transformer(VanillaTransformerConfig());
-  }
-
-  if (key == "gru") {
-    return std::unique_ptr<Forecaster>(
-        std::make_unique<GruForecaster>(window, dims, params.hidden));
-  }
-  if (key == "lstm") {
-    return std::unique_ptr<Forecaster>(
-        std::make_unique<LstmForecaster>(window, dims, params.hidden));
-  }
-  if (key == "deepar") {
-    return std::unique_ptr<Forecaster>(std::make_unique<DeepAr>(
-        window, dims, params.hidden, /*layers=*/2, params.seed));
-  }
-  if (key == "linear") {
-    return std::unique_ptr<Forecaster>(
-        std::make_unique<LinearForecaster>(window, dims));
-  }
-  if (key == "naive") {
-    return std::unique_ptr<Forecaster>(
-        std::make_unique<NaiveForecaster>(window, dims));
-  }
-  if (key == "seasonal_naive") {
-    return std::unique_ptr<Forecaster>(std::make_unique<SeasonalNaiveForecaster>(
-        window, dims, params.seasonal_period));
-  }
-  if (key == "lstnet") {
-    return std::unique_ptr<Forecaster>(std::make_unique<LstNet>(
-        window, dims, params.hidden, /*kernel=*/6, params.hidden,
-        params.dropout));
-  }
-  if (key == "nbeats") {
-    return std::unique_ptr<Forecaster>(
-        std::make_unique<NBeats>(window, dims, /*blocks=*/3,
-                                 2 * params.hidden));
-  }
-  if (key == "ts2vec") {
-    return std::unique_ptr<Forecaster>(
-        std::make_unique<Ts2Vec>(window, dims, params.hidden));
-  }
-  if (key == "timesnet") {
-    return std::unique_ptr<Forecaster>(std::make_unique<TimesNetLite>(
-        window, dims, params.d_model, /*top_k=*/3));
-  }
-
   return Status::NotFound("unknown model '" + name + "'");
 }
 

@@ -26,12 +26,12 @@ struct ModelHyperParams {
   int64_t seasonal_period = 24;  ///< Season length for "seasonal_naive".
 };
 
-/// Model names accepted by MakeForecaster.
+/// Every model name MakeForecaster accepts, in registry order: Conformer,
+/// the Transformer family, the RNN/CNN/MLP baselines, and the naive floors.
 std::vector<std::string> AvailableModels();
 
-/// Builds a model by name: "conformer", "longformer", "autoformer",
-/// "informer", "reformer", "logtrans", "transformer", "gru", "lstnet",
-/// "nbeats", "ts2vec", "timesnet".
+/// Builds a model by (case-insensitive) name; NotFound for names outside
+/// AvailableModels().
 Result<std::unique_ptr<Forecaster>> MakeForecaster(
     const std::string& name, data::WindowConfig window, int64_t dims,
     const ModelHyperParams& params = {});

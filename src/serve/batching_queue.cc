@@ -1,7 +1,6 @@
 #include "serve/batching_queue.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -63,6 +62,14 @@ Status ValidateRequest(const data::Batch& request,
   return Status::OK();
 }
 
+std::string TenantMetric(const std::string& key, const char* name) {
+  return "serve.tenant." + key + "." + name;
+}
+
+metrics::Counter& TenantCounter(const std::string& key, const char* name) {
+  return Registry().GetCounter(TenantMetric(key, name));
+}
+
 QueueConfig Sanitize(QueueConfig config) {
   if (config.max_batch_size < 1) config.max_batch_size = 1;
   if (config.max_queue_delay_us < 0) config.max_queue_delay_us = 0;
@@ -82,41 +89,37 @@ TenantQueue::TenantQueue(InferenceSession* session, QueueConfig config,
       on_work_(std::move(on_work)),
       requests_(Registry().GetCounter("serve.requests")),
       rejected_(Registry().GetCounter("serve.rejected")),
-      shed_(Registry().GetCounter("serve.shed_expired")) {
+      shed_(Registry().GetCounter("serve.shed_expired")),
+      tenant_requests_(TenantCounter(tenant_key_, "requests")),
+      tenant_rejected_(TenantCounter(tenant_key_, "rejected")),
+      tenant_shed_(TenantCounter(tenant_key_, "shed_expired")),
+      tenant_batches_(TenantCounter(tenant_key_, "batches")),
+      tenant_batch_failures_(TenantCounter(tenant_key_, "batch_failures")),
+      tenant_circuit_opens_(TenantCounter(tenant_key_, "circuit_opens")),
+      tenant_depth_(Registry().GetGauge(TenantMetric(tenant_key_,
+                                                     "queue_depth"))),
+      tenant_latency_(Registry().GetHistogram(
+          TenantMetric(tenant_key_, "request_latency_seconds"))) {
   CONFORMER_CHECK(session_ != nullptr);
-  if (!tenant_key_.empty()) {
-    const std::string prefix = "serve.tenant." + tenant_key_ + ".";
-    tenant_requests_ = &Registry().GetCounter(prefix + "requests");
-    tenant_rejected_ = &Registry().GetCounter(prefix + "rejected");
-    tenant_shed_ = &Registry().GetCounter(prefix + "shed_expired");
-    tenant_batches_ = &Registry().GetCounter(prefix + "batches");
-    tenant_batch_failures_ = &Registry().GetCounter(prefix + "batch_failures");
-    tenant_circuit_opens_ = &Registry().GetCounter(prefix + "circuit_opens");
-    tenant_depth_ = &Registry().GetGauge(prefix + "queue_depth");
-    tenant_latency_ =
-        &Registry().GetHistogram(prefix + "request_latency_seconds");
-  }
-}
-
-void TenantQueue::NotifyWork() {
-  if (on_work_) on_work_();
+  CONFORMER_CHECK(!tenant_key_.empty());
+  CONFORMER_CHECK(on_work_ != nullptr);
 }
 
 void TenantQueue::CountRejected() {
   rejected_.Increment();
-  if (tenant_rejected_ != nullptr) tenant_rejected_->Increment();
+  tenant_rejected_.Increment();
 }
 
 void TenantQueue::SetDepthLocked() {
   const double depth = static_cast<double>(queue_.size());
   Registry().GetGauge("serve.queue_depth").Set(depth);
-  if (tenant_depth_ != nullptr) tenant_depth_->Set(depth);
+  tenant_depth_.Set(depth);
 }
 
 std::future<Result<Forecast>> TenantQueue::Submit(data::Batch request,
                                                   RequestOptions options) {
   requests_.Increment();
-  if (tenant_requests_ != nullptr) tenant_requests_->Increment();
+  tenant_requests_.Increment();
   Pending pending;
   std::future<Result<Forecast>> future = pending.promise.get_future();
 
@@ -165,7 +168,7 @@ std::future<Result<Forecast>> TenantQueue::Submit(data::Batch request,
     queue_.push_back(std::move(pending));
     SetDepthLocked();
   }
-  NotifyWork();
+  on_work_();
   return future;
 }
 
@@ -174,12 +177,7 @@ void TenantQueue::BeginShutdown() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  NotifyWork();
-}
-
-bool TenantQueue::shutdown_requested() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shutdown_;
+  on_work_();
 }
 
 int64_t TenantQueue::pending() const {
@@ -198,7 +196,7 @@ void TenantQueue::ResetCircuitBreaker() {
     circuit_open_ = false;
     consecutive_failures_ = 0;
   }
-  NotifyWork();
+  on_work_();
 }
 
 void TenantQueue::DrainAndRejectLocked(const Status& status) {
@@ -227,17 +225,16 @@ TenantQueue::DispatchState TenantQueue::Peek() const {
   return state;
 }
 
-bool TenantQueue::ServeOnce(bool drain) {
+void TenantQueue::ServeOnce(bool drain) {
   std::unique_lock<std::mutex> lock(mu_);
   if (circuit_open_) {
     // Tripped: drain-and-reject instead of looping hot on a broken model.
     // Submit() refuses new work while the circuit is open.
-    const bool had_work = !queue_.empty();
     DrainAndRejectLocked(Status::Unavailable(
         "circuit breaker open after consecutive batch failures"));
-    return had_work;
+    return;
   }
-  if (queue_.empty()) return false;
+  if (queue_.empty()) return;
   const int64_t now_ns = prof::internal::NowNs();
   if (!drain && !shutdown_ && config_.max_queue_delay_us > 0) {
     // Hold an underfull batch open until the configured delay after its
@@ -247,7 +244,7 @@ bool TenantQueue::ServeOnce(bool drain) {
     if (series < config_.max_batch_size &&
         now_ns - queue_.front().enqueue_ns <
             config_.max_queue_delay_us * 1000) {
-      return false;
+      return;
     }
   }
 
@@ -277,11 +274,11 @@ bool TenantQueue::ServeOnce(bool drain) {
 
   for (Pending& p : shed) {
     shed_.Increment();
-    if (tenant_shed_ != nullptr) tenant_shed_->Increment();
+    tenant_shed_.Increment();
     p.promise.set_value(Result<Forecast>(Status::DeadlineExceeded(
         "deadline passed before dispatch; request shed")));
   }
-  if (taken.empty()) return !shed.empty();
+  if (taken.empty()) return;
 
   // Containment boundary: a throwing Predict fails only this batch's
   // promises with a status — the dispatcher survives to serve the next
@@ -321,7 +318,7 @@ bool TenantQueue::ServeOnce(bool drain) {
     CONFORMER_LOG(Warning) << "serving batch of " << series
                            << " series failed: " << failure.ToString();
     registry.GetCounter("serve.batch_failures").Increment();
-    if (tenant_batch_failures_ != nullptr) tenant_batch_failures_->Increment();
+    tenant_batch_failures_.Increment();
     for (Pending& p : taken) {
       p.promise.set_value(Result<Forecast>(failure));
     }
@@ -332,19 +329,15 @@ bool TenantQueue::ServeOnce(bool drain) {
         !circuit_open_) {
       circuit_open_ = true;
       registry.GetCounter("serve.circuit_opens").Increment();
-      if (tenant_circuit_opens_ != nullptr) {
-        tenant_circuit_opens_->Increment();
-      }
+      tenant_circuit_opens_.Increment();
       CONFORMER_LOG(Error) << "serving circuit breaker open after "
                            << consecutive_failures_
-                           << " consecutive batch failures"
-                           << (tenant_key_.empty() ? ""
-                                                   : " (tenant " +
-                                                         tenant_key_ + ")");
+                           << " consecutive batch failures (tenant "
+                           << tenant_key_ << ")";
       DrainAndRejectLocked(Status::Unavailable(
           "circuit breaker open after consecutive batch failures"));
     }
-    return true;
+    return;
   }
 
   int64_t offset = 0;
@@ -372,11 +365,11 @@ bool TenantQueue::ServeOnce(bool drain) {
     p.promise.set_value(Result<Forecast>(std::move(slice)));
     const double latency = static_cast<double>(end_ns - p.enqueue_ns) * 1e-9;
     registry.GetHistogram("serve.request_latency_seconds").Observe(latency);
-    if (tenant_latency_ != nullptr) tenant_latency_->Observe(latency);
+    tenant_latency_.Observe(latency);
   }
 
   registry.GetCounter("serve.batches").Increment();
-  if (tenant_batches_ != nullptr) tenant_batches_->Increment();
+  tenant_batches_.Increment();
   registry.GetHistogram("serve.batch_size",
                         {1, 2, 4, 8, 16, 32, 64, 128})
       .Observe(static_cast<double>(series));
@@ -388,68 +381,6 @@ bool TenantQueue::ServeOnce(bool drain) {
 
   lock.lock();
   consecutive_failures_ = 0;
-  return true;
-}
-
-BatchingQueue::BatchingQueue(InferenceSession* session, QueueConfig config)
-    : core_(session, config, "", [this] {
-        {
-          // Taking the wake mutex (even empty-handed) closes the race with
-          // a dispatcher that just Peek()ed an empty queue and is about to
-          // wait: the notify below cannot fire between its check and its
-          // wait.
-          std::lock_guard<std::mutex> lock(wake_mu_);
-        }
-        wake_cv_.notify_all();
-      }) {
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
-}
-
-BatchingQueue::~BatchingQueue() { Shutdown(); }
-
-std::future<Result<Forecast>> BatchingQueue::Submit(data::Batch request,
-                                                    RequestOptions options) {
-  return core_.Submit(std::move(request), std::move(options));
-}
-
-void BatchingQueue::Shutdown() {
-  core_.BeginShutdown();
-  // Exactly one caller joins; concurrent callers block here until the
-  // dispatcher has stopped, so Shutdown() returning always means "queue
-  // fully drained and dispatcher gone" for every caller.
-  std::call_once(join_once_, [this] {
-    if (dispatcher_.joinable()) dispatcher_.join();
-  });
-}
-
-int64_t BatchingQueue::pending() const { return core_.pending(); }
-
-bool BatchingQueue::circuit_open() const { return core_.circuit_open(); }
-
-void BatchingQueue::ResetCircuitBreaker() { core_.ResetCircuitBreaker(); }
-
-void BatchingQueue::DispatchLoop() {
-  std::unique_lock<std::mutex> lock(wake_mu_);
-  while (true) {
-    const TenantQueue::DispatchState state = core_.Peek();
-    const bool drain = core_.shutdown_requested();
-    if (!state.has_work) {
-      if (drain) return;
-      wake_cv_.wait(lock);
-      continue;
-    }
-    const int64_t now_ns = prof::internal::NowNs();
-    if (!drain && state.ripe_at_ns > now_ns) {
-      // Underfull batch: hold it open for company until the coalescing
-      // delay elapses (or a Submit/Shutdown wakes us to re-check).
-      wake_cv_.wait_for(lock,
-                        std::chrono::nanoseconds(state.ripe_at_ns - now_ns));
-      continue;
-    }
-    lock.unlock();
-    core_.ServeOnce(drain);
-    lock.lock();
-  }
 }
 
 }  // namespace conformer::serve

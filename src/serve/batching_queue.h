@@ -1,26 +1,14 @@
 // Dynamic micro-batching for concurrent forecast requests
 // (docs/SERVING.md).
 //
-// Two layers:
-//
-//   TenantQueue    the dispatcherless core — bounded admission, deadline
-//                  shedding, FIFO coalescing with per-request slice-back,
-//                  fault containment and the circuit breaker over one
-//                  InferenceSession, plus per-tenant metrics. It never
-//                  starts a thread: something external calls ServeOnce().
-//   BatchingQueue  the single-tenant facade every pre-fleet caller uses —
-//                  one TenantQueue driven by one dedicated dispatcher
-//                  thread. Unchanged public API and semantics.
-//
-// The split exists for the model fleet (fleet_server.h): a FleetServer owns
-// one TenantQueue per tenant and a small shared pool of dispatcher threads
-// that pick ripe tenants by weighted round-robin, so N tenants do not cost
-// N dispatcher threads and one slow tenant cannot starve the rest.
-//
-// Dispatchers are plain std::threads, NOT ThreadPool tasks: pool workers
-// that block would deadlock nested kernels (nested ParallelFor runs
-// sequentially), while dedicated threads leave the whole pool to the
-// coalesced forward pass.
+// TenantQueue is one fleet tenant's request queue: bounded admission,
+// deadline shedding, FIFO coalescing with per-request slice-back, fault
+// containment and the circuit breaker over one InferenceSession, plus the
+// tenant's metrics. It never starts a thread: a FleetServer
+// (fleet_server.h) owns one TenantQueue per tenant and a small shared pool
+// of dispatcher shards that pick ripe tenants by weighted round-robin and
+// call ServeOnce(). A single-tenant deployment is a one-tenant, one-shard
+// fleet.
 //
 // Batching is transparent: kernels are row-independent with thread-count-
 // invariant chunking (docs/THREADING.md), so a request's rows are bitwise
@@ -36,15 +24,12 @@
 #ifndef CONFORMER_SERVE_BATCHING_QUEUE_H_
 #define CONFORMER_SERVE_BATCHING_QUEUE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "serve/inference_session.h"
 #include "util/metrics.h"
@@ -83,23 +68,21 @@ struct RequestOptions {
   int64_t deadline_us = 0;
 };
 
-/// \brief The dispatcherless batching core: one tenant's request queue over
-/// one InferenceSession. Thread-safe for any number of Submit() callers;
-/// at most ONE thread may be inside ServeOnce() at a time (BatchingQueue's
-/// dedicated dispatcher, or whichever FleetServer shard claimed the
-/// tenant). Destruction requires the owner to have drained the queue first
-/// (both owners do, via Shutdown()).
+/// \brief One tenant's request queue over one InferenceSession. Thread-safe
+/// for any number of Submit() callers; at most ONE thread may be inside
+/// ServeOnce() at a time (whichever FleetServer shard claimed the tenant).
+/// Destruction requires the owner to have drained the queue first
+/// (FleetServer::Shutdown() does).
 class TenantQueue {
  public:
-  /// `session` must outlive the queue. A non-empty `tenant_key`
-  /// additionally publishes the serve.tenant.<key>.* metric family next to
-  /// the process-wide serve.* aggregates. `on_work`, when set, is invoked
-  /// OUTSIDE the queue lock whenever newly dispatchable work may exist
-  /// (accepted Submit, BeginShutdown, breaker reset) — the hook fleet
-  /// dispatchers use to wake up.
+  /// `session` must outlive the queue. The queue publishes the
+  /// serve.tenant.<tenant_key>.* metric family next to the process-wide
+  /// serve.* aggregates. `on_work` is invoked OUTSIDE the queue lock
+  /// whenever newly dispatchable work may exist (accepted Submit,
+  /// BeginShutdown, breaker reset) — the hook the fleet's dispatcher
+  /// shards wake up on.
   TenantQueue(InferenceSession* session, QueueConfig config,
-              std::string tenant_key = "",
-              std::function<void()> on_work = {});
+              std::string tenant_key, std::function<void()> on_work);
 
   TenantQueue(const TenantQueue&) = delete;
   TenantQueue& operator=(const TenantQueue&) = delete;
@@ -131,15 +114,13 @@ class TenantQueue {
   /// delay — shutdown semantics: everything queued goes out as fast as
   /// possible). Sheds expired requests as they surface, runs the batch
   /// inside the fault-containment boundary, trips/drains the breaker on
-  /// consecutive failures. Returns true if any request was fulfilled, shed,
-  /// or rejected. Single dispatcher at a time (see class comment).
-  bool ServeOnce(bool drain);
+  /// consecutive failures. Single dispatcher at a time (see class comment).
+  void ServeOnce(bool drain);
 
   /// Refuses all later Submits with Unavailable. Queued requests are NOT
   /// rejected — the owning dispatcher drains them with ServeOnce(true),
   /// preserving the "no accepted request is lost" guarantee.
   void BeginShutdown();
-  bool shutdown_requested() const;
 
   /// Requests currently waiting (not yet dispatched).
   int64_t pending() const;
@@ -149,10 +130,6 @@ class TenantQueue {
   bool circuit_open() const;
   /// Closes the circuit (e.g. after a model Reload fixed the fault).
   void ResetCircuitBreaker();
-
-  const QueueConfig& config() const { return config_; }
-  const std::string& tenant_key() const { return tenant_key_; }
-  InferenceSession* session() const { return session_; }
 
  private:
   struct Pending {
@@ -166,7 +143,6 @@ class TenantQueue {
   void DrainAndRejectLocked(const Status& status);
   void CountRejected();
   void SetDepthLocked();
-  void NotifyWork();
 
   InferenceSession* session_;
   QueueConfig config_;
@@ -174,69 +150,24 @@ class TenantQueue {
   std::function<void()> on_work_;
 
   // Cached instrument references (registry lookups are map-under-mutex;
-  // references are stable for the process lifetime). The tenant_* members
-  // are null for an untenanted queue.
+  // references are stable for the process lifetime).
   metrics::Counter& requests_;
   metrics::Counter& rejected_;
   metrics::Counter& shed_;
-  metrics::Counter* tenant_requests_ = nullptr;
-  metrics::Counter* tenant_rejected_ = nullptr;
-  metrics::Counter* tenant_shed_ = nullptr;
-  metrics::Counter* tenant_batches_ = nullptr;
-  metrics::Counter* tenant_batch_failures_ = nullptr;
-  metrics::Counter* tenant_circuit_opens_ = nullptr;
-  metrics::Gauge* tenant_depth_ = nullptr;
-  metrics::Histogram* tenant_latency_ = nullptr;
+  metrics::Counter& tenant_requests_;
+  metrics::Counter& tenant_rejected_;
+  metrics::Counter& tenant_shed_;
+  metrics::Counter& tenant_batches_;
+  metrics::Counter& tenant_batch_failures_;
+  metrics::Counter& tenant_circuit_opens_;
+  metrics::Gauge& tenant_depth_;
+  metrics::Histogram& tenant_latency_;
 
   mutable std::mutex mu_;
   std::deque<Pending> queue_;
   bool shutdown_ = false;
   bool circuit_open_ = false;
   int64_t consecutive_failures_ = 0;  ///< Dispatcher-only.
-};
-
-/// \brief The single-tenant serving queue: one TenantQueue driven by one
-/// dedicated dispatcher thread. Thread-safe; destruction drains the queue.
-class BatchingQueue {
- public:
-  /// `session` must outlive the queue.
-  BatchingQueue(InferenceSession* session, QueueConfig config);
-  /// Calls Shutdown().
-  ~BatchingQueue();
-
-  BatchingQueue(const BatchingQueue&) = delete;
-  BatchingQueue& operator=(const BatchingQueue&) = delete;
-
-  /// See TenantQueue::Submit. Bumps serve.requests / serve.rejected and
-  /// observes serve.request_latency_seconds on completion.
-  std::future<Result<Forecast>> Submit(data::Batch request,
-                                       RequestOptions options = {});
-
-  /// Drains every queued request, then stops the dispatcher. Thread-safe
-  /// and idempotent: concurrent callers all return once the dispatcher has
-  /// stopped. Requests queued before shutdown complete; Submit() afterwards
-  /// is refused with Unavailable.
-  void Shutdown();
-
-  /// Requests currently waiting (not yet dispatched).
-  int64_t pending() const;
-
-  /// True once the circuit breaker has tripped; every request is rejected
-  /// until ResetCircuitBreaker().
-  bool circuit_open() const;
-  /// Closes the circuit (e.g. after a model Reload fixed the fault).
-  void ResetCircuitBreaker();
-
-  const QueueConfig& config() const { return core_.config(); }
-
- private:
-  void DispatchLoop();
-
-  TenantQueue core_;
-  std::mutex wake_mu_;           ///< Pairs with wake_cv_ only.
-  std::condition_variable wake_cv_;
-  std::once_flag join_once_;
-  std::thread dispatcher_;
 };
 
 }  // namespace conformer::serve

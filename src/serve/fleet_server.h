@@ -28,8 +28,11 @@
 //     and two shards never serialize on one session mutex.
 //   - Model forwards from different shards share the process-wide kernel
 //     ThreadPool (its dispatch mutex serializes parallel regions); shards
-//     are plain std::threads for the same reason the single-tenant
-//     dispatcher is — a blocked pool worker would deadlock nested kernels.
+//     are plain std::threads, NOT ThreadPool tasks — a blocked pool worker
+//     would deadlock nested kernels, while dedicated threads leave the whole
+//     pool to the coalesced forward pass.
+//   - A single-tenant deployment is FleetServer({.num_dispatchers = 1})
+//     plus one AddTenant(MakeTenantKey(model, pred_len), spec).
 //
 // Metrics: every tenant publishes serve.tenant.<key>.{requests, rejected,
 // shed_expired, batches, batch_failures, circuit_opens, queue_depth,
@@ -91,8 +94,8 @@ class FleetServer {
   Status AddTenant(const std::string& key, const TenantSpec& spec);
 
   /// Routes one request to `key`'s queue. Unknown keys resolve the future
-  /// immediately with NotFound; everything else behaves exactly like the
-  /// single-tenant TenantQueue::Submit (admission, deadlines, breaker).
+  /// immediately with NotFound; everything else is TenantQueue::Submit
+  /// (admission, deadlines, breaker).
   std::future<Result<Forecast>> Submit(const std::string& key,
                                        data::Batch request,
                                        RequestOptions options = {});

@@ -67,16 +67,6 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::Open(
       new InferenceSession(config, std::move(model.value())));
 }
 
-Result<std::unique_ptr<InferenceSession>> InferenceSession::Open(
-    const SessionConfig& config, std::unique_ptr<models::Forecaster> model) {
-  if (model == nullptr) {
-    return Status::InvalidArgument("Open() needs a model");
-  }
-  model->SetTraining(false);
-  return std::unique_ptr<InferenceSession>(
-      new InferenceSession(config, std::move(model)));
-}
-
 Forecast InferenceSession::Predict(const data::Batch& batch) {
   CONFORMER_PROFILE_SCOPE_CAT("serve", "predict");
   CONFORMER_CHECK(batch.x.defined() && batch.size() > 0)

@@ -65,8 +65,8 @@ struct Forecast {
 };
 
 /// \brief A loaded model serving forecasts. Predict() and Reload() are
-/// thread-safe: both serialize on the session mutex (the BatchingQueue's
-/// dispatcher is the only hot-path Predict caller, so the lock is
+/// thread-safe: both serialize on the session mutex (the fleet shard that
+/// claimed the tenant is the only hot-path Predict caller, so the lock is
 /// uncontended in steady state).
 class InferenceSession {
  public:
@@ -76,14 +76,6 @@ class InferenceSession {
   /// model (benchmarks, smoke tests).
   static Result<std::unique_ptr<InferenceSession>> Open(
       const SessionConfig& config, const std::string& checkpoint);
-
-  /// Serves a pre-built model (already restored / programmatically
-  /// constructed; fault-containment tests inject throwing forecasters this
-  /// way). The model is switched to eval mode; `config`'s architecture
-  /// fields are trusted to describe it.
-  static Result<std::unique_ptr<InferenceSession>> Open(
-      const SessionConfig& config,
-      std::unique_ptr<models::Forecaster> model);
 
   /// Forecasts one batch. Bumps serve.predicts and observes
   /// serve.predict_seconds; quantile sampling (when enabled) draws from the

@@ -90,6 +90,13 @@ TEST(RegistryTest, NamesRoundTrip) {
   EXPECT_EQ(conformer.value()->name(), "Conformer");
 }
 
+TEST(RegistryTest, LookupIsCaseInsensitive) {
+  data::Batch batch = SmallBatch();
+  auto conformer = MakeForecaster("CONFORMER", SmallWindow(), batch.x.size(2));
+  ASSERT_TRUE(conformer.ok()) << conformer.status().ToString();
+  EXPECT_EQ(conformer.value()->name(), "Conformer");
+}
+
 // -- model-specific behaviour ------------------------------------------------
 
 TEST(GruForecasterTest, LearnsConstantSeries) {

@@ -14,107 +14,17 @@
 //   (f) concurrent clients across tenants are race-free (tsan label), and
 //   (g) the open-loop load generator's report tallies add up.
 
-#include <gtest/gtest.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <cstring>
-#include <filesystem>
 #include <future>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
-#include "baselines/registry.h"
-#include "data/dataset_registry.h"
-#include "serve/fault_injector.h"
-#include "serve/fleet_server.h"
 #include "serve/loadgen.h"
-#include "serve/model_registry.h"
-#include "train/checkpoint.h"
-#include "train/trainer.h"
+#include "serve_test_util.h"
 
 namespace conformer::serve {
 namespace {
-
-data::WindowConfig TestWindow(int64_t pred_len = 8) {
-  return {.input_len = 24, .label_len = 8, .pred_len = pred_len};
-}
-
-data::TimeSeries TestSeries() {
-  return data::MakeDataset("etth1", 0.05).value();
-}
-
-SessionConfig LinearConfig(int64_t dims, int64_t pred_len = 8) {
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow(pred_len);
-  config.dims = dims;
-  return config;
-}
-
-std::string MakeTempDir(const std::string& tag) {
-  const std::string dir = "/tmp/conformer_fleet_" + tag + "_" +
-                          std::to_string(static_cast<int64_t>(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-void ExpectTensorsBitwiseEqual(const Tensor& a, const Tensor& b,
-                               const std::string& what) {
-  ASSERT_EQ(a.shape(), b.shape()) << what;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)), 0)
-      << what << " differs";
-}
-
-bool WaitFor(const std::function<bool()>& pred, int64_t timeout_ms = 10000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return pred();
-}
-
-struct GateGuard {
-  GateGuard() { FaultInjector::SetPredictGate(true); }
-  ~GateGuard() { FaultInjector::SetPredictGate(false); }
-  void Open() { FaultInjector::SetPredictGate(false); }
-};
-
-struct InjectorGuard {
-  explicit InjectorGuard(const FaultInjector::Config& config) {
-    FaultInjector::Install(config);
-  }
-  ~InjectorGuard() { FaultInjector::Uninstall(); }
-};
-
-/// Trains a linear model briefly and publishes it as a checkpoint directory
-/// (the reload-isolation fixture); returns the trained model in eval mode.
-std::unique_ptr<models::Forecaster> PublishTrainedLinear(
-    const data::DatasetSplits& splits, const std::string& dir) {
-  auto model =
-      models::MakeForecaster("linear", TestWindow(), splits.test.dims())
-          .value();
-  train::TrainConfig config;
-  config.epochs = 1;
-  config.max_train_batches = 4;
-  config.max_eval_batches = 2;
-  config.batch_size = 8;
-  train::Trainer(config).Fit(model.get(), splits.train, splits.val);
-
-  train::Adam optimizer(model->Parameters());
-  train::TrainProgress progress;
-  progress.global_step = 100;
-  progress.epoch_rng_state = Rng(5).Serialize();
-  train::CheckpointManager manager(dir);
-  EXPECT_TRUE(manager.Save(*model, optimizer, progress).ok());
-  model->SetTraining(false);
-  return model;
-}
 
 // -- Tenant keys & registry -------------------------------------------------
 
@@ -136,7 +46,7 @@ TEST(TenantKeyTest, ValidateKeyRejectsMalformedKeys) {
 }
 
 TEST(ModelRegistryTest, RejectsDuplicateAndMalformedRegistration) {
-  data::DatasetSplits splits = data::MakeSplits(TestSeries(), TestWindow());
+  data::DatasetSplits splits = MakeTestSplits();
   ModelRegistry registry;
   const SessionConfig config = LinearConfig(splits.test.dims());
 
@@ -154,7 +64,7 @@ TEST(ModelRegistryTest, RejectsDuplicateAndMalformedRegistration) {
 }
 
 TEST(ModelRegistryTest, StampsTenantKeyAsFaultScope) {
-  data::DatasetSplits splits = data::MakeSplits(TestSeries(), TestWindow());
+  data::DatasetSplits splits = MakeTestSplits();
   ModelRegistry registry;
   ASSERT_TRUE(
       registry.Register("linear@8", LinearConfig(splits.test.dims()), "")
@@ -165,7 +75,7 @@ TEST(ModelRegistryTest, StampsTenantKeyAsFaultScope) {
 // -- Fleet routing ----------------------------------------------------------
 
 TEST(FleetServerTest, SubmitToUnregisteredTenantResolvesNotFound) {
-  data::DatasetSplits splits = data::MakeSplits(TestSeries(), TestWindow());
+  data::DatasetSplits splits = MakeTestSplits();
   FleetServer fleet;
   Result<Forecast> result =
       fleet.Submit("ghost@8", splits.test.GetRange(0, 1)).get();
@@ -174,7 +84,7 @@ TEST(FleetServerTest, SubmitToUnregisteredTenantResolvesNotFound) {
 }
 
 TEST(FleetServerTest, AddTenantRejectsDuplicates) {
-  data::DatasetSplits splits = data::MakeSplits(TestSeries(), TestWindow());
+  data::DatasetSplits splits = MakeTestSplits();
   FleetServer fleet;
   TenantSpec spec;
   spec.session = LinearConfig(splits.test.dims());
@@ -185,9 +95,8 @@ TEST(FleetServerTest, AddTenantRejectsDuplicates) {
 }
 
 TEST(FleetServerTest, ServesMixedHorizonTenantsBatchTransparently) {
-  data::TimeSeries series = TestSeries();
-  data::DatasetSplits splits8 = data::MakeSplits(series, TestWindow(8));
-  data::DatasetSplits splits16 = data::MakeSplits(series, TestWindow(16));
+  data::DatasetSplits splits8 = MakeTestSplits(8);
+  data::DatasetSplits splits16 = MakeTestSplits(16);
 
   FleetServer fleet({.num_dispatchers = 2});
   TenantSpec spec8;
@@ -232,7 +141,7 @@ TEST(FleetServerTest, ServesMixedHorizonTenantsBatchTransparently) {
 // -- Isolation --------------------------------------------------------------
 
 TEST(FleetServerTest, ReloadTouchesOnlyTheTargetTenant) {
-  data::DatasetSplits splits = data::MakeSplits(TestSeries(), TestWindow());
+  data::DatasetSplits splits = MakeTestSplits();
   const std::string dir = MakeTempDir("reload");
   std::unique_ptr<models::Forecaster> trained =
       PublishTrainedLinear(splits, dir);
@@ -265,7 +174,7 @@ TEST(FleetServerTest, ReloadTouchesOnlyTheTargetTenant) {
 }
 
 TEST(FleetServerTest, ScopedFaultTripsOnlyTheTargetTenantsBreaker) {
-  data::DatasetSplits splits = data::MakeSplits(TestSeries(), TestWindow());
+  data::DatasetSplits splits = MakeTestSplits();
   const data::Batch probe = splits.test.GetRange(0, 1);
 
   FleetServer fleet({.num_dispatchers = 2});
@@ -314,7 +223,7 @@ TEST(FleetServerTest, ScopedFaultTripsOnlyTheTargetTenantsBreaker) {
 // -- Shutdown ---------------------------------------------------------------
 
 TEST(FleetServerTest, ShutdownDrainsEveryTenant) {
-  data::DatasetSplits splits = data::MakeSplits(TestSeries(), TestWindow());
+  data::DatasetSplits splits = MakeTestSplits();
   auto fleet = std::make_unique<FleetServer>(FleetConfig{.num_dispatchers = 2});
   TenantSpec spec;
   spec.session = LinearConfig(splits.test.dims());
@@ -352,7 +261,7 @@ TEST(FleetServerTest, ShutdownDrainsEveryTenant) {
 // -- Concurrency (tsan) -----------------------------------------------------
 
 TEST(FleetServerTest, ConcurrentMultiTenantSubmitIsRaceFree) {
-  data::DatasetSplits splits = data::MakeSplits(TestSeries(), TestWindow());
+  data::DatasetSplits splits = MakeTestSplits();
   const std::vector<std::string> keys = {"linear-a@8", "linear-b@8",
                                          "linear-c@8"};
   FleetServer fleet({.num_dispatchers = 3});
@@ -404,7 +313,7 @@ TEST(FleetServerTest, ConcurrentMultiTenantSubmitIsRaceFree) {
 // -- Load generator ---------------------------------------------------------
 
 TEST(LoadgenTest, OpenLoopReportTalliesAddUp) {
-  data::DatasetSplits splits = data::MakeSplits(TestSeries(), TestWindow());
+  data::DatasetSplits splits = MakeTestSplits();
   FleetServer fleet({.num_dispatchers = 2});
   TenantSpec spec;
   spec.session = LinearConfig(splits.test.dims());

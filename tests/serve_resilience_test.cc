@@ -16,140 +16,33 @@
 // asan at 8 threads.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "baselines/linear_forecaster.h"
-#include "baselines/registry.h"
-#include "data/dataset_registry.h"
 #include "data/time_features.h"
-#include "serve/batching_queue.h"
-#include "serve/fault_injector.h"
-#include "serve/inference_session.h"
-#include "train/checkpoint.h"
-#include "train/trainer.h"
-#include "util/metrics.h"
+#include "serve_test_util.h"
 
 namespace conformer::serve {
 namespace {
 
-data::WindowConfig TestWindow() {
-  return {.input_len = 24, .label_len = 8, .pred_len = 8};
+// The single-tenant deployment: one linear tenant on a one-shard fleet.
+constexpr char kKey[] = "linear@8";
+
+Status AddLinearTenant(FleetServer& fleet, const data::DatasetSplits& splits,
+                       QueueConfig queue) {
+  return fleet.AddTenant(kKey, LinearTenant(splits.test.dims(), queue));
 }
-
-data::DatasetSplits MakeTestSplits() {
-  data::TimeSeries series = data::MakeDataset("etth1", 0.05).value();
-  return data::MakeSplits(series, TestWindow());
-}
-
-std::string MakeTempDir(const std::string& tag) {
-  const std::string dir = "/tmp/conformer_resilience_" + tag + "_" +
-                          std::to_string(static_cast<int64_t>(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-void ExpectTensorsBitwiseEqual(const Tensor& a, const Tensor& b,
-                               const std::string& what) {
-  ASSERT_EQ(a.shape(), b.shape()) << what;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)), 0)
-      << what << " differs";
-}
-
-bool WaitFor(const std::function<bool()>& pred, int64_t timeout_ms = 10000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return pred();
-}
-
-int64_t CounterValue(const std::string& name) {
-  return metrics::Registry::Global().GetCounter(name).value();
-}
-
-/// RAII: closes the injector's Predict gate on construction, opens it on
-/// destruction so a failing ASSERT never leaves a queue drain blocked.
-struct GateGuard {
-  GateGuard() { FaultInjector::SetPredictGate(true); }
-  ~GateGuard() { FaultInjector::SetPredictGate(false); }
-  void Open() { FaultInjector::SetPredictGate(false); }
-};
-
-/// RAII: uninstalls the fault injector on scope exit.
-struct InjectorGuard {
-  explicit InjectorGuard(const FaultInjector::Config& config) {
-    FaultInjector::Install(config);
-  }
-  ~InjectorGuard() { FaultInjector::Uninstall(); }
-};
-
-/// A registry baseline whose Forward throws on demand — the containment
-/// tests' broken model. Counting forward calls proves shed/rejected
-/// requests never reach the model.
-class FlakyLinear : public models::LinearForecaster {
- public:
-  FlakyLinear(data::WindowConfig window, int64_t dims)
-      : LinearForecaster(window, dims) {}
-
-  Tensor Forward(const data::Batch& batch) const override {
-    forward_calls.fetch_add(1);
-    if (armed.load()) {
-      throw std::runtime_error("flaky model forward");
-    }
-    return LinearForecaster::Forward(batch);
-  }
-
-  mutable std::atomic<int64_t> forward_calls{0};
-  std::atomic<bool> armed{false};
-};
 
 Result<std::unique_ptr<InferenceSession>> OpenLinearSession(
     const data::DatasetSplits& splits) {
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  return InferenceSession::Open(config, "");
-}
-
-/// Trains a linear model briefly and publishes it as a checkpoint
-/// directory; returns the trained model (eval mode) for reference outputs.
-std::unique_ptr<models::Forecaster> PublishTrainedLinear(
-    const data::DatasetSplits& splits, const std::string& dir) {
-  auto model =
-      models::MakeForecaster("linear", TestWindow(), splits.test.dims())
-          .value();
-  train::TrainConfig config;
-  config.epochs = 1;
-  config.max_train_batches = 4;
-  config.max_eval_batches = 2;
-  config.batch_size = 8;
-  train::Trainer(config).Fit(model.get(), splits.train, splits.val);
-
-  train::Adam optimizer(model->Parameters());
-  train::TrainProgress progress;
-  progress.global_step = 100;
-  progress.epoch_rng_state = Rng(5).Serialize();
-  train::CheckpointManager manager(dir);
-  EXPECT_TRUE(manager.Save(*model, optimizer, progress).ok());
-  model->SetTraining(false);
-  return model;
+  return InferenceSession::Open(LinearConfig(splits.test.dims()), "");
 }
 
 // -- Fault injector --------------------------------------------------------
@@ -195,21 +88,22 @@ TEST(FaultInjectorTest, InjectsThrowsAndStallsIntoPredict) {
 
 TEST(ShutdownTest, ConcurrentShutdownCallersAreSafe) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
 
   // Repeat to give tsan / the double-join race a real chance to fire: both
-  // threads used to observe dispatcher_.joinable() and join twice.
+  // threads used to observe a joinable dispatcher and join twice.
   for (int round = 0; round < 8; ++round) {
-    BatchingQueue queue(session.value().get(),
-                        {.max_batch_size = 4, .max_queue_delay_us = 500});
+    FleetServer fleet({.num_dispatchers = 1});
+    ASSERT_TRUE(AddLinearTenant(fleet, splits,
+                              {.max_batch_size = 4,
+                               .max_queue_delay_us = 500})
+                  .ok());
     std::vector<std::future<Result<Forecast>>> futures;
     for (int64_t r = 0; r < 3; ++r) {
-      futures.push_back(queue.Submit(splits.test.GetRange(r, 1)));
+      futures.push_back(fleet.Submit(kKey, splits.test.GetRange(r, 1)));
     }
     std::vector<std::thread> closers;
     for (int t = 0; t < 4; ++t) {
-      closers.emplace_back([&queue] { queue.Shutdown(); });
+      closers.emplace_back([&fleet] { fleet.Shutdown(); });
     }
     for (std::thread& t : closers) t.join();
     // Every pre-shutdown request completed (drain semantics).
@@ -217,23 +111,22 @@ TEST(ShutdownTest, ConcurrentShutdownCallersAreSafe) {
       Result<Forecast> result = f.get();
       ASSERT_TRUE(result.ok()) << result.status().ToString();
     }
-    EXPECT_EQ(queue.pending(), 0);
+    EXPECT_EQ(fleet.pending(kKey), 0);
   }
 }
 
 TEST(ShutdownTest, SubmitAfterShutdownRejectsGracefully) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 0});
-  queue.Shutdown();
-  queue.Shutdown();  // Idempotent.
+  FleetServer fleet({.num_dispatchers = 1});
+  ASSERT_TRUE(AddLinearTenant(fleet, splits,
+                              {.max_batch_size = 4, .max_queue_delay_us = 0})
+                  .ok());
+  fleet.Shutdown();
+  fleet.Shutdown();  // Idempotent.
 
   const int64_t rejected_before = CounterValue("serve.rejected");
   std::future<Result<Forecast>> future =
-      queue.Submit(splits.test.GetRange(0, 1));
+      fleet.Submit(kKey, splits.test.GetRange(0, 1));
   // Refused at admission: already resolved, nobody had to dispatch it.
   ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
@@ -247,20 +140,21 @@ TEST(ShutdownTest, SubmitAfterShutdownRejectsGracefully) {
 
 TEST(AdmissionTest, MalformedRequestsRejectedNotCrashed) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 0});
+  FleetServer fleet({.num_dispatchers = 1});
+  ASSERT_TRUE(AddLinearTenant(fleet, splits,
+                              {.max_batch_size = 4, .max_queue_delay_us = 0})
+                  .ok());
 
   // Empty batch.
-  EXPECT_EQ(queue.Submit(data::Batch{}).get().status().code(),
+  EXPECT_EQ(fleet.Submit(kKey, data::Batch{}).get().status().code(),
             StatusCode::kInvalidArgument);
 
   // Wrong window geometry (input_len 12 != the session's 24).
   data::TimeSeries series = data::MakeDataset("etth1", 0.05).value();
   data::DatasetSplits short_splits = data::MakeSplits(
       series, {.input_len = 12, .label_len = 4, .pred_len = 4});
-  EXPECT_EQ(queue.Submit(short_splits.test.GetRange(0, 1)).get()
+  EXPECT_EQ(fleet.Submit(kKey, short_splits.test.GetRange(0, 1))
+                .get()
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -272,7 +166,7 @@ TEST(AdmissionTest, MalformedRequestsRejectedNotCrashed) {
   const int64_t dims = splits.test.dims();
   const int64_t decoder_len = TestWindow().label_len + TestWindow().pred_len;
   const auto expect_rejected = [&](const data::Batch& bad) {
-    std::future<Result<Forecast>> future = queue.Submit(bad);
+    std::future<Result<Forecast>> future = fleet.Submit(kKey, bad);
     // Refused at admission: resolved without touching the dispatcher.
     ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
@@ -311,33 +205,31 @@ TEST(AdmissionTest, MalformedRequestsRejectedNotCrashed) {
   }
 
   // The queue survived every malformed request: a well-formed one serves.
-  Result<Forecast> served = queue.Submit(good).get();
+  Result<Forecast> served = fleet.Submit(kKey, good).get();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  queue.Shutdown();
 }
 
 TEST(AdmissionTest, BoundedQueueRejectsOverCapacityImmediately) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 1,
-                       .max_queue_delay_us = 0,
-                       .max_queue_depth = 2});
+  FleetServer fleet({.num_dispatchers = 1});
+  ASSERT_TRUE(AddLinearTenant(fleet, splits,
+                              {.max_batch_size = 1,
+                               .max_queue_delay_us = 0,
+                               .max_queue_depth = 2})
+                  .ok());
   GateGuard gate;  // Blocks the dispatcher inside Predict.
 
   std::vector<std::future<Result<Forecast>>> accepted;
-  accepted.push_back(queue.Submit(splits.test.GetRange(0, 1)));
+  accepted.push_back(fleet.Submit(kKey, splits.test.GetRange(0, 1)));
   // The dispatcher picks up the first request and blocks at the gate.
-  ASSERT_TRUE(WaitFor([&] { return queue.pending() == 0; }));
-  accepted.push_back(queue.Submit(splits.test.GetRange(1, 1)));
-  accepted.push_back(queue.Submit(splits.test.GetRange(2, 1)));
-  ASSERT_EQ(queue.pending(), 2);
+  ASSERT_TRUE(WaitFor([&] { return fleet.pending(kKey) == 0; }));
+  accepted.push_back(fleet.Submit(kKey, splits.test.GetRange(1, 1)));
+  accepted.push_back(fleet.Submit(kKey, splits.test.GetRange(2, 1)));
+  ASSERT_EQ(fleet.pending(kKey), 2);
 
   const int64_t rejected_before = CounterValue("serve.rejected");
   std::future<Result<Forecast>> overflow =
-      queue.Submit(splits.test.GetRange(3, 1));
+      fleet.Submit(kKey, splits.test.GetRange(3, 1));
   ASSERT_EQ(overflow.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   EXPECT_EQ(overflow.get().status().code(), StatusCode::kResourceExhausted);
@@ -348,31 +240,30 @@ TEST(AdmissionTest, BoundedQueueRejectsOverCapacityImmediately) {
     Result<Forecast> result = f.get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
-  queue.Shutdown();
 }
 
 // -- Deadlines (tentpole 1, acceptance b) ----------------------------------
 
 TEST(DeadlineTest, ExpiredRequestsShedWithoutModelTime) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
+  FleetServer fleet({.num_dispatchers = 1});
+  ASSERT_TRUE(AddLinearTenant(fleet, splits,
+                              {.max_batch_size = 8, .max_queue_delay_us = 0})
+                  .ok());
   const data::Batch batch_c = splits.test.GetRange(2, 1);
-  const Tensor unloaded = session.value()->Predict(batch_c).point;
-
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 8, .max_queue_delay_us = 0});
+  const Tensor unloaded = fleet.session(kKey)->Predict(batch_c).point;
   GateGuard gate;
 
-  std::future<Result<Forecast>> a = queue.Submit(splits.test.GetRange(0, 1));
-  ASSERT_TRUE(WaitFor([&] { return queue.pending() == 0; }));
+  std::future<Result<Forecast>> a =
+      fleet.Submit(kKey, splits.test.GetRange(0, 1));
+  ASSERT_TRUE(WaitFor([&] { return fleet.pending(kKey) == 0; }));
 
   // B's 1ms deadline lapses while the dispatcher is stuck serving A; C has
   // ten seconds of slack and must be untouched by the shedding around it.
-  std::future<Result<Forecast>> b = queue.Submit(
-      splits.test.GetRange(1, 1), {.deadline_us = 1000});
+  std::future<Result<Forecast>> b = fleet.Submit(
+      kKey, splits.test.GetRange(1, 1), {.deadline_us = 1000});
   std::future<Result<Forecast>> c =
-      queue.Submit(batch_c, {.deadline_us = 10 * 1000 * 1000});
+      fleet.Submit(kKey, batch_c, {.deadline_us = 10 * 1000 * 1000});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
   const int64_t predicts_before = CounterValue("serve.predicts");
@@ -400,115 +291,99 @@ TEST(DeadlineTest, ExpiredRequestsShedWithoutModelTime) {
                 .GetSnapshot()
                 .count,
             slack_before);
-  queue.Shutdown();
 }
 
 TEST(DeadlineTest, HugeDeadlineSaturatesInsteadOfOverflowing) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 0});
+  FleetServer fleet({.num_dispatchers = 1});
+  ASSERT_TRUE(AddLinearTenant(fleet, splits,
+                              {.max_batch_size = 4, .max_queue_delay_us = 0})
+                  .ok());
 
   // INT64_MAX microseconds used to overflow the absolute nanosecond
   // deadline (signed overflow, UB; in practice a negative deadline_ns that
   // silently disabled shedding). It must saturate to "effectively never"
   // and the request must serve normally.
   Result<Forecast> result =
-      queue.Submit(splits.test.GetRange(0, 1),
-                   {.deadline_us = std::numeric_limits<int64_t>::max()})
+      fleet
+          .Submit(kKey, splits.test.GetRange(0, 1),
+                  {.deadline_us = std::numeric_limits<int64_t>::max()})
           .get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  queue.Shutdown();
 }
 
 // -- Fault containment (tentpole 2, acceptance a, satellite 3) -------------
 
 TEST(ContainmentTest, ThrowingForwardFailsOnlyItsBatch) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto flaky_owner =
-      std::make_unique<FlakyLinear>(TestWindow(), splits.test.dims());
-  FlakyLinear* flaky = flaky_owner.get();
-
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  auto session = InferenceSession::Open(config, std::move(flaky_owner));
-  ASSERT_TRUE(session.ok());
-
+  FleetServer fleet({.num_dispatchers = 1});
+  ASSERT_TRUE(AddLinearTenant(fleet, splits,
+                              {.max_batch_size = 4,
+                               .max_queue_delay_us = 20 * 1000})
+                  .ok());
   const data::Batch batch_ok = splits.test.GetRange(2, 1);
-  const Tensor reference = session.value()->Predict(batch_ok).point;
-
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 20 * 1000});
+  const Tensor reference = fleet.session(kKey)->Predict(batch_ok).point;
   const int64_t failures_before = CounterValue("serve.batch_failures");
 
-  // Two requests coalesce into one doomed batch: both futures must carry
-  // the error, and nothing else may be affected.
-  flaky->armed.store(true);
-  std::future<Result<Forecast>> f1 = queue.Submit(splits.test.GetRange(0, 1));
-  std::future<Result<Forecast>> f2 = queue.Submit(splits.test.GetRange(1, 1));
-  Result<Forecast> r1 = f1.get();  // get() never throws: no broken promises.
-  Result<Forecast> r2 = f2.get();
-  EXPECT_FALSE(r1.ok());
-  EXPECT_FALSE(r2.ok());
-  EXPECT_EQ(r1.status().code(), StatusCode::kInternal);
-  EXPECT_NE(r1.status().message().find("flaky model forward"),
-            std::string::npos);
-  EXPECT_EQ(CounterValue("serve.batch_failures"), failures_before + 1);
+  {
+    // Two requests coalesce into one doomed batch: both futures must carry
+    // the error, and nothing else may be affected.
+    InjectorGuard injector({.throw_every = 1, .scope = kKey});
+    std::future<Result<Forecast>> f1 =
+        fleet.Submit(kKey, splits.test.GetRange(0, 1));
+    std::future<Result<Forecast>> f2 =
+        fleet.Submit(kKey, splits.test.GetRange(1, 1));
+    Result<Forecast> r1 = f1.get();  // get() never throws: no broken promises.
+    Result<Forecast> r2 = f2.get();
+    EXPECT_FALSE(r1.ok());
+    EXPECT_FALSE(r2.ok());
+    EXPECT_EQ(r1.status().code(), StatusCode::kInternal);
+    EXPECT_NE(r1.status().message().find("injected Predict fault"),
+              std::string::npos);
+    EXPECT_EQ(CounterValue("serve.batch_failures"), failures_before + 1);
+  }
 
   // The queue keeps serving: the very next batch succeeds bitwise.
-  flaky->armed.store(false);
-  Result<Forecast> healed = queue.Submit(batch_ok).get();
+  Result<Forecast> healed = fleet.Submit(kKey, batch_ok).get();
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   ExpectTensorsBitwiseEqual(healed.value().point, reference,
                             "batch after contained failure");
-  EXPECT_FALSE(queue.circuit_open());
-  queue.Shutdown();
+  EXPECT_FALSE(fleet.circuit_open(kKey));
 }
 
 TEST(ContainmentTest, CircuitBreakerTripsDrainsAndRejects) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto flaky_owner =
-      std::make_unique<FlakyLinear>(TestWindow(), splits.test.dims());
-  FlakyLinear* flaky = flaky_owner.get();
-  flaky->armed.store(true);
-
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  auto session = InferenceSession::Open(config, std::move(flaky_owner));
-  ASSERT_TRUE(session.ok());
-
+  FleetServer fleet({.num_dispatchers = 1});
+  ASSERT_TRUE(AddLinearTenant(fleet, splits,
+                              {.max_batch_size = 1,
+                               .max_queue_delay_us = 0,
+                               .circuit_breaker_failures = 2})
+                  .ok());
   const int64_t opens_before = CounterValue("serve.circuit_opens");
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 1,
-                       .max_queue_delay_us = 0,
-                       .circuit_breaker_failures = 2});
 
-  EXPECT_FALSE(queue.Submit(splits.test.GetRange(0, 1)).get().ok());
-  EXPECT_FALSE(queue.Submit(splits.test.GetRange(1, 1)).get().ok());
-  ASSERT_TRUE(WaitFor([&] { return queue.circuit_open(); }));
-  EXPECT_EQ(CounterValue("serve.circuit_opens"), opens_before + 1);
-  const int64_t forwards_at_trip = flaky->forward_calls.load();
+  {
+    InjectorGuard injector({.throw_every = 1, .scope = kKey});
+    EXPECT_FALSE(fleet.Submit(kKey, splits.test.GetRange(0, 1)).get().ok());
+    EXPECT_FALSE(fleet.Submit(kKey, splits.test.GetRange(1, 1)).get().ok());
+    ASSERT_TRUE(WaitFor([&] { return fleet.circuit_open(kKey); }));
+    EXPECT_EQ(CounterValue("serve.circuit_opens"), opens_before + 1);
+    const int64_t throws_at_trip = CounterValue("serve.injected_throws");
 
-  // Open circuit: rejected at admission, resolved immediately, and the
-  // broken model is never called again — no hot loop.
-  std::future<Result<Forecast>> refused =
-      queue.Submit(splits.test.GetRange(2, 1));
-  ASSERT_EQ(refused.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(refused.get().status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(flaky->forward_calls.load(), forwards_at_trip);
+    // Open circuit: rejected at admission, resolved immediately, and the
+    // broken model is never called again — no hot loop.
+    std::future<Result<Forecast>> refused =
+        fleet.Submit(kKey, splits.test.GetRange(2, 1));
+    ASSERT_EQ(refused.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(refused.get().status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(CounterValue("serve.injected_throws"), throws_at_trip);
+  }
 
   // Operator fixes the model and closes the circuit: serving resumes.
-  flaky->armed.store(false);
-  queue.ResetCircuitBreaker();
-  Result<Forecast> healed = queue.Submit(splits.test.GetRange(2, 1)).get();
+  ASSERT_TRUE(fleet.ResetCircuitBreaker(kKey).ok());
+  Result<Forecast> healed =
+      fleet.Submit(kKey, splits.test.GetRange(2, 1)).get();
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
-  queue.Shutdown();
 }
 
 // -- Checkpoint hot-reload (tentpole 3, acceptance c) ----------------------
@@ -629,10 +504,7 @@ TEST(ReloadTest, ReloadInvalidatesStaticPlanCache) {
   std::unique_ptr<models::Forecaster> trained =
       PublishTrainedLinear(splits, dir);
 
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
+  SessionConfig config = LinearConfig(splits.test.dims());
   config.use_static_plan = true;
   auto session = InferenceSession::Open(config, "");
   ASSERT_TRUE(session.ok());
@@ -658,10 +530,10 @@ TEST(ReloadTest, ConcurrentReloadsUnderClientLoadZeroFailures) {
   const std::string dir = MakeTempDir("reload_live");
   PublishTrainedLinear(splits, dir);
 
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 1000});
+  FleetServer fleet({.num_dispatchers = 1});
+  ASSERT_TRUE(AddLinearTenant(fleet, splits,
+                              {.max_batch_size = 4, .max_queue_delay_us = 1000})
+                  .ok());
 
   // Acceptance (c): a valid reload swaps with zero failed in-flight
   // requests under concurrent client load.
@@ -673,7 +545,7 @@ TEST(ReloadTest, ConcurrentReloadsUnderClientLoadZeroFailures) {
     clients.emplace_back([&, c] {
       for (int r = 0; r < kRequestsPerClient; ++r) {
         Result<Forecast> result =
-            queue.Submit(splits.test.GetRange((c + r) % 8, 1)).get();
+            fleet.Submit(kKey, splits.test.GetRange((c + r) % 8, 1)).get();
         if (!result.ok() ||
             result.value().point.size(1) != TestWindow().pred_len) {
           failures.fetch_add(1);
@@ -683,13 +555,13 @@ TEST(ReloadTest, ConcurrentReloadsUnderClientLoadZeroFailures) {
   }
   std::thread reloader([&] {
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(session.value()->Reload(dir).ok());
+      ASSERT_TRUE(fleet.Reload(kKey, dir).ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   });
   for (std::thread& t : clients) t.join();
   reloader.join();
-  queue.Shutdown();
+  fleet.Shutdown();
   EXPECT_EQ(failures.load(), 0);
   std::filesystem::remove_all(dir);
 }

@@ -1,72 +1,35 @@
 // Serving-layer suite (docs/SERVING.md): inference-mode bitwise parity with
 // the recording forward pass, the inference guard's state handling, params-only
 // checkpoint loading, checkpoint -> InferenceSession -> Predict round-trips
-// for Conformer and three registered baselines, batched-vs-single bitwise
-// transparency, BatchingQueue coalescing/drain behaviour, and the latency
-// quantile helper behind the CLI's p50/p95/p99 summary.
+// and batched-vs-single bitwise transparency for every registry model,
+// one-tenant fleet coalescing/drain behaviour, and the latency quantile
+// helper behind the CLI's p50/p95/p99 summary.
 
-#include <gtest/gtest.h>
-#include <unistd.h>
-
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <future>
 #include <string>
 #include <vector>
 
-#include "baselines/registry.h"
-#include "data/dataset_registry.h"
-#include "serve/batching_queue.h"
-#include "serve/inference_session.h"
 #include "serve/stats.h"
-#include "train/checkpoint.h"
-#include "train/trainer.h"
-#include "util/metrics.h"
+#include "serve_test_util.h"
 
 namespace conformer::serve {
 namespace {
-
-constexpr const char* kRoundTripModels[] = {"conformer", "gru", "linear",
-                                            "informer", "timesnet"};
-
-data::WindowConfig TestWindow() {
-  return {.input_len = 24, .label_len = 8, .pred_len = 8};
-}
-
-data::DatasetSplits MakeTestSplits() {
-  data::TimeSeries series = data::MakeDataset("etth1", 0.05).value();
-  return data::MakeSplits(series, TestWindow());
-}
-
-std::string MakeTempDir(const std::string& tag) {
-  const std::string dir = "/tmp/conformer_serve_" + tag + "_" +
-                          std::to_string(static_cast<int64_t>(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-void ExpectTensorsBitwiseEqual(const Tensor& a, const Tensor& b,
-                               const std::string& what) {
-  ASSERT_EQ(a.shape(), b.shape()) << what;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)), 0)
-      << what << " differs";
-}
 
 // -- Inference mode vs. recording forward ---------------------------------
 
 TEST(InferenceModeTest, BitwiseEqualsRecordingForward) {
   data::DatasetSplits splits = MakeTestSplits();
   const data::Batch batch = splits.test.GetRange(0, 3);
-  for (const char* name : kRoundTripModels) {
+  for (const std::string& name : models::AvailableModels()) {
     auto model = models::MakeForecaster(name, TestWindow(),
                                         splits.test.dims())
                      .value();
     model->SetTraining(false);
-    // Recording path: parameters require grad, so this builds a tape.
+    // Recording path: parameters require grad, so this builds a tape
+    // (parameterless models such as "naive" have nothing to record).
     const Tensor recorded = model->Forward(batch);
-    EXPECT_TRUE(recorded.requires_grad()) << name;
+    EXPECT_EQ(recorded.requires_grad(), model->NumParameters() > 0) << name;
 
     Tensor inference;
     {
@@ -75,8 +38,7 @@ TEST(InferenceModeTest, BitwiseEqualsRecordingForward) {
     }
     EXPECT_FALSE(inference.requires_grad()) << name;
     ASSERT_EQ(inference.impl()->node, nullptr) << name;
-    ExpectTensorsBitwiseEqual(recorded, inference,
-                              std::string(name) + " inference");
+    ExpectTensorsBitwiseEqual(recorded, inference, name + " inference");
   }
 }
 
@@ -158,8 +120,8 @@ TEST(LoadCheckpointParamsTest, RejectsCorruptionAnywhereInFile) {
 
 TEST(InferenceSessionTest, TrainerCheckpointRoundTripAllModels) {
   data::DatasetSplits splits = MakeTestSplits();
-  for (const char* name : kRoundTripModels) {
-    const std::string dir = MakeTempDir(std::string("roundtrip_") + name);
+  for (const std::string& name : models::AvailableModels()) {
+    const std::string dir = MakeTempDir("roundtrip_" + name);
     auto model =
         models::MakeForecaster(name, TestWindow(), splits.test.dims()).value();
 
@@ -191,7 +153,7 @@ TEST(InferenceSessionTest, TrainerCheckpointRoundTripAllModels) {
     const data::Batch batch = splits.test.GetRange(1, 2);
     const Forecast served = session.value()->Predict(batch);
     ExpectTensorsBitwiseEqual(model->Predict(batch), served.point,
-                              std::string(name) + " round trip");
+                              name + " round trip");
     std::filesystem::remove_all(dir);
   }
 }
@@ -233,9 +195,10 @@ TEST(InferenceSessionTest, ConformerQuantileBandOrdersAroundPoint) {
 
 TEST(InferenceSessionTest, BatchedPredictBitwiseEqualsSingles) {
   data::DatasetSplits splits = MakeTestSplits();
-  // "timesnet" exercises the per-series FFT period selection: its data-
-  // dependent host logic must still be a pure function of each row.
-  for (const char* name : {"conformer", "timesnet"}) {
+  // Data-dependent host logic (TimesNet-lite's per-series FFT periods,
+  // Autoformer's per-row top-k lags) must still be a pure function of each
+  // row.
+  for (const std::string& name : models::AvailableModels()) {
     SessionConfig config;
     config.model_name = name;
     config.window = TestWindow();
@@ -250,40 +213,37 @@ TEST(InferenceSessionTest, BatchedPredictBitwiseEqualsSingles) {
       const Tensor single =
           session.value()->Predict(splits.test.GetRange(r, 1)).point;
       const Tensor row = Slice(batched, 0, r, r + 1);
-      ExpectTensorsBitwiseEqual(single, row,
-                                std::string(name) + " row " +
-                                    std::to_string(r) + " of micro-batch");
+      ExpectTensorsBitwiseEqual(
+          single, row, name + " row " + std::to_string(r) + " of micro-batch");
     }
   }
 }
 
-// -- BatchingQueue ---------------------------------------------------------
+// -- One-tenant fleet -------------------------------------------------------
 
-TEST(BatchingQueueTest, CoalescesAndMatchesDirectPredict) {
+TEST(OneTenantFleetTest, CoalescesAndMatchesDirectPredict) {
   data::DatasetSplits splits = MakeTestSplits();
-  SessionConfig config;
-  config.model_name = "gru";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  auto session = InferenceSession::Open(config, "");
-  ASSERT_TRUE(session.ok());
+  TenantSpec spec;
+  spec.session.model_name = "gru";
+  spec.session.window = TestWindow();
+  spec.session.dims = splits.test.dims();
+  const int64_t kRequests = 8;
+  spec.queue = {.max_batch_size = kRequests, .max_queue_delay_us = 50 * 1000};
+  FleetServer fleet({.num_dispatchers = 1});
+  ASSERT_TRUE(fleet.AddTenant("gru@8", spec).ok());
 
   metrics::Registry& registry = metrics::Registry::Global();
   const int64_t batches_before = registry.GetCounter("serve.batches").value();
 
-  const int64_t kRequests = 8;
   std::vector<Tensor> direct;
   for (int64_t r = 0; r < kRequests; ++r) {
     direct.push_back(
-        session.value()->Predict(splits.test.GetRange(r, 1)).point);
+        fleet.session("gru@8")->Predict(splits.test.GetRange(r, 1)).point);
   }
 
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = kRequests,
-                       .max_queue_delay_us = 50 * 1000});
   std::vector<std::future<Result<Forecast>>> futures;
   for (int64_t r = 0; r < kRequests; ++r) {
-    futures.push_back(queue.Submit(splits.test.GetRange(r, 1)));
+    futures.push_back(fleet.Submit("gru@8", splits.test.GetRange(r, 1)));
   }
   for (int64_t r = 0; r < kRequests; ++r) {
     Result<Forecast> result = futures[r].get();
@@ -291,8 +251,8 @@ TEST(BatchingQueueTest, CoalescesAndMatchesDirectPredict) {
     ExpectTensorsBitwiseEqual(result.value().point, direct[r],
                               "queued request " + std::to_string(r));
   }
-  queue.Shutdown();
-  EXPECT_EQ(queue.pending(), 0);
+  fleet.Shutdown();
+  EXPECT_EQ(fleet.pending("gru@8"), 0);
 
   // All eight requests arrived well inside the 50ms window, so the
   // dispatcher must have coalesced them into very few batches.
@@ -306,23 +266,18 @@ TEST(BatchingQueueTest, CoalescesAndMatchesDirectPredict) {
             0);
 }
 
-TEST(BatchingQueueTest, ShutdownDrainsPendingRequests) {
+TEST(OneTenantFleetTest, ShutdownDrainsPendingRequests) {
   data::DatasetSplits splits = MakeTestSplits();
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  auto session = InferenceSession::Open(config, "");
-  ASSERT_TRUE(session.ok());
-
   std::vector<std::future<Result<Forecast>>> futures;
   {
     // Long delay + immediate destruction: every future must still resolve.
-    BatchingQueue queue(session.value().get(),
-                        {.max_batch_size = 64,
-                         .max_queue_delay_us = 10 * 1000 * 1000});
+    FleetServer fleet({.num_dispatchers = 1});
+    const TenantSpec spec = LinearTenant(
+        splits.test.dims(),
+        {.max_batch_size = 64, .max_queue_delay_us = 10 * 1000 * 1000});
+    ASSERT_TRUE(fleet.AddTenant("linear@8", spec).ok());
     for (int64_t r = 0; r < 5; ++r) {
-      futures.push_back(queue.Submit(splits.test.GetRange(r, 1)));
+      futures.push_back(fleet.Submit("linear@8", splits.test.GetRange(r, 1)));
     }
   }
   for (auto& f : futures) {
@@ -334,29 +289,24 @@ TEST(BatchingQueueTest, ShutdownDrainsPendingRequests) {
   }
 }
 
-TEST(BatchingQueueTest, MultiSeriesRequestsSliceCorrectly) {
+TEST(OneTenantFleetTest, MultiSeriesRequestsSliceCorrectly) {
   data::DatasetSplits splits = MakeTestSplits();
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  auto session = InferenceSession::Open(config, "");
-  ASSERT_TRUE(session.ok());
-
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 8, .max_queue_delay_us = 20 * 1000});
-  std::future<Result<Forecast>> two = queue.Submit(splits.test.GetRange(0, 2));
+  FleetServer fleet({.num_dispatchers = 1});
+  const TenantSpec spec =
+      LinearTenant(splits.test.dims(),
+                   {.max_batch_size = 8, .max_queue_delay_us = 20 * 1000});
+  ASSERT_TRUE(fleet.AddTenant("linear@8", spec).ok());
+  InferenceSession* session = fleet.session("linear@8");
+  std::future<Result<Forecast>> two =
+      fleet.Submit("linear@8", splits.test.GetRange(0, 2));
   std::future<Result<Forecast>> three =
-      queue.Submit(splits.test.GetRange(2, 3));
-  ExpectTensorsBitwiseEqual(
-      two.get().value().point,
-      session.value()->Predict(splits.test.GetRange(0, 2)).point,
-      "two-series request");
-  ExpectTensorsBitwiseEqual(
-      three.get().value().point,
-      session.value()->Predict(splits.test.GetRange(2, 3)).point,
-      "three-series request");
-  queue.Shutdown();
+      fleet.Submit("linear@8", splits.test.GetRange(2, 3));
+  ExpectTensorsBitwiseEqual(two.get().value().point,
+                            session->Predict(splits.test.GetRange(0, 2)).point,
+                            "two-series request");
+  ExpectTensorsBitwiseEqual(three.get().value().point,
+                            session->Predict(splits.test.GetRange(2, 3)).point,
+                            "three-series request");
 }
 
 // -- Latency quantiles -----------------------------------------------------

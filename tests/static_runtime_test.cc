@@ -5,7 +5,7 @@
 // Also covered: the seeded randomized-geometry fuzz pass, the injected-
 // mismatch drill for the per-node checker, arena offset/liveness overlap
 // invariants, interleaved eager/replay runs, untraceable-op fallback, the
-// InferenceSession plan cache, and concurrent replay through BatchingQueue
+// InferenceSession plan cache, and concurrent replay through a fleet shard
 // (tsan label).
 
 #include <gtest/gtest.h>
@@ -20,8 +20,7 @@
 #include "baselines/registry.h"
 #include "data/dataset_registry.h"
 #include "runtime/static_runtime.h"
-#include "serve/batching_queue.h"
-#include "serve/inference_session.h"
+#include "serve/fleet_server.h"
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -377,15 +376,16 @@ TEST(StaticRuntimeTsanTest, ConcurrentExecutorsShareOnePlan) {
   EXPECT_EQ(divergences.load(), 0);
 }
 
-TEST(StaticRuntimeTsanTest, BatchingQueueDispatchesPlanReplayUnderLoad) {
+TEST(StaticRuntimeTsanTest, FleetDispatchesPlanReplayUnderLoad) {
   data::DatasetSplits splits = MakeTestSplits();
-  serve::SessionConfig config;
-  config.model_name = "gru";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  config.use_static_plan = true;
-  auto session = serve::InferenceSession::Open(config, "");
-  ASSERT_TRUE(session.ok());
+  serve::TenantSpec spec;
+  spec.session.model_name = "gru";
+  spec.session.window = TestWindow();
+  spec.session.dims = splits.test.dims();
+  spec.session.use_static_plan = true;
+  spec.queue = {.max_batch_size = 4, .max_queue_delay_us = 2 * 1000};
+  serve::FleetServer fleet({.num_dispatchers = 1});
+  ASSERT_TRUE(fleet.AddTenant("gru@8", spec).ok());
 
   // Direct references first (these also populate the plan cache).
   constexpr int kClients = 4;
@@ -393,14 +393,11 @@ TEST(StaticRuntimeTsanTest, BatchingQueueDispatchesPlanReplayUnderLoad) {
   std::vector<Tensor> direct;
   for (int r = 0; r < kRequestsPerClient; ++r) {
     direct.push_back(
-        session.value()->Predict(splits.test.GetRange(r, 1)).point);
+        fleet.session("gru@8")->Predict(splits.test.GetRange(r, 1)).point);
   }
 
-  // Client threads submit concurrently; the queue's dispatcher thread is
-  // the only Predict caller, replaying the shared plan per micro-batch.
-  serve::BatchingQueue queue(session.value().get(),
-                             {.max_batch_size = 4,
-                              .max_queue_delay_us = 2 * 1000});
+  // Client threads submit concurrently; the fleet's one shard is the only
+  // Predict caller, replaying the shared plan per micro-batch.
   std::atomic<int> divergences{0};
   std::vector<std::thread> clients;
   clients.reserve(kClients);
@@ -408,7 +405,7 @@ TEST(StaticRuntimeTsanTest, BatchingQueueDispatchesPlanReplayUnderLoad) {
     clients.emplace_back([&] {
       for (int r = 0; r < kRequestsPerClient; ++r) {
         Result<serve::Forecast> forecast =
-            queue.Submit(splits.test.GetRange(r, 1)).get();
+            fleet.Submit("gru@8", splits.test.GetRange(r, 1)).get();
         if (!forecast.ok() ||
             !TensorsBitwiseEqual(direct[r], forecast.value().point)) {
           divergences.fetch_add(1);
@@ -417,7 +414,7 @@ TEST(StaticRuntimeTsanTest, BatchingQueueDispatchesPlanReplayUnderLoad) {
     });
   }
   for (std::thread& c : clients) c.join();
-  queue.Shutdown();
+  fleet.Shutdown();
   EXPECT_EQ(divergences.load(), 0);
 }
 

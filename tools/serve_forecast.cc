@@ -1,8 +1,8 @@
-// Serving CLI (docs/SERVING.md): restores a checkpoint into an
-// InferenceSession, replays a request stream from a dataset (synthetic by
-// name, or a CSV) through the micro-batching queue with several client
-// threads, prints a latency/throughput summary, and dumps the process
-// metrics registry as JSON.
+// Serving CLI (docs/SERVING.md): restores a checkpoint into a one-tenant,
+// one-shard FleetServer, replays a request stream from a dataset (synthetic
+// by name, or a CSV) through the tenant's micro-batching queue with several
+// client threads, prints a latency/throughput summary, and dumps the
+// process metrics registry as JSON.
 //
 //   serve_forecast --dataset etth1 --checkpoint ckpt-dir --train-if-missing
 //       --requests 64 --max-batch 8 --delay-us 2000 --metrics-out metrics.json
@@ -25,7 +25,7 @@
 
 #include "data/csv_loader.h"
 #include "data/dataset_registry.h"
-#include "serve/batching_queue.h"
+#include "serve/fleet_server.h"
 #include "serve/stats.h"
 #include "train/trainer.h"
 #include "util/binary_io.h"
@@ -199,29 +199,28 @@ int Main(int argc, char** argv) {
                                      splits.val);
   }
 
-  // -- Session + queue ----------------------------------------------------
-  serve::SessionConfig session_config;
-  session_config.model_name = opts.model;
-  session_config.window = window;
-  session_config.dims = series.value().dims();
-  session_config.quantile_samples = opts.quantile_samples;
-  session_config.coverage = opts.coverage;
-  session_config.use_static_plan = opts.static_plan;
-  session_config.static_parity_check = opts.parity_check;
-  Result<std::unique_ptr<serve::InferenceSession>> session =
-      serve::InferenceSession::Open(session_config, opts.checkpoint);
-  if (!session.ok()) {
+  // -- One-tenant fleet ---------------------------------------------------
+  serve::TenantSpec spec;
+  spec.session.model_name = opts.model;
+  spec.session.window = window;
+  spec.session.dims = series.value().dims();
+  spec.session.quantile_samples = opts.quantile_samples;
+  spec.session.coverage = opts.coverage;
+  spec.session.use_static_plan = opts.static_plan;
+  spec.session.static_parity_check = opts.parity_check;
+  spec.checkpoint = opts.checkpoint;
+  spec.queue = {.max_batch_size = opts.max_batch,
+                .max_queue_delay_us = opts.delay_us,
+                .max_queue_depth = opts.max_queue_depth,
+                .circuit_breaker_failures = opts.breaker};
+  serve::FleetServer fleet({.num_dispatchers = 1});
+  const std::string key = serve::MakeTenantKey(opts.model, opts.pred_len);
+  const Status added = fleet.AddTenant(key, spec);
+  if (!added.ok()) {
     std::fprintf(stderr, "failed to open session: %s\n",
-                 session.status().ToString().c_str());
+                 added.ToString().c_str());
     return 1;
   }
-
-  serve::QueueConfig queue_config{
-      .max_batch_size = opts.max_batch,
-      .max_queue_delay_us = opts.delay_us,
-      .max_queue_depth = opts.max_queue_depth,
-      .circuit_breaker_failures = opts.breaker};
-  serve::BatchingQueue queue(session.value().get(), queue_config);
 
   // -- Replay the request stream -----------------------------------------
   const data::WindowDataset& test = splits.test;
@@ -240,12 +239,13 @@ int Main(int argc, char** argv) {
       std::vector<std::future<Result<serve::Forecast>>> futures;
       for (int64_t r = c; r < opts.requests; r += opts.client_threads) {
         futures.push_back(
-            queue.Submit(test.GetRange(r % n_windows, 1), request_options));
+            fleet.Submit(key, test.GetRange(r % n_windows, 1),
+                         request_options));
         // Hot-reload under live client load: the swap is atomic, so no
         // in-flight request should fail because of it.
         if (opts.reload_every_n > 0 && !opts.checkpoint.empty() &&
             ++submitted % opts.reload_every_n == 0) {
-          if (session.value()->Reload(opts.checkpoint).ok()) {
+          if (fleet.Reload(key, opts.checkpoint).ok()) {
             ++reloads;
           } else {
             ++reload_failures;
@@ -268,7 +268,7 @@ int Main(int argc, char** argv) {
     });
   }
   for (std::thread& t : clients) t.join();
-  queue.Shutdown();
+  fleet.Shutdown();
 
   // -- Report -------------------------------------------------------------
   metrics::Registry& registry = metrics::Registry::Global();
