@@ -18,7 +18,7 @@
 //
 // Faults can be scoped to one tenant of a model fleet (docs/SERVING.md):
 // `scope=<tenant-key>` limits every fault to sessions whose
-// SessionConfig::fault_scope matches (the fleet's ModelRegistry stamps each
+// SessionConfig::fault_scope matches (FleetServer::AddTenant stamps each
 // tenant's key there), so a chaos drill can break conformer@16 while
 // linear@16 keeps serving bitwise-unchanged forecasts.
 

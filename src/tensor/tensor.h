@@ -154,10 +154,6 @@ class NoGradGuard {
 /// True when op recording is currently enabled.
 bool GradRecordingEnabled();
 
-/// RAII inference mode for the serving path (docs/SERVING.md): the serving
-/// layer's name for NoGradGuard, since op outputs need nothing else there.
-using InferenceModeGuard = NoGradGuard;
-
 /// No-op, kept for source compatibility: op outputs are plain allocations,
 /// so there is no per-thread buffer cache to drop.
 void ClearBufferPool();

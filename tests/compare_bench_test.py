@@ -6,7 +6,10 @@ Run as: compare_bench_test.py <path-to-compare_bench.py>
 Drives the comparator with generated bench JSONs covering both schemas:
 identical runs must pass, improvements must pass, regressions beyond the
 threshold must fail (and pass again under --warn-only), a coverage drop
-below the floor must fail, and malformed input must exit 2.
+below the floor must fail, and malformed input must exit 2. The --gates
+mode is driven with a generated gates file: a passing rule exits 0, a
+failing hard rule exits 1 even under --warn-only, a failing warn rule exits
+0 under --warn-only (1 without), and a gate naming a missing row exits 2.
 """
 
 import json
@@ -122,6 +125,41 @@ def main():
             f.write("{not json")
         code, out = run(compare, base, bad)
         check("malformed", code, 2, out)
+
+        # --gates: declarative bars over the JSONs in one results directory.
+        results = os.path.join(tmpdir, "results")
+        os.mkdir(results)
+        write_json(results, "bench_serving.json", {"results": [
+            {"kernel": "serve_direct_b8", "threads": 1, "ops_per_sec": 120.0},
+            {"kernel": "serve_seq_b1", "threads": 1, "ops_per_sec": 100.0},
+        ]})
+
+        def gates_file(name, **gate):
+            rule = dict(name=name, file="bench_serving.json",
+                        ratio=["serve_direct_b8", "serve_seq_b1"], **gate)
+            return write_json(tmpdir, name + ".json", {"gates": [rule]})
+
+        passing = gates_file("passing", min=0.9, severity="hard")
+        code, out = run(compare, "--gates", passing, results)
+        check("gate passes", code, 0, out)
+
+        hard = gates_file("hard", min=1.5, severity="hard")
+        code, out = run(compare, "--gates", hard, results, "--warn-only")
+        check("hard gate fails under --warn-only", code, 1, out)
+
+        warn = gates_file("warn", min=1.5, severity="warn")
+        code, out = run(compare, "--gates", warn, results, "--warn-only")
+        check("warn gate under --warn-only", code, 0, out)
+        if "::warning::" not in out:
+            failures.append("warn gate printed no warning:\n{}".format(out))
+        code, out = run(compare, "--gates", warn, results)
+        check("warn gate without --warn-only", code, 1, out)
+
+        missing = write_json(tmpdir, "missing.json", {"gates": [dict(
+            name="missing", file="bench_serving.json", metric="nope",
+            min=1)]})
+        code, out = run(compare, "--gates", missing, results, "--warn-only")
+        check("gate on a missing row", code, 2, out)
 
     if failures:
         print("compare_bench_test: {} failure(s)".format(len(failures)))

@@ -1,7 +1,8 @@
 // Multi-tenant fleet suite (docs/SERVING.md, "The model fleet"). Proves the
 // fleet's isolation contract:
-//   (a) the registry enforces the tenant-key contract and rejects duplicate
-//       registration; Submit against an unregistered key resolves NotFound,
+//   (a) AddTenant enforces the tenant-key contract and rejects duplicates;
+//       Submit against an unregistered key resolves NotFound, and the
+//       serve.queue_depth gauge sums every tenant's queue,
 //   (b) micro-batching stays transparent per tenant — a request served
 //       through the fleet is bitwise identical to the tenant session's own
 //       Predict — including tenants with different horizons,
@@ -26,50 +27,22 @@
 namespace conformer::serve {
 namespace {
 
-// -- Tenant keys & registry -------------------------------------------------
+// -- Tenant keys -------------------------------------------------------------
 
 TEST(TenantKeyTest, MakeTenantKeyFollowsTheContract) {
   EXPECT_EQ(MakeTenantKey("conformer", 16), "conformer@16");
-  EXPECT_TRUE(ModelRegistry::ValidateKey(MakeTenantKey("linear", 96)).ok());
+  EXPECT_TRUE(ValidateTenantKey(MakeTenantKey("linear", 96)).ok());
 }
 
 TEST(TenantKeyTest, ValidateKeyRejectsMalformedKeys) {
-  EXPECT_TRUE(ModelRegistry::ValidateKey("conformer@16").ok());
-  EXPECT_TRUE(ModelRegistry::ValidateKey("my-model_v2.1@720").ok());
+  EXPECT_TRUE(ValidateTenantKey("conformer@16").ok());
+  EXPECT_TRUE(ValidateTenantKey("my-model_v2.1@720").ok());
   for (const std::string& bad : std::vector<std::string>{
            "", "conformer", "@16", "conformer@", "a@b@c", "con former@16",
            "conformer@16\n", std::string(70, 'a') + "@1"}) {
-    EXPECT_EQ(ModelRegistry::ValidateKey(bad).code(),
-              StatusCode::kInvalidArgument)
+    EXPECT_EQ(ValidateTenantKey(bad).code(), StatusCode::kInvalidArgument)
         << "\"" << bad << "\" should be rejected";
   }
-}
-
-TEST(ModelRegistryTest, RejectsDuplicateAndMalformedRegistration) {
-  data::DatasetSplits splits = MakeTestSplits();
-  ModelRegistry registry;
-  const SessionConfig config = LinearConfig(splits.test.dims());
-
-  ASSERT_TRUE(registry.Register("linear@8", config, "").ok());
-  EXPECT_EQ(registry.Register("linear@8", config, "").code(),
-            StatusCode::kAlreadyExists);
-  EXPECT_EQ(registry.Register("not a key", config, "").code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.size(), 1);
-  EXPECT_NE(registry.Find("linear@8"), nullptr);
-  EXPECT_EQ(registry.Find("other@8"), nullptr);
-  EXPECT_EQ(registry.Reload("other@8", "/nowhere").code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(registry.Keys(), std::vector<std::string>{"linear@8"});
-}
-
-TEST(ModelRegistryTest, StampsTenantKeyAsFaultScope) {
-  data::DatasetSplits splits = MakeTestSplits();
-  ModelRegistry registry;
-  ASSERT_TRUE(
-      registry.Register("linear@8", LinearConfig(splits.test.dims()), "")
-          .ok());
-  EXPECT_EQ(registry.Find("linear@8")->config().fault_scope, "linear@8");
 }
 
 // -- Fleet routing ----------------------------------------------------------
@@ -83,7 +56,7 @@ TEST(FleetServerTest, SubmitToUnregisteredTenantResolvesNotFound) {
   EXPECT_EQ(fleet.tenant_count(), 0);
 }
 
-TEST(FleetServerTest, AddTenantRejectsDuplicates) {
+TEST(FleetServerTest, AddTenantRejectsDuplicateAndMalformedKeys) {
   data::DatasetSplits splits = MakeTestSplits();
   FleetServer fleet;
   TenantSpec spec;
@@ -91,7 +64,55 @@ TEST(FleetServerTest, AddTenantRejectsDuplicates) {
   ASSERT_TRUE(fleet.AddTenant("linear@8", spec).ok());
   EXPECT_EQ(fleet.AddTenant("linear@8", spec).code(),
             StatusCode::kAlreadyExists);
+  EXPECT_EQ(fleet.AddTenant("not a key", spec).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(fleet.tenant_count(), 1);
+  EXPECT_EQ(fleet.tenant_keys(), std::vector<std::string>{"linear@8"});
+  EXPECT_NE(fleet.session("linear@8"), nullptr);
+  EXPECT_EQ(fleet.session("other@8"), nullptr);
+}
+
+TEST(FleetServerTest, StampsTenantKeyAsFaultScope) {
+  data::DatasetSplits splits = MakeTestSplits();
+  FleetServer fleet;
+  TenantSpec spec;
+  spec.session = LinearConfig(splits.test.dims());
+  ASSERT_TRUE(fleet.AddTenant("linear@8", spec).ok());
+  EXPECT_EQ(fleet.session("linear@8")->config().fault_scope, "linear@8");
+}
+
+TEST(FleetServerTest, QueueDepthGaugeSumsEveryTenant) {
+  data::DatasetSplits splits = MakeTestSplits();
+  FleetServer fleet({.num_dispatchers = 2});
+  TenantSpec spec;
+  spec.session = LinearConfig(splits.test.dims());
+  // Nothing ripens for ten seconds, so every request stays queued.
+  spec.queue = {.max_batch_size = 64, .max_queue_delay_us = 10 * 1000 * 1000};
+  ASSERT_TRUE(fleet.AddTenant("linear-a@8", spec).ok());
+  ASSERT_TRUE(fleet.AddTenant("linear-b@8", spec).ok());
+
+  GateGuard gate;
+  const int64_t n = 3;
+  const int64_t m = 2;
+  std::vector<std::future<Result<Forecast>>> futures;
+  for (int64_t r = 0; r < n; ++r) {
+    futures.push_back(fleet.Submit("linear-a@8", splits.test.GetRange(r, 1)));
+  }
+  for (int64_t r = 0; r < m; ++r) {
+    futures.push_back(fleet.Submit("linear-b@8", splits.test.GetRange(r, 1)));
+  }
+  metrics::Registry& registry = metrics::Registry::Global();
+  EXPECT_EQ(registry.GetGauge("serve.queue_depth").value(),
+            static_cast<double>(n + m));
+  EXPECT_EQ(registry.GetGauge("serve.tenant.linear-a@8.queue_depth").value(),
+            static_cast<double>(n));
+  EXPECT_EQ(registry.GetGauge("serve.tenant.linear-b@8.queue_depth").value(),
+            static_cast<double>(m));
+
+  gate.Open();
+  fleet.Shutdown();
+  for (auto& future : futures) EXPECT_TRUE(future.get().ok());
+  EXPECT_EQ(registry.GetGauge("serve.queue_depth").value(), 0.0);
 }
 
 TEST(FleetServerTest, ServesMixedHorizonTenantsBatchTransparently) {

@@ -33,7 +33,7 @@ TEST(InferenceModeTest, BitwiseEqualsRecordingForward) {
 
     Tensor inference;
     {
-      InferenceModeGuard guard;
+      NoGradGuard guard;
       inference = model->Forward(batch);
     }
     EXPECT_FALSE(inference.requires_grad()) << name;
@@ -45,10 +45,10 @@ TEST(InferenceModeTest, BitwiseEqualsRecordingForward) {
 TEST(InferenceModeTest, GuardDisablesRecordingAndRestoresPreviousState) {
   EXPECT_TRUE(GradRecordingEnabled());
   {
-    InferenceModeGuard outer;
+    NoGradGuard outer;
     EXPECT_FALSE(GradRecordingEnabled());
     {
-      InferenceModeGuard inner;
+      NoGradGuard inner;
       EXPECT_FALSE(GradRecordingEnabled());
     }
     EXPECT_FALSE(GradRecordingEnabled());

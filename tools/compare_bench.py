@@ -11,18 +11,26 @@ Understands both bench output schemas in this repo:
     an absolute floor rather than a relative threshold (coverage is a
     correctness-of-instrumentation property, not a speed).
 
+With --gates it instead checks the declarative acceptance bars of
+bench/gates.json (ratios, windows and row presence) against the bench
+JSONs in one results directory.
+
 Usage:
   compare_bench.py baseline.json current.json [--threshold 0.10]
       [--coverage-floor 0.95] [--warn-only]
+  compare_bench.py --gates bench/gates.json results_dir [--warn-only]
 
 Exit status: 0 when no metric regressed beyond the threshold (improvements
-never fail), 1 on regression, 2 on malformed input. --warn-only always
-exits 0 so PR builds can surface deltas without gating (CI passes it for
-pull_request events and omits it on main).
+never fail) and no gate failed, 1 on regression or a failed gate, 2 on
+malformed input (including a gate whose file or rows are missing).
+--warn-only exits 0 on regressions and on failed "warn" gates so PR builds
+can surface them without gating (CI passes it for pull_request events and
+omits it on main); "hard" gates fail either way.
 """
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -42,10 +50,80 @@ def extract_metrics(doc):
     return metrics
 
 
+def gate_value(gate, doc):
+    """The quantity `gate` bounds, read from one bench JSON document."""
+    threads = gate.get("threads")
+    rows = {}
+    for row in doc["results"]:
+        if threads is None or row["threads"] == threads:
+            rows[row["kernel"]] = float(row["ops_per_sec"])
+    if "metric" in gate:
+        return rows[gate["metric"]]
+    if "ratio" in gate:
+        numerator, denominator = gate["ratio"]
+        return rows[numerator] / rows[denominator]
+    return float(sum(1 for kernel in rows if kernel.startswith(gate["prefix"])))
+
+
+def check_gates(gates_path, results_dir, warn_only):
+    """Evaluates every gate in `gates_path`; returns the exit status."""
+    try:
+        with open(gates_path) as f:
+            gates = json.load(f)["gates"]
+    except (OSError, ValueError, KeyError) as err:
+        print("compare_bench: cannot read gates: {}".format(err),
+              file=sys.stderr)
+        return 2
+    docs = {}
+    failed = errors = 0
+    for gate in gates:
+        name = gate.get("name", "?")
+        try:
+            path = os.path.join(results_dir, gate["file"])
+            if path not in docs:
+                with open(path) as f:
+                    docs[path] = json.load(f)
+            value = gate_value(gate, docs[path])
+        except (OSError, ValueError, KeyError, TypeError,
+                ZeroDivisionError) as err:
+            print("ERROR {}: cannot measure ({!r})".format(name, err))
+            errors += 1
+            continue
+        low, high = gate.get("min"), gate.get("max")
+        if (low is None or value >= low) and (high is None or value <= high):
+            print("PASS  {}: {:.4g}".format(name, value))
+            continue
+        hard = gate.get("severity", "hard") == "hard"
+        message = "{}: {:.4g} outside [{}, {}]".format(
+            name, value, "-inf" if low is None else low,
+            "inf" if high is None else high)
+        if hard or not warn_only:
+            print("FAIL  " + message)
+            failed += 1
+        else:
+            print("WARN  " + message)
+        if not hard:
+            print("::warning::" + message)
+    if errors:
+        return 2
+    if failed:
+        print("\ncompare_bench: {} gate(s) failed".format(failed),
+              file=sys.stderr)
+        return 1
+    print("\ncompare_bench: all {} gates hold".format(len(gates)))
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline")
-    parser.add_argument("current")
+    parser.add_argument("paths", nargs="+",
+                        help="baseline.json current.json, or with --gates "
+                        "the directory holding the bench JSONs")
+    parser.add_argument(
+        "--gates",
+        help="check the acceptance bars in this gates JSON instead of "
+        "diffing two runs",
+    )
     parser.add_argument(
         "--threshold",
         type=float,
@@ -64,11 +142,16 @@ def main():
         help="report regressions but always exit 0",
     )
     args = parser.parse_args()
+    if len(args.paths) != (1 if args.gates else 2):
+        parser.error("expected baseline.json current.json, or --gates "
+                     "GATES.json DIR")
+    if args.gates:
+        return check_gates(args.gates, args.paths[0], args.warn_only)
 
     try:
-        with open(args.baseline) as f:
+        with open(args.paths[0]) as f:
             baseline = extract_metrics(json.load(f))
-        with open(args.current) as f:
+        with open(args.paths[1]) as f:
             current = extract_metrics(json.load(f))
     except (OSError, ValueError, KeyError, TypeError) as err:
         print("compare_bench: cannot read inputs: {}".format(err),

@@ -25,7 +25,6 @@
 #include "data/dataset_registry.h"
 #include "serve/fleet_server.h"
 #include "serve/loadgen.h"
-#include "serve/model_registry.h"
 #include "util/binary_io.h"
 
 namespace conformer {
@@ -179,7 +178,7 @@ bool ParseTenants(const std::string& spec, std::vector<TenantArg>* out) {
         return false;
       }
     }
-    if (!serve::ModelRegistry::ValidateKey(tenant.key).ok()) return false;
+    if (!serve::ValidateTenantKey(tenant.key).ok()) return false;
     out->push_back(std::move(tenant));
   }
   return !out->empty();

@@ -52,7 +52,6 @@ struct Options {
   int64_t quantile_samples = 0;
   double coverage = 0.9;
   bool static_plan = false;
-  bool parity_check = false;
   int64_t input_len = 32;
   int64_t label_len = 16;
   int64_t pred_len = 16;
@@ -85,8 +84,6 @@ void Usage() {
       "  --coverage C          band coverage (default 0.9)\n"
       "  --static-plan         serve point forecasts through the static\n"
       "                        runtime (docs/STATIC_RUNTIME.md)\n"
-      "  --parity-check        verify every replay per node against the\n"
-      "                        eager path (debug; implies --static-plan)\n"
       "  --input-len/--label-len/--pred-len N   window geometry (32/16/16)\n"
       "  --metrics-out FILE    write the metrics registry JSON here\n");
 }
@@ -108,9 +105,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       opts->train_if_missing = true;
     } else if (arg == "--static-plan") {
       opts->static_plan = true;
-    } else if (arg == "--parity-check") {
-      opts->static_plan = true;
-      opts->parity_check = true;
     } else if (arg == "--model" && (v = next())) {
       opts->model = v;
     } else if (arg == "--dataset" && (v = next())) {
@@ -207,7 +201,6 @@ int Main(int argc, char** argv) {
   spec.session.quantile_samples = opts.quantile_samples;
   spec.session.coverage = opts.coverage;
   spec.session.use_static_plan = opts.static_plan;
-  spec.session.static_parity_check = opts.parity_check;
   spec.checkpoint = opts.checkpoint;
   spec.queue = {.max_batch_size = opts.max_batch,
                 .max_queue_delay_us = opts.delay_us,
