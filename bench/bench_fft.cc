@@ -4,7 +4,7 @@
 // batched auto-correlation. Emits the bench_parallel_kernels JSON schema so
 // CI can diff runs against bench/baselines/bench_fft.json:
 //
-//   {"hardware_concurrency": N,
+//   {"host": {"hardware_concurrency": N, "simd": ..., "compiler": ...},
 //    "results": [{"kernel": "input_corr_fft_336", "threads": 1,
 //                 "ops_per_sec": ...}]}
 //

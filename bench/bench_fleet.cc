@@ -40,7 +40,7 @@ namespace {
 double MeasureCapacity(serve::InferenceSession* session,
                        const data::Batch& batch) {
   return static_cast<double>(batch.size()) *
-         MeasureOpsPerSec([&] { session->Predict(batch); });
+         MeasureOpsPerSec([&] { session->Predict(batch); }).median;
 }
 
 int Main() {

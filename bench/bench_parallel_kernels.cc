@@ -6,13 +6,14 @@
 // level. CI's bench-smoke job asserts gemm_dispatch >= 1.5x gemm_scalar.
 // Emits one JSON document on stdout so CI can diff runs:
 //
-//   {"hardware_concurrency": N,
-//    "results": [{"kernel": "gemm_512", "threads": 1, "ops_per_sec": ...}]}
+//   {"host": {"hardware_concurrency": N, "simd": ..., "compiler": ...},
+//    "results": [{"kernel": "gemm_512", "threads": 1, "ops_per_sec": ...,
+//                 "ops_per_sec_iqr": ..., "reps": 5}]}
 //
-// Timing uses steady_clock over enough repetitions to exceed ~100ms per
-// measurement. Thread counts are pinned via ThreadPool::SetNumThreads; on a
-// single-core machine the >1-thread rows measure oversubscription overhead
-// rather than speedup.
+// Each row is the median (and IQR) of five steady_clock windows of ~100ms
+// (bench/bench_util.h, MeasureOpsPerSec). Thread counts are pinned via
+// ThreadPool::SetNumThreads; on a single-core machine the >1-thread rows
+// measure oversubscription overhead rather than speedup.
 
 #include <algorithm>
 #include <string>

@@ -5,7 +5,7 @@
 // bench_parallel_kernels JSON schema so CI can gate it with
 // tools/compare_bench.py:
 //
-//   {"hardware_concurrency": N,
+//   {"host": {"hardware_concurrency": N, "simd": ..., "compiler": ...},
 //    "results": [{"kernel": "serve_seq_b1", "threads": T,
 //                 "ops_per_sec": ...}]}
 //
@@ -32,8 +32,10 @@ using Clock = std::chrono::steady_clock;
 /// Series forecast per second of `fn`, one full pass over `series_per_iter`
 /// series.
 template <typename Fn>
-double MeasureSeriesPerSec(int64_t series_per_iter, Fn fn) {
-  return static_cast<double>(series_per_iter) * MeasureOpsPerSec(fn);
+Rate MeasureSeriesPerSec(int64_t series_per_iter, Fn fn) {
+  const Rate passes = MeasureOpsPerSec(fn);
+  const double series = static_cast<double>(series_per_iter);
+  return {passes.median * series, passes.iqr * series};
 }
 
 int Main() {

@@ -24,6 +24,7 @@
 
 #include "baselines/registry.h"
 #include "data/dataset_registry.h"
+#include "tensor/vec/vec.h"
 #include "train/trainer.h"
 #include "util/env.h"
 #include "util/string_util.h"
@@ -192,22 +193,49 @@ inline double MinSeconds() {
   return min_seconds;
 }
 
+/// Repetitions behind every MeasureOpsPerSec row: enough for a median and
+/// an interquartile range, so one noisy window cannot carry a row.
+inline constexpr int kBenchReps = 5;
+
+/// \brief A rate over kBenchReps repetitions: the median and the
+/// interquartile range of the per-repetition rates.
+struct Rate {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+/// The q-quantile of ascending `sorted` (linear interpolation between order
+/// statistics, numpy's default).
+inline double Quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
 /// Runs `fn` once untimed (absorbing one-off costs: plan capture, FFT plan
-/// builds, first-touch of pooled buffers), then repeatedly until
-/// MinSeconds() have elapsed; returns calls per second.
+/// builds, first-touch of pooled buffers), then kBenchReps times: each
+/// repetition calls `fn` until MinSeconds() have elapsed and yields calls
+/// per second. Returns the median and IQR of those rates.
 template <typename Fn>
-double MeasureOpsPerSec(Fn fn) {
+Rate MeasureOpsPerSec(Fn fn) {
   using Clock = std::chrono::steady_clock;
   fn();
-  int64_t iters = 0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  do {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (elapsed < MinSeconds());
-  return static_cast<double>(iters) / elapsed;
+  std::vector<double> rates;
+  for (int rep = 0; rep < kBenchReps; ++rep) {
+    int64_t iters = 0;
+    const auto start = Clock::now();
+    double elapsed = 0.0;
+    do {
+      fn();
+      ++iters;
+      elapsed = std::chrono::duration<double>(Clock::now() - start).count();
+    } while (elapsed < MinSeconds());
+    rates.push_back(static_cast<double>(iters) / elapsed);
+  }
+  std::sort(rates.begin(), rates.end());
+  return {Quantile(rates, 0.5), Quantile(rates, 0.75) - Quantile(rates, 0.25)};
 }
 
 inline int64_t HardwareThreads() {
@@ -215,25 +243,48 @@ inline int64_t HardwareThreads() {
       1, static_cast<int64_t>(std::thread::hardware_concurrency()));
 }
 
-/// \brief One micro-bench measurement.
+/// \brief One micro-bench row: a measured rate, or a value derived from
+/// other measurements (a ratio, a count, one load run's goodput).
 struct BenchRow {
+  BenchRow(std::string kernel, int64_t threads, Rate rate)
+      : kernel(std::move(kernel)),
+        threads(threads),
+        ops_per_sec(rate.median),
+        iqr(rate.iqr),
+        reps(kBenchReps) {}
+  BenchRow(std::string kernel, int64_t threads, double value)
+      : kernel(std::move(kernel)), threads(threads), ops_per_sec(value) {}
+
   std::string kernel;
   int64_t threads;
-  double ops_per_sec;
+  double ops_per_sec;  ///< The median, for a measured rate.
+  double iqr = 0.0;
+  int reps = 0;        ///< 0 for a derived value, which has no spread.
 };
 
-/// Prints `rows` as the JSON document tools/compare_bench.py diffs:
+/// Prints `rows` as the JSON document tools/compare_bench.py diffs. `host`
+/// fingerprints the machine; measured rows carry their IQR and repetitions:
 ///
-///   {"hardware_concurrency": N,
-///    "results": [{"kernel": "gemm_512", "threads": 1, "ops_per_sec": ...}]}
+///   {"host": {"hardware_concurrency": N, "simd": "avx2", "compiler": ...},
+///    "results": [{"kernel": "gemm_512", "threads": 1, "ops_per_sec": ...,
+///                 "ops_per_sec_iqr": ..., "reps": 5}, ...]}
 inline void PrintBenchJson(const std::vector<BenchRow>& rows) {
-  std::printf("{\"hardware_concurrency\": %lld, \"results\": [",
-              static_cast<long long>(HardwareThreads()));
+  std::printf(
+      "{\"host\": {\"hardware_concurrency\": %lld, \"simd\": \"%s\", "
+      "\"compiler\": \"%s\"}, \"results\": [",
+      static_cast<long long>(HardwareThreads()),
+      vec::SimdLevelName(vec::ActiveSimdLevel()), __VERSION__);
   for (size_t i = 0; i < rows.size(); ++i) {
-    std::printf(
-        "%s\n  {\"kernel\": \"%s\", \"threads\": %lld, \"ops_per_sec\": %.3f}",
-        i == 0 ? "" : ",", rows[i].kernel.c_str(),
-        static_cast<long long>(rows[i].threads), rows[i].ops_per_sec);
+    const BenchRow& row = rows[i];
+    std::printf("%s\n  {\"kernel\": \"%s\", \"threads\": %lld, "
+                "\"ops_per_sec\": %.3f",
+                i == 0 ? "" : ",", row.kernel.c_str(),
+                static_cast<long long>(row.threads), row.ops_per_sec);
+    if (row.reps > 0) {
+      std::printf(", \"ops_per_sec_iqr\": %.3f, \"reps\": %d", row.iqr,
+                  row.reps);
+    }
+    std::printf("}");
   }
   std::printf("\n]}\n");
 }

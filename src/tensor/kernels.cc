@@ -23,65 +23,26 @@ void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   CONFORMER_PROFILE_SCOPE_BYTES(
       "kernel", "Gemm",
       static_cast<int64_t>(sizeof(float)) * (m * k + k * n + m * n));
+  CONFORMER_CHECK(!(trans_a && trans_b))
+      << "Gemm: A^T * B^T is not supported; transpose the product instead";
   // Explicit zero-size early-outs: empty output writes nothing; an empty
   // inner dimension makes the product a zero matrix.
   if (m <= 0 || n <= 0) return;
   if (!accumulate) std::memset(c, 0, sizeof(float) * m * n);
   if (k <= 0) return;
 
-  // Row-blocked over the output: each chunk owns rows [i0, i1), so every
-  // c element is written by exactly one thread and accumulates over p in
-  // sequential order — bitwise deterministic for any thread count.
-  const int64_t grain = GemmRowGrain(n, k);
-  if (!trans_a && !trans_b) {
-    // a: m x k, b: k x n
-    ParallelFor(0, m, grain, [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        for (int64_t p = 0; p < k; ++p) {
-          const float aip = a[i * k + p];
-          if (aip == 0.0f) continue;
-          vec::MulAddN(b + p * n, aip, c + i * n, n);
-        }
-      }
-    });
-  } else if (!trans_a && trans_b) {
-    // a: m x k, b: n x k. The dot kernel accumulates into 8 logical bins
-    // folded in a fixed order (docs/SIMD.md), so the sum order differs from
-    // a sequential loop but is identical at every SIMD level & thread count.
-    ParallelFor(0, m, grain, [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        const float* arow = a + i * k;
-        for (int64_t j = 0; j < n; ++j) {
-          c[i * n + j] += vec::DotN(arow, b + j * k, k);
-        }
-      }
-    });
-  } else if (trans_a && !trans_b) {
-    // a: k x m, b: k x n. The p-loop stays outermost within a row block for
-    // unit-stride access to b; the per-element order over p is unchanged.
-    ParallelFor(0, m, grain, [&](int64_t i0, int64_t i1) {
-      for (int64_t p = 0; p < k; ++p) {
-        const float* arow = a + p * m;
-        const float* brow = b + p * n;
-        for (int64_t i = i0; i < i1; ++i) {
-          const float api = arow[i];
-          if (api == 0.0f) continue;
-          vec::MulAddN(brow, api, c + i * n, n);
-        }
-      }
-    });
-  } else {
-    // a: k x m, b: n x k
-    ParallelFor(0, m, grain, [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-          float acc = 0.0f;
-          for (int64_t p = 0; p < k; ++p) acc += a[p * m + i] * b[j * k + p];
-          c[i * n + j] += acc;
-        }
-      }
-    });
-  }
+  // Row-blocked over the output: each chunk owns rows [i0, i1) and makes
+  // one dispatched call, so every c element is written by exactly one
+  // thread and accumulates over p in sequential order — bitwise
+  // deterministic for any thread count. NT sums each element in the 8 bins
+  // of the dot kernel, folded in a fixed order (docs/SIMD.md), so its sum
+  // order differs from a sequential loop but is identical at every SIMD
+  // level and thread count.
+  auto* rows = trans_b ? vec::GemmRowsNT
+                       : (trans_a ? vec::GemmRowsTN : vec::GemmRowsNN);
+  ParallelFor(0, m, GemmRowGrain(n, k), [&](int64_t i0, int64_t i1) {
+    rows(i0, i1, m, n, k, a, b, c);
+  });
 }
 
 void Axpy(int64_t n, float alpha, const float* x, float* out) {
@@ -134,40 +95,37 @@ void ReduceGradToShape(const float* grad, const Shape& grad_shape, float* out,
     Axpy(NumElements(grad_shape), 1.0f, grad, out);
     return;
   }
-  const std::vector<int64_t> strides = BroadcastStrides(target_shape, grad_shape);
-  const int64_t rank = static_cast<int64_t>(grad_shape.size());
-  const int64_t n = NumElements(grad_shape);
-
+  const RunLoops<1> loops = CoalesceLoops<1>(
+      grad_shape, {BroadcastStrides(target_shape, grad_shape)});
+  // A target's innermost kept dim is contiguous, so a row run either sums
+  // into one target element (stride 0) or adds onto a contiguous span.
+  const int64_t inner_stride = loops.strides[0].back();
+  CONFORMER_CHECK(inner_stride == 0 || inner_stride == 1);
   auto reduce_range = [&](int64_t cb, int64_t ce) {
-    std::vector<int64_t> index(rank, 0);
-    int64_t out_off = 0;
-    int64_t rem = cb;
-    for (int64_t d = rank - 1; d >= 0; --d) {
-      index[d] = rem % grad_shape[d];
-      rem /= grad_shape[d];
-      out_off += index[d] * strides[d];
-    }
-    for (int64_t i = cb; i < ce; ++i) {
-      out[out_off] += grad[i];
-      for (int64_t d = rank - 1; d >= 0; --d) {
-        ++index[d];
-        out_off += strides[d];
-        if (index[d] < grad_shape[d]) break;
-        index[d] = 0;
-        out_off -= strides[d] * grad_shape[d];
-      }
-    }
+    ForEachRun(loops, cb, ce,
+               [&](int64_t i, int64_t len, const std::array<int64_t, 1>& at) {
+                 float* o = out + at[0];
+                 if (inner_stride == 1) {
+                   vec::AddN(o, grad + i, o, len);
+                   return;
+                 }
+                 float acc = *o;
+                 for (int64_t t = 0; t < len; ++t) acc += grad[i + t];
+                 *o = acc;
+               });
   };
 
   // The accumulation targets overlap across the reduced (stride-0) dims, so
   // chunks may only split the leading dimension when it is NOT reduced: then
   // each leading index owns a disjoint slice of `out`, and per-element
-  // accumulation order is unchanged — bitwise identical at any thread count.
-  const int64_t block = rank > 0 ? n / grad_shape[0] : n;
-  if (rank > 0 && strides[0] > 0 && grad_shape[0] > 1 && block > 0) {
-    const int64_t row_grain =
-        std::max<int64_t>(1, kGrainStrided / block);
-    ParallelFor(0, grad_shape[0], row_grain, [&](int64_t r0, int64_t r1) {
+  // accumulation order (flat index order) is unchanged — bitwise identical
+  // at any thread count.
+  const int64_t n = NumElements(grad_shape);
+  const int64_t lead = loops.shape[0];
+  if (loops.strides[0][0] > 0 && lead > 1 && n > 0) {
+    const int64_t block = n / lead;
+    const int64_t row_grain = std::max<int64_t>(1, kGrainStrided / block);
+    ParallelFor(0, lead, row_grain, [&](int64_t r0, int64_t r1) {
       reduce_range(r0 * block, r1 * block);
     });
   } else {

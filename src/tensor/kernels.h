@@ -10,6 +10,8 @@
 #ifndef CONFORMER_TENSOR_KERNELS_H_
 #define CONFORMER_TENSOR_KERNELS_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -48,6 +50,82 @@ Shape BroadcastShape(const Shape& a, const Shape& b);
 /// (stride 0 on broadcast dimensions). `from` must broadcast to `to`.
 std::vector<int64_t> BroadcastStrides(const Shape& from, const Shape& to);
 
+/// A loop nest over a row-major shape, read through N operands' strides,
+/// with size-1 dims dropped and adjacent dims merged wherever every operand
+/// steps through them as one run. The flat visiting order is unchanged; the
+/// innermost dim is as long as it can be.
+template <size_t N>
+struct RunLoops {
+  Shape shape;  ///< Outermost first; never empty ({1} for a single element).
+  std::array<std::vector<int64_t>, N> strides;
+};
+
+template <size_t N>
+RunLoops<N> CoalesceLoops(const Shape& shape,
+                          const std::array<std::vector<int64_t>, N>& strides) {
+  RunLoops<N> loops;
+  for (size_t d = 0; d < shape.size(); ++d) {
+    if (shape[d] == 1) continue;
+    bool merge = !loops.shape.empty();
+    for (size_t o = 0; o < N && merge; ++o) {
+      merge = loops.strides[o].back() == strides[o][d] * shape[d];
+    }
+    if (merge) {
+      loops.shape.back() *= shape[d];
+      for (size_t o = 0; o < N; ++o) loops.strides[o].back() = strides[o][d];
+    } else {
+      loops.shape.push_back(shape[d]);
+      for (size_t o = 0; o < N; ++o) loops.strides[o].push_back(strides[o][d]);
+    }
+  }
+  if (loops.shape.empty()) {
+    loops.shape.push_back(1);
+    for (size_t o = 0; o < N; ++o) loops.strides[o].push_back(0);
+  }
+  return loops;
+}
+
+/// Calls `run(i, len, at)` for each innermost-dim run of the flat range
+/// [cb, ce), in order: flat indices [i, i + len), whose first element sits at
+/// offset at[o] in operand o. The first and last runs may be partial rows, so
+/// a ParallelFor chunk may start and end mid-row; the odometer steps once per
+/// row, not once per element.
+template <size_t N, typename RunFn>
+void ForEachRun(const RunLoops<N>& loops, int64_t cb, int64_t ce, RunFn run) {
+  if (cb >= ce) return;
+  const int64_t rank = static_cast<int64_t>(loops.shape.size());
+  const int64_t inner = loops.shape[rank - 1];
+  // Seed the outer-dim odometer at this range's first row.
+  std::vector<int64_t> index(rank - 1, 0);
+  std::array<int64_t, N> row_off{};
+  int64_t rem = cb / inner;
+  for (int64_t d = rank - 2; d >= 0; --d) {
+    index[d] = rem % loops.shape[d];
+    rem /= loops.shape[d];
+    for (size_t o = 0; o < N; ++o) row_off[o] += index[d] * loops.strides[o][d];
+  }
+  int64_t col = cb % inner;
+  for (int64_t i = cb; i < ce;) {
+    const int64_t len = std::min(inner - col, ce - i);
+    std::array<int64_t, N> at;
+    for (size_t o = 0; o < N; ++o) {
+      at[o] = row_off[o] + col * loops.strides[o][rank - 1];
+    }
+    run(i, len, at);
+    i += len;
+    col = 0;
+    for (int64_t d = rank - 2; d >= 0; --d) {
+      ++index[d];
+      for (size_t o = 0; o < N; ++o) row_off[o] += loops.strides[o][d];
+      if (index[d] < loops.shape[d]) break;
+      index[d] = 0;
+      for (size_t o = 0; o < N; ++o) {
+        row_off[o] -= loops.strides[o][d] * loops.shape[d];
+      }
+    }
+  }
+}
+
 /// Applies `f(a_i, b_i)` elementwise with broadcasting; `out` must have
 /// NumElements(out_shape) entries.
 template <typename Fn>
@@ -61,34 +139,32 @@ void BroadcastBinary(const float* a, const Shape& a_shape, const float* b,
     });
     return;
   }
-  const std::vector<int64_t> a_strides = BroadcastStrides(a_shape, out_shape);
-  const std::vector<int64_t> b_strides = BroadcastStrides(b_shape, out_shape);
-  const int64_t rank = static_cast<int64_t>(out_shape.size());
+  const RunLoops<2> loops = CoalesceLoops<2>(
+      out_shape, {BroadcastStrides(a_shape, out_shape),
+                  BroadcastStrides(b_shape, out_shape)});
+  const int64_t sa = loops.strides[0].back();
+  const int64_t sb = loops.strides[1].back();
   ParallelFor(0, n, kGrainStrided, [&](int64_t cb, int64_t ce) {
-    // Seed the odometer at this chunk's flat start index.
-    std::vector<int64_t> index(rank, 0);
-    int64_t a_off = 0;
-    int64_t b_off = 0;
-    int64_t rem = cb;
-    for (int64_t d = rank - 1; d >= 0; --d) {
-      index[d] = rem % out_shape[d];
-      rem /= out_shape[d];
-      a_off += index[d] * a_strides[d];
-      b_off += index[d] * b_strides[d];
-    }
-    for (int64_t i = cb; i < ce; ++i) {
-      out[i] = f(a[a_off], b[b_off]);
-      // Odometer increment with incremental offset updates.
-      for (int64_t d = rank - 1; d >= 0; --d) {
-        ++index[d];
-        a_off += a_strides[d];
-        b_off += b_strides[d];
-        if (index[d] < out_shape[d]) break;
-        index[d] = 0;
-        a_off -= a_strides[d] * out_shape[d];
-        b_off -= b_strides[d] * out_shape[d];
-      }
-    }
+    ForEachRun(loops, cb, ce,
+               [&](int64_t i, int64_t len, const std::array<int64_t, 2>& at) {
+                 const float* ar = a + at[0];
+                 const float* br = b + at[1];
+                 float* o = out + i;
+                 // An operand's innermost stride is 1 (it spans the row) or
+                 // 0 (held constant); both are 0 only for a one-element
+                 // output.
+                 if (sa == 1 && sb == 1) {
+                   for (int64_t t = 0; t < len; ++t) o[t] = f(ar[t], br[t]);
+                 } else if (sa == 1 && sb == 0) {
+                   const float bv = *br;
+                   for (int64_t t = 0; t < len; ++t) o[t] = f(ar[t], bv);
+                 } else if (sa == 0 && sb == 1) {
+                   const float av = *ar;
+                   for (int64_t t = 0; t < len; ++t) o[t] = f(av, br[t]);
+                 } else {
+                   o[0] = f(*ar, *br);
+                 }
+               });
   });
 }
 

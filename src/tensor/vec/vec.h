@@ -15,13 +15,16 @@
 // (scalar|sse2|avx2|neon|native) intersected with what the CPU supports and
 // what the build compiled in; tests and benches can re-pin it at runtime
 // with SetSimdLevel. The per-call cost is one relaxed atomic load plus an
-// indirect call, amortized over a span.
+// indirect call, so a call should cover a whole chunk or row range: at this
+// model's widths one row span is only 16-64 floats, which is why Gemm is
+// three row-range slots rather than a MulAddN / DotN call per (row, p).
 //
 // Threading: these are SPAN kernels — callers hand them the contiguous
-// range a ParallelFor chunk owns (or a whole row). Chunk boundaries are
-// unchanged by vectorization, and within a span the vector main loop plus
-// the scalar remainder tail is a pure function of the span, so the PR-1
-// bitwise 1-vs-N-thread contract (docs/THREADING.md) is preserved.
+// range a ParallelFor chunk owns (or a whole row, or a chunk's row range).
+// Chunk boundaries are unchanged by vectorization, and within a span the
+// vector main loop plus the scalar remainder tail is a pure function of the
+// span, so the bitwise 1-vs-N-thread contract (docs/THREADING.md) is
+// preserved.
 
 #ifndef CONFORMER_TENSOR_VEC_VEC_H_
 #define CONFORMER_TENSOR_VEC_VEC_H_
@@ -92,9 +95,18 @@ struct KernelTable {
   void (*sqrt)(const float* a, float* o, int64_t n);
   void (*exp)(const float* a, float* o, int64_t n);
   void (*sigmoid)(const float* a, float* o, int64_t n);
-  // o[i] += alpha * x[i] — the Gemm/axpy inner loop (accumulation order per
-  // element unchanged from the scalar kernel).
+  // o[i] += alpha * x[i] — the kernels::Axpy span.
   void (*mul_add)(const float* x, float alpha, float* o, int64_t n);
+  // Rows [i0, i1) of C (m x n) += A * B, with A m x k (nn, nt) or k x m
+  // (tn), and B k x n (nn, tn) or n x k (nt). nn/tn give each C element the
+  // mul_add order (c + a*b in ascending p, a == 0 terms skipped); nt adds
+  // one dot per element. See docs/SIMD.md for the tiling.
+  void (*gemm_nn)(int64_t i0, int64_t i1, int64_t m, int64_t n, int64_t k,
+                  const float* a, const float* b, float* c);
+  void (*gemm_nt)(int64_t i0, int64_t i1, int64_t m, int64_t n, int64_t k,
+                  const float* a, const float* b, float* c);
+  void (*gemm_tn)(int64_t i0, int64_t i1, int64_t m, int64_t n, int64_t k,
+                  const float* a, const float* b, float* c);
   // 8-bin reductions folded in the fixed pairwise order (docs/SIMD.md).
   float (*dot)(const float* a, const float* b, int64_t n);
   float (*sum)(const float* a, int64_t n);
@@ -161,6 +173,18 @@ inline void SigmoidN(const float* a, float* o, int64_t n) {
 }
 inline void MulAddN(const float* x, float alpha, float* o, int64_t n) {
   internal::ActiveTable().mul_add(x, alpha, o, n);
+}
+inline void GemmRowsNN(int64_t i0, int64_t i1, int64_t m, int64_t n,
+                       int64_t k, const float* a, const float* b, float* c) {
+  internal::ActiveTable().gemm_nn(i0, i1, m, n, k, a, b, c);
+}
+inline void GemmRowsNT(int64_t i0, int64_t i1, int64_t m, int64_t n,
+                       int64_t k, const float* a, const float* b, float* c) {
+  internal::ActiveTable().gemm_nt(i0, i1, m, n, k, a, b, c);
+}
+inline void GemmRowsTN(int64_t i0, int64_t i1, int64_t m, int64_t n,
+                       int64_t k, const float* a, const float* b, float* c) {
+  internal::ActiveTable().gemm_tn(i0, i1, m, n, k, a, b, c);
 }
 inline float DotN(const float* a, const float* b, int64_t n) {
   return internal::ActiveTable().dot(a, b, n);

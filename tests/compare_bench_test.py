@@ -4,7 +4,9 @@
 Run as: compare_bench_test.py <path-to-compare_bench.py>
 
 Drives the comparator with generated bench JSONs covering both schemas:
-identical runs must pass, improvements must pass, regressions beyond the
+identical runs must pass, improvements must pass, the spread fields of the
+micro-bench schema (host fingerprint, ops_per_sec_iqr, reps) must not
+change what is diffed, regressions beyond the
 threshold must fail (and pass again under --warn-only), a coverage drop
 below the floor must fail, and malformed input must exit 2. The --gates
 mode is driven with a generated gates file: a passing rule exits 0, a
@@ -96,6 +98,26 @@ def main():
             failures.append(
                 "new metric row missing NEW marker:\n{}".format(out))
 
+        # The spread schema (a host fingerprint, per-row IQR and repetition
+        # count) diffs against the bare one on ops_per_sec, the median, and
+        # adds no metrics of its own.
+        spread = {
+            "host": {"hardware_concurrency": 4, "simd": "avx2",
+                     "compiler": "12.2.0"},
+            "results": [dict(row, ops_per_sec_iqr=3.0, reps=5)
+                        for row in kernels["results"]],
+        }
+        spr = write_json(tmpdir, "spread.json", spread)
+        code, out = run(compare, base, spr)
+        check("spread schema", code, 0, out)
+        if "NEW" in out or "iqr" in out:
+            failures.append(
+                "spread fields leaked into the diff:\n{}".format(out))
+        slow = json.loads(json.dumps(spread))
+        slow["results"][0]["ops_per_sec"] = 50.0
+        code, out = run(compare, base, write_json(tmpdir, "slow.json", slow))
+        check("spread schema regression", code, 1, out)
+
         # A metric disappearing from the current run fails.
         shrunk = json.loads(json.dumps(kernels))
         shrunk["results"] = shrunk["results"][:1]
@@ -126,13 +148,19 @@ def main():
         code, out = run(compare, base, bad)
         check("malformed", code, 2, out)
 
-        # --gates: declarative bars over the JSONs in one results directory.
+        # --gates: declarative bars over the JSONs in one results directory
+        # (written in the spread schema; gates read the median).
         results = os.path.join(tmpdir, "results")
         os.mkdir(results)
-        write_json(results, "bench_serving.json", {"results": [
-            {"kernel": "serve_direct_b8", "threads": 1, "ops_per_sec": 120.0},
-            {"kernel": "serve_seq_b1", "threads": 1, "ops_per_sec": 100.0},
-        ]})
+        write_json(results, "bench_serving.json", {
+            "host": {"hardware_concurrency": 1, "simd": "scalar",
+                     "compiler": "12.2.0"},
+            "results": [
+                {"kernel": "serve_direct_b8", "threads": 1,
+                 "ops_per_sec": 120.0, "ops_per_sec_iqr": 9.0, "reps": 5},
+                {"kernel": "serve_seq_b1", "threads": 1, "ops_per_sec": 100.0,
+                 "ops_per_sec_iqr": 4.0, "reps": 5},
+            ]})
 
         def gates_file(name, **gate):
             rule = dict(name=name, file="bench_serving.json",

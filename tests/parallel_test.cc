@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "attention/attention.h"
@@ -218,9 +219,9 @@ TEST_F(ParallelTest, GemmAllTransposeVariants) {
   Tensor a_km = Tensor::Randn({k, m}, &rng);
   Tensor b_kn = Tensor::Randn({k, n}, &rng);
   Tensor b_nk = Tensor::Randn({n, k}, &rng);
-  for (int variant = 0; variant < 4; ++variant) {
-    const bool ta = variant & 1;
-    const bool tb = variant & 2;
+  // NN, NT and TN; Gemm rejects A^T * B^T.
+  for (auto [ta, tb] :
+       {std::pair{false, false}, {false, true}, {true, false}}) {
     ExpectBitwiseIdentical([&] {
       std::vector<float> c(m * n, 0.5f);
       kernels::Gemm(ta, tb, m, n, k, (ta ? a_km : a_mk).data(),
@@ -228,6 +229,37 @@ TEST_F(ParallelTest, GemmAllTransposeVariants) {
       return std::vector<Tensor>{Tensor::FromVector(std::move(c), {m, n})};
     });
   }
+}
+
+TEST_F(ParallelTest, BroadcastRowRunsSplitMidRow) {
+  // Rows of 41 floats over 4551 elements: more than kGrainStrided, which 41
+  // does not divide, so the second chunk starts mid-row. The reduce splits
+  // its unreduced leading dim into 4 row blocks of 10 x 390 elements.
+  const Shape full = {3, 37, 41};
+  static_assert(kernels::kGrainStrided % 41 != 0);
+  ASSERT_GT(NumElements(full), kernels::kGrainStrided);
+  const Shape grad_shape = {40, 130, 3};
+  const Shape target = {40, 1, 3};
+  Rng rng(5);
+  const Tensor a = Tensor::Randn(full, &rng);
+  const Tensor bias = Tensor::Randn({41}, &rng);
+  const Tensor col = Tensor::Randn({3, 37, 1}, &rng);
+  const Tensor grad = Tensor::Randn(grad_shape, &rng);
+  ExpectBitwiseIdentical([&] {
+    const auto f = [](float x, float y) { return x * 3.0f - y; };
+    std::vector<Tensor> out;
+    for (const Tensor* b : {&bias, &col}) {
+      std::vector<float> o(a.numel());
+      kernels::BroadcastBinary(a.data(), full, b->data(), b->shape(),
+                               o.data(), full, f);
+      out.push_back(Tensor::FromVector(std::move(o), full));
+    }
+    std::vector<float> reduced(NumElements(target), 0.25f);
+    kernels::ReduceGradToShape(grad.data(), grad_shape, reduced.data(),
+                               target);
+    out.push_back(Tensor::FromVector(std::move(reduced), target));
+    return out;
+  });
 }
 
 TEST_F(ParallelTest, ElementwiseBroadcastForwardAndBackward) {

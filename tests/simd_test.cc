@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "baselines/timesnet_lite.h"
@@ -383,27 +386,217 @@ TEST_F(SimdTest, SoftmaxRowMatchesReferenceWithinTolerance) {
 
 TEST_F(SimdTest, GemmAllVariantsBitwiseAcrossLevels) {
   const int64_t sizes[] = {1, 2, 3, 5, 8, 9, 16, 17, 33};
-  for (bool trans_a : {false, true}) {
-    for (bool trans_b : {false, true}) {
-      for (int64_t m : sizes) {
-        for (int64_t n : sizes) {
-          for (int64_t k : sizes) {
-            // Skip the bulk of the cube to keep runtime sane: exercise all
-            // shapes where any dim is a tail case plus a few big ones.
-            if (m > 9 && n > 9 && k > 9 && !(m == n && n == k)) continue;
+  // NN, NT and TN; Gemm rejects A^T * B^T.
+  for (auto [trans_a, trans_b] :
+       {std::pair{false, false}, {false, true}, {true, false}}) {
+    for (int64_t m : sizes) {
+      for (int64_t n : sizes) {
+        for (int64_t k : sizes) {
+          // Skip the bulk of the cube to keep runtime sane: exercise all
+          // shapes where any dim is a tail case plus a few big ones.
+          if (m > 9 && n > 9 && k > 9 && !(m == n && n == k)) continue;
+          std::vector<float> a(m * k), b(k * n);
+          for (size_t i = 0; i < a.size(); ++i) a[i] = TestValue(i);
+          for (size_t i = 0; i < b.size(); ++i) b[i] = TestValue(i + 7);
+          // Sprinkle zeros to exercise the zero-skip fast path.
+          for (size_t i = 0; i < a.size(); i += 5) a[i] = 0.0f;
+          ExpectAllLevelsMatchScalar(
+              m * n,
+              [&](float* c) {
+                kernels::Gemm(trans_a, trans_b, m, n, k, a.data(), b.data(),
+                              c, /*accumulate=*/false);
+              },
+              "Gemm");
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, GemmRejectsBothTransposed) {
+  std::vector<float> a(4, 1.0f), b(4, 1.0f), c(4);
+  EXPECT_DEATH(kernels::Gemm(true, true, 2, 2, 2, a.data(), b.data(),
+                             c.data(), /*accumulate=*/false),
+               "not supported");
+}
+
+// The loops Gemm ran before its row-range slots, kept as the oracle: one
+// MulAddN per (row, p) for NN and TN, one DotN per element for NT.
+void ReferenceGemm(bool trans_a, bool trans_b, int64_t m, int64_t n,
+                   int64_t k, const float* a, const float* b, float* c,
+                   bool accumulate) {
+  if (!accumulate) std::fill(c, c + m * n, 0.0f);
+  if (k == 0) return;
+  for (int64_t i = 0; i < m; ++i) {
+    if (trans_b) {
+      for (int64_t j = 0; j < n; ++j) {
+        c[i * n + j] += vec::DotN(a + i * k, b + j * k, k);
+      }
+      continue;
+    }
+    for (int64_t p = 0; p < k; ++p) {
+      const float x = trans_a ? a[p * m + i] : a[i * k + p];
+      if (x == 0.0f) continue;
+      vec::MulAddN(b + p * n, x, c + i * n, n);
+    }
+  }
+}
+
+// Every (level, thread count) pair the oracle tests below run at.
+std::vector<std::pair<SimdLevel, int64_t>> LevelsAndThreads() {
+  std::vector<std::pair<SimdLevel, int64_t>> out;
+  for (SimdLevel level : vec::AvailableSimdLevels()) {
+    for (int64_t threads : {1, 8}) out.emplace_back(level, threads);
+  }
+  return out;
+}
+
+TEST_F(SimdTest, GemmMatchesReferenceLoopsAtEveryLevel) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  for (auto [level, threads] : LevelsAndThreads()) {
+    ASSERT_TRUE(vec::SetSimdLevel(level));
+    ThreadPool::Global().SetNumThreads(threads);
+    for (auto [trans_a, trans_b] :
+         {std::pair{false, false}, {false, true}, {true, false}}) {
+      for (int64_t m : {1, 3, 4, 5, 9}) {
+        for (int64_t n : {1, 7, 8, 15, 16, 17, 33, 64, 65, 130}) {
+          for (int64_t k : {0, 1, 2, 31}) {
             std::vector<float> a(m * k), b(k * n);
             for (size_t i = 0; i < a.size(); ++i) a[i] = TestValue(i);
             for (size_t i = 0; i < b.size(); ++i) b[i] = TestValue(i + 7);
-            // Sprinkle zeros to exercise the zero-skip fast path.
-            for (size_t i = 0; i < a.size(); i += 5) a[i] = 0.0f;
-            ExpectAllLevelsMatchScalar(
-                m * n,
-                [&](float* c) {
-                  kernels::Gemm(trans_a, trans_b, m, n, k, a.data(), b.data(),
-                                c, /*accumulate=*/false);
-                },
-                "Gemm");
+            for (size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+            const auto at = [&](int64_t i, int64_t p) -> float& {
+              return trans_a ? a[p * m + i] : a[i * k + p];
+            };
+            // Row 0 of C gets only zero terms, so its -0.0 start survives.
+            for (int64_t p = 0; p < k && m > 1; ++p) at(0, p) = 0.0f;
+            // NN/TN skip a == 0 terms rather than multiply them: zero
+            // column 0 of A and face it with +-Inf and NaN in row 0 of B.
+            // (NT has no skip, so its B stays finite.)
+            if (!trans_b && k > 1) {
+              for (int64_t i = 0; i < m; ++i) at(i, 0) = 0.0f;
+              const float specials[] = {kInf, -kInf, kNaN};
+              for (int64_t j = 0; j < n; ++j) b[j] = specials[j % 3];
+            }
+            for (bool accumulate : {false, true}) {
+              std::vector<float> want(m * n, -0.0f), got(m * n, -0.0f);
+              ReferenceGemm(trans_a, trans_b, m, n, k, a.data(), b.data(),
+                            want.data(), accumulate);
+              kernels::Gemm(trans_a, trans_b, m, n, k, a.data(), b.data(),
+                            got.data(), accumulate);
+              EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                       sizeof(float) * m * n))
+                  << "Gemm(" << trans_a << ", " << trans_b << ") m=" << m
+                  << " n=" << n << " k=" << k << " accumulate=" << accumulate
+                  << " at " << vec::SimdLevelName(level) << ", " << threads
+                  << " threads";
+            }
           }
+        }
+      }
+    }
+  }
+}
+
+// -- broadcast loops vs the per-element odometer ------------------------------
+
+// The per-element odometer BroadcastBinary ran before its row runs.
+template <typename Fn>
+void ReferenceBroadcastBinary(const float* a, const Shape& a_shape,
+                              const float* b, const Shape& b_shape, float* out,
+                              const Shape& out_shape, Fn f) {
+  const std::vector<int64_t> as = kernels::BroadcastStrides(a_shape, out_shape);
+  const std::vector<int64_t> bs = kernels::BroadcastStrides(b_shape, out_shape);
+  const int64_t rank = static_cast<int64_t>(out_shape.size());
+  std::vector<int64_t> index(rank, 0);
+  int64_t a_off = 0, b_off = 0;
+  for (int64_t i = 0; i < NumElements(out_shape); ++i) {
+    out[i] = f(a[a_off], b[b_off]);
+    for (int64_t d = rank - 1; d >= 0; --d) {
+      ++index[d];
+      a_off += as[d];
+      b_off += bs[d];
+      if (index[d] < out_shape[d]) break;
+      index[d] = 0;
+      a_off -= as[d] * out_shape[d];
+      b_off -= bs[d] * out_shape[d];
+    }
+  }
+}
+
+// The per-element odometer ReduceGradToShape ran before its row runs.
+void ReferenceReduceGradToShape(const float* grad, const Shape& grad_shape,
+                                float* out, const Shape& target_shape) {
+  const std::vector<int64_t> strides =
+      kernels::BroadcastStrides(target_shape, grad_shape);
+  const int64_t rank = static_cast<int64_t>(grad_shape.size());
+  std::vector<int64_t> index(rank, 0);
+  int64_t off = 0;
+  for (int64_t i = 0; i < NumElements(grad_shape); ++i) {
+    out[off] += grad[i];
+    for (int64_t d = rank - 1; d >= 0; --d) {
+      ++index[d];
+      off += strides[d];
+      if (index[d] < grad_shape[d]) break;
+      index[d] = 0;
+      off -= strides[d] * grad_shape[d];
+    }
+  }
+}
+
+TEST_F(SimdTest, BroadcastLoopsMatchReferenceOdometer) {
+  // {small operand, full-shape operand}: broadcast over leading, middle and
+  // trailing dims, a bias row, a scalar, a rank-0 tensor, size-1 output dims,
+  // and two operands broadcasting against each other. The big shapes exceed
+  // kGrainStrided with rows that do not divide it, so chunks start mid-row.
+  const std::pair<Shape, Shape> cases[] = {
+      {{1, 5, 7}, {4, 5, 7}},        {{4, 1, 7}, {4, 5, 7}},
+      {{4, 5, 1}, {4, 5, 7}},        {{7}, {4, 5, 7}},
+      {{1}, {4, 5, 7}},              {Shape{}, {4, 5, 7}},
+      {{4, 1, 7}, {1, 1, 7}},        {{4, 1}, {1, 5}},
+      {{64, 1, 33}, {1, 17, 33}},    {{33}, {64, 17, 33}},
+      {{64, 17, 1}, {64, 17, 33}},   {{1, 17, 1}, {64, 17, 33}},
+  };
+  const auto f = [](float x, float y) { return x * 3.0f - y; };
+  for (auto [level, threads] : LevelsAndThreads()) {
+    ASSERT_TRUE(vec::SetSimdLevel(level));
+    ThreadPool::Global().SetNumThreads(threads);
+    for (const auto& [small, full] : cases) {
+      for (bool swap : {false, true}) {
+        const Shape& a_shape = swap ? full : small;
+        const Shape& b_shape = swap ? small : full;
+        const Shape out_shape = kernels::BroadcastShape(a_shape, b_shape);
+        const int64_t n = NumElements(out_shape);
+        std::vector<float> a(NumElements(a_shape)), b(NumElements(b_shape));
+        for (size_t i = 0; i < a.size(); ++i) a[i] = TestValue(i);
+        for (size_t i = 0; i < b.size(); ++i) b[i] = TestValue(i + 29);
+        std::vector<float> want(n), got(n);
+        ReferenceBroadcastBinary(a.data(), a_shape, b.data(), b_shape,
+                                 want.data(), out_shape, f);
+        kernels::BroadcastBinary(a.data(), a_shape, b.data(), b_shape,
+                                 got.data(), out_shape, f);
+        EXPECT_EQ(0, std::memcmp(want.data(), got.data(), sizeof(float) * n))
+            << "BroadcastBinary " << ShapeToString(a_shape) << " with "
+            << ShapeToString(b_shape) << " at " << vec::SimdLevelName(level)
+            << ", " << threads << " threads";
+
+        // Reduce the full-shape gradient back onto each operand's shape.
+        std::vector<float> grad(n);
+        for (int64_t i = 0; i < n; ++i) grad[i] = TestValue(i + 3);
+        for (const Shape& target : {a_shape, b_shape}) {
+          const int64_t tn = NumElements(target);
+          std::vector<float> want_r(tn), got_r(tn);
+          for (int64_t i = 0; i < tn; ++i) want_r[i] = got_r[i] = TestValue(i);
+          ReferenceReduceGradToShape(grad.data(), out_shape, want_r.data(),
+                                     target);
+          kernels::ReduceGradToShape(grad.data(), out_shape, got_r.data(),
+                                     target);
+          EXPECT_EQ(0, std::memcmp(want_r.data(), got_r.data(),
+                                   sizeof(float) * tn))
+              << "ReduceGradToShape " << ShapeToString(out_shape) << " to "
+              << ShapeToString(target) << " at "
+              << vec::SimdLevelName(level) << ", " << threads << " threads";
         }
       }
     }

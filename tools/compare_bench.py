@@ -3,9 +3,11 @@
 
 Understands both bench output schemas in this repo:
 
-  * bench_parallel_kernels: {"results": [{"kernel", "threads",
-    "ops_per_sec"}, ...]} -- every (kernel, threads) row becomes a
-    higher-is-better metric.
+  * bench_parallel_kernels: {"host": {...}, "results": [{"kernel",
+    "threads", "ops_per_sec"[, "ops_per_sec_iqr", "reps"]}, ...]} -- every
+    (kernel, threads) row becomes a higher-is-better metric on its
+    ops_per_sec, the median of a measured row; the host fingerprint and
+    the spread fields are context, not metrics.
   * bench_profile_report (conformer.bench_profile.v1): the "throughput"
     entries are higher-is-better; "step_coverage" is higher-is-better with
     an absolute floor rather than a relative threshold (coverage is a
