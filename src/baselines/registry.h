@@ -31,7 +31,11 @@ struct ModelHyperParams {
 std::vector<std::string> AvailableModels();
 
 /// Builds a model by (case-insensitive) name; NotFound for names outside
-/// AvailableModels().
+/// AvailableModels(), InvalidArgument for a window, `dims` or `params` the
+/// model cannot run (non-positive sizes, label_len outside [0, input_len],
+/// d_model not divisible by n_heads, ma_kernel < 1, dropout outside [0, 1),
+/// an input or decoder window shorter than the architecture needs). A config
+/// that passes never CHECK-aborts in the constructor or in Predict.
 Result<std::unique_ptr<Forecaster>> MakeForecaster(
     const std::string& name, data::WindowConfig window, int64_t dims,
     const ModelHyperParams& params = {});

@@ -85,13 +85,23 @@ Tensor Variance(const Tensor& a, std::vector<int64_t> dims, bool keepdim = false
 
 /// Reshape to `shape`; one entry may be -1 (inferred). Data order preserved.
 Tensor Reshape(const Tensor& a, Shape shape);
+/// The one strided-view primitive: output element i (flat, row-major over
+/// `shape`) is a[offset + sum_d idx_d(i) * strides[d]]. Strides may be 0
+/// (repeats) and views may overlap (im2col windows); CHECKs that every read
+/// stays inside `a`. The forward is a parallel gather; the backward one
+/// serial scatter-add in ascending flat output order. `name` (a string
+/// literal) names the autograd node and the plan step. Slice, Permute,
+/// Transpose, Tile, BroadcastTo, ReplicatePad and conv im2col ("Unfold")
+/// are views built on it.
+Tensor AsStrided(const Tensor& a, Shape shape, std::vector<int64_t> strides,
+                 int64_t offset, const char* name);
 /// Permutes dimensions; `perm` is the new order of old dims.
 Tensor Permute(const Tensor& a, std::vector<int64_t> perm);
 /// Swaps two dimensions.
 Tensor Transpose(const Tensor& a, int64_t d0, int64_t d1);
-/// Slice along `dim`: elements [start, end) with the given step.
-Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end,
-             int64_t step = 1);
+/// Contiguous slice along `dim`: elements [start, end); negative indices
+/// count from the end. Use AsStrided for a stepped view.
+Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end);
 /// Concatenates along `dim`; all other dims must match.
 Tensor Concat(const std::vector<Tensor>& parts, int64_t dim);
 /// Stacks equal-shaped tensors along a new leading `dim`.
@@ -104,15 +114,10 @@ Tensor Pad(const Tensor& a, int64_t dim, int64_t before, int64_t after,
 /// Pads `dim` by replicating the edge values (Autoformer's moving-average
 /// padding convention).
 Tensor ReplicatePad(const Tensor& a, int64_t dim, int64_t before, int64_t after);
-/// Materializes a broadcast to `shape`.
+/// Materializes a broadcast to `shape` (a stride-0 view).
 Tensor BroadcastTo(const Tensor& a, const Shape& shape);
-/// Repeats the tensor `repeats[d]` times along each dim.
+/// Repeats the tensor `repeats[d]` times along each dim (a stride-0 view).
 Tensor Tile(const Tensor& a, const std::vector<int64_t>& repeats);
-/// Reverses the order of elements along `dim`.
-Tensor Flip(const Tensor& a, int64_t dim);
-/// Splits along `dim` into equal chunks of size `chunk` (must divide the
-/// dim size evenly).
-std::vector<Tensor> Split(const Tensor& a, int64_t dim, int64_t chunk);
 
 // -- Indexing -----------------------------------------------------------------
 
@@ -141,9 +146,10 @@ Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
               int64_t dilation = 1, int64_t stride = 1);
 /// 2-D convolution over [B, Cin, H, W] with weight [Cout, Cin, Kh, Kw] and
 /// optional bias [Cout]; symmetric zero padding per axis, unit stride.
-/// Composed from differentiable capture-instrumented primitives (im2col
-/// slices + MatMul), so autograd, static-plan capture, and the threading /
-/// SIMD determinism contracts are inherited rather than re-implemented.
+/// Like Conv1d, im2col is one AsStrided "Unfold" view of the padded input
+/// followed by one MatMul, so autograd, static-plan capture, and the
+/// threading / SIMD determinism contracts are inherited rather than
+/// re-implemented.
 Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
               int64_t padding_h, int64_t padding_w);
 /// 1-D average pooling over the last dim: input [..., L], window `kernel`,
@@ -151,8 +157,6 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
 Tensor AvgPool1d(const Tensor& input, int64_t kernel, int64_t stride);
 /// 1-D max pooling over the last dim (gradient routes to the argmax).
 Tensor MaxPool1d(const Tensor& input, int64_t kernel, int64_t stride);
-/// Cumulative sum along `dim`.
-Tensor Cumsum(const Tensor& a, int64_t dim);
 
 // -- NN functionals ---------------------------------------------------------------
 

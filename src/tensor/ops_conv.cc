@@ -25,19 +25,13 @@ Tensor PadInput(const Tensor& input, int64_t padding, PadMode mode) {
         Tensor tail = Slice(input, 2, 0, padding);
         return Concat({head, input, tail}, 2);
       }
-      // Pad wider than the input: the periodic extension is whole-tile
-      // repeats plus a remainder slice on each side — any width is legal,
-      // where this used to CHECK-abort (reachable from model config).
-      const int64_t reps = padding / length;
-      const int64_t rem = padding % length;
-      Tensor tiles = Tile(input, {1, 1, reps});
-      std::vector<Tensor> parts;
-      if (rem > 0) parts.push_back(Slice(input, 2, length - rem, length));
-      parts.push_back(tiles);
-      parts.push_back(input);
-      parts.push_back(tiles);
-      if (rem > 0) parts.push_back(Slice(input, 2, 0, rem));
-      return Concat(parts, 2);
+      // Pad wider than the input: the periodic extension is a window of
+      // the input tiled often enough to cover both sides, so any width is
+      // legal, where this used to CHECK-abort (reachable from model config).
+      const int64_t side = (padding + length - 1) / length;  // tiles per side
+      Tensor tiled = Tile(input, {1, 1, 2 * side + 1});
+      return Slice(tiled, 2, side * length - padding,
+                   (side + 1) * length + padding);
     }
   }
   CONFORMER_CHECK(false) << "unreachable";
@@ -67,21 +61,13 @@ Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   const int64_t out_len = (length - span) / stride + 1;
   CONFORMER_CHECK_GT(out_len, 0) << "Conv1d kernel longer than padded input";
 
-  // im2col: columns [B, out_len, Cin*K]; then out = columns x W^T.
-  // Built from differentiable primitives so the backward pass is free.
-  std::vector<Tensor> taps;
-  taps.reserve(kernel);
-  for (int64_t k = 0; k < kernel; ++k) {
-    // [B, Cin, out_len] strided window starting at dilated offset k. At
-    // stride 1 this is the same [k*d, k*d + out_len) slice as before, so
-    // existing call sites stay bitwise unchanged.
-    taps.push_back(Slice(padded, 2, k * dilation,
-                         k * dilation + (out_len - 1) * stride + 1, stride));
-  }
-  // [B, Cin, K, out_len] -> [B, out_len, Cin, K] -> [B, out_len, Cin*K]
-  Tensor stacked = StackTensors(taps, /*dim=*/2);
-  Tensor columns = Reshape(Permute(stacked, {0, 3, 1, 2}),
-                           {batch, out_len, cin * kernel});
+  // im2col as one strided view of the padded input:
+  // columns[b, t, c, k] = padded[b, c, t*stride + k*dilation], then
+  // out = columns x W^T.
+  Tensor columns = Reshape(
+      AsStrided(padded, {batch, out_len, cin, kernel},
+                {cin * length, stride, length, dilation}, 0, "Unfold"),
+      {batch, out_len, cin * kernel});
   // weight [Cout, Cin, K] -> [Cin*K, Cout]
   Tensor wmat = Transpose(Reshape(weight, {cout, cin * kernel}), 0, 1);
   Tensor out = MatMul(columns, wmat);  // [B, out_len, Cout]
@@ -118,24 +104,15 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   CONFORMER_CHECK(out_h > 0 && out_w > 0)
       << "Conv2d kernel larger than padded input";
 
-  // im2col from differentiable primitives, exactly like Conv1d: one tap per
-  // (i, j) kernel offset, stacked in the weight's (Cin, Kh, Kw) memory
-  // order so a single MatMul against the reshaped weight applies the whole
-  // kernel. Autograd, capture instrumentation, and the ParallelFor / SIMD
-  // determinism contracts are all inherited from the primitives.
-  std::vector<Tensor> taps;
-  taps.reserve(kh * kw);
-  for (int64_t i = 0; i < kh; ++i) {
-    for (int64_t j = 0; j < kw; ++j) {
-      // [B, Cin, out_h, out_w] window at offset (i, j).
-      taps.push_back(
-          Slice(Slice(padded, 2, i, i + out_h), 3, j, j + out_w));
-    }
-  }
-  // [B, Cin, Kh*Kw, out_h, out_w] -> [B, out_h, out_w, Cin, Kh*Kw]
-  Tensor stacked = StackTensors(taps, /*dim=*/2);
-  Tensor columns = Reshape(Permute(stacked, {0, 3, 4, 1, 2}),
-                           {batch, out_h * out_w, cin * kh * kw});
+  // im2col as one strided view, exactly like Conv1d, in the weight's
+  // (Cin, Kh, Kw) memory order so one MatMul against the reshaped weight
+  // applies the whole kernel: columns[b, y, x, c, i, j] = padded[b, c, y+i,
+  // x+j].
+  Tensor columns = Reshape(
+      AsStrided(padded, {batch, out_h, out_w, cin, kh, kw},
+                {cin * height * width, width, 1, height * width, width, 1}, 0,
+                "Unfold"),
+      {batch, out_h * out_w, cin * kh * kw});
   // weight [Cout, Cin, Kh, Kw] -> [Cin*Kh*Kw, Cout]
   Tensor wmat = Transpose(Reshape(weight, {cout, cin * kh * kw}), 0, 1);
   Tensor out = MatMul(columns, wmat);  // [B, out_h*out_w, Cout]
@@ -288,69 +265,6 @@ Tensor MaxPool1d(const Tensor& input, int64_t kernel, int64_t stride) {
                                                     float* o) {
           std::vector<int64_t> arg(scratch);
           forward(in[0], o, arg.data());
-        };
-      });
-  return result;
-}
-
-Tensor Cumsum(const Tensor& a, int64_t dim) {
-  CONFORMER_PROFILE_SCOPE("cumsum");
-  CONFORMER_CHECK(a.defined());
-  const Shape& shape = a.shape();
-  const int64_t rank = static_cast<int64_t>(shape.size());
-  if (dim < 0) dim += rank;
-  CONFORMER_CHECK(dim >= 0 && dim < rank);
-  const int64_t n = shape[dim];
-  int64_t outer = 1;
-  for (int64_t i = 0; i < dim; ++i) outer *= shape[i];
-  int64_t inner = 1;
-  for (int64_t i = dim + 1; i < rank; ++i) inner *= shape[i];
-
-  std::vector<float> out = internal::AcquireBuffer(a.numel());
-  // Parallel over (outer, inner) scan lanes; each lane's running sum stays
-  // sequential, so the result is thread-count independent.
-  const int64_t lane_grain = std::max<int64_t>(
-      1, kernels::kGrainStrided / std::max<int64_t>(1, n));
-  auto forward = [outer, inner, n, lane_grain](const float* ad, float* dst) {
-    ParallelFor(0, outer * inner, lane_grain, [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const int64_t o = r / inner;
-        const int64_t i = r % inner;
-        float acc = 0.0f;
-        for (int64_t j = 0; j < n; ++j) {
-          acc += ad[(o * n + j) * inner + i];
-          dst[(o * n + j) * inner + i] = acc;
-        }
-      }
-    });
-  };
-  forward(a.data(), out.data());
-
-  Tensor a_in = a;
-  auto backward = [a_in, outer, inner, n, lane_grain](TensorImpl& self) mutable {
-    // d/dx_j sum contributions: reverse cumulative sum of the out-grad.
-    std::vector<float> delta(a_in.numel());
-    const float* gd = self.grad.data();
-    ParallelFor(0, outer * inner, lane_grain, [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const int64_t o = r / inner;
-        const int64_t i = r % inner;
-        float acc = 0.0f;
-        for (int64_t j = n - 1; j >= 0; --j) {
-          acc += gd[(o * n + j) * inner + i];
-          delta[(o * n + j) * inner + i] = acc;
-        }
-      }
-    });
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
-  };
-  Tensor result = internal::MakeOpResult(a.shape(), std::move(out), {a},
-                                         std::move(backward), "Cumsum");
-  internal::MaybeCaptureStep(
-      result, {a}, {"Cumsum", /*zero_init=*/false, /*inplace_safe=*/false},
-      [&] {
-        return [forward](const float* const* in, float* o) {
-          forward(in[0], o);
         };
       });
   return result;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 
 #include "tensor/capture.h"
 #include "tensor/kernels.h"
@@ -59,147 +60,126 @@ Tensor Squeeze(const Tensor& a, int64_t dim) {
   return Reshape(a, std::move(shape));
 }
 
-Tensor Permute(const Tensor& a, std::vector<int64_t> perm) {
+Tensor AsStrided(const Tensor& a, Shape shape, std::vector<int64_t> strides,
+                 int64_t offset, const char* name) {
   CONFORMER_CHECK(a.defined());
-  const Shape& in_shape = a.shape();
-  const int64_t rank = static_cast<int64_t>(in_shape.size());
-  CONFORMER_CHECK_EQ(static_cast<int64_t>(perm.size()), rank);
-  std::vector<bool> seen(rank, false);
-  Shape out_shape(rank);
-  for (int64_t i = 0; i < rank; ++i) {
-    int64_t p = perm[i];
-    if (p < 0) p += rank;
-    CONFORMER_CHECK(p >= 0 && p < rank && !seen[p]) << "invalid permutation";
-    seen[p] = true;
-    perm[i] = p;
-    out_shape[i] = in_shape[p];
+  CONFORMER_CHECK_EQ(shape.size(), strides.size()) << name;
+  CONFORMER_CHECK_GE(offset, 0) << name;
+  int64_t last = offset;  // flat index of the view's final element
+  for (size_t d = 0; d < shape.size(); ++d) {
+    CONFORMER_CHECK(shape[d] >= 0 && strides[d] >= 0)
+        << name << ": negative size or stride in dim " << d;
+    if (shape[d] > 0) last += (shape[d] - 1) * strides[d];
   }
+  const int64_t n = NumElements(shape);
+  CONFORMER_CHECK(n == 0 || last < a.numel())
+      << name << ": view " << ShapeToString(shape) << " at offset " << offset
+      << " reads element " << last << " of a " << a.numel()
+      << "-element input";
 
-  const std::vector<int64_t> in_strides = ContiguousStrides(in_shape);
-  std::vector<int64_t> gather_strides(rank);  // stride in input per out dim
-  for (int64_t i = 0; i < rank; ++i) gather_strides[i] = in_strides[perm[i]];
-
-  const int64_t n = a.numel();
-  std::vector<float> out = internal::AcquireBuffer(n);
-  auto forward = [n, rank, gather_strides, out_shape](const float* ad,
-                                                      float* dst) {
-    std::vector<int64_t> index(rank, 0);
-    int64_t in_off = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      dst[i] = ad[in_off];
-      for (int64_t d = rank - 1; d >= 0; --d) {
-        ++index[d];
-        in_off += gather_strides[d];
-        if (index[d] < out_shape[d]) break;
-        index[d] = 0;
-        in_off -= gather_strides[d] * out_shape[d];
-      }
-    }
+  // Output element i reads a[offset + sum_d idx_d(i) * strides[d]]; the
+  // loop nest walks the output in flat order, one coalesced run at a time.
+  const kernels::RunLoops<1> loops =
+      kernels::CoalesceLoops<1>(shape, {std::move(strides)});
+  const int64_t step = loops.strides[0].back();
+  // Every output element is written by exactly one chunk, so the gather is
+  // thread-count independent.
+  auto forward = [loops, n, offset, step](const float* ad, float* dst) {
+    ParallelFor(0, n, kernels::kGrainStrided, [&](int64_t cb, int64_t ce) {
+      kernels::ForEachRun(
+          loops, cb, ce,
+          [&](int64_t i, int64_t len, const std::array<int64_t, 1>& at) {
+            const float* s = ad + offset + at[0];
+            if (step == 1) {
+              std::copy(s, s + len, dst + i);
+            } else {
+              for (int64_t t = 0; t < len; ++t) dst[i + t] = s[t * step];
+            }
+          });
+    });
   };
+  std::vector<float> out = internal::AcquireBuffer(n);
   forward(a.data(), out.data());
 
   Tensor a_in = a;
-  auto backward = [a_in, gather_strides, out_shape, rank](TensorImpl& self) mutable {
+  auto backward = [a_in, loops, n, offset, step](TensorImpl& self) mutable {
+    // Overlapping views (stride 0, im2col windows) add several output
+    // gradients into one input element, so the scatter stays serial and in
+    // ascending flat output order.
     std::vector<float> delta(a_in.numel(), 0.0f);
     const float* gd = self.grad.data();
-    std::vector<int64_t> index(rank, 0);
-    int64_t in_off = 0;
-    const int64_t n = static_cast<int64_t>(self.grad.size());
-    for (int64_t i = 0; i < n; ++i) {
-      delta[in_off] += gd[i];
-      for (int64_t d = rank - 1; d >= 0; --d) {
-        ++index[d];
-        in_off += gather_strides[d];
-        if (index[d] < out_shape[d]) break;
-        index[d] = 0;
-        in_off -= gather_strides[d] * out_shape[d];
-      }
-    }
+    kernels::ForEachRun(
+        loops, 0, n,
+        [&](int64_t i, int64_t len, const std::array<int64_t, 1>& at) {
+          float* d = delta.data() + offset + at[0];
+          if (step == 1) {
+            for (int64_t t = 0; t < len; ++t) d[t] += gd[i + t];
+          } else {
+            for (int64_t t = 0; t < len; ++t) d[t * step] += gd[i + t];
+          }
+        });
     a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
   };
-  Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
-                                         {a}, std::move(backward), "Permute");
+  Tensor result = internal::MakeOpResult(std::move(shape), std::move(out), {a},
+                                         std::move(backward), name);
   internal::MaybeCaptureStep(
-      result, {a}, {"Permute", /*zero_init=*/false, /*inplace_safe=*/false},
-      [&] {
+      result, {a}, {name, /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
         return [forward](const float* const* in, float* o) {
           forward(in[0], o);
         };
       });
   return result;
+}
+
+Tensor Permute(const Tensor& a, std::vector<int64_t> perm) {
+  CONFORMER_CHECK(a.defined());
+  const Shape& in_shape = a.shape();
+  const int64_t rank = static_cast<int64_t>(in_shape.size());
+  CONFORMER_CHECK_EQ(static_cast<int64_t>(perm.size()), rank);
+  const std::vector<int64_t> in_strides = ContiguousStrides(in_shape);
+  std::vector<bool> seen(rank, false);
+  Shape out_shape(rank);
+  std::vector<int64_t> strides(rank);
+  for (int64_t i = 0; i < rank; ++i) {
+    int64_t p = perm[i];
+    if (p < 0) p += rank;
+    CONFORMER_CHECK(p >= 0 && p < rank && !seen[p]) << "invalid permutation";
+    seen[p] = true;
+    out_shape[i] = in_shape[p];
+    strides[i] = in_strides[p];
+  }
+  return AsStrided(a, std::move(out_shape), std::move(strides), 0, "Permute");
 }
 
 Tensor Transpose(const Tensor& a, int64_t d0, int64_t d1) {
   const int64_t rank = a.dim();
   if (d0 < 0) d0 += rank;
   if (d1 < 0) d1 += rank;
+  CONFORMER_CHECK(d0 >= 0 && d0 < rank && d1 >= 0 && d1 < rank)
+      << "transpose dims out of range for rank " << rank;
   std::vector<int64_t> perm(rank);
   for (int64_t i = 0; i < rank; ++i) perm[i] = i;
   std::swap(perm[d0], perm[d1]);
   return Permute(a, std::move(perm));
 }
 
-Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end,
-             int64_t step) {
+Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end) {
   CONFORMER_CHECK(a.defined());
-  const Shape& in_shape = a.shape();
-  const int64_t rank = static_cast<int64_t>(in_shape.size());
+  const int64_t rank = a.dim();
   if (dim < 0) dim += rank;
   CONFORMER_CHECK(dim >= 0 && dim < rank);
-  const int64_t size = in_shape[dim];
+  const int64_t size = a.size(dim);
   if (start < 0) start += size;
   if (end < 0) end += size;
   start = std::clamp<int64_t>(start, 0, size);
   end = std::clamp<int64_t>(end, 0, size);
-  CONFORMER_CHECK_GT(step, 0) << "slice step must be positive";
-  const int64_t count = end > start ? (end - start + step - 1) / step : 0;
-  CONFORMER_CHECK_GT(count, 0) << "empty slice [" << start << ", " << end
-                               << ") of dim " << dim;
-
-  int64_t outer = 1;
-  for (int64_t i = 0; i < dim; ++i) outer *= in_shape[i];
-  int64_t inner = 1;
-  for (int64_t i = dim + 1; i < rank; ++i) inner *= in_shape[i];
-
-  Shape out_shape = in_shape;
-  out_shape[dim] = count;
-  std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
-  auto forward = [outer, inner, size, start, step, count](const float* ad,
-                                                          float* dst_base) {
-    for (int64_t o = 0; o < outer; ++o) {
-      for (int64_t c = 0; c < count; ++c) {
-        const int64_t src = o * size * inner + (start + c * step) * inner;
-        const int64_t dst = o * count * inner + c * inner;
-        std::copy(ad + src, ad + src + inner, dst_base + dst);
-      }
-    }
-  };
-  forward(a.data(), out.data());
-
-  Tensor a_in = a;
-  auto backward = [a_in, outer, inner, size, start, step,
-                   count](TensorImpl& self) mutable {
-    std::vector<float> delta(a_in.numel(), 0.0f);
-    const float* gd = self.grad.data();
-    for (int64_t o = 0; o < outer; ++o) {
-      for (int64_t c = 0; c < count; ++c) {
-        const int64_t dst = o * size * inner + (start + c * step) * inner;
-        const int64_t src = o * count * inner + c * inner;
-        for (int64_t i = 0; i < inner; ++i) delta[dst + i] += gd[src + i];
-      }
-    }
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
-  };
-  Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
-                                         {a}, std::move(backward), "Slice");
-  internal::MaybeCaptureStep(
-      result, {a}, {"Slice", /*zero_init=*/false, /*inplace_safe=*/false},
-      [&] {
-        return [forward](const float* const* in, float* o) {
-          forward(in[0], o);
-        };
-      });
-  return result;
+  CONFORMER_CHECK_GT(end, start) << "empty slice [" << start << ", " << end
+                                 << ") of dim " << dim;
+  std::vector<int64_t> strides = ContiguousStrides(a.shape());
+  Shape shape = a.shape();
+  shape[dim] = end - start;
+  const int64_t offset = start * strides[dim];
+  return AsStrided(a, std::move(shape), std::move(strides), offset, "Slice");
 }
 
 Tensor Concat(const std::vector<Tensor>& parts, int64_t dim) {
@@ -308,66 +288,57 @@ Tensor Pad(const Tensor& a, int64_t dim, int64_t before, int64_t after,
 
 Tensor ReplicatePad(const Tensor& a, int64_t dim, int64_t before, int64_t after) {
   CONFORMER_CHECK(a.defined());
+  CONFORMER_CHECK(before >= 0 && after >= 0);
   if (before == 0 && after == 0) return a;
-  const int64_t size = a.size(dim);
+  const int64_t rank = a.dim();
+  if (dim < 0) dim += rank;
+  CONFORMER_CHECK(dim >= 0 && dim < rank);
+  const std::vector<int64_t> in_strides = ContiguousStrides(a.shape());
+  // `count` copies of index `at` along `dim`: a stride-0 view.
+  auto edge = [&](int64_t at, int64_t count) {
+    Shape shape = a.shape();
+    shape[dim] = count;
+    std::vector<int64_t> strides = in_strides;
+    strides[dim] = 0;
+    return AsStrided(a, std::move(shape), std::move(strides),
+                     at * in_strides[dim], "Tile");
+  };
   std::vector<Tensor> parts;
-  if (before > 0) {
-    Tensor head = Slice(a, dim, 0, 1);
-    std::vector<int64_t> reps(a.dim(), 1);
-    reps[dim < 0 ? dim + a.dim() : dim] = before;
-    parts.push_back(Tile(head, reps));
-  }
+  if (before > 0) parts.push_back(edge(0, before));
   parts.push_back(a);
-  if (after > 0) {
-    Tensor tail = Slice(a, dim, size - 1, size);
-    std::vector<int64_t> reps(a.dim(), 1);
-    reps[dim < 0 ? dim + a.dim() : dim] = after;
-    parts.push_back(Tile(tail, reps));
-  }
+  if (after > 0) parts.push_back(edge(a.size(dim) - 1, after));
   return Concat(parts, dim);
 }
 
 Tensor BroadcastTo(const Tensor& a, const Shape& shape) {
   CONFORMER_CHECK(a.defined());
-  // Multiplying by ones both materializes the broadcast and reuses the
-  // broadcast-aware gradient reduction of Mul.
-  return Mul(a, Tensor::Ones(shape));
-}
-
-Tensor Flip(const Tensor& a, int64_t dim) {
-  CONFORMER_CHECK(a.defined());
-  const int64_t size = a.size(dim);
-  std::vector<int64_t> reversed(size);
-  for (int64_t i = 0; i < size; ++i) reversed[i] = size - 1 - i;
-  const int64_t rank = a.dim();
-  return IndexSelect(a, dim < 0 ? dim + rank : dim, reversed);
-}
-
-std::vector<Tensor> Split(const Tensor& a, int64_t dim, int64_t chunk) {
-  CONFORMER_CHECK(a.defined());
-  CONFORMER_CHECK_GE(chunk, 1);
-  const int64_t size = a.size(dim);
-  CONFORMER_CHECK_EQ(size % chunk, 0)
-      << "Split requires chunk " << chunk << " to divide dim size " << size;
-  std::vector<Tensor> parts;
-  parts.reserve(size / chunk);
-  for (int64_t start = 0; start < size; start += chunk) {
-    parts.push_back(Slice(a, dim, start, start + chunk));
-  }
-  return parts;
+  return AsStrided(a, shape, kernels::BroadcastStrides(a.shape(), shape), 0,
+                   "BroadcastTo");
 }
 
 Tensor Tile(const Tensor& a, const std::vector<int64_t>& repeats) {
   CONFORMER_CHECK(a.defined());
-  CONFORMER_CHECK_EQ(static_cast<int64_t>(repeats.size()), a.dim());
-  Tensor out = a;
-  for (int64_t d = 0; d < a.dim(); ++d) {
-    CONFORMER_CHECK_GE(repeats[d], 1);
-    if (repeats[d] == 1) continue;
-    std::vector<Tensor> copies(repeats[d], out);
-    out = Concat(copies, d);
+  const int64_t rank = a.dim();
+  CONFORMER_CHECK_EQ(static_cast<int64_t>(repeats.size()), rank);
+  if (std::all_of(repeats.begin(), repeats.end(),
+                  [](int64_t r) { return r == 1; })) {
+    return a;
   }
-  return out;
+  // View [r0, s0, r1, s1, ...] with stride 0 on every repeat dim, then merge
+  // each (r_d, s_d) pair.
+  const std::vector<int64_t> in_strides = ContiguousStrides(a.shape());
+  Shape view_shape;
+  std::vector<int64_t> view_strides;
+  Shape out_shape;
+  for (int64_t d = 0; d < rank; ++d) {
+    CONFORMER_CHECK_GE(repeats[d], 1);
+    view_shape.insert(view_shape.end(), {repeats[d], a.size(d)});
+    view_strides.insert(view_strides.end(), {0, in_strides[d]});
+    out_shape.push_back(repeats[d] * a.size(d));
+  }
+  return Reshape(AsStrided(a, std::move(view_shape), std::move(view_strides),
+                           0, "Tile"),
+                 std::move(out_shape));
 }
 
 }  // namespace conformer

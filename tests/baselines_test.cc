@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/deepar.h"
 #include "baselines/gru_forecaster.h"
@@ -15,6 +18,7 @@
 #include "baselines/transformer_forecaster.h"
 #include "baselines/ts2vec.h"
 #include "data/dataset_registry.h"
+#include "data/time_features.h"
 
 namespace conformer::models {
 namespace {
@@ -383,6 +387,82 @@ TEST(ForecasterTest, TargetBlockIsSuffix) {
                                      batch.y.size(1)));
   Tensor loss_api = model.Loss(batch);
   EXPECT_NEAR(loss_direct.item(), loss_api.item(), 1e-5);
+}
+
+// -- config validation -------------------------------------------------------
+//
+// These build many models from the process-wide GlobalRng(), so they form
+// the last suite registered: gtest runs them after the tests whose outcome
+// depends on their own initial weights.
+
+// Every window, width and hyperparameter value that used to reach a CHECK in
+// a constructor or in Predict (and so could abort a whole serving fleet
+// from AddTenant) comes back as InvalidArgument, for every registry model.
+TEST(ConfigValidationTest, BadConfigsReturnStatusForEveryModel) {
+  struct BadConfig {
+    std::string what;
+    data::WindowConfig window = SmallWindow();
+    int64_t dims = 3;
+    ModelHyperParams params;
+  };
+  std::vector<BadConfig> bad(14);
+  bad[0].what = "d_model % n_heads", bad[0].params.d_model = 30;
+  bad[1].what = "n_heads = 0", bad[1].params.n_heads = 0;
+  bad[2].what = "n_heads < 0", bad[2].params.n_heads = -2;
+  bad[3].what = "d_model = 0", bad[3].params.d_model = 0;
+  bad[4].what = "hidden = 0", bad[4].params.hidden = 0;
+  bad[5].what = "ma_kernel = 0", bad[5].params.ma_kernel = 0;
+  bad[6].what = "dropout = 1", bad[6].params.dropout = 1.0f;
+  bad[7].what = "dropout < 0", bad[7].params.dropout = -0.1f;
+  bad[8].what = "dims = 0", bad[8].dims = 0;
+  bad[9].what = "input_len = 0", bad[9].window = {0, 0, 8};
+  bad[10].what = "pred_len = 0", bad[10].window.pred_len = 0;
+  bad[11].what = "pred_len < 0", bad[11].window.pred_len = -1;
+  bad[12].what = "label_len < 0", bad[12].window.label_len = -1;
+  bad[13].what = "label_len > input_len", bad[13].window.label_len = 17;
+  for (const std::string& name : AvailableModels()) {
+    for (const BadConfig& c : bad) {
+      auto model = MakeForecaster(name, c.window, c.dims, c.params);
+      ASSERT_FALSE(model.ok()) << name << " accepted " << c.what;
+      EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument)
+          << name << ", " << c.what;
+    }
+  }
+}
+
+TEST(ConfigValidationTest, ShortWindowsFollowEachArchitecture) {
+  // Rejected: windows shorter than the architecture needs.
+  for (auto [name, window] :
+       std::vector<std::pair<std::string, data::WindowConfig>>{
+           {"lstnet", {6, 2, 2}},
+           {"timesnet", {1, 0, 2}},
+           {"informer", {1, 0, 2}},
+           {"autoformer", {1, 0, 2}},
+           {"autoformer", {4, 0, 1}}}) {
+    auto model = MakeForecaster(name, window, 2);
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+  // Accepted: every model builds, trains and predicts at its shortest
+  // window with the smallest widths, without a CHECK abort.
+  ModelHyperParams tiny;
+  tiny.d_model = 2;
+  tiny.n_heads = 2;
+  tiny.hidden = 1;
+  tiny.ma_kernel = 30;
+  const data::WindowConfig window = {7, 0, 2};
+  Rng rng(3);
+  data::Batch batch;
+  batch.x = Tensor::Randn({2, 7, 1}, &rng);
+  batch.x_mark = Tensor::Zeros({2, 7, data::kNumTimeFeatures});
+  batch.y = Tensor::Randn({2, 2, 1}, &rng);
+  batch.y_mark = Tensor::Zeros({2, 2, data::kNumTimeFeatures});
+  for (const std::string& name : AvailableModels()) {
+    auto model = MakeForecaster(name, window, 1, tiny);
+    ASSERT_TRUE(model.ok()) << name << ": " << model.status().ToString();
+    model.value()->Loss(batch).Backward();
+    model.value()->SetTraining(false);
+    EXPECT_EQ(model.value()->Predict(batch).shape(), (Shape{2, 2, 1})) << name;
+  }
 }
 
 }  // namespace

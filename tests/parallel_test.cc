@@ -328,16 +328,6 @@ TEST_F(ParallelTest, PoolingForwardAndBackward) {
   });
 }
 
-TEST_F(ParallelTest, CumsumForwardAndBackward) {
-  for (int64_t dim : {0, 1, 2}) {
-    ExpectBitwiseIdentical([dim] {
-      return ForwardBackward(
-          [dim](const Inputs& in) { return Cumsum(in[0], dim); },
-          {{13, 17, 19}});
-    });
-  }
-}
-
 TEST_F(ParallelTest, IndexSelectForwardAndBackward) {
   // Repeated indices: backward scatter-adds into the same rows.
   ExpectBitwiseIdentical([] {
@@ -347,6 +337,29 @@ TEST_F(ParallelTest, IndexSelectForwardAndBackward) {
         },
         {{9, 7, 13}});
   });
+}
+
+TEST_F(ParallelTest, AsStridedForwardAndBackward) {
+  // Each view spans many chunks of the parallel gather: a transpose, a
+  // stride-0 tile, and overlapping im2col windows whose serial backward adds
+  // several output gradients into one input element.
+  using View = std::function<Tensor(const Tensor&)>;
+  for (const View& view : std::vector<View>{
+           [](const Tensor& x) {
+             return AsStrided(x, {16, 96, 7}, {672, 1, 96}, 0, "Permute");
+           },
+           [](const Tensor& x) {
+             return AsStrided(x, {3, 16, 7, 96}, {0, 672, 96, 1}, 0, "Tile");
+           },
+           [](const Tensor& x) {
+             return AsStrided(x, {16, 45, 7, 5}, {672, 2, 96, 1}, 0,
+                              "Unfold");
+           }}) {
+    ExpectBitwiseIdentical([&view] {
+      return ForwardBackward([&view](const Inputs& in) { return view(in[0]); },
+                             {{16, 7, 96}});
+    });
+  }
 }
 
 TEST_F(ParallelTest, BatchedMatMulForwardAndBackward) {

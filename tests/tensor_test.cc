@@ -5,6 +5,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "tensor/alloc_stats.h"
 #include "tensor/kernels.h"
@@ -13,6 +17,8 @@
 
 namespace conformer {
 namespace {
+
+using Inputs = std::vector<Tensor>;
 
 TEST(ShapeTest, NumElements) {
   EXPECT_EQ(NumElements({}), 1);
@@ -299,12 +305,15 @@ TEST(ShapeOpsTest, Permute3d) {
   EXPECT_EQ(p.at({1, 0, 1}), a.at({0, 1, 1}));
 }
 
-TEST(ShapeOpsTest, Slice) {
+TEST(ShapeOpsTest, AsStridedStepsAndRepeats) {
   Tensor a = Tensor::Arange(10);
-  Tensor s = Slice(a, 0, 2, 8, 2);
+  Tensor s = AsStrided(a, {3}, {2}, 2, "Slice");  // [2, 8) step 2
   EXPECT_EQ(s.shape(), (Shape{3}));
   EXPECT_EQ(s.at({0}), 2.0f);
   EXPECT_EQ(s.at({2}), 6.0f);
+  Tensor r = AsStrided(a, {2, 3}, {0, 3}, 1, "Tile");  // stride-0 rows
+  EXPECT_EQ(r.at({0, 2}), 7.0f);
+  EXPECT_EQ(r.at({1, 2}), 7.0f);
 }
 
 TEST(ShapeOpsTest, SliceNegativeIndices) {
@@ -365,40 +374,6 @@ TEST(ShapeOpsTest, BroadcastToAndTile) {
   Tensor t = Tile(a, {2, 2});
   EXPECT_EQ(t.shape(), (Shape{2, 4}));
   EXPECT_EQ(t.at({1, 3}), 2.0f);
-}
-
-TEST(ShapeOpsTest, Flip) {
-  Tensor a = Tensor::FromVector({1, 2, 3, 4, 5, 6}, {2, 3});
-  Tensor f = Flip(a, 1);
-  EXPECT_EQ(f.at({0, 0}), 3.0f);
-  EXPECT_EQ(f.at({0, 2}), 1.0f);
-  EXPECT_EQ(f.at({1, 0}), 6.0f);
-  Tensor rows = Flip(a, 0);
-  EXPECT_EQ(rows.at({0, 0}), 4.0f);
-}
-
-TEST(ShapeOpsTest, FlipIsInvolution) {
-  Tensor a = Tensor::Randn({3, 4});
-  Tensor round = Flip(Flip(a, -1), -1);
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    EXPECT_EQ(round.data()[i], a.data()[i]);
-  }
-}
-
-TEST(ShapeOpsTest, SplitAndConcatRoundTrip) {
-  Tensor a = Tensor::Randn({2, 6});
-  std::vector<Tensor> parts = Split(a, 1, 2);
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0].shape(), (Shape{2, 2}));
-  Tensor round = Concat(parts, 1);
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    EXPECT_EQ(round.data()[i], a.data()[i]);
-  }
-}
-
-TEST(ShapeOpsTest, SplitRejectsUnevenChunk) {
-  Tensor a = Tensor::Randn({2, 5});
-  EXPECT_DEATH(Split(a, 1, 2), "divide");
 }
 
 // -- indexing ----------------------------------------------------------------
@@ -671,19 +646,370 @@ TEST(Conv2dTest, AsymmetricPaddingShapes) {
   EXPECT_EQ(y.shape(), (Shape{1, 3, 4, 6}));
 }
 
-TEST(CumsumTest, LastDim) {
-  Tensor x = Tensor::FromVector({1, 2, 3, 4}, {2, 2});
-  Tensor y = Cumsum(x, 1);
-  EXPECT_EQ(y.at({0, 0}), 1.0f);
-  EXPECT_EQ(y.at({0, 1}), 3.0f);
-  EXPECT_EQ(y.at({1, 1}), 7.0f);
+// -- Strided views against the code they replaced ------------------------------
+//
+// Slice, Permute, Tile, BroadcastTo, ReplicatePad and conv im2col are all
+// AsStrided views. The deleted hand-written Slice / Permute loops and the
+// deleted compositions (Concat-chain Tile, Mul-by-ones BroadcastTo,
+// Slice + Tile ReplicatePad, per-tap im2col) live on here as oracles:
+// outputs must be memcmp-equal and input gradients ==.
+
+// Input offset of every output element, in output order, as the deleted
+// Slice loop walked them (it also took a step).
+std::vector<int64_t> DeletedSliceOffsets(const Shape& in, int64_t dim,
+                                         int64_t start, int64_t end,
+                                         int64_t step) {
+  int64_t outer = 1, inner = 1;
+  for (int64_t i = 0; i < dim; ++i) outer *= in[i];
+  for (size_t i = dim + 1; i < in.size(); ++i) inner *= in[i];
+  const int64_t count = (end - start + step - 1) / step;
+  std::vector<int64_t> offsets;
+  for (int64_t o = 0; o < outer; ++o) {
+    for (int64_t c = 0; c < count; ++c) {
+      for (int64_t i = 0; i < inner; ++i) {
+        offsets.push_back((o * in[dim] + start + c * step) * inner + i);
+      }
+    }
+  }
+  return offsets;
 }
 
-TEST(CumsumTest, FirstDim) {
-  Tensor x = Tensor::FromVector({1, 2, 3, 4}, {2, 2});
-  Tensor y = Cumsum(x, 0);
-  EXPECT_EQ(y.at({1, 0}), 4.0f);
-  EXPECT_EQ(y.at({1, 1}), 6.0f);
+// ... and as the deleted Permute odometer walked them.
+std::vector<int64_t> DeletedPermuteOffsets(const Shape& in,
+                                           const std::vector<int64_t>& perm) {
+  const int64_t rank = static_cast<int64_t>(in.size());
+  const std::vector<int64_t> in_strides = ContiguousStrides(in);
+  Shape out_shape(rank);
+  std::vector<int64_t> gather(rank);
+  for (int64_t i = 0; i < rank; ++i) {
+    out_shape[i] = in[perm[i]];
+    gather[i] = in_strides[perm[i]];
+  }
+  std::vector<int64_t> index(rank, 0);
+  std::vector<int64_t> offsets;
+  int64_t in_off = 0;
+  for (int64_t i = 0; i < NumElements(in); ++i) {
+    offsets.push_back(in_off);
+    for (int64_t d = rank - 1; d >= 0; --d) {
+      ++index[d];
+      in_off += gather[d];
+      if (index[d] < out_shape[d]) break;
+      index[d] = 0;
+      in_off -= gather[d] * out_shape[d];
+    }
+  }
+  return offsets;
+}
+
+Tensor GradLeaf(const Shape& shape, uint64_t seed) {
+  Rng rng(seed);
+  Tensor t = Tensor::Randn(shape, &rng);
+  t.set_requires_grad(true);
+  return t;
+}
+
+void ExpectSameFloats(const Tensor& got, const std::vector<float>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.numel(), static_cast<int64_t>(want.size())) << what;
+  int64_t mismatches = 0;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    mismatches += !(got.data()[i] == want[i]);
+  }
+  EXPECT_EQ(mismatches, 0) << what;
+}
+
+// The view's forward is memcmp-equal to the gather through `offsets`, and
+// its input gradient == the deleted loops' scatter-add through them.
+void ExpectViewMatchesOffsets(const std::function<Tensor(const Tensor&)>& view,
+                              const Shape& in_shape,
+                              const std::vector<int64_t>& offsets) {
+  Tensor x = GradLeaf(in_shape, 11);
+  Tensor y = view(x);
+  ASSERT_EQ(y.numel(), static_cast<int64_t>(offsets.size()));
+  Rng rng(12);
+  Tensor g = Tensor::Randn(y.shape(), &rng);
+  std::vector<float> want_y(offsets.size());
+  std::vector<float> want_dx(x.numel(), 0.0f);
+  for (size_t i = 0; i < offsets.size(); ++i) {
+    want_y[i] = x.data()[offsets[i]];
+    want_dx[offsets[i]] += g.data()[i];
+  }
+  EXPECT_EQ(0, std::memcmp(y.data(), want_y.data(),
+                           sizeof(float) * want_y.size()));
+  Sum(Mul(y, g)).Backward();
+  ExpectSameFloats(x.grad(), want_dx, "input gradient");
+}
+
+// Runs `f` and `oracle` on identical leaves: outputs memcmp-equal, every
+// input gradient ==.
+void ExpectMatchesOracle(const std::function<Tensor(const Inputs&)>& f,
+                         const std::function<Tensor(const Inputs&)>& oracle,
+                         const std::vector<Shape>& shapes,
+                         const std::string& what, bool check_grads = true) {
+  auto run = [&](const std::function<Tensor(const Inputs&)>& fn) {
+    Inputs in;
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      in.push_back(GradLeaf(shapes[i], 40 + i));
+    }
+    Tensor y = fn(in);
+    Rng rng(50);
+    Sum(Mul(y, Tensor::Randn(y.shape(), &rng))).Backward();
+    std::vector<Tensor> results = {y};
+    for (const Tensor& t : in) results.push_back(t.grad());
+    return results;
+  };
+  const std::vector<Tensor> got = run(f);
+  const std::vector<Tensor> want = run(oracle);
+  ASSERT_EQ(got[0].shape(), want[0].shape()) << what;
+  EXPECT_EQ(0, std::memcmp(got[0].data(), want[0].data(),
+                           sizeof(float) * got[0].numel()))
+      << what << ": output";
+  if (!check_grads) return;
+  for (size_t i = 1; i < got.size(); ++i) {
+    ExpectSameFloats(got[i],
+                     std::vector<float>(want[i].data(),
+                                        want[i].data() + want[i].numel()),
+                     what + ": gradient of input " + std::to_string(i - 1));
+  }
+}
+
+// The deleted Tile: one Concat per repeated dim.
+Tensor ConcatTile(const Tensor& a, const std::vector<int64_t>& repeats) {
+  Tensor out = a;
+  for (int64_t d = 0; d < a.dim(); ++d) {
+    if (repeats[d] > 1) out = Concat(std::vector<Tensor>(repeats[d], out), d);
+  }
+  return out;
+}
+
+// The deleted ReplicatePad: edge slices tiled by Concat.
+Tensor ComposedReplicatePad(const Tensor& a, int64_t dim, int64_t before,
+                            int64_t after) {
+  const int64_t size = a.size(dim);
+  std::vector<int64_t> reps(a.dim(), 1);
+  std::vector<Tensor> parts;
+  if (before > 0) {
+    reps[dim] = before;
+    parts.push_back(ConcatTile(Slice(a, dim, 0, 1), reps));
+  }
+  parts.push_back(a);
+  if (after > 0) {
+    reps[dim] = after;
+    parts.push_back(ConcatTile(Slice(a, dim, size - 1, size), reps));
+  }
+  return Concat(parts, dim);
+}
+
+// The deleted Conv1d padding, including the Concat-tiled wide circular pad.
+Tensor ComposedPad1d(const Tensor& input, int64_t padding, PadMode mode) {
+  if (padding == 0) return input;
+  if (mode == PadMode::kZeros) return Pad(input, 2, padding, padding);
+  if (mode == PadMode::kReplicate) {
+    return ComposedReplicatePad(input, 2, padding, padding);
+  }
+  const int64_t length = input.size(2);
+  if (padding <= length) {
+    return Concat({Slice(input, 2, length - padding, length), input,
+                   Slice(input, 2, 0, padding)},
+                  2);
+  }
+  const int64_t rem = padding % length;
+  Tensor tiles = ConcatTile(input, {1, 1, padding / length});
+  std::vector<Tensor> parts;
+  if (rem > 0) parts.push_back(Slice(input, 2, length - rem, length));
+  parts.insert(parts.end(), {tiles, input, tiles});
+  if (rem > 0) parts.push_back(Slice(input, 2, 0, rem));
+  return Concat(parts, 2);
+}
+
+// The deleted per-tap im2col Conv1d; a strided tap picks its positions with
+// IndexSelect now that Slice has no step.
+Tensor ComposedConv1d(const Tensor& input, const Tensor& weight,
+                      const Tensor& bias, int64_t padding, PadMode mode,
+                      int64_t dilation, int64_t stride) {
+  const Tensor padded = ComposedPad1d(input, padding, mode);
+  const int64_t batch = padded.size(0), length = padded.size(2);
+  const int64_t cin = input.size(1), cout = weight.size(0),
+                kernel = weight.size(2);
+  const int64_t out_len = (length - (kernel - 1) * dilation - 1) / stride + 1;
+  std::vector<Tensor> taps;
+  for (int64_t k = 0; k < kernel; ++k) {
+    if (stride == 1) {
+      taps.push_back(Slice(padded, 2, k * dilation, k * dilation + out_len));
+    } else {
+      std::vector<int64_t> at;
+      for (int64_t t = 0; t < out_len; ++t) {
+        at.push_back(k * dilation + t * stride);
+      }
+      taps.push_back(IndexSelect(padded, 2, at));
+    }
+  }
+  Tensor columns = Reshape(Permute(StackTensors(taps, 2), {0, 3, 1, 2}),
+                           {batch, out_len, cin * kernel});
+  Tensor wmat = Transpose(Reshape(weight, {cout, cin * kernel}), 0, 1);
+  Tensor out = MatMul(columns, wmat);
+  if (bias.defined()) out = Add(out, Reshape(bias, {1, 1, cout}));
+  return Permute(out, {0, 2, 1});
+}
+
+// The deleted per-tap im2col Conv2d.
+Tensor ComposedConv2d(const Tensor& input, const Tensor& weight,
+                      const Tensor& bias, int64_t ph, int64_t pw) {
+  Tensor padded = input;
+  if (ph > 0) padded = Pad(padded, 2, ph, ph);
+  if (pw > 0) padded = Pad(padded, 3, pw, pw);
+  const int64_t batch = padded.size(0), cin = input.size(1);
+  const int64_t cout = weight.size(0), kh = weight.size(2), kw = weight.size(3);
+  const int64_t out_h = padded.size(2) - kh + 1;
+  const int64_t out_w = padded.size(3) - kw + 1;
+  std::vector<Tensor> taps;
+  for (int64_t i = 0; i < kh; ++i) {
+    for (int64_t j = 0; j < kw; ++j) {
+      taps.push_back(Slice(Slice(padded, 2, i, i + out_h), 3, j, j + out_w));
+    }
+  }
+  Tensor columns = Reshape(Permute(StackTensors(taps, 2), {0, 3, 4, 1, 2}),
+                           {batch, out_h * out_w, cin * kh * kw});
+  Tensor wmat = Transpose(Reshape(weight, {cout, cin * kh * kw}), 0, 1);
+  Tensor out = MatMul(columns, wmat);
+  if (bias.defined()) out = Add(out, Reshape(bias, {1, 1, cout}));
+  return Permute(Reshape(out, {batch, out_h, out_w, cout}), {0, 3, 1, 2});
+}
+
+TEST(StridedViewOracleTest, SliceMatchesDeletedLoop) {
+  const Shape shape = {3, 5, 4};
+  for (int64_t dim = 0; dim < 3; ++dim) {
+    for (auto [start, end] : {std::pair<int64_t, int64_t>{0, 1}, {1, 3},
+                              {0, 3}, {2, 3}}) {
+      ExpectViewMatchesOffsets(
+          [&](const Tensor& x) { return Slice(x, dim, start, end); }, shape,
+          DeletedSliceOffsets(shape, dim, start, end, 1));
+    }
+  }
+  // Negative indices count from the end: [-3, -1) of dim 1 is [2, 4).
+  ExpectViewMatchesOffsets([](const Tensor& x) { return Slice(x, -2, -3, -1); },
+                           shape, DeletedSliceOffsets(shape, 1, 2, 4, 1));
+  // A stepped slice is an AsStrided view: rows 1, 3 of dim 1.
+  ExpectViewMatchesOffsets(
+      [](const Tensor& x) {
+        return AsStrided(x, {3, 2, 4}, {20, 8, 1}, 4, "Slice");
+      },
+      shape, DeletedSliceOffsets(shape, 1, 1, 5, 2));
+}
+
+TEST(StridedViewOracleTest, PermuteMatchesDeletedLoop) {
+  const Shape shape = {2, 3, 4, 5};
+  for (const std::vector<int64_t>& perm :
+       {std::vector<int64_t>{0, 1, 2, 3}, {3, 2, 1, 0}, {0, 3, 1, 2},
+        {1, 0, 3, 2}, {2, 0, 3, 1}}) {
+    ExpectViewMatchesOffsets(
+        [&](const Tensor& x) { return Permute(x, perm); }, shape,
+        DeletedPermuteOffsets(shape, perm));
+  }
+  ExpectViewMatchesOffsets(
+      [](const Tensor& x) { return Transpose(x, -1, 1); }, shape,
+      DeletedPermuteOffsets(shape, {0, 3, 2, 1}));
+}
+
+TEST(StridedViewOracleTest, TileBroadcastAndReplicatePadMatchCompositions) {
+  for (const std::vector<int64_t>& reps :
+       {std::vector<int64_t>{3, 1, 1}, {1, 4, 1}, {1, 1, 2}}) {
+    ExpectMatchesOracle(
+        [&](const Inputs& in) { return Tile(in[0], reps); },
+        [&](const Inputs& in) { return ConcatTile(in[0], reps); },
+        {{2, 3, 4}}, "Tile");
+  }
+  // Tiling several dims at once: the Concat chain summed the gradient one
+  // dim at a time, the view in one flat pass, so only values are pinned.
+  ExpectMatchesOracle(
+      [](const Inputs& in) { return Tile(in[0], {2, 3, 2}); },
+      [](const Inputs& in) { return ConcatTile(in[0], {2, 3, 2}); },
+      {{2, 3, 4}}, "multi-dim Tile", /*check_grads=*/false);
+  for (const Shape& from : {Shape{1, 4}, Shape{3, 1}, Shape{4}, Shape{1, 1}}) {
+    ExpectMatchesOracle(
+        [](const Inputs& in) { return BroadcastTo(in[0], {2, 3, 4}); },
+        [](const Inputs& in) { return Mul(in[0], Tensor::Ones({2, 3, 4})); },
+        {from}, "BroadcastTo");
+  }
+  for (int64_t dim : {0, 1, -1}) {
+    for (auto [before, after] : {std::pair<int64_t, int64_t>{1, 1}, {3, 0},
+                                 {0, 2}, {4, 3}}) {
+      const int64_t d = dim < 0 ? dim + 3 : dim;
+      ExpectMatchesOracle(
+          [&](const Inputs& in) {
+            return ReplicatePad(in[0], dim, before, after);
+          },
+          [&](const Inputs& in) {
+            return ComposedReplicatePad(in[0], d, before, after);
+          },
+          {{2, 3, 5}}, "ReplicatePad dim " + std::to_string(dim));
+    }
+  }
+}
+
+TEST(StridedViewOracleTest, Conv1dMatchesComposedIm2col) {
+  for (PadMode mode : {PadMode::kZeros, PadMode::kReplicate,
+                       PadMode::kCircular}) {
+    for (int64_t padding : {0, 1, 2}) {
+      for (int64_t dilation : {1, 2, 3}) {
+        for (int64_t stride : {1, 2, 3}) {
+          const std::string what =
+              "Conv1d mode " + std::to_string(static_cast<int>(mode)) +
+              " padding " + std::to_string(padding) + " dilation " +
+              std::to_string(dilation) + " stride " + std::to_string(stride);
+          ExpectMatchesOracle(
+              [&](const Inputs& in) {
+                return Conv1d(in[0], in[1], in[2], padding, mode, dilation,
+                              stride);
+              },
+              [&](const Inputs& in) {
+                return ComposedConv1d(in[0], in[1], in[2], padding, mode,
+                                      dilation, stride);
+              },
+              {{2, 3, 11}, {4, 3, 3}, {4}}, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(StridedViewOracleTest, Conv1dWideCircularPadMatchesComposedValues) {
+  // Padding wider than the input: one Slice of a stride-0 tiling replaced a
+  // Concat of remainder slices and Concat-chain tiles. The gradient sums the
+  // same periodic copies in a different association, so only values are
+  // pinned here; GradCheckTest.CircularPadWiderThanInput checks the
+  // gradient.
+  for (auto [length, padding] : {std::pair<int64_t, int64_t>{3, 4}, {3, 5},
+                                 {2, 6}, {4, 5}}) {
+    ExpectMatchesOracle(
+        [&](const Inputs& in) {
+          return Conv1d(in[0], in[1], in[2], padding, PadMode::kCircular);
+        },
+        [&](const Inputs& in) {
+          return ComposedConv1d(in[0], in[1], in[2], padding,
+                                PadMode::kCircular, 1, 1);
+        },
+        {{2, 3, length}, {4, 3, 3}, {4}},
+        "wide circular length " + std::to_string(length) + " padding " +
+            std::to_string(padding),
+        /*check_grads=*/false);
+  }
+}
+
+TEST(StridedViewOracleTest, Conv2dMatchesComposedIm2col) {
+  for (auto [ph, pw] : {std::pair<int64_t, int64_t>{0, 0}, {1, 0}, {0, 1},
+                        {1, 1}, {2, 1}}) {
+    for (auto [kh, kw] : {std::pair<int64_t, int64_t>{3, 3}, {2, 3}, {1, 1}}) {
+      ExpectMatchesOracle(
+          [&](const Inputs& in) { return Conv2d(in[0], in[1], in[2], ph, pw); },
+          [&](const Inputs& in) {
+            return ComposedConv2d(in[0], in[1], in[2], ph, pw);
+          },
+          {{2, 3, 5, 6}, {4, 3, kh, kw}, {4}},
+          "Conv2d pad " + std::to_string(ph) + "x" + std::to_string(pw) +
+              " kernel " + std::to_string(kh) + "x" + std::to_string(kw));
+    }
+  }
 }
 
 // -- nn functionals ----------------------------------------------------------------
@@ -783,6 +1109,19 @@ TEST(DeathTest, ReshapeWrongElementCount) {
 
 TEST(DeathTest, SqueezeNonSingleton) {
   EXPECT_DEATH(Squeeze(Tensor::Ones({2, 3}), 0), "singleton");
+}
+
+TEST(DeathTest, TransposeDimOutOfRange) {
+  // The swap used to run before any check and wrote past the permutation.
+  EXPECT_DEATH(Transpose(Tensor::Ones({2, 3}), 5, 0), "out of range");
+  EXPECT_DEATH(Transpose(Tensor::Ones({2, 3}), 0, -3), "out of range");
+}
+
+TEST(DeathTest, AsStridedViewOutOfBounds) {
+  Tensor a = Tensor::Ones({2, 3});
+  // The last element sits at 1 + 1*3 + 2*1 = 6, one past the end.
+  EXPECT_DEATH(AsStrided(a, {2, 3}, {3, 1}, 1, "Slice"), "reads element 6");
+  EXPECT_DEATH(AsStrided(a, {2}, {-1}, 1, "Slice"), "negative");
 }
 
 TEST(EdgeCaseTest, SingleElementTensorsWork) {
