@@ -18,10 +18,7 @@ Tensor LogSparseAttention::Forward(const Tensor& q, const Tensor& k,
   (void)causal;  // The log-sparse pattern is causal by construction.
   CONFORMER_CHECK_EQ(q.size(1), k.size(1))
       << "log-sparse attention is self-attention only";
-  const int64_t bh = q.size(0);
   const int64_t length = q.size(1);
-  const int64_t dk = q.size(2);
-  const int64_t dv = v.size(2);
 
   // Tap pattern per position: self, sub_len neighbours, exponential steps.
   const int64_t log_taps = static_cast<int64_t>(
@@ -48,15 +45,7 @@ Tensor LogSparseAttention::Forward(const Tensor& q, const Tensor& k,
     }
   });
 
-  Tensor k_band = Reshape(IndexSelect(k, 1, taps), {bh, length, width, dk});
-  Tensor v_band = Reshape(IndexSelect(v, 1, taps), {bh, length, width, dv});
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
-  Tensor q_exp = Reshape(q, {bh, length, 1, dk});
-  Tensor scores = MulScalar(Sum(Mul(q_exp, k_band), {-1}), scale);
-  scores = Add(scores, Tensor::FromVector(std::move(mask), {1, length, width}));
-  Tensor weights = Softmax(scores, -1);
-  return Sum(Mul(Reshape(weights, {bh, length, width, 1}), v_band), {2});
+  return internal::BandedAttention(q, k, v, taps, std::move(mask), width);
 }
 
 }  // namespace conformer::attention

@@ -16,11 +16,8 @@ SlidingWindowAttention::SlidingWindowAttention(int64_t window)
 Tensor SlidingWindowAttention::Forward(const Tensor& q, const Tensor& k,
                                        const Tensor& v, bool causal) const {
   CONFORMER_PROFILE_SCOPE_CAT("attention", "sliding_window");
-  const int64_t bh = q.size(0);
   const int64_t lq = q.size(1);
   const int64_t lk = k.size(1);
-  const int64_t dk = q.size(2);
-  const int64_t dv = v.size(2);
   const int64_t half = window_ / 2;
   const int64_t width = 2 * half + 1;  // neighbours per side + self
 
@@ -45,6 +42,18 @@ Tensor SlidingWindowAttention::Forward(const Tensor& q, const Tensor& k,
     }
   });
 
+  return internal::BandedAttention(q, k, v, taps, std::move(mask), width);
+}
+
+namespace internal {
+
+Tensor BandedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                       const std::vector<int64_t>& taps,
+                       std::vector<float> mask, int64_t width) {
+  const int64_t bh = q.size(0);
+  const int64_t lq = q.size(1);
+  const int64_t dk = q.size(2);
+  const int64_t dv = v.size(2);
   // Gather banded keys / values: [BH, Lq*W, d] -> [BH, Lq, W, d].
   Tensor k_band = Reshape(IndexSelect(k, 1, taps), {bh, lq, width, dk});
   Tensor v_band = Reshape(IndexSelect(v, 1, taps), {bh, lq, width, dv});
@@ -58,5 +67,7 @@ Tensor SlidingWindowAttention::Forward(const Tensor& q, const Tensor& k,
   // out [BH, Lq, dv]
   return Sum(Mul(Reshape(weights, {bh, lq, width, 1}), v_band), {2});
 }
+
+}  // namespace internal
 
 }  // namespace conformer::attention

@@ -45,12 +45,6 @@ void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   });
 }
 
-void Axpy(int64_t n, float alpha, const float* x, float* out) {
-  ParallelFor(0, n, kGrainElementwise, [&](int64_t cb, int64_t ce) {
-    vec::MulAddN(x + cb, alpha, out + cb, ce - cb);
-  });
-}
-
 Shape BroadcastShape(const Shape& a, const Shape& b) {
   const int64_t rank = std::max(a.size(), b.size());
   Shape out(rank);
@@ -89,47 +83,68 @@ std::vector<int64_t> BroadcastStrides(const Shape& from, const Shape& to) {
   return strides;
 }
 
-void ReduceGradToShape(const float* grad, const Shape& grad_shape, float* out,
-                       const Shape& target_shape) {
-  if (grad_shape == target_shape) {
-    Axpy(NumElements(grad_shape), 1.0f, grad, out);
-    return;
-  }
-  const RunLoops<1> loops = CoalesceLoops<1>(
-      grad_shape, {BroadcastStrides(target_shape, grad_shape)});
-  // A target's innermost kept dim is contiguous, so a row run either sums
-  // into one target element (stride 0) or adds onto a contiguous span.
-  const int64_t inner_stride = loops.strides[0].back();
-  CONFORMER_CHECK(inner_stride == 0 || inner_stride == 1);
-  auto reduce_range = [&](int64_t cb, int64_t ce) {
+void Gather(const float* src, const Shape& shape,
+            const std::vector<int64_t>& strides, int64_t offset, float* dst) {
+  const RunLoops<1> loops = CoalesceLoops<1>(shape, {strides});
+  const int64_t step = loops.strides[0].back();
+  const int64_t n = NumElements(shape);
+  src += offset;
+  ParallelFor(0, n, kGrainStrided, [&](int64_t cb, int64_t ce) {
     ForEachRun(loops, cb, ce,
                [&](int64_t i, int64_t len, const std::array<int64_t, 1>& at) {
-                 float* o = out + at[0];
-                 if (inner_stride == 1) {
-                   vec::AddN(o, grad + i, o, len);
-                   return;
+                 const float* s = src + at[0];
+                 if (step == 1) {
+                   std::copy(s, s + len, dst + i);
+                 } else {
+                   for (int64_t t = 0; t < len; ++t) dst[i + t] = s[t * step];
                  }
-                 float acc = *o;
-                 for (int64_t t = 0; t < len; ++t) acc += grad[i + t];
-                 *o = acc;
+               });
+  });
+}
+
+void ScatterAdd(const float* src, const Shape& shape,
+                const std::vector<int64_t>& strides, int64_t offset,
+                float* dst) {
+  const int64_t n = NumElements(shape);
+  if (n == 0) return;
+  const RunLoops<1> loops = CoalesceLoops<1>(shape, {strides});
+  const int64_t step = loops.strides[0].back();
+  dst += offset;
+  auto scatter_range = [&](int64_t cb, int64_t ce) {
+    ForEachRun(loops, cb, ce,
+               [&](int64_t i, int64_t len, const std::array<int64_t, 1>& at) {
+                 float* d = dst + at[0];
+                 const float* s = src + i;
+                 if (step == 0) {
+                   float acc = *d;
+                   for (int64_t t = 0; t < len; ++t) acc += s[t];
+                   *d = acc;
+                 } else if (step == 1 && len >= vec::kFloatLanes) {
+                   // The dispatched call pays off once its vector body runs;
+                   // im2col's kernel-wide runs stay inline.
+                   vec::AddN(d, s, d, len);
+                 } else {
+                   for (int64_t t = 0; t < len; ++t) d[t * step] += s[t];
+                 }
                });
   };
 
-  // The accumulation targets overlap across the reduced (stride-0) dims, so
-  // chunks may only split the leading dimension when it is NOT reduced: then
-  // each leading index owns a disjoint slice of `out`, and per-element
-  // accumulation order (flat index order) is unchanged — bitwise identical
-  // at any thread count.
-  const int64_t n = NumElements(grad_shape);
+  // Leading slice r covers [r * lead_stride, r * lead_stride + span): the
+  // slices are disjoint exactly when lead_stride >= span, and then splitting
+  // over them leaves every dst element's flat add order unchanged.
   const int64_t lead = loops.shape[0];
-  if (loops.strides[0][0] > 0 && lead > 1 && n > 0) {
+  int64_t span = 1;
+  for (size_t d = 1; d < loops.shape.size(); ++d) {
+    span += (loops.shape[d] - 1) * loops.strides[0][d];
+  }
+  if (lead > 1 && loops.strides[0][0] >= span) {
     const int64_t block = n / lead;
     const int64_t row_grain = std::max<int64_t>(1, kGrainStrided / block);
     ParallelFor(0, lead, row_grain, [&](int64_t r0, int64_t r1) {
-      reduce_range(r0 * block, r1 * block);
+      scatter_range(r0 * block, r1 * block);
     });
   } else {
-    reduce_range(0, n);
+    scatter_range(0, n);
   }
 }
 

@@ -39,9 +39,6 @@ inline constexpr int64_t kGrainGemmMacs = 1 << 15;
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           const float* a, const float* b, float* c, bool accumulate);
 
-/// out[i] += alpha * x[i]
-void Axpy(int64_t n, float alpha, const float* x, float* out);
-
 /// The shape both operands broadcast to (numpy rules); CHECK-fails if
 /// incompatible.
 Shape BroadcastShape(const Shape& a, const Shape& b);
@@ -188,11 +185,25 @@ void BroadcastBinarySpan(const float* a, const Shape& a_shape, const float* b,
   BroadcastBinary(a, a_shape, b, b_shape, out, out_shape, f);
 }
 
-/// Sums `grad` (of shape `grad_shape`) down to `target_shape` (which must
-/// broadcast to `grad_shape`), writing into `out` (pre-zeroed by caller or
-/// accumulated; this function ACCUMULATES).
-void ReduceGradToShape(const float* grad, const Shape& grad_shape,
-                       float* out, const Shape& target_shape);
+/// The strided gather: dst[i] = src[offset + Σ_d idx_d(i) * strides[d]] for
+/// every flat index i of `shape` (strides >= 0, may be 0 or overlap). Every
+/// dst element is written by exactly one chunk; a unit-stride run is one
+/// std::copy.
+void Gather(const float* src, const Shape& shape,
+            const std::vector<int64_t>& strides, int64_t offset, float* dst);
+
+/// The strided scatter-add, Gather's reverse:
+/// dst[offset + Σ_d idx_d(i) * strides[d]] += src[i]. Each dst element adds
+/// its sources one at a time in ascending flat order of i, so stride-0 dims
+/// sum over them (broadcast-gradient reduction, Sum) and overlapping views
+/// add every window (im2col backward). Splits across threads only over the
+/// coalesced leading dim, and only when its stride is at least the span of
+/// one leading slice (1 + Σ_{d>=1} (shape[d] - 1) * strides[d]), so the
+/// slices write disjoint ranges; otherwise runs serially. Bitwise identical
+/// at any thread count either way.
+void ScatterAdd(const float* src, const Shape& shape,
+                const std::vector<int64_t>& strides, int64_t offset,
+                float* dst);
 
 }  // namespace conformer::kernels
 

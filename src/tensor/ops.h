@@ -88,11 +88,12 @@ Tensor Reshape(const Tensor& a, Shape shape);
 /// The one strided-view primitive: output element i (flat, row-major over
 /// `shape`) is a[offset + sum_d idx_d(i) * strides[d]]. Strides may be 0
 /// (repeats) and views may overlap (im2col windows); CHECKs that every read
-/// stays inside `a`. The forward is a parallel gather; the backward one
-/// serial scatter-add in ascending flat output order. `name` (a string
-/// literal) names the autograd node and the plan step. Slice, Permute,
-/// Transpose, Tile, BroadcastTo, ReplicatePad and conv im2col ("Unfold")
-/// are views built on it.
+/// stays inside `a`. The forward is kernels::Gather; the backward
+/// kernels::ScatterAdd, in ascending flat output order per input element
+/// (batch-parallel for im2col). `name` (a string literal) names the
+/// autograd node and the plan step. Slice, Permute, Transpose, Tile,
+/// BroadcastTo, ReplicatePad and conv im2col ("Unfold") are views built on
+/// it.
 Tensor AsStrided(const Tensor& a, Shape shape, std::vector<int64_t> strides,
                  int64_t offset, const char* name);
 /// Permutes dimensions; `perm` is the new order of old dims.

@@ -51,32 +51,25 @@ Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, Fn f, SpanFn span,
                     for (int64_t i = cb; i < ce; ++i) local[i] *= self.grad[i];
                   });
     };
-    if (a_in.requires_grad() || a_in.impl()->node != nullptr) {
+    // Scatter-adds the local gradient wrt `in` onto its (maybe broadcast)
+    // shape; stride 0 over the broadcast dims sums them.
+    const auto accumulate = [&](Tensor& in, const auto& df) {
+      if (!in.requires_grad() && in.impl()->node == nullptr) return;
       kernels::BroadcastBinary(a_in.data(), a_in.shape(), b_in.data(),
-                               b_in.shape(), local.data(), out_shape, dfda);
+                               b_in.shape(), local.data(), out_shape, df);
       scale_by_grad();
-      if (a_in.shape() == out_shape) {
-        a_in.impl()->AccumulateGrad(local.data(), n);
-      } else {
-        std::vector<float> reduced(a_in.numel(), 0.0f);
-        kernels::ReduceGradToShape(local.data(), out_shape, reduced.data(),
-                                   a_in.shape());
-        a_in.impl()->AccumulateGrad(reduced.data(), a_in.numel());
+      if (in.shape() == out_shape) {
+        in.impl()->AccumulateGrad(local.data(), n);
+        return;
       }
-    }
-    if (b_in.requires_grad() || b_in.impl()->node != nullptr) {
-      kernels::BroadcastBinary(a_in.data(), a_in.shape(), b_in.data(),
-                               b_in.shape(), local.data(), out_shape, dfdb);
-      scale_by_grad();
-      if (b_in.shape() == out_shape) {
-        b_in.impl()->AccumulateGrad(local.data(), n);
-      } else {
-        std::vector<float> reduced(b_in.numel(), 0.0f);
-        kernels::ReduceGradToShape(local.data(), out_shape, reduced.data(),
-                                   b_in.shape());
-        b_in.impl()->AccumulateGrad(reduced.data(), b_in.numel());
-      }
-    }
+      std::vector<float> reduced(in.numel(), 0.0f);
+      kernels::ScatterAdd(local.data(), out_shape,
+                          kernels::BroadcastStrides(in.shape(), out_shape), 0,
+                          reduced.data());
+      in.impl()->AccumulateGrad(reduced.data(), in.numel());
+    };
+    accumulate(a_in, dfda);
+    accumulate(b_in, dfdb);
   };
   Tensor result = internal::MakeOpResult(out_shape, std::move(out), {a, b},
                                          std::move(backward), name);

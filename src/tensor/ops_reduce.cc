@@ -59,7 +59,6 @@ Tensor Sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
   const int64_t rank = static_cast<int64_t>(in_shape.size());
   dims = NormalizeDims(std::move(dims), rank);
   const Shape out_shape = ReducedShape(in_shape, dims, keepdim);
-  const Shape keep_shape = KeepdimShape(in_shape, dims);
 
   const int64_t out_numel = NumElements(out_shape);
   std::vector<float> out = internal::AcquireBuffer(out_numel);
@@ -75,12 +74,15 @@ Tensor Sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
   if (suffix_reduce) {
     for (int64_t d = dims.front(); d < rank; ++d) suffix_row_len *= in_shape[d];
   }
-  // Accumulate via broadcast-strided iteration over the input. The whole
-  // compute is one by-value closure so a captured replay re-runs the exact
-  // same code path over raw pointers (`dst` must be pre-zeroed).
-  auto forward = [in_shape, rank, out_numel, suffix_reduce, suffix_row_len,
-                  out_strides = kernels::BroadcastStrides(keep_shape, in_shape),
-                  n = a.numel()](const float* ad, float* dst) {
+  // Every other reduction scatter-adds the input onto the output read with
+  // stride 0 over the reduced dims, each output element summed in ascending
+  // flat input order. The whole compute is one by-value closure so a
+  // captured replay re-runs the exact same code path over raw pointers
+  // (`dst` must be pre-zeroed).
+  const std::vector<int64_t> out_strides = kernels::BroadcastStrides(
+      KeepdimShape(in_shape, dims), in_shape);
+  auto forward = [in_shape, out_numel, suffix_reduce, suffix_row_len,
+                  out_strides](const float* ad, float* dst) {
     if (suffix_reduce && suffix_row_len > 0) {
       const int64_t row_grain = std::max<int64_t>(
           1, kernels::kGrainStrided / suffix_row_len);
@@ -91,102 +93,17 @@ Tensor Sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
       });
       return;
     }
-    // Accumulates input flat range [cb, ce) into `acc` (out-sized buffer).
-    auto sum_range = [&](int64_t cb, int64_t ce, float* acc) {
-      std::vector<int64_t> index(rank, 0);
-      int64_t out_off = 0;
-      int64_t rem = cb;
-      for (int64_t d = rank - 1; d >= 0; --d) {
-        index[d] = rem % in_shape[d];
-        rem /= in_shape[d];
-        out_off += index[d] * out_strides[d];
-      }
-      for (int64_t i = cb; i < ce; ++i) {
-        acc[out_off] += ad[i];
-        for (int64_t d = rank - 1; d >= 0; --d) {
-          ++index[d];
-          out_off += out_strides[d];
-          if (index[d] < in_shape[d]) break;
-          index[d] = 0;
-          out_off -= out_strides[d] * in_shape[d];
-        }
-      }
-    };
-
-    const int64_t lead = rank > 0 ? in_shape[0] : 1;
-    const int64_t block = lead > 0 ? n / lead : 0;
-    if (rank > 0 && out_strides[0] > 0 && lead > 1) {
-      // Leading dim not reduced: each leading index owns a disjoint out
-      // slice, so this parallelization keeps the exact sequential
-      // accumulation order per output element.
-      const int64_t row_grain =
-          std::max<int64_t>(1, kernels::kGrainStrided / std::max<int64_t>(1, block));
-      ParallelFor(0, lead, row_grain, [&](int64_t r0, int64_t r1) {
-        sum_range(r0 * block, r1 * block, dst);
-      });
-    } else if (n >= 2 * kernels::kGrainStrided && out_numel <= 4096) {
-      // Leading dim reduced (e.g. full reduction to a scalar): fixed-order
-      // per-chunk partial accumulation. Chunk boundaries depend only on the
-      // grain and the partials are folded in chunk order, so the result is
-      // bitwise identical at any thread count (never atomics on floats).
-      struct Partial {
-        std::vector<float> values;
-      };
-      Partial total = ParallelReduce(
-          int64_t{0}, n, kernels::kGrainStrided, Partial{},
-          [&](int64_t cb, int64_t ce) {
-            Partial p;
-            p.values.assign(out_numel, 0.0f);
-            sum_range(cb, ce, p.values.data());
-            return p;
-          },
-          [&](Partial acc, Partial p) {
-            if (acc.values.empty()) return p;
-            for (int64_t i = 0; i < out_numel; ++i) {
-              acc.values[i] += p.values[i];
-            }
-            return acc;
-          });
-      if (!total.values.empty()) {
-        std::copy(total.values.begin(), total.values.end(), dst);
-      }
-    } else {
-      sum_range(0, n, dst);
-    }
+    kernels::ScatterAdd(ad, in_shape, out_strides, 0, dst);
   };
   forward(a.data(), out.data());
 
   Tensor a_in = a;
-  auto backward = [a_in, keep_shape](TensorImpl& self) mutable {
+  auto backward = [a_in, out_strides](TensorImpl& self) mutable {
     // Gradient broadcasts the output gradient back over reduced dims.
-    const Shape& in_shape = a_in.shape();
-    const int64_t rank = static_cast<int64_t>(in_shape.size());
-    const std::vector<int64_t> g_strides =
-        kernels::BroadcastStrides(keep_shape, in_shape);
-    const int64_t n = a_in.numel();
-    std::vector<float> delta(n);
-    const float* gd = self.grad.data();
-    ParallelFor(0, n, kernels::kGrainStrided, [&](int64_t cb, int64_t ce) {
-      std::vector<int64_t> index(rank, 0);
-      int64_t g_off = 0;
-      int64_t rem = cb;
-      for (int64_t d = rank - 1; d >= 0; --d) {
-        index[d] = rem % in_shape[d];
-        rem /= in_shape[d];
-        g_off += index[d] * g_strides[d];
-      }
-      for (int64_t i = cb; i < ce; ++i) {
-        delta[i] = gd[g_off];
-        for (int64_t d = rank - 1; d >= 0; --d) {
-          ++index[d];
-          g_off += g_strides[d];
-          if (index[d] < in_shape[d]) break;
-          index[d] = 0;
-          g_off -= g_strides[d] * in_shape[d];
-        }
-      }
-    });
-    a_in.impl()->AccumulateGrad(delta.data(), n);
+    std::vector<float> delta(a_in.numel());
+    kernels::Gather(self.grad.data(), a_in.shape(), out_strides, 0,
+                    delta.data());
+    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
   };
   Tensor result = internal::MakeOpResult(out_shape, std::move(out), {a},
                                          std::move(backward), "Sum");
@@ -231,6 +148,7 @@ Tensor ExtremeOverDim(const Tensor& a, int64_t dim, bool keepdim, Cmp cmp,
   CONFORMER_CHECK(dim >= 0 && dim < rank) << name << " dim out of range";
 
   const int64_t reduce_n = in_shape[dim];
+  CONFORMER_CHECK_GT(reduce_n, 0) << name << " over empty dim " << dim;
   int64_t outer = 1;
   for (int64_t i = 0; i < dim; ++i) outer *= in_shape[i];
   int64_t inner = 1;

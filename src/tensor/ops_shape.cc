@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <array>
 
 #include "tensor/capture.h"
 #include "tensor/kernels.h"
@@ -77,47 +76,20 @@ Tensor AsStrided(const Tensor& a, Shape shape, std::vector<int64_t> strides,
       << " reads element " << last << " of a " << a.numel()
       << "-element input";
 
-  // Output element i reads a[offset + sum_d idx_d(i) * strides[d]]; the
-  // loop nest walks the output in flat order, one coalesced run at a time.
-  const kernels::RunLoops<1> loops =
-      kernels::CoalesceLoops<1>(shape, {std::move(strides)});
-  const int64_t step = loops.strides[0].back();
-  // Every output element is written by exactly one chunk, so the gather is
-  // thread-count independent.
-  auto forward = [loops, n, offset, step](const float* ad, float* dst) {
-    ParallelFor(0, n, kernels::kGrainStrided, [&](int64_t cb, int64_t ce) {
-      kernels::ForEachRun(
-          loops, cb, ce,
-          [&](int64_t i, int64_t len, const std::array<int64_t, 1>& at) {
-            const float* s = ad + offset + at[0];
-            if (step == 1) {
-              std::copy(s, s + len, dst + i);
-            } else {
-              for (int64_t t = 0; t < len; ++t) dst[i + t] = s[t * step];
-            }
-          });
-    });
+  // Output element i reads a[offset + sum_d idx_d(i) * strides[d]].
+  auto forward = [shape, strides, offset](const float* ad, float* dst) {
+    kernels::Gather(ad, shape, strides, offset, dst);
   };
   std::vector<float> out = internal::AcquireBuffer(n);
   forward(a.data(), out.data());
 
   Tensor a_in = a;
-  auto backward = [a_in, loops, n, offset, step](TensorImpl& self) mutable {
+  auto backward = [a_in, shape, strides, offset](TensorImpl& self) mutable {
     // Overlapping views (stride 0, im2col windows) add several output
-    // gradients into one input element, so the scatter stays serial and in
-    // ascending flat output order.
+    // gradients into one input element, in ascending flat output order.
     std::vector<float> delta(a_in.numel(), 0.0f);
-    const float* gd = self.grad.data();
-    kernels::ForEachRun(
-        loops, 0, n,
-        [&](int64_t i, int64_t len, const std::array<int64_t, 1>& at) {
-          float* d = delta.data() + offset + at[0];
-          if (step == 1) {
-            for (int64_t t = 0; t < len; ++t) d[t] += gd[i + t];
-          } else {
-            for (int64_t t = 0; t < len; ++t) d[t * step] += gd[i + t];
-          }
-        });
+    kernels::ScatterAdd(self.grad.data(), shape, strides, offset,
+                        delta.data());
     a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
   };
   Tensor result = internal::MakeOpResult(std::move(shape), std::move(out), {a},
@@ -231,21 +203,19 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t dim) {
   }
 
   std::vector<Tensor> inputs = parts;
-  auto backward = [inputs, sizes, outer, inner, total](TensorImpl& self) mutable {
-    const float* gd = self.grad.data();
+  auto backward = [inputs, dim, out_strides = ContiguousStrides(out_shape)](
+                      TensorImpl& self) mutable {
+    // Part p's gradient is the [.., size_p, ..] view of the output gradient
+    // starting at its running offset along `dim`.
     int64_t offset = 0;
-    for (size_t p = 0; p < inputs.size(); ++p) {
-      const int64_t sz = sizes[p];
-      Tensor& t = inputs[p];
+    for (Tensor& t : inputs) {
       if (t.requires_grad() || t.impl()->node != nullptr) {
         std::vector<float> delta(t.numel());
-        for (int64_t o = 0; o < outer; ++o) {
-          const float* src = gd + o * total * inner + offset * inner;
-          std::copy(src, src + sz * inner, delta.begin() + o * sz * inner);
-        }
+        kernels::Gather(self.grad.data(), t.shape(), out_strides,
+                        offset * out_strides[dim], delta.data());
         t.impl()->AccumulateGrad(delta.data(), t.numel());
       }
-      offset += sz;
+      offset += t.shape()[dim];
     }
   };
   Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
@@ -272,6 +242,8 @@ Tensor Pad(const Tensor& a, int64_t dim, int64_t before, int64_t after,
   const Shape& in_shape = a.shape();
   const int64_t rank = static_cast<int64_t>(in_shape.size());
   if (dim < 0) dim += rank;
+  CONFORMER_CHECK(dim >= 0 && dim < rank)
+      << "Pad dim out of range for rank " << rank;
   Shape pad_shape = in_shape;
   std::vector<Tensor> parts;
   if (before > 0) {

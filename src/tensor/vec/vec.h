@@ -95,7 +95,7 @@ struct KernelTable {
   void (*sqrt)(const float* a, float* o, int64_t n);
   void (*exp)(const float* a, float* o, int64_t n);
   void (*sigmoid)(const float* a, float* o, int64_t n);
-  // o[i] += alpha * x[i] — the kernels::Axpy span.
+  // o[i] += alpha * x[i].
   void (*mul_add)(const float* x, float alpha, float* o, int64_t n);
   // Rows [i0, i1) of C (m x n) += A * B, with A m x k (nn, nt) or k x m
   // (tn), and B k x n (nn, tn) or n x k (nt). nn/tn give each C element the

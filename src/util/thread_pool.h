@@ -4,9 +4,8 @@
 // [begin, end) into grain-sized chunks whose boundaries depend only on
 // (begin, end, grain) — never on the number of threads — and every chunk is
 // executed by exactly one thread. Kernels that only write disjoint indices
-// are therefore bitwise identical at any thread count; reductions must
-// combine per-chunk partials in chunk order (ParallelReduce) instead of
-// sharing accumulators.
+// are therefore bitwise identical at any thread count; a loop whose writes
+// overlap across chunks runs serially instead of sharing accumulators.
 
 #ifndef CONFORMER_UTIL_THREAD_POOL_H_
 #define CONFORMER_UTIL_THREAD_POOL_H_
@@ -90,31 +89,6 @@ class ThreadPool {
 /// Convenience wrapper over ThreadPool::Global().
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn);
-
-/// Deterministic parallel reduction: [begin, end) is cut into grain-sized
-/// chunks (boundaries independent of thread count), `chunk_fn(b, e)` produces
-/// each chunk's partial, and the partials are combined with `combine` in
-/// ascending chunk order on the calling thread. Returns `init` for an empty
-/// range. Never uses shared mutable accumulators, so the result is bitwise
-/// identical at any thread count.
-template <typename T, typename ChunkFn, typename Combine>
-T ParallelReduce(int64_t begin, int64_t end, int64_t grain, T init,
-                 ChunkFn chunk_fn, Combine combine) {
-  if (end <= begin) return init;
-  const int64_t g = grain < 1 ? 1 : grain;
-  const int64_t num_chunks = (end - begin + g - 1) / g;
-  std::vector<T> partials(num_chunks);
-  ParallelFor(0, num_chunks, 1, [&](int64_t cb, int64_t ce) {
-    for (int64_t c = cb; c < ce; ++c) {
-      const int64_t b = begin + c * g;
-      const int64_t e = b + g < end ? b + g : end;
-      partials[c] = chunk_fn(b, e);
-    }
-  });
-  T acc = init;
-  for (int64_t c = 0; c < num_chunks; ++c) acc = combine(acc, partials[c]);
-  return acc;
-}
 
 }  // namespace conformer
 

@@ -151,29 +151,6 @@ TEST_F(ParallelTest, SetNumThreadsSurvivesRepeatedResizing) {
   for (float v : buf) EXPECT_EQ(v, 6.0f);
 }
 
-TEST_F(ParallelTest, ParallelReduceIsBitwiseDeterministic) {
-  // Sum of a pseudo-random sequence; per-chunk partials folded in chunk
-  // order must not depend on the thread count.
-  std::vector<float> values(10000);
-  Rng rng(3);
-  for (float& v : values) v = static_cast<float>(rng.Normal());
-  auto reduce = [&] {
-    return ParallelReduce(
-        int64_t{0}, static_cast<int64_t>(values.size()), int64_t{257}, 0.0f,
-        [&](int64_t b, int64_t e) {
-          float acc = 0.0f;
-          for (int64_t i = b; i < e; ++i) acc += values[i];
-          return acc;
-        },
-        [](float a, float b) { return a + b; });
-  };
-  ThreadPool::Global().SetNumThreads(1);
-  const float single = reduce();
-  ThreadPool::Global().SetNumThreads(kManyThreads);
-  const float multi = reduce();
-  EXPECT_EQ(std::memcmp(&single, &multi, sizeof(float)), 0);
-}
-
 // -- zero-sized Gemm / MatMul ----------------------------------------------
 
 TEST_F(ParallelTest, GemmZeroM) {
@@ -255,8 +232,9 @@ TEST_F(ParallelTest, BroadcastRowRunsSplitMidRow) {
       out.push_back(Tensor::FromVector(std::move(o), full));
     }
     std::vector<float> reduced(NumElements(target), 0.25f);
-    kernels::ReduceGradToShape(grad.data(), grad_shape, reduced.data(),
-                               target);
+    kernels::ScatterAdd(grad.data(), grad_shape,
+                        kernels::BroadcastStrides(target, grad_shape), 0,
+                        reduced.data());
     out.push_back(Tensor::FromVector(std::move(reduced), target));
     return out;
   });
@@ -299,7 +277,7 @@ TEST_F(ParallelTest, SumOverVariousDims) {
           {{23, 19, 29}});
     });
   }
-  // Large flat reduction: exercises the chunked-partial path (n >= 2*grain).
+  // Large flat reduction (n >= 2*grain): one serial scatter-add.
   ExpectBitwiseIdentical([] {
     return ForwardBackward([](const Inputs& in) { return Sum(in[0]); },
                            {{5, 41, 61}});
@@ -341,8 +319,12 @@ TEST_F(ParallelTest, IndexSelectForwardAndBackward) {
 
 TEST_F(ParallelTest, AsStridedForwardAndBackward) {
   // Each view spans many chunks of the parallel gather: a transpose, a
-  // stride-0 tile, and overlapping im2col windows whose serial backward adds
-  // several output gradients into one input element.
+  // stride-0 tile, and overlapping im2col windows whose backward adds
+  // several output gradients into one input element. The im2col windows of
+  // batch b stay inside its 672-float slice (span 1 + 44*2 + 6*96 + 4 =
+  // 669), so that scatter splits over the batch; the last view steps its
+  // leading dim by 384 over slices spanning 672 floats, which overlap, so
+  // its scatter runs serially.
   using View = std::function<Tensor(const Tensor&)>;
   for (const View& view : std::vector<View>{
            [](const Tensor& x) {
@@ -354,6 +336,9 @@ TEST_F(ParallelTest, AsStridedForwardAndBackward) {
            [](const Tensor& x) {
              return AsStrided(x, {16, 45, 7, 5}, {672, 2, 96, 1}, 0,
                               "Unfold");
+           },
+           [](const Tensor& x) {
+             return AsStrided(x, {24, 7, 96}, {384, 96, 1}, 0, "Unfold");
            }}) {
     ExpectBitwiseIdentical([&view] {
       return ForwardBackward([&view](const Inputs& in) { return view(in[0]); },

@@ -525,7 +525,8 @@ void ReferenceBroadcastBinary(const float* a, const Shape& a_shape,
   }
 }
 
-// The per-element odometer ReduceGradToShape ran before its row runs.
+// The per-element odometer the broadcast-gradient reduction ran before its
+// row runs.
 void ReferenceReduceGradToShape(const float* grad, const Shape& grad_shape,
                                 float* out, const Shape& target_shape) {
   const std::vector<int64_t> strides =
@@ -590,14 +591,129 @@ TEST_F(SimdTest, BroadcastLoopsMatchReferenceOdometer) {
           for (int64_t i = 0; i < tn; ++i) want_r[i] = got_r[i] = TestValue(i);
           ReferenceReduceGradToShape(grad.data(), out_shape, want_r.data(),
                                      target);
-          kernels::ReduceGradToShape(grad.data(), out_shape, got_r.data(),
-                                     target);
+          kernels::ScatterAdd(grad.data(), out_shape,
+                              kernels::BroadcastStrides(target, out_shape), 0,
+                              got_r.data());
           EXPECT_EQ(0, std::memcmp(want_r.data(), got_r.data(),
                                    sizeof(float) * tn))
-              << "ReduceGradToShape " << ShapeToString(out_shape) << " to "
+              << "ScatterAdd " << ShapeToString(out_shape) << " to "
               << ShapeToString(target) << " at "
               << vec::SimdLevelName(level) << ", " << threads << " threads";
         }
+      }
+    }
+  }
+}
+
+// Sum's forward and backward as they ran before Gather/ScatterAdd. Reducing
+// exactly a trailing block of dims sums each contiguous row with vec::SumN;
+// any other reduction walks the input with a per-element odometer, adding
+// into the zeroed output in flat order (the sequential order, which the old
+// per-chunk partials of large leading reductions did not keep). The backward
+// odometer broadcasts the output gradient back over the reduced dims.
+// `dims` are sorted, non-negative and unique.
+void ReferenceSum(const float* in, const Shape& in_shape,
+                  const std::vector<int64_t>& dims, float* out) {
+  const int64_t rank = static_cast<int64_t>(in_shape.size());
+  Shape keep = in_shape;
+  for (int64_t d : dims) keep[d] = 1;
+  const int64_t n = NumElements(in_shape);
+  const int64_t out_numel = NumElements(keep);
+  if (!dims.empty() && dims.back() == rank - 1 &&
+      static_cast<int64_t>(dims.size()) == rank - dims.front() &&
+      out_numel > 1) {
+    const int64_t row = n / out_numel;
+    for (int64_t r = 0; r < out_numel; ++r) {
+      out[r] += vec::SumN(in + r * row, row);
+    }
+    return;
+  }
+  const std::vector<int64_t> strides = kernels::BroadcastStrides(keep, in_shape);
+  std::vector<int64_t> index(rank, 0);
+  int64_t off = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    out[off] += in[i];
+    for (int64_t d = rank - 1; d >= 0; --d) {
+      ++index[d];
+      off += strides[d];
+      if (index[d] < in_shape[d]) break;
+      index[d] = 0;
+      off -= strides[d] * in_shape[d];
+    }
+  }
+}
+
+void ReferenceSumGrad(const float* grad, const Shape& in_shape,
+                      const std::vector<int64_t>& dims, float* delta) {
+  const int64_t rank = static_cast<int64_t>(in_shape.size());
+  Shape keep = in_shape;
+  for (int64_t d : dims) keep[d] = 1;
+  const std::vector<int64_t> strides = kernels::BroadcastStrides(keep, in_shape);
+  std::vector<int64_t> index(rank, 0);
+  int64_t off = 0;
+  for (int64_t i = 0; i < NumElements(in_shape); ++i) {
+    delta[i] = grad[off];
+    for (int64_t d = rank - 1; d >= 0; --d) {
+      ++index[d];
+      off += strides[d];
+      if (index[d] < in_shape[d]) break;
+      index[d] = 0;
+      off -= strides[d] * in_shape[d];
+    }
+  }
+}
+
+TEST_F(SimdTest, SumMatchesReferenceOdometer) {
+  struct Case {
+    Shape shape;
+    std::vector<int64_t> dims;  // empty: every dim
+  };
+  // Leading, middle, trailing, multi-dim and full reductions of shapes past
+  // kGrainStrided whose rows do not divide it; the full reductions and the
+  // leading one are at least 2 * kGrainStrided elements, where Sum used to
+  // fold per-chunk partials.
+  const Case cases[] = {
+      {{64, 17, 33}, {0}},    {{64, 17, 33}, {1}},    {{64, 17, 33}, {2}},
+      {{64, 17, 33}, {0, 2}}, {{64, 17, 33}, {0, 1}}, {{64, 17, 33}, {1, 2}},
+      {{64, 17, 33}, {}},     {{3, 37, 41}, {}},      {{1, 9001}, {1}},
+      {{9001}, {0}},          {{2, 4099, 1}, {1}},    {Shape{}, {}},
+  };
+  static_assert(2 * kernels::kGrainStrided <= 64 * 17 * 33);
+  for (auto [level, threads] : LevelsAndThreads()) {
+    ASSERT_TRUE(vec::SetSimdLevel(level));
+    ThreadPool::Global().SetNumThreads(threads);
+    for (const Case& c : cases) {
+      std::vector<int64_t> dims = c.dims;
+      if (dims.empty()) {
+        for (size_t d = 0; d < c.shape.size(); ++d) dims.push_back(d);
+      }
+      const int64_t n = NumElements(c.shape);
+      std::vector<float> in(n);
+      for (int64_t i = 0; i < n; ++i) in[i] = TestValue(i);
+      for (bool keepdim : {false, true}) {
+        Tensor x = Tensor::FromVector(in, c.shape);
+        x.set_requires_grad(true);
+        Tensor out = Sum(x, c.dims, keepdim);
+        const int64_t m = out.numel();
+        std::vector<float> want(m, 0.0f);
+        ReferenceSum(in.data(), c.shape, dims, want.data());
+        ASSERT_EQ(0, std::memcmp(want.data(), out.data(), sizeof(float) * m))
+            << "Sum of " << ShapeToString(c.shape) << " over "
+            << dims.size() << " dims (keepdim " << keepdim << ") at "
+            << vec::SimdLevelName(level) << ", " << threads << " threads";
+
+        // d(sum(out * g))/d out is exactly g, so x's gradient is Sum's
+        // backward of g.
+        std::vector<float> g(m);
+        for (int64_t i = 0; i < m; ++i) g[i] = TestValue(i + 5);
+        Sum(Mul(out, Tensor::FromVector(g, out.shape()))).Backward();
+        std::vector<float> want_grad(n);
+        ReferenceSumGrad(g.data(), c.shape, dims, want_grad.data());
+        ASSERT_EQ(0, std::memcmp(want_grad.data(), x.grad().data(),
+                                 sizeof(float) * n))
+            << "Sum backward of " << ShapeToString(c.shape) << " over "
+            << dims.size() << " dims (keepdim " << keepdim << ") at "
+            << vec::SimdLevelName(level) << ", " << threads << " threads";
       }
     }
   }

@@ -1124,6 +1124,18 @@ TEST(DeathTest, AsStridedViewOutOfBounds) {
   EXPECT_DEATH(AsStrided(a, {2}, {-1}, 1, "Slice"), "negative");
 }
 
+TEST(DeathTest, PadDimOutOfRange) {
+  // The pad shape used to be written at the unchecked dim.
+  EXPECT_DEATH(Pad(Tensor::Ones({2, 3}), 2, 1, 1), "out of range");
+  EXPECT_DEATH(Pad(Tensor::Ones({2, 3}), -3, 1, 0), "out of range");
+}
+
+TEST(DeathTest, MaxOverEmptyDim) {
+  // The backward used to scatter into a zero-length delta.
+  EXPECT_DEATH(Max(Tensor::Zeros({2, 0, 3}), 1), "empty dim");
+  EXPECT_DEATH(Min(Tensor::Zeros({0}), 0), "empty dim");
+}
+
 TEST(EdgeCaseTest, SingleElementTensorsWork) {
   Tensor a = Tensor::Full({1}, 2.0f);
   Tensor b = Tensor::Full({1}, 3.0f);
