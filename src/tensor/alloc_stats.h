@@ -1,6 +1,6 @@
 // Process-wide tensor allocation accounting. The Fig. 5 memory-cost bench
 // compares peak allocation across attention mechanisms, so every TensorImpl
-// reports its buffer size here.
+// reports its data buffer here, and its gradient buffer while it holds one.
 
 #ifndef CONFORMER_TENSOR_ALLOC_STATS_H_
 #define CONFORMER_TENSOR_ALLOC_STATS_H_

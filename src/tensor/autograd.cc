@@ -52,23 +52,27 @@ void Tensor::Backward(bool retain_graph) {
   std::vector<TensorImpl*> order;
   TopologicalOrder(root, &order);
 
-  // Non-leaf gradients are scratch space for this pass: clear any residue
+  // Non-leaf gradients are scratch space for this pass: drop any residue
   // from an earlier retain_graph backward so repeated passes don't
   // double-count. Leaf gradients keep accumulating across passes.
-  for (TensorImpl* impl : order) impl->grad.clear();
+  for (TensorImpl* impl : order) impl->ReleaseGrad();
 
-  const float kSeed = 1.0f;
-  root->AccumulateGrad(&kSeed, 1);
+  root->MutableGrad()[0] += 1.0f;
 
   // `order` is post-order (inputs first); walk it backwards so each node's
   // output gradient is complete before its backward function runs.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TensorImpl* impl = *it;
     if (impl->grad.empty()) continue;  // No gradient flowed here.
-    // op_name is a string literal owned by the recording op, so the profiler
-    // can keep the pointer.
-    CONFORMER_PROFILE_SCOPE_CAT("bwd", impl->node->op_name);
-    impl->node->backward(*impl);
+    {
+      // op_name is a string literal owned by the recording op, so the
+      // profiler can keep the pointer.
+      CONFORMER_PROFILE_SCOPE_CAT("bwd", impl->node->op_name);
+      impl->node->backward(*impl);
+    }
+    // Every consumer ran before this node, so its gradient is now spent:
+    // free it rather than hold every activation's gradient to the end.
+    if (!retain_graph) impl->ReleaseGrad();
   }
 
   if (!retain_graph) {

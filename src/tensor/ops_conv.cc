@@ -171,19 +171,19 @@ Tensor AvgPool1d(const Tensor& input, int64_t kernel, int64_t stride) {
   Tensor a_in = input;
   auto backward = [a_in, outer, length, out_len, kernel, stride, inv_k,
                    pool_grain](TensorImpl& self) mutable {
-    std::vector<float> delta(a_in.numel(), 0.0f);
     const float* gd = self.grad.data();
-    ParallelFor(0, outer, pool_grain, [&](int64_t o0, int64_t o1) {
-      for (int64_t o = o0; o < o1; ++o) {
-        float* row = delta.data() + o * length;
-        for (int64_t j = 0; j < out_len; ++j) {
-          const float g = gd[o * out_len + j] * inv_k;
-          float* window = row + j * stride;
-          for (int64_t k = 0; k < kernel; ++k) window[k] += g;
+    internal::AccumulateGradWith(*a_in.impl(), [&](float* delta) {
+      ParallelFor(0, outer, pool_grain, [&](int64_t o0, int64_t o1) {
+        for (int64_t o = o0; o < o1; ++o) {
+          float* row = delta + o * length;
+          for (int64_t j = 0; j < out_len; ++j) {
+            const float g = gd[o * out_len + j] * inv_k;
+            float* window = row + j * stride;
+            for (int64_t k = 0; k < kernel; ++k) window[k] += g;
+          }
         }
-      }
+      });
     });
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
   };
   Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
                                          {input}, std::move(backward),
@@ -243,17 +243,18 @@ Tensor MaxPool1d(const Tensor& input, int64_t kernel, int64_t stride) {
   Tensor a_in = input;
   auto backward = [a_in, argmax, outer, length, out_len,
                    pool_grain](TensorImpl& self) mutable {
-    std::vector<float> delta(a_in.numel(), 0.0f);
     const float* gd = self.grad.data();
     // argmax indices stay within their own row, so rows scatter disjointly.
-    ParallelFor(0, outer, pool_grain, [&](int64_t o0, int64_t o1) {
-      for (int64_t o = o0; o < o1; ++o) {
-        for (int64_t j = 0; j < out_len; ++j) {
-          delta[o * length + argmax[o * out_len + j]] += gd[o * out_len + j];
+    internal::AccumulateGradWith(*a_in.impl(), [&](float* delta) {
+      ParallelFor(0, outer, pool_grain, [&](int64_t o0, int64_t o1) {
+        for (int64_t o = o0; o < o1; ++o) {
+          for (int64_t j = 0; j < out_len; ++j) {
+            delta[o * length + argmax[o * out_len + j]] +=
+                gd[o * out_len + j];
+          }
         }
-      }
+      });
     });
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
   };
   Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
                                          {input}, std::move(backward),

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <type_traits>
 
 #include "tensor/capture.h"
 #include "tensor/kernels.h"
@@ -29,7 +30,9 @@ auto ScalarUnarySpan(Fn f) {
 // serves the strided broadcast path; `span` computes whole contiguous chunks
 // when no broadcasting is needed (usually a dispatched vec:: kernel and
 // bitwise-equal to looping `f` — except where noted at the call site);
-// `dfda` / `dfdb` compute local partials from (a_i, b_i, out_i).
+// `dfda` / `dfdb` compute local partials from (a_i, b_i), or are a constant
+// float when the partial is one (Add, Sub), which then costs no local
+// tensor.
 template <typename Fn, typename SpanFn, typename DfA, typename DfB>
 Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, Fn f, SpanFn span,
                     DfA dfda, DfB dfdb, const char* name) {
@@ -43,30 +46,66 @@ Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, Fn f, SpanFn span,
   Tensor b_in = b;
   auto backward = [a_in, b_in, out_shape, dfda, dfdb](TensorImpl& self) mutable {
     const int64_t n = NumElements(out_shape);
-    // Local gradient wrt each input, then reduce over broadcast dims.
-    std::vector<float> local(n);
-    const auto scale_by_grad = [&local, &self, n] {
-      ParallelFor(0, n, kernels::kGrainElementwise,
-                  [&](int64_t cb, int64_t ce) {
-                    for (int64_t i = cb; i < ce; ++i) local[i] *= self.grad[i];
-                  });
-    };
-    // Scatter-adds the local gradient wrt `in` onto its (maybe broadcast)
-    // shape; stride 0 over the broadcast dims sums them.
+    const float* gd = self.grad.data();
+    const float* ad = a_in.data();
+    const float* bd = b_in.data();
+    const bool no_broadcast =
+        a_in.shape() == out_shape && b_in.shape() == out_shape;
+    std::vector<float> local;
+    // Adds the terms df_i * g_i into `in`'s gradient: straight in when `in`
+    // has the output shape, else scatter-added over its broadcast dims
+    // (stride 0 sums them).
     const auto accumulate = [&](Tensor& in, const auto& df) {
-      if (!in.requires_grad() && in.impl()->node == nullptr) return;
-      kernels::BroadcastBinary(a_in.data(), a_in.shape(), b_in.data(),
-                               b_in.shape(), local.data(), out_shape, df);
-      scale_by_grad();
-      if (in.shape() == out_shape) {
-        in.impl()->AccumulateGrad(local.data(), n);
+      if (!internal::NeedsGrad(in)) return;
+      constexpr bool kConstant =
+          std::is_arithmetic_v<std::decay_t<decltype(df)>>;
+      const auto add_in = [&](const auto& term) {
+        float* dst = in.impl()->MutableGrad();
+        ParallelFor(0, n, kernels::kGrainElementwise,
+                    [&](int64_t cb, int64_t ce) {
+                      for (int64_t i = cb; i < ce; ++i) dst[i] += term(i);
+                    });
+      };
+      const bool same_shape = in.shape() == out_shape;
+      if constexpr (kConstant) {
+        if (same_shape) {
+          add_in([&](int64_t i) { return df * gd[i]; });
+          return;
+        }
+      } else {
+        if (no_broadcast) {
+          add_in([&](int64_t i) { return df(ad[i], bd[i]) * gd[i]; });
+          return;
+        }
+      }
+      // The terms over the output shape: a local tensor, unless they are
+      // the upstream gradient itself (a partial of 1).
+      const float* terms = gd;
+      bool unit = false;
+      if constexpr (kConstant) unit = df == 1.0f;
+      if (!unit) {
+        local.resize(n);
+        if constexpr (kConstant) {
+          for (int64_t i = 0; i < n; ++i) local[i] = df * gd[i];
+        } else {
+          kernels::BroadcastBinary(ad, a_in.shape(), bd, b_in.shape(),
+                                   local.data(), out_shape, df);
+          ParallelFor(0, n, kernels::kGrainElementwise,
+                      [&](int64_t cb, int64_t ce) {
+                        for (int64_t i = cb; i < ce; ++i) local[i] *= gd[i];
+                      });
+        }
+        terms = local.data();
+      }
+      if (same_shape) {
+        add_in([&](int64_t i) { return terms[i]; });
         return;
       }
-      std::vector<float> reduced(in.numel(), 0.0f);
-      kernels::ScatterAdd(local.data(), out_shape,
-                          kernels::BroadcastStrides(in.shape(), out_shape), 0,
-                          reduced.data());
-      in.impl()->AccumulateGrad(reduced.data(), in.numel());
+      internal::AccumulateGradWith(*in.impl(), [&](float* dst) {
+        kernels::ScatterAdd(terms, out_shape,
+                            kernels::BroadcastStrides(in.shape(), out_shape),
+                            0, dst);
+      });
     };
     accumulate(a_in, dfda);
     accumulate(b_in, dfdb);
@@ -116,14 +155,13 @@ Tensor UnaryOpSpan(const Tensor& a, SpanFn span, Df df, const char* name) {
   Tensor a_in = a;
   auto backward = [a_in, df](TensorImpl& self) mutable {
     const int64_t n = static_cast<int64_t>(self.data.size());
-    std::vector<float> delta(n);
     const float* ad = a_in.data();
+    float* dst = a_in.impl()->MutableGrad();
     ParallelFor(0, n, kernels::kGrainElementwise, [&](int64_t cb, int64_t ce) {
       for (int64_t i = cb; i < ce; ++i) {
-        delta[i] = self.grad[i] * df(ad[i], self.data[i]);
+        dst[i] += self.grad[i] * df(ad[i], self.data[i]);
       }
     });
-    a_in.impl()->AccumulateGrad(delta.data(), n);
   };
   Tensor result = internal::MakeOpResult(a.shape(), std::move(out), {a},
                                          std::move(backward), name);
@@ -146,15 +184,13 @@ Tensor UnaryOp(const Tensor& a, Fn f, Df df, const char* name) {
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   return BinaryOpSpan(
-      a, b, [](float x, float y) { return x + y; }, vec::AddN,
-      [](float, float) { return 1.0f; }, [](float, float) { return 1.0f; },
+      a, b, [](float x, float y) { return x + y; }, vec::AddN, 1.0f, 1.0f,
       "Add");
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   return BinaryOpSpan(
-      a, b, [](float x, float y) { return x - y; }, vec::SubN,
-      [](float, float) { return 1.0f; }, [](float, float) { return -1.0f; },
+      a, b, [](float x, float y) { return x - y; }, vec::SubN, 1.0f, -1.0f,
       "Sub");
 }
 

@@ -51,18 +51,18 @@ Tensor IndexSelect(const Tensor& a, int64_t dim,
                    o_grain](TensorImpl& self) mutable {
     // Scatter-add: repeated indices accumulate, but only within an outer
     // slice — chunks over `outer` write disjoint delta ranges.
-    std::vector<float> delta(a_in.numel(), 0.0f);
     const float* gd = self.grad.data();
-    ParallelFor(0, outer, o_grain, [&](int64_t o0, int64_t o1) {
-      for (int64_t o = o0; o < o1; ++o) {
-        for (int64_t c = 0; c < count; ++c) {
-          float* dst = delta.data() + (o * size + idx[c]) * inner;
-          const float* src = gd + (o * count + c) * inner;
-          for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
+    internal::AccumulateGradWith(*a_in.impl(), [&](float* delta) {
+      ParallelFor(0, outer, o_grain, [&](int64_t o0, int64_t o1) {
+        for (int64_t o = o0; o < o1; ++o) {
+          for (int64_t c = 0; c < count; ++c) {
+            float* dst = delta + (o * size + idx[c]) * inner;
+            const float* src = gd + (o * count + c) * inner;
+            for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
+          }
         }
-      }
+      });
     });
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
   };
   Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
                                          {a}, std::move(backward), "IndexSelect");
@@ -111,18 +111,18 @@ Tensor BatchedIndexSelect(const Tensor& a, const std::vector<int64_t>& indices,
                    b_grain](TensorImpl& self) mutable {
     // Scatter-add stays within each batch's delta slice, so batches are
     // disjoint chunks.
-    std::vector<float> delta(a_in.numel(), 0.0f);
     const float* gd = self.grad.data();
-    ParallelFor(0, batch, b_grain, [&](int64_t b0, int64_t b1) {
-      for (int64_t b = b0; b < b1; ++b) {
-        for (int64_t c = 0; c < k; ++c) {
-          float* dst = delta.data() + (b * length + idx[b * k + c]) * depth;
-          const float* src = gd + (b * k + c) * depth;
-          for (int64_t i = 0; i < depth; ++i) dst[i] += src[i];
+    internal::AccumulateGradWith(*a_in.impl(), [&](float* delta) {
+      ParallelFor(0, batch, b_grain, [&](int64_t b0, int64_t b1) {
+        for (int64_t b = b0; b < b1; ++b) {
+          for (int64_t c = 0; c < k; ++c) {
+            float* dst = delta + (b * length + idx[b * k + c]) * depth;
+            const float* src = gd + (b * k + c) * depth;
+            for (int64_t i = 0; i < depth; ++i) dst[i] += src[i];
+          }
         }
-      }
+      });
     });
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
   };
   Tensor result = internal::MakeOpResult({batch, k, depth}, std::move(out), {a},
                                          std::move(backward),

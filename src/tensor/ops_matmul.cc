@@ -88,39 +88,42 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Tensor b_in = b;
   auto backward = [a_in, b_in, m, n, k, num_batches, batch_offsets,
                    batches_disjoint](TensorImpl& self) mutable {
-    const bool need_a = a_in.requires_grad() || a_in.impl()->node != nullptr;
-    const bool need_b = b_in.requires_grad() || b_in.impl()->node != nullptr;
     const float* gd = self.grad.data();
     const float* ad = a_in.data();
     const float* bd = b_in.data();
-    // dA = dOut * B^T, dB = A^T * dOut, accumulated per broadcast batch.
-    std::vector<float> da;
-    std::vector<float> db;
-    if (need_a) da.assign(a_in.numel(), 0.0f);
-    if (need_b) db.assign(b_in.numel(), 0.0f);
-    auto batch_backward = [&](int64_t i) {
-      const auto [a_off, b_off] = batch_offsets(i);
-      const float* g = gd + i * m * n;
-      if (need_a) {
-        kernels::Gemm(false, true, m, k, n, g, bd + b_off * k * n,
-                      da.data() + a_off * m * k, /*accumulate=*/true);
-      }
-      if (need_b) {
-        kernels::Gemm(true, false, k, n, m, ad + a_off * m * k, g,
-                      db.data() + b_off * k * n, /*accumulate=*/true);
+    // Runs `batch_gemm(i)` for every batch.
+    const auto for_batches = [&](const auto& batch_gemm) {
+      if (batches_disjoint) {
+        ParallelFor(0, num_batches, 1, [&](int64_t bb, int64_t be) {
+          for (int64_t i = bb; i < be; ++i) batch_gemm(i);
+        });
+      } else {
+        // Broadcast batches accumulate into shared input slices; keep the
+        // fixed sequential order (deterministic and race-free).
+        for (int64_t i = 0; i < num_batches; ++i) batch_gemm(i);
       }
     };
-    if (batches_disjoint) {
-      ParallelFor(0, num_batches, 1, [&](int64_t bb, int64_t be) {
-        for (int64_t i = bb; i < be; ++i) batch_backward(i);
+    // dA = dOut * B^T, dB = A^T * dOut, accumulated per broadcast batch.
+    if (internal::NeedsGrad(a_in)) {
+      internal::AccumulateGradWith(*a_in.impl(), [&](float* da) {
+        for_batches([&](int64_t i) {
+          const auto [a_off, b_off] = batch_offsets(i);
+          kernels::Gemm(false, true, m, k, n, gd + i * m * n,
+                        bd + b_off * k * n, da + a_off * m * k,
+                        /*accumulate=*/true);
+        });
       });
-    } else {
-      // Broadcast batches accumulate into shared input slices; keep the
-      // fixed sequential order (deterministic and race-free).
-      for (int64_t i = 0; i < num_batches; ++i) batch_backward(i);
     }
-    if (need_a) a_in.impl()->AccumulateGrad(da.data(), a_in.numel());
-    if (need_b) b_in.impl()->AccumulateGrad(db.data(), b_in.numel());
+    if (internal::NeedsGrad(b_in)) {
+      internal::AccumulateGradWith(*b_in.impl(), [&](float* db) {
+        for_batches([&](int64_t i) {
+          const auto [a_off, b_off] = batch_offsets(i);
+          kernels::Gemm(true, false, k, n, m, ad + a_off * m * k,
+                        gd + i * m * n, db + b_off * k * n,
+                        /*accumulate=*/true);
+        });
+      });
+    }
   };
   Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
                                          {a, b}, std::move(backward), "MatMul");

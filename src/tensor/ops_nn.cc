@@ -135,9 +135,6 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
   Tensor b_in = b_hh;
   auto backward = [gates_in, w_in, b_in, saved = std::move(saved), batch,
                    length, hs, g3](TensorImpl& self) mutable {
-    const auto needs = [](const Tensor& t) {
-      return t.requires_grad() || t.impl()->node != nullptr;
-    };
     const int64_t rows = length * batch;
     const float* gd = self.grad.data();
     const float* saved_h = saved.data();
@@ -145,7 +142,11 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
     // dgh: gradient wrt each step's recurrent pre-activations h·W_hh + b_hh,
     // time-major [L, B, 3h] so one step's block is a contiguous Gemm operand.
     std::vector<float> dgh(rows * g3);
-    std::vector<float> dgates(gates_in.numel());
+    // Each gate gradient is one term, so it adds straight into the gates'
+    // gradient.
+    float* dgates = internal::NeedsGrad(gates_in)
+                        ? gates_in.impl()->MutableGrad()
+                        : nullptr;
     std::vector<float> dh(batch * hs, 0.0f);  // dL/dh_t from later steps.
     std::vector<float> dh_prev(batch * hs);
     for (int64_t t = length - 1; t >= 0; --t) {
@@ -154,7 +155,8 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
         const float* act = saved_act + (t * batch + b) * 4 * hs;
         const float* g = gd + (b * length + t) * hs;
         float* dghb = dgh.data() + (t * batch + b) * g3;
-        float* dgi = dgates.data() + (b * length + t) * g3;
+        float* dgi = dgates == nullptr ? nullptr
+                                       : dgates + (b * length + t) * g3;
         for (int64_t j = 0; j < hs; ++j) {
           const float r = act[j];
           const float z = act[hs + j];
@@ -163,9 +165,11 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
           const float dn = d * (1.0f - z) * (1.0f - n * n);
           const float dz = d * (hp[j] - n) * z * (1.0f - z);
           const float dr = dn * act[3 * hs + j] * r * (1.0f - r);
-          dgi[j] = dr;
-          dgi[hs + j] = dz;
-          dgi[2 * hs + j] = dn;
+          if (dgi != nullptr) {
+            dgi[j] += dr;
+            dgi[hs + j] += dz;
+            dgi[2 * hs + j] += dn;
+          }
           dghb[j] = dr;
           dghb[hs + j] = dz;
           dghb[2 * hs + j] = dn * r;
@@ -178,23 +182,20 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
                     w_in.data(), dh_prev.data(), /*accumulate=*/true);
       std::swap(dh, dh_prev);
     }
-    if (needs(gates_in)) {
-      gates_in.impl()->AccumulateGrad(dgates.data(), gates_in.numel());
-    }
-    if (needs(w_in)) {
+    if (internal::NeedsGrad(w_in)) {
       // dW_hh = sum_t h_{t-1}^T · dgh_t, as one Gemm over every (t, b) row.
-      std::vector<float> dw(hs * g3);
-      kernels::Gemm(true, false, hs, g3, rows, saved_h, dgh.data(), dw.data(),
-                    /*accumulate=*/false);
-      w_in.impl()->AccumulateGrad(dw.data(), hs * g3);
+      internal::AccumulateGradWith(*w_in.impl(), [&](float* dw) {
+        kernels::Gemm(true, false, hs, g3, rows, saved_h, dgh.data(), dw,
+                      /*accumulate=*/true);
+      });
     }
-    if (needs(b_in)) {
-      std::vector<float> db(g3, 0.0f);
-      for (int64_t r = 0; r < rows; ++r) {
-        const float* row = dgh.data() + r * g3;
-        for (int64_t j = 0; j < g3; ++j) db[j] += row[j];
-      }
-      b_in.impl()->AccumulateGrad(db.data(), g3);
+    if (internal::NeedsGrad(b_in)) {
+      internal::AccumulateGradWith(*b_in.impl(), [&](float* db) {
+        for (int64_t r = 0; r < rows; ++r) {
+          const float* row = dgh.data() + r * g3;
+          for (int64_t j = 0; j < g3; ++j) db[j] += row[j];
+        }
+      });
     }
   };
   Tensor result = internal::MakeOpResult({batch, length, hs}, std::move(out),
@@ -248,8 +249,8 @@ Tensor Softmax(const Tensor& a, int64_t dim) {
 
   Tensor a_in = a;
   auto backward = [a_in, s](TensorImpl& self) mutable {
-    // dx_j = y_j * (g_j - sum_k g_k y_k)
-    std::vector<float> delta(a_in.numel());
+    // dx_j = y_j * (g_j - sum_k g_k y_k), one term per element.
+    float* delta = a_in.impl()->MutableGrad();
     const float* gd = self.grad.data();
     const float* yd = self.data.data();
     ParallelRows(s, [&](int64_t base) {
@@ -260,10 +261,9 @@ Tensor Softmax(const Tensor& a, int64_t dim) {
       }
       for (int64_t j = 0; j < s.n; ++j) {
         const int64_t off = base + j * s.inner;
-        delta[off] = yd[off] * (gd[off] - dot);
+        delta[off] += yd[off] * (gd[off] - dot);
       }
     });
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
   };
   Tensor result = internal::MakeOpResult(a.shape(), std::move(out), {a},
                                          std::move(backward), "Softmax");
@@ -311,8 +311,8 @@ Tensor LogSoftmax(const Tensor& a, int64_t dim) {
 
   Tensor a_in = a;
   auto backward = [a_in, s](TensorImpl& self) mutable {
-    // dx_j = g_j - softmax_j * sum_k g_k
-    std::vector<float> delta(a_in.numel());
+    // dx_j = g_j - softmax_j * sum_k g_k, one term per element.
+    float* delta = a_in.impl()->MutableGrad();
     const float* gd = self.grad.data();
     const float* yd = self.data.data();
     ParallelRows(s, [&](int64_t base) {
@@ -320,10 +320,9 @@ Tensor LogSoftmax(const Tensor& a, int64_t dim) {
       for (int64_t j = 0; j < s.n; ++j) gsum += gd[base + j * s.inner];
       for (int64_t j = 0; j < s.n; ++j) {
         const int64_t off = base + j * s.inner;
-        delta[off] = gd[off] - std::exp(yd[off]) * gsum;
+        delta[off] += gd[off] - std::exp(yd[off]) * gsum;
       }
     });
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
   };
   Tensor result = internal::MakeOpResult(a.shape(), std::move(out), {a},
                                          std::move(backward), "LogSoftmax");

@@ -100,10 +100,9 @@ Tensor Sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
   Tensor a_in = a;
   auto backward = [a_in, out_strides](TensorImpl& self) mutable {
     // Gradient broadcasts the output gradient back over reduced dims.
-    std::vector<float> delta(a_in.numel());
-    kernels::Gather(self.grad.data(), a_in.shape(), out_strides, 0,
-                    delta.data());
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
+    internal::AccumulateGradWith(*a_in.impl(), [&](float* dst) {
+      kernels::Gather(self.grad.data(), a_in.shape(), out_strides, 0, dst);
+    });
   };
   Tensor result = internal::MakeOpResult(out_shape, std::move(out), {a},
                                          std::move(backward), "Sum");
@@ -192,15 +191,16 @@ Tensor ExtremeOverDim(const Tensor& a, int64_t dim, bool keepdim, Cmp cmp,
   Tensor a_in = a;
   auto backward = [a_in, argbest, dim, reduce_n, outer,
                    inner](TensorImpl& self) mutable {
-    std::vector<float> delta(a_in.numel(), 0.0f);
+    // Each input element receives at most one output gradient, so it adds
+    // straight in.
+    float* dst = a_in.impl()->MutableGrad();
     const float* gd = self.grad.data();
     for (int64_t o = 0; o < outer; ++o) {
       for (int64_t i = 0; i < inner; ++i) {
         const int64_t r = argbest[o * inner + i];
-        delta[(o * reduce_n + r) * inner + i] = gd[o * inner + i];
+        dst[(o * reduce_n + r) * inner + i] += gd[o * inner + i];
       }
     }
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
   };
   Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
                                          {a}, std::move(backward), name);

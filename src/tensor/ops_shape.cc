@@ -29,8 +29,16 @@ Tensor Reshape(const Tensor& a, Shape shape) {
 
   Tensor a_in = a;
   auto backward = [a_in](TensorImpl& self) mutable {
-    a_in.impl()->AccumulateGrad(self.grad.data(),
-                                static_cast<int64_t>(self.grad.size()));
+    // The gradient is the output's, reinterpreted: hand the buffer over
+    // when the input has none yet (it holds no -0, so this equals adding it
+    // into a zeroed buffer), else add it in.
+    TensorImpl& in = *a_in.impl();
+    if (in.grad.empty()) {
+      in.TakeGrad(self);
+    } else {
+      in.AccumulateGrad(self.grad.data(),
+                        static_cast<int64_t>(self.grad.size()));
+    }
   };
   Tensor result = internal::MakeOpResult(std::move(shape), a.impl()->data, {a},
                                          std::move(backward), "Reshape");
@@ -87,10 +95,9 @@ Tensor AsStrided(const Tensor& a, Shape shape, std::vector<int64_t> strides,
   auto backward = [a_in, shape, strides, offset](TensorImpl& self) mutable {
     // Overlapping views (stride 0, im2col windows) add several output
     // gradients into one input element, in ascending flat output order.
-    std::vector<float> delta(a_in.numel(), 0.0f);
-    kernels::ScatterAdd(self.grad.data(), shape, strides, offset,
-                        delta.data());
-    a_in.impl()->AccumulateGrad(delta.data(), a_in.numel());
+    internal::AccumulateGradWith(*a_in.impl(), [&](float* dst) {
+      kernels::ScatterAdd(self.grad.data(), shape, strides, offset, dst);
+    });
   };
   Tensor result = internal::MakeOpResult(std::move(shape), std::move(out), {a},
                                          std::move(backward), name);
@@ -209,11 +216,11 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t dim) {
     // starting at its running offset along `dim`.
     int64_t offset = 0;
     for (Tensor& t : inputs) {
-      if (t.requires_grad() || t.impl()->node != nullptr) {
-        std::vector<float> delta(t.numel());
-        kernels::Gather(self.grad.data(), t.shape(), out_strides,
-                        offset * out_strides[dim], delta.data());
-        t.impl()->AccumulateGrad(delta.data(), t.numel());
+      if (internal::NeedsGrad(t)) {
+        internal::AccumulateGradWith(*t.impl(), [&](float* dst) {
+          kernels::Gather(self.grad.data(), t.shape(), out_strides,
+                          offset * out_strides[dim], dst);
+        });
       }
       offset += t.shape()[dim];
     }

@@ -42,13 +42,34 @@ TensorImpl::TensorImpl(Shape shape_in, std::vector<float> values)
 }
 
 TensorImpl::~TensorImpl() {
-  internal::RecordFree(static_cast<int64_t>(data.size()) * sizeof(float));
+  internal::RecordFree(static_cast<int64_t>(data.size() + grad.size()) *
+                       sizeof(float));
+}
+
+float* TensorImpl::MutableGrad() {
+  if (grad.empty() && !data.empty()) {
+    grad.assign(data.size(), 0.0f);
+    internal::RecordAlloc(static_cast<int64_t>(grad.size()) * sizeof(float));
+  }
+  return grad.data();
 }
 
 void TensorImpl::AccumulateGrad(const float* delta, int64_t n) {
   CONFORMER_CHECK_EQ(n, static_cast<int64_t>(data.size()));
-  if (grad.empty()) grad.assign(data.size(), 0.0f);
-  for (int64_t i = 0; i < n; ++i) grad[i] += delta[i];
+  float* dst = MutableGrad();
+  for (int64_t i = 0; i < n; ++i) dst[i] += delta[i];
+}
+
+void TensorImpl::TakeGrad(TensorImpl& from) {
+  CONFORMER_CHECK(grad.empty()) << "TakeGrad into a tensor holding a gradient";
+  CONFORMER_CHECK_EQ(from.grad.size(), data.size());
+  grad.swap(from.grad);
+}
+
+void TensorImpl::ReleaseGrad() {
+  if (grad.empty()) return;
+  internal::RecordFree(static_cast<int64_t>(grad.size()) * sizeof(float));
+  std::vector<float>().swap(grad);  // clear() would keep the capacity
 }
 
 // -- Factories ----------------------------------------------------------
@@ -192,13 +213,12 @@ Tensor Tensor::grad() const {
 
 float* Tensor::grad_data() {
   CONFORMER_CHECK(defined());
-  if (impl_->grad.empty()) impl_->grad.assign(impl_->data.size(), 0.0f);
-  return impl_->grad.data();
+  return impl_->MutableGrad();
 }
 
 void Tensor::ZeroGrad() {
   CONFORMER_CHECK(defined());
-  impl_->grad.clear();
+  impl_->ReleaseGrad();
 }
 
 Tensor Tensor::Detach() const {
@@ -248,9 +268,7 @@ std::vector<float> AcquireBuffer(int64_t n) {
 bool ShouldRecord(const std::vector<Tensor>& inputs) {
   if (!g_recording_enabled) return false;
   for (const Tensor& t : inputs) {
-    if (t.defined() && (t.requires_grad() || t.impl()->node != nullptr)) {
-      return true;
-    }
+    if (t.defined() && NeedsGrad(t)) return true;
   }
   return false;
 }

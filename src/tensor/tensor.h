@@ -37,8 +37,25 @@ class TensorImpl;
 /// \brief One recorded operation in the autograd tape.
 ///
 /// `inputs` keeps the producing subgraph alive; `backward` reads the output
-/// gradient (passed as the owning TensorImpl) and accumulates into the
-/// inputs' gradients.
+/// gradient (passed as the owning TensorImpl) and adds its contribution into
+/// the inputs' gradients, each written once and in place:
+///
+/// - **Fresh:** an input with no gradient yet in this pass (the common case)
+///   gets a zero-filled buffer from `TensorImpl::MutableGrad()`, and the op
+///   computes straight into it in the same per-element order its own
+///   temporary would use, bitwise equal to adding that temporary into a
+///   zeroed buffer (`0 + x == x` for every such sum).
+/// - **Already holds a gradient:** an elementwise contribution still adds
+///   straight in (`grad += g * df` is one expression either way). A
+///   multi-term or strided one (broadcast reduction, overlapping views,
+///   Gemm, GruSequence) goes through `internal::AccumulateGradWith`: a zeroed
+///   scratch buffer, then one add, so `grad + (0 + terms)` keeps its
+///   association.
+///
+/// Every gradient sum starts from +0, and in round-to-nearest such a sum is
+/// never -0; so no gradient buffer holds -0, a gather may overwrite a fresh
+/// buffer instead of adding into it, and `Reshape`'s backward may move its
+/// output gradient into an input that has none instead of copying it.
 struct AutogradNode {
   std::vector<std::shared_ptr<TensorImpl>> inputs;
   std::function<void(TensorImpl&)> backward;
@@ -46,6 +63,13 @@ struct AutogradNode {
 };
 
 /// \brief Shared tensor storage: data, shape, gradient, and tape node.
+///
+/// The gradient buffer has one owner and is counted in AllocStats while it
+/// is allocated. Backward functions read `grad` directly but change it only
+/// through the methods below. A non-leaf's gradient lives from its first
+/// consumer's backward until its own backward has run, when
+/// `Tensor::Backward` frees it (unless `retain_graph`); a leaf's keeps
+/// accumulating across passes until `Tensor::ZeroGrad`.
 class TensorImpl {
  public:
   TensorImpl(Shape shape, std::vector<float> values);
@@ -54,13 +78,23 @@ class TensorImpl {
   TensorImpl(const TensorImpl&) = delete;
   TensorImpl& operator=(const TensorImpl&) = delete;
 
-  /// Accumulates `delta` (same length as data) into the gradient buffer,
-  /// allocating it on first use.
+  /// The gradient buffer, zero-filled on first use. Take it before any
+  /// ParallelFor so that chunks never race on the allocation.
+  float* MutableGrad();
+
+  /// Adds `delta` (same length as data) into the gradient buffer.
   void AccumulateGrad(const float* delta, int64_t n);
+
+  /// Moves `from`'s gradient buffer (same length) into this tensor, which
+  /// must have none: an ownership transfer, not a new allocation.
+  void TakeGrad(TensorImpl& from);
+
+  /// Frees the gradient buffer (no-op when there is none).
+  void ReleaseGrad();
 
   std::vector<float> data;
   Shape shape;
-  std::vector<float> grad;  // Empty until a gradient is accumulated.
+  std::vector<float> grad;  // Empty until a gradient is written.
   bool requires_grad = false;
   std::shared_ptr<AutogradNode> node;  // Null for leaves.
 };
@@ -117,14 +151,18 @@ class Tensor {
   /// The accumulated gradient as a detached tensor (zeros if none).
   Tensor grad() const;
   float* grad_data();
-  /// Clears the accumulated gradient.
+  /// Frees the accumulated gradient.
   void ZeroGrad();
 
-  /// Runs backpropagation from this scalar (numel()==1) tensor. Frees the
-  /// tape afterwards unless `retain_graph`.
+  /// Runs backpropagation from this scalar (numel()==1) tensor. Each
+  /// non-leaf's gradient is freed once its backward has consumed it, and
+  /// the tape is freed at the end, both unless `retain_graph`. Leaves
+  /// accumulate. (Even with `retain_graph`, a `Reshape` output's gradient
+  /// may have been moved into its input.)
   void Backward(bool retain_graph = false);
 
-  /// A tensor sharing this buffer but cut off from the tape.
+  /// A copy of this tensor's values in a fresh buffer, cut off from the
+  /// tape.
   Tensor Detach() const;
   /// A deep copy (fresh buffer, no tape).
   Tensor Clone() const;
@@ -162,6 +200,28 @@ namespace internal {
 
 /// True if autograd should record an op over these inputs.
 bool ShouldRecord(const std::vector<Tensor>& inputs);
+
+/// True if a backward pass must produce a gradient for `t`: it is a
+/// differentiable leaf or the output of a recorded op.
+inline bool NeedsGrad(const Tensor& t) {
+  return t.requires_grad() || t.impl()->node != nullptr;
+}
+
+/// Adds one multi-term or strided gradient contribution into `impl`.
+/// `write(dst)` adds the contribution into a zero-filled `dst` (a gather,
+/// one term per element, may overwrite it instead). On the first write of a
+/// pass `dst` is the gradient itself; otherwise it is a zeroed scratch
+/// buffer, added into the gradient afterwards in one pass.
+template <typename WriteFn>
+void AccumulateGradWith(TensorImpl& impl, WriteFn write) {
+  if (impl.grad.empty()) {
+    write(impl.MutableGrad());
+    return;
+  }
+  std::vector<float> scratch(impl.data.size(), 0.0f);
+  write(scratch.data());
+  impl.AccumulateGrad(scratch.data(), static_cast<int64_t>(scratch.size()));
+}
 
 /// A zero-filled buffer of `n` floats for an op output (empty for n <= 0).
 std::vector<float> AcquireBuffer(int64_t n);

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
+#include "tensor/alloc_stats.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
 
@@ -474,6 +478,230 @@ TEST(AutogradTest, RetainGraphAllowsSecondBackward) {
   const float g1 = x.grad().item();
   s.Backward();
   EXPECT_NEAR(x.grad().item(), 2.0f * g1, 1e-5);
+}
+
+// -- gradient ownership ------------------------------------------------------
+//
+// Backward writes each gradient once, in place: the first contribution of a
+// pass computes straight into a zero-filled buffer, later ones add in as
+// `grad + (0 + terms)`. Either way the result must be bitwise what adding
+// every consumer's own gradient would give.
+
+// One consumer of a leaf: a scalar loss term built from it.
+using Consumer = std::function<Tensor(const Tensor&)>;
+
+// Fixed pseudo-random constant, so upstream gradients are not all ones.
+Tensor Constant(const Shape& shape, uint64_t seed) {
+  Rng rng(seed);
+  return Tensor::Randn(shape, &rng);
+}
+
+// Sum of `t` weighted by a fixed constant of its shape.
+Tensor WeightedSum(const Tensor& t, uint64_t seed) {
+  return Sum(Mul(t, Constant(t.shape(), seed)));
+}
+
+std::vector<float> Floats(const Tensor& t) {
+  return std::vector<float>(t.data(), t.data() + t.numel());
+}
+
+// The gradient a fresh leaf holding `values` gets from one pass over `loss`.
+std::vector<float> GradUnder(const Tensor& values, const Consumer& loss) {
+  Tensor x = values.Clone();
+  x.set_requires_grad(true);
+  loss(x).Backward();
+  return Floats(x.grad());
+}
+
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+      << what;
+  for (float v : got) {
+    EXPECT_FALSE(v == 0.0f && std::signbit(v)) << what << ": -0 gradient";
+  }
+}
+
+// Two consumers of one leaf: two ops, or two input slots of one op. `both`
+// is the loss with both consumers in one graph; when null it is
+// Add(first, second). A slot reads the leaf's values through Detach() when
+// it is not the consumer under test.
+struct ConsumerFamily {
+  std::string name;
+  Shape leaf_shape;
+  Consumer first;
+  Consumer second;
+  Consumer both = nullptr;
+};
+
+std::vector<ConsumerFamily> ConsumerFamilies() {
+  const auto gru = [](const Tensor& gates, const Tensor& w_hh, uint64_t seed) {
+    return WeightedSum(GruSequence(gates, w_hh, Constant({12}, seed)),
+                       seed + 1);
+  };
+  return {
+      {"same-shape elementwise", {3, 5},
+       [](const Tensor& x) {
+         return WeightedSum(Mul(x, Constant({3, 5}, 1)), 2);
+       },
+       [](const Tensor& x) { return WeightedSum(Tanh(x), 3); }},
+      {"broadcast elementwise", {1, 5},
+       [](const Tensor& x) {
+         return WeightedSum(Mul(x, Constant({3, 5}, 4)), 5);
+       },
+       [](const Tensor& x) {
+         return WeightedSum(Sub(Constant({4, 3, 5}, 6), x), 7);
+       }},
+      {"Add of itself", {3, 5},
+       [](const Tensor& x) { return WeightedSum(Add(x, x.Detach()), 8); },
+       [](const Tensor& x) { return WeightedSum(Add(x.Detach(), x), 8); },
+       [](const Tensor& x) { return WeightedSum(Add(x, x), 8); }},
+      {"Sub of itself", {3, 5},
+       [](const Tensor& x) {
+         return WeightedSum(Sub(MulScalar(x, 3.0f), x.Detach()), 9);
+       },
+       [](const Tensor& x) {
+         return WeightedSum(Sub(MulScalar(x.Detach(), 3.0f), x), 9);
+       },
+       [](const Tensor& x) {
+         return WeightedSum(Sub(MulScalar(x, 3.0f), x), 9);
+       }},
+      {"Permute/Slice", {2, 3, 4},
+       [](const Tensor& x) { return WeightedSum(Permute(x, {2, 0, 1}), 10); },
+       [](const Tensor& x) { return WeightedSum(Slice(x, 1, 1, 3), 11); }},
+      {"overlapping Unfold", {2, 7},
+       [](const Tensor& x) {
+         return WeightedSum(AsStrided(x, {2, 5, 3}, {7, 1, 1}, 0, "Unfold"),
+                            12);
+       },
+       [](const Tensor& x) {
+         return WeightedSum(AsStrided(x, {2, 3, 3}, {7, 2, 1}, 0, "Unfold"),
+                            13);
+       }},
+      {"MatMul(x, x)", {2, 4, 4},
+       [](const Tensor& x) { return WeightedSum(MatMul(x, x.Detach()), 14); },
+       [](const Tensor& x) { return WeightedSum(MatMul(x.Detach(), x), 14); },
+       [](const Tensor& x) { return WeightedSum(MatMul(x, x), 14); }},
+      {"MatMul broadcast batch", {4, 3},
+       [](const Tensor& x) {
+         return WeightedSum(MatMul(Constant({2, 5, 4}, 15), x), 16);
+       },
+       [](const Tensor& x) {
+         return WeightedSum(MatMul(Constant({6, 4}, 17), x), 18);
+       }},
+      {"Reshape", {3, 4},
+       [](const Tensor& x) { return WeightedSum(Reshape(x, {4, 3}), 17); },
+       [](const Tensor& x) {
+         return WeightedSum(Reshape(Tanh(x), {2, 6}), 18);
+       }},
+      {"Sum", {3, 4},
+       [](const Tensor& x) { return WeightedSum(Sum(x, {0}), 19); },
+       [](const Tensor& x) { return WeightedSum(Sum(x, {1}, true), 20); }},
+      {"Concat with a part listed twice", {2, 3},
+       [](const Tensor& x) {
+         return WeightedSum(Concat({x, Constant({2, 2}, 21), x.Detach()}, 1),
+                            22);
+       },
+       [](const Tensor& x) {
+         return WeightedSum(Concat({x.Detach(), Constant({2, 2}, 21), x}, 1),
+                            22);
+       },
+       [](const Tensor& x) {
+         return WeightedSum(Concat({x, Constant({2, 2}, 21), x}, 1), 22);
+       }},
+      {"GruSequence gates", {2, 5, 12},
+       [gru](const Tensor& x) { return gru(x, Constant({4, 12}, 24), 25); },
+       [gru](const Tensor& x) { return gru(x, Constant({4, 12}, 27), 28); }},
+      {"GruSequence w_hh", {4, 12},
+       [gru](const Tensor& x) { return gru(Constant({2, 5, 12}, 30), x, 31); },
+       [gru](const Tensor& x) { return gru(Constant({2, 5, 12}, 33), x, 34); }},
+  };
+}
+
+TEST(GradOwnershipTest, SecondConsumerAddsItsWholeGradientOnce) {
+  for (const ConsumerFamily& family : ConsumerFamilies()) {
+    const Tensor values = Constant(family.leaf_shape, 99);
+    const std::vector<float> d1 = GradUnder(values, family.first);
+    const std::vector<float> d2 = GradUnder(values, family.second);
+    std::vector<float> want(d1.size());
+    for (size_t i = 0; i < want.size(); ++i) want[i] = (0.0f + d1[i]) + d2[i];
+
+    // One pass, two consumers.
+    const Consumer both = family.both ? family.both : [&](const Tensor& x) {
+      return Add(family.first(x), family.second(x));
+    };
+    ExpectSameBits(GradUnder(values, both), want,
+                   family.name + ", two consumers");
+
+    // Two passes into one leaf.
+    Tensor x = values.Clone();
+    x.set_requires_grad(true);
+    family.first(x).Backward();
+    ExpectSameBits(Floats(x.grad()), d1, family.name + ", one consumer");
+    family.second(x).Backward();
+    ExpectSameBits(Floats(x.grad()), want, family.name + ", two passes");
+  }
+}
+
+TEST(GradOwnershipTest, NoGradientHoldsNegativeZero) {
+  // Zero (and -0) upstream gradients times a local derivative of -1 make
+  // -0 terms; every buffer they land in must read +0.
+  Tensor x = Leaf({6}, 5);
+  Tensor neg = MulScalar(x, -1.0f);
+  Tensor sub = Sub(Tensor::Zeros({2, 6}), x);
+  Tensor flat = Reshape(neg, {2, 3});
+  Tensor loss = Add(Sum(Mul(flat, Tensor::Full({2, 3}, -0.0f))),
+                    Sum(Mul(sub, Tensor::Zeros({2, 6}))));
+  loss.Backward(/*retain_graph=*/true);
+  for (const Tensor& t : {x, neg, sub}) {
+    ASSERT_TRUE(t.has_grad());
+    for (float v : Floats(t.grad())) {
+      EXPECT_EQ(v, 0.0f);
+      EXPECT_FALSE(std::signbit(v));
+    }
+  }
+}
+
+TEST(GradOwnershipTest, NonLeafGradientIsFreedOnceConsumed) {
+  Tensor x = Leaf({4}, 6);
+  Tensor y = Tanh(x);
+  Sum(y).Backward();
+  EXPECT_FALSE(y.has_grad());
+  EXPECT_TRUE(x.has_grad());
+
+  Tensor z = Tanh(x);
+  Sum(z).Backward(/*retain_graph=*/true);
+  EXPECT_TRUE(z.has_grad());
+}
+
+TEST(GradOwnershipTest, GradientBuffersAreCountedOnce) {
+  Tensor x = Leaf({1024}, 7);
+  const int64_t before = GetAllocStats().current_bytes;
+  // Reshape moves its output gradient into x: one buffer, counted once.
+  Sum(Reshape(x, {32, 32})).Backward();
+  EXPECT_EQ(GetAllocStats().current_bytes - before,
+            1024 * static_cast<int64_t>(sizeof(float)));
+  x.ZeroGrad();
+  EXPECT_EQ(GetAllocStats().current_bytes, before);
+}
+
+// Peak bytes allocated during the backward pass of a chain of `n` Tanh ops.
+int64_t BackwardPeakBytes(int n) {
+  Tensor x = Leaf({1024}, 8);
+  Tensor y = x;
+  for (int i = 0; i < n; ++i) y = Tanh(y);
+  Tensor loss = Sum(y);
+  ResetAllocPeak();
+  const int64_t before = GetAllocStats().current_bytes;
+  loss.Backward();
+  return GetAllocStats().peak_bytes - before;
+}
+
+TEST(GradOwnershipTest, BackwardPeakDoesNotGrowWithChainLength) {
+  const int64_t short_chain = BackwardPeakBytes(16);
+  EXPECT_GT(short_chain, 0);
+  EXPECT_EQ(short_chain, BackwardPeakBytes(64));
 }
 
 }  // namespace
