@@ -2,8 +2,9 @@
 // and sliding-window attention at 1, 2, 4 and hardware_concurrency threads
 // (deduplicated), plus per-SIMD-level rows (docs/SIMD.md) — the same Gemm /
 // elementwise / softmax work pinned to 1 thread under each available
-// CONFORMER_SIMD_LEVEL, and a `gemm_dispatch` row at the auto-detected
-// level. CI's bench-smoke job asserts gemm_dispatch >= 1.5x gemm_scalar.
+// CONFORMER_SIMD_LEVEL, a `gemm_dispatch` row at the auto-detected level,
+// and a one-thread GruSequence forward at the serving batch-8 geometry.
+// CI's bench-smoke job asserts gemm_dispatch >= 1.5x gemm_scalar.
 // Emits one JSON document on stdout so CI can diff runs:
 //
 //   {"host": {"hardware_concurrency": N, "simd": ..., "compiler": ...},
@@ -111,6 +112,7 @@ void BenchSimdLevels(std::vector<BenchRow>* results) {
   Tensor eb = Tensor::Randn({en}, &rng);
   std::vector<float> eo(en);
   auto elementwise = [&] { vec::AddN(ea.data(), eb.data(), eo.data(), en); };
+  auto tanh = [&] { vec::TanhN(ea.data(), eo.data(), en); };
 
   const int64_t rows = 256, cols = 512;
   Tensor sa = Tensor::Randn({rows, cols}, &rng);
@@ -128,9 +130,21 @@ void BenchSimdLevels(std::vector<BenchRow>* results) {
     results->push_back(
         {"elementwise_" + name, 1, MeasureOpsPerSec(elementwise)});
     results->push_back({"softmax_" + name, 1, MeasureOpsPerSec(softmax)});
+    results->push_back({"tanh_" + name, 1, MeasureOpsPerSec(tanh)});
   }
   vec::SetSimdLevel(vec::DetectedSimdLevel());
   results->push_back({"gemm_dispatch", 1, MeasureOpsPerSec(gemm)});
+
+  // One GRU layer's forward at the serving geometry: batch 8, 48 steps,
+  // hidden 16.
+  const int64_t batch = 8, length = 48, hidden = 16;
+  Tensor gates = Tensor::Randn({batch, length, 3 * hidden}, &rng);
+  Tensor w_hh = MulScalar(Tensor::Randn({hidden, 3 * hidden}, &rng), 0.25f);
+  Tensor b_hh = Tensor::Randn({3 * hidden}, &rng);
+  results->push_back({"gru_sequence_8x48x16", 1, MeasureOpsPerSec([&] {
+                        Tensor out = GruSequence(gates, w_hh, b_hh);
+                        (void)out;
+                      })});
   vec::SetSimdLevel(ambient);
 }
 

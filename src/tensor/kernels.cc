@@ -58,7 +58,7 @@ Shape BroadcastShape(const Shape& a, const Shape& b) {
     CONFORMER_CHECK(ad == bd || ad == 1 || bd == 1)
         << "cannot broadcast " << ShapeToString(a) << " with "
         << ShapeToString(b);
-    out[i] = std::max(ad, bd);
+    out[i] = ad == 1 ? bd : ad;  // a size-1 dim takes the other's, even 0
   }
   return out;
 }

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <type_traits>
 
@@ -143,8 +144,21 @@ void UnaryForward(int64_t n, SpanFn span, const float* a, float* out) {
   });
 }
 
+// Runs `fn(i0, len, scratch)` over [0, n) in blocks of at most kBlock
+// elements, handing each block a stack scratch span of `len` floats.
+template <typename Fn>
+void InBlocks(int64_t n, Fn fn) {
+  constexpr int64_t kBlock = 256;
+  float scratch[kBlock];
+  for (int64_t i0 = 0; i0 < n; i0 += kBlock) {
+    fn(i0, std::min(kBlock, n - i0), scratch);
+  }
+}
+
 // Shared plumbing for unary ops: `span` computes whole contiguous output
-// chunks from input chunks, `df` computes d out_i / d a_i from (a_i, out_i).
+// chunks from input chunks. `df` computes d out_i / d a_i, either per
+// element from (a_i, out_i) or, when it takes spans (a, out, d, len), into
+// d for a whole block, for derivatives that call a span kernel.
 template <typename SpanFn, typename Df>
 Tensor UnaryOpSpan(const Tensor& a, SpanFn span, Df df, const char* name) {
   CONFORMER_PROFILE_SCOPE(name);
@@ -156,10 +170,21 @@ Tensor UnaryOpSpan(const Tensor& a, SpanFn span, Df df, const char* name) {
   auto backward = [a_in, df](TensorImpl& self) mutable {
     const int64_t n = static_cast<int64_t>(self.data.size());
     const float* ad = a_in.data();
+    const float* yd = self.data.data();
+    const float* gd = self.grad.data();
     float* dst = a_in.impl()->MutableGrad();
     ParallelFor(0, n, kernels::kGrainElementwise, [&](int64_t cb, int64_t ce) {
-      for (int64_t i = cb; i < ce; ++i) {
-        dst[i] += self.grad[i] * df(ad[i], self.data[i]);
+      if constexpr (std::is_invocable_v<Df, const float*, const float*, float*,
+                                        int64_t>) {
+        InBlocks(ce - cb, [&](int64_t i0, int64_t len, float* d) {
+          const int64_t b = cb + i0;
+          df(ad + b, yd + b, d, len);
+          for (int64_t i = 0; i < len; ++i) dst[b + i] += gd[b + i] * d[i];
+        });
+      } else {
+        for (int64_t i = cb; i < ce; ++i) {
+          dst[i] += gd[i] * df(ad[i], yd[i]);
+        }
       }
     });
   };
@@ -178,6 +203,18 @@ Tensor UnaryOpSpan(const Tensor& a, SpanFn span, Df df, const char* name) {
 template <typename Fn, typename Df>
 Tensor UnaryOp(const Tensor& a, Fn f, Df df, const char* name) {
   return UnaryOpSpan(a, ScalarUnarySpan(f), df, name);
+}
+
+// Gelu's tanh approximation constants: sqrt(2/pi) and the cubic weight.
+constexpr float kGeluC = 0.7978845608f;
+constexpr float kGeluB = 0.044715f;
+
+// t[i] = tanh(sqrt(2/pi) (x + 0.044715 x^3)) for a span.
+void GeluTanhSpan(const float* x, float* t, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    t[i] = kGeluC * (x[i] + kGeluB * x[i] * x[i] * x[i]);
+  }
+  vec::TanhN(t, t, n);
 }
 
 }  // namespace
@@ -265,9 +302,10 @@ Tensor Abs(const Tensor& a) {
 }
 
 Tensor Tanh(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; }, "Tanh");
+  // vec::TanhN is the shared polynomial tanh (docs/SIMD.md): <= 2 ulp of
+  // the exact tanh, bitwise identical across SIMD levels.
+  return UnaryOpSpan(a, vec::TanhN, [](float, float y) { return 1.0f - y * y; },
+                     "Tanh");
 }
 
 Tensor Sigmoid(const Tensor& a) {
@@ -284,20 +322,26 @@ Tensor Relu(const Tensor& a) {
 }
 
 Tensor Gelu(const Tensor& a) {
-  // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
-  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
-  constexpr float kB = 0.044715f;
-  return UnaryOp(
+  // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))),
+  // the forward and the derivative's recomputed tanh both through
+  // vec::TanhN.
+  return UnaryOpSpan(
       a,
-      [](float x) {
-        const float inner = kC * (x + kB * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
+      [](const float* x, float* o, int64_t n) {
+        InBlocks(n, [&](int64_t i0, int64_t len, float* t) {
+          GeluTanhSpan(x + i0, t, len);
+          for (int64_t i = 0; i < len; ++i) {
+            o[i0 + i] = 0.5f * x[i0 + i] * (1.0f + t[i]);
+          }
+        });
       },
-      [](float x, float) {
-        const float inner = kC * (x + kB * x * x * x);
-        const float t = std::tanh(inner);
-        const float dinner = kC * (1.0f + 3.0f * kB * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
+      [](const float* x, const float*, float* d, int64_t n) {
+        GeluTanhSpan(x, d, n);
+        for (int64_t i = 0; i < n; ++i) {
+          const float t = d[i];
+          const float dinner = kGeluC * (1.0f + 3.0f * kGeluB * x[i] * x[i]);
+          d[i] = 0.5f * (1.0f + t) + 0.5f * x[i] * (1.0f - t * t) * dinner;
+        }
       },
       "Gelu");
 }

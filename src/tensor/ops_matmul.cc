@@ -36,13 +36,23 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                              << ShapeToString(a.shape()) << " x "
                              << ShapeToString(b.shape());
   const int64_t k = ka;
-  const Shape batch = kernels::BroadcastShape(a_batch, b_batch);
-  const int64_t num_batches = NumElements(batch);
+  Shape batch = kernels::BroadcastShape(a_batch, b_batch);
 
   Shape out_shape = batch;
   out_shape.push_back(m);
   out_shape.push_back(n);
   std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
+
+  // One shared B: A's batches stack into the rows of a single Gemm. Output
+  // and dA rows are independent, and dB adds the rows batch by batch in
+  // ascending order, as the per-batch loop does, so every bit is unchanged.
+  if (NumElements(b_batch) == 1) {
+    m *= NumElements(batch);
+    a_batch.clear();
+    b_batch.clear();
+    batch.clear();
+  }
+  const int64_t num_batches = NumElements(batch);
 
   // Map each output batch index to the (possibly broadcast) input batch.
   const std::vector<int64_t> a_strides = kernels::BroadcastStrides(a_batch, batch);

@@ -46,9 +46,10 @@ void ParallelRows(const DimSplit& s, RowFn row_fn) {
 }
 
 // GruSequence's per-step working set: the carried state [B, h], the
-// recurrent pre-activations gh [B, 3h] and the r|z activations [B, 2h].
-// Thread-local and grown on first use, so plan replay allocates nothing
-// after warm-up and one replay closure can run on many threads at once.
+// recurrent pre-activations gh [B, 3h], the r|z activations [B, 2h] and the
+// candidate n [B, h]. Thread-local and grown on first use, so plan replay
+// allocates nothing after warm-up and one replay closure can run on many
+// threads at once.
 float* GruStepScratch(int64_t n) {
   thread_local std::vector<float> scratch;
   if (static_cast<int64_t>(scratch.size()) < n) scratch.resize(n);
@@ -57,17 +58,20 @@ float* GruStepScratch(int64_t n) {
 
 // Runs one GRU layer over `length` steps from a zero state, writing every
 // state to `out` [B, L, h]. The float order per element is the composed
-// per-step graph's: Gemm for h·W_hh, then + b_hh, sigmoid(gi + gh) through
-// the dispatched kernel, tanh(gi_n + r*gh_n), ((1-z)*n) + (z*h). When
-// `saved` is non-null it receives, time-major, h_{t-1} [L, B, h] followed by
-// r, z, n, gh_n [L, B, 4h] for the backward pass.
+// per-step graph's: Gemm for h·W_hh, then + b_hh, sigmoid(gi + gh) and
+// tanh(gi_n + r*gh_n) through the dispatched kernels, ((1-z)*n) + (z*h).
+// Each step makes three passes over the whole batch, so the sigmoid and
+// the tanh each run as one span. When `saved` is non-null it receives,
+// time-major, h_{t-1} [L, B, h] followed by r, z, n, gh_n [L, B, 4h] for
+// the backward pass.
 void GruSequenceForward(const float* gates, const float* w_hh,
                         const float* b_hh, int64_t batch, int64_t length,
                         int64_t hs, float* out, float* saved) {
   const int64_t g3 = 3 * hs;
-  float* h = GruStepScratch(batch * (hs + g3 + 2 * hs));
+  float* h = GruStepScratch(batch * (hs + g3 + 2 * hs + hs));
   float* gh = h + batch * hs;
   float* rz = gh + batch * g3;
+  float* cand = rz + batch * 2 * hs;
   std::fill(h, h + batch * hs, 0.0f);
   float* saved_h = saved;
   float* saved_act = saved == nullptr ? nullptr : saved + length * batch * hs;
@@ -78,24 +82,35 @@ void GruSequenceForward(const float* gates, const float* w_hh,
       const float* gi = gates + (b * length + t) * g3;
       float* ghb = gh + b * g3;
       float* rzb = rz + b * 2 * hs;
-      float* hb = h + b * hs;
-      float* ob = out + (b * length + t) * hs;
       for (int64_t j = 0; j < g3; ++j) ghb[j] = ghb[j] + b_hh[j];
       for (int64_t j = 0; j < 2 * hs; ++j) rzb[j] = gi[j] + ghb[j];
-      vec::SigmoidN(rzb, rzb, 2 * hs);
-      float* sa = nullptr;
+    }
+    vec::SigmoidN(rz, rz, batch * 2 * hs);
+    for (int64_t b = 0; b < batch; ++b) {
+      const float* gi = gates + (b * length + t) * g3 + 2 * hs;
+      const float* ghn = gh + b * g3 + 2 * hs;
+      const float* r = rz + b * 2 * hs;
+      float* nb = cand + b * hs;
+      for (int64_t j = 0; j < hs; ++j) nb[j] = gi[j] + r[j] * ghn[j];
+    }
+    vec::TanhN(cand, cand, batch * hs);
+    if (saved != nullptr) {
+      std::copy(h, h + batch * hs, saved_h + t * batch * hs);
+    }
+    for (int64_t b = 0; b < batch; ++b) {
+      const float* rzb = rz + b * 2 * hs;
+      const float* z = rzb + hs;
+      const float* nb = cand + b * hs;
+      float* hb = h + b * hs;
+      float* ob = out + (b * length + t) * hs;
       if (saved != nullptr) {
-        sa = saved_act + (t * batch + b) * 4 * hs;
-        std::copy(hb, hb + hs, saved_h + (t * batch + b) * hs);
+        float* sa = saved_act + (t * batch + b) * 4 * hs;
         std::copy(rzb, rzb + 2 * hs, sa);
-        std::copy(ghb + 2 * hs, ghb + g3, sa + 3 * hs);
+        std::copy(nb, nb + hs, sa + 2 * hs);
+        std::copy(gh + b * g3 + 2 * hs, gh + (b + 1) * g3, sa + 3 * hs);
       }
       for (int64_t j = 0; j < hs; ++j) {
-        const float r = rzb[j];
-        const float z = rzb[hs + j];
-        const float n = std::tanh(gi[2 * hs + j] + r * ghb[2 * hs + j]);
-        if (sa != nullptr) sa[2 * hs + j] = n;
-        hb[j] = (1.0f - z) * n + z * hb[j];
+        hb[j] = (1.0f - z[j]) * nb[j] + z[j] * hb[j];
         ob[j] = hb[j];
       }
     }

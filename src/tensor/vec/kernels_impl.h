@@ -14,9 +14,10 @@
 //     i ≡ l mod 8) and fold in ONE fixed pairwise order (FoldAdd/FoldMax);
 //   * remainder tails run the scalar replica of the lane op — ScalarExp is
 //     the same float-op sequence the vector Exp performs per lane;
-//   * transcendentals use our own polynomial (exp: Cephes-style 2^n *
-//     poly(r) with a two-term Cody-Waite ln2 split) so no backend depends
-//     on libm vector math.
+//   * transcendentals use our own polynomials (exp: Cephes-style 2^n *
+//     poly(r) with a two-term Cody-Waite ln2 split; tanh: an odd Cephes
+//     polynomial near 0, else built on that exp) so no backend depends on
+//     libm vector math.
 
 // NOLINT(build/header_guard) — intentionally re-includable per backend TU.
 
@@ -102,6 +103,53 @@ inline Vec8f VecSigmoid(Vec8f x) {
   const Vec8f one = Vec8f::Broadcast(1.0f);
   const Vec8f denom = one + e;
   return Vec8f::SelectGeZero(x, one / denom, e / denom);
+}
+
+// --- tanh: Cephes tanhf ----------------------------------------------------
+// a = |x|. Below kTanhSmall an odd polynomial a + a*z*P(z), z = a*a; from
+// there on 1 - 2/(exp(2a) + 1) on the shared exp, whose clamp makes large
+// and infinite inputs land on exactly 1. The sign comes back with one
+// SelectGeZero on x, so tanh(-x) == -tanh(x) bitwise for x != 0, NaN stays
+// NaN, and tanh(-0) is +0 (-0 >= 0 selects the unsigned result).
+constexpr float kTanhSmall = 0.625f;
+constexpr float kTanhP0 = -5.70498872745e-3f;
+constexpr float kTanhP1 = 2.06390887954e-2f;
+constexpr float kTanhP2 = -5.37397155531e-2f;
+constexpr float kTanhP3 = 1.33314422036e-1f;
+constexpr float kTanhP4 = -3.33332819422e-1f;
+
+// The exact per-lane float-op sequence of VecTanh below.
+inline float ScalarTanh(float x) {
+  const float a = std::fabs(x);
+  float r;
+  if (a - kTanhSmall >= 0.0f) {
+    r = 1.0f - 2.0f / (ScalarExp(a + a) + 1.0f);
+  } else {
+    const float z = a * a;
+    float p = kTanhP0;
+    p = p * z + kTanhP1;
+    p = p * z + kTanhP2;
+    p = p * z + kTanhP3;
+    p = p * z + kTanhP4;
+    r = (p * z) * a + a;
+  }
+  return x >= 0.0f ? r : 0.0f - r;
+}
+
+inline Vec8f VecTanh(Vec8f x) {
+  const Vec8f a = Vec8f::Abs(x);
+  const Vec8f one = Vec8f::Broadcast(1.0f);
+  const Vec8f large = one - Vec8f::Broadcast(2.0f) / (VecExp(a + a) + one);
+  const Vec8f z = a * a;
+  Vec8f p = Vec8f::Broadcast(kTanhP0);
+  p = p * z + Vec8f::Broadcast(kTanhP1);
+  p = p * z + Vec8f::Broadcast(kTanhP2);
+  p = p * z + Vec8f::Broadcast(kTanhP3);
+  p = p * z + Vec8f::Broadcast(kTanhP4);
+  const Vec8f small = (p * z) * a + a;
+  const Vec8f r =
+      Vec8f::SelectGeZero(a - Vec8f::Broadcast(kTanhSmall), large, small);
+  return Vec8f::SelectGeZero(x, r, Vec8f::Zero() - r);
 }
 
 // --- fixed horizontal fold orders ------------------------------------------
@@ -230,6 +278,12 @@ void SigmoidKernel(const float* a, float* o, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) VecSigmoid(Vec8f::Load(a + i)).Store(o + i);
   for (; i < n; ++i) o[i] = ScalarSigmoid(a[i]);
+}
+
+void TanhKernel(const float* a, float* o, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) VecTanh(Vec8f::Load(a + i)).Store(o + i);
+  for (; i < n; ++i) o[i] = ScalarTanh(a[i]);
 }
 
 void MulAddKernel(const float* x, float alpha, float* o, int64_t n) {
@@ -526,6 +580,7 @@ const internal::KernelTable& Table() {
       .sqrt = SqrtKernel,
       .exp = ExpKernel,
       .sigmoid = SigmoidKernel,
+      .tanh = TanhKernel,
       .mul_add = MulAddKernel,
       .gemm_nn = GemmRowsKernel<false>,
       .gemm_nt = GemmNTKernel,

@@ -4,10 +4,11 @@
 // vector width of 8 float lanes (4 double lanes), independent of the
 // instruction set that executes it. Each ISA backend (scalar, SSE2, AVX2,
 // NEON) implements the same logical algorithm — same lane-to-bin mapping for
-// accumulators, same fixed pairwise horizontal-fold order, same polynomial
-// for exp, multiply-then-add everywhere (no FMA; the build compiles with
-// -ffp-contract=off) — so the dispatched result is BITWISE IDENTICAL across
-// every SIMD level for every kernel in this table, not just within a level.
+// accumulators, same fixed pairwise horizontal-fold order, same polynomials
+// for exp and tanh, multiply-then-add everywhere (no FMA; the build
+// compiles with -ffp-contract=off) — so the dispatched result is BITWISE
+// IDENTICAL across every SIMD level for every kernel in this table, not
+// just within a level.
 // tests/simd_test.cc memcmp-enforces this; CI's simd-matrix job re-runs the
 // kernel suites under each forced level.
 //
@@ -95,6 +96,7 @@ struct KernelTable {
   void (*sqrt)(const float* a, float* o, int64_t n);
   void (*exp)(const float* a, float* o, int64_t n);
   void (*sigmoid)(const float* a, float* o, int64_t n);
+  void (*tanh)(const float* a, float* o, int64_t n);
   // o[i] += alpha * x[i].
   void (*mul_add)(const float* x, float alpha, float* o, int64_t n);
   // Rows [i0, i1) of C (m x n) += A * B, with A m x k (nn, nt) or k x m
@@ -170,6 +172,9 @@ inline void ExpN(const float* a, float* o, int64_t n) {
 }
 inline void SigmoidN(const float* a, float* o, int64_t n) {
   internal::ActiveTable().sigmoid(a, o, n);
+}
+inline void TanhN(const float* a, float* o, int64_t n) {
+  internal::ActiveTable().tanh(a, o, n);
 }
 inline void MulAddN(const float* x, float alpha, float* o, int64_t n) {
   internal::ActiveTable().mul_add(x, alpha, o, n);

@@ -341,14 +341,17 @@ double RelativeError(const Tensor& a, const Tensor& b) {
 }
 
 struct GruGeometry {
-  int64_t layers, batch, length;
+  int64_t layers, batch, length, hidden;
 };
 
+// Hidden size 5 ends every step's [B, h] tanh span and [B, 2h] sigmoid span
+// in a scalar tail, at B = 1 and B = 3 alike.
 std::vector<GruGeometry> GruGeometries() {
   std::vector<GruGeometry> out;
   for (int64_t layers : {1, 2}) {
     for (int64_t batch : {1, 3}) {
-      for (int64_t length : {1, 5}) out.push_back({layers, batch, length});
+      for (int64_t length : {1, 5}) out.push_back({layers, batch, length, 4});
+      out.push_back({layers, batch, 5, 5});
     }
   }
   return out;
@@ -369,8 +372,9 @@ TEST(GruTest, ParameterNamesAreCheckpointStable) {
 TEST(GruTest, ForwardBitwiseMatchesComposedReference) {
   for (const GruGeometry& g : GruGeometries()) {
     SCOPED_TRACE(::testing::Message() << "layers=" << g.layers << " B="
-                                      << g.batch << " L=" << g.length);
-    Gru gru(3, 4, g.layers);
+                                      << g.batch << " L=" << g.length
+                                      << " h=" << g.hidden);
+    Gru gru(3, g.hidden, g.layers);
     Rng rng(31);
     Tensor x = Tensor::Randn({g.batch, g.length, 3}, &rng);
     const GruOutput want = ReferenceGruForward(gru, x);
@@ -384,13 +388,16 @@ TEST(GruTest, ForwardBitwiseMatchesComposedReference) {
 TEST(GruTest, GradientsMatchComposedReference) {
   for (const GruGeometry& g : GruGeometries()) {
     SCOPED_TRACE(::testing::Message() << "layers=" << g.layers << " B="
-                                      << g.batch << " L=" << g.length);
-    Gru gru(3, 4, g.layers);
+                                      << g.batch << " L=" << g.length
+                                      << " h=" << g.hidden);
+    Gru gru(3, g.hidden, g.layers);
     Rng rng(32);
     Tensor x = Tensor::Randn({g.batch, g.length, 3}, &rng);
-    const Tensor proj = Tensor::Randn({g.batch, g.length, 4}, &rng);
-    const Tensor proj_last = Tensor::Randn({g.layers, g.batch, 4}, &rng);
-    const Tensor proj_first = Tensor::Randn({g.layers, g.batch, 4}, &rng);
+    const Tensor proj = Tensor::Randn({g.batch, g.length, g.hidden}, &rng);
+    const Tensor proj_last =
+        Tensor::Randn({g.layers, g.batch, g.hidden}, &rng);
+    const Tensor proj_first =
+        Tensor::Randn({g.layers, g.batch, g.hidden}, &rng);
     x.set_requires_grad(true);
     // Every output feeds the loss, so gradient reaches each step through the
     // sequence, the first state and the last state.

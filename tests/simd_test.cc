@@ -170,6 +170,7 @@ TEST_F(SimdTest, UnaryKernelTailSweep) {
       {"AbsN", vec::AbsN},
       {"ExpN", vec::ExpN},
       {"SigmoidN", vec::SigmoidN},
+      {"TanhN", vec::TanhN},
       {"AddScalarN",
        [](const float* a, float* o, int64_t n) {
          vec::AddScalarN(a, 0.75f, o, n);
@@ -357,6 +358,83 @@ TEST_F(SimdTest, SigmoidAccuracyAndSymmetry) {
   for (size_t i = 0; i < xs.size(); ++i) {
     const double want = 1.0 / (1.0 + std::exp(-static_cast<double>(xs[i])));
     EXPECT_NEAR(got[i], want, 1e-6) << "x=" << xs[i];
+  }
+}
+
+// Error of `got` against the exact `want`, in units of the last place of
+// `want` rounded to float.
+double UlpError(float got, double want) {
+  const float w = static_cast<float>(want);
+  const float ulp =
+      std::nextafter(std::fabs(w), std::numeric_limits<float>::infinity()) -
+      std::fabs(w);
+  return std::fabs(static_cast<double>(got) - want) / ulp;
+}
+
+TEST_F(SimdTest, TanhAccuracyAgainstDouble) {
+  ASSERT_TRUE(vec::SetSimdLevel(vec::DetectedSimdLevel()));
+  // A dense grid across both branches (|x| < 0.625 and above) into
+  // saturation, plus log-spaced tiny and subnormal magnitudes.
+  std::vector<float> xs;
+  for (float x = -12.0f; x <= 12.0f; x += 0.00137f) xs.push_back(x);
+  for (double x = std::numeric_limits<float>::denorm_min(); x < 1.0;
+       x *= 1.37) {
+    xs.push_back(static_cast<float>(x));
+    xs.push_back(-static_cast<float>(x));
+  }
+  std::vector<float> got(xs.size());
+  vec::TanhN(xs.data(), got.data(), static_cast<int64_t>(xs.size()));
+  for (size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_LE(UlpError(got[i], std::tanh(static_cast<double>(xs[i]))), 2.0)
+        << "x=" << xs[i];
+    // A span of one runs the scalar tail replica: same bits as the lane.
+    float alone = 0.0f;
+    vec::TanhN(&xs[i], &alone, 1);
+    EXPECT_EQ(0, std::memcmp(&alone, &got[i], sizeof(float))) << "x=" << xs[i];
+  }
+}
+
+TEST_F(SimdTest, TanhSpecialValuesAndOddSymmetry) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Nine inputs: one full vector plus a scalar tail.
+  const std::vector<float> xs = {kInf, -kInf, 88.0f, -88.0f, nan,
+                                 -0.0f, 0.0f,  1e30f, -1e30f};
+  const std::vector<float> want = {1.0f, -1.0f, 1.0f, -1.0f, nan,
+                                   0.0f, 0.0f,  1.0f, -1.0f};
+  for (SimdLevel level : vec::AvailableSimdLevels()) {
+    ASSERT_TRUE(vec::SetSimdLevel(level));
+    SCOPED_TRACE(vec::SimdLevelName(level));
+    std::vector<float> spans(xs.size());
+    vec::TanhN(xs.data(), spans.data(), static_cast<int64_t>(xs.size()));
+    for (size_t i = 0; i < xs.size(); ++i) {
+      float single = 0.0f;
+      vec::TanhN(&xs[i], &single, 1);
+      for (const float got : {spans[i], single}) {
+        if (std::isnan(want[i])) {
+          EXPECT_TRUE(std::isnan(got)) << "x=" << xs[i];
+        } else {
+          // tanh(-0) is +0: the sign select treats -0 as non-negative.
+          EXPECT_EQ(0, std::memcmp(&got, &want[i], sizeof(float)))
+              << "x=" << xs[i] << " got " << got;
+        }
+      }
+    }
+    // tanh(-x) is -tanh(x) bit for bit, in the vector lanes and the tail.
+    std::vector<float> pos, neg;
+    for (float x = 1e-3f; x <= 20.0f; x *= 1.013f) {
+      pos.push_back(x);
+      neg.push_back(-x);
+    }
+    const int64_t n = static_cast<int64_t>(pos.size());
+    std::vector<float> tp(n), tn(n);
+    vec::TanhN(pos.data(), tp.data(), n);
+    vec::TanhN(neg.data(), tn.data(), n);
+    for (int64_t i = 0; i < n; ++i) {
+      const float flipped = -tp[i];
+      EXPECT_EQ(0, std::memcmp(&flipped, &tn[i], sizeof(float)))
+          << "x=" << pos[i];
+    }
   }
 }
 
@@ -824,9 +902,10 @@ TEST_F(SimdTest, StridedConv1dGraphAcrossLevels) {
 }
 
 TEST_F(SimdTest, GruSequenceAcrossLevels) {
-  // h = 5: the 2h-wide sigmoid span has a scalar tail after one 8-lane
-  // vector. nn_test pins GruSequence to the composed per-step graph, whose
-  // ops are level-invariant, so this closes the contract at every level.
+  // h = 5 at B = 3: each step's [B, 2h] sigmoid span and [B, h] tanh span
+  // end in a scalar tail. nn_test pins GruSequence to the composed
+  // per-step graph, whose ops are level-invariant, so this closes the
+  // contract at every level.
   ExpectGraphIdenticalAcrossLevels(
       [](const std::vector<Tensor>& in) {
         return GruSequence(in[0], in[1], in[2]);

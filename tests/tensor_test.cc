@@ -14,6 +14,7 @@
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "util/thread_pool.h"
 
 namespace conformer {
 namespace {
@@ -90,6 +91,9 @@ TEST(BroadcastTest, Shapes) {
   EXPECT_EQ(kernels::BroadcastShape({2, 3}, {3}), (Shape{2, 3}));
   EXPECT_EQ(kernels::BroadcastShape({4, 1}, {1, 5}), (Shape{4, 5}));
   EXPECT_EQ(kernels::BroadcastShape({1}, {2, 2}), (Shape{2, 2}));
+  // A size-1 dim broadcasts to a zero-size one (numpy rules).
+  EXPECT_EQ(kernels::BroadcastShape({0, 3}, {1, 3}), (Shape{0, 3}));
+  EXPECT_EQ(kernels::BroadcastShape({1}, {0}), (Shape{0}));
 }
 
 TEST(BroadcastTest, Strides) {
@@ -230,6 +234,82 @@ TEST(MatMulTest, AgreesWithManual) {
       EXPECT_NEAR(c.at({i, j}), acc, 1e-4);
     }
   }
+}
+
+// A batched A times a 2-D B runs as one Gemm over A's stacked rows. Its
+// output and dA must be memcmp-equal to a per-batch Slice + MatMul loop,
+// and its dB to the per-batch Gemm accumulation the op ran before the
+// fold: batch by batch into one buffer, rows ascending. (The sliced graph
+// itself adds each batch's dB as a separate partial sum, so it is not the
+// dB oracle.) Checked at 1 and 8 threads.
+TEST(MatMulTest, SharedRhsFoldMatchesPerBatchLoop) {
+  struct Case {
+    Shape a, b;
+  };
+  const Case cases[] = {
+      {{8, 40, 20}, {20, 24}},    // tiled Gemm rows, split across threads
+      {{2, 3, 7, 5}, {5, 9}},     // rank-4 A, column tail
+      {{3, 6, 10}, {10, 70}},     // streaming rows (n > 64)
+      {{4, 3, 6}, {1, 6, 5}},     // B's batch dims all of size 1
+      {{0, 4, 5}, {5, 3}},        // zero-size batch
+  };
+  const int64_t ambient = ThreadPool::Global().num_threads();
+  for (const int threads : {1, 8}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(ShapeToString(c.a) + " x " + ShapeToString(c.b) + " at " +
+                   std::to_string(threads) + " threads");
+      const int64_t m = c.a[c.a.size() - 2];
+      const int64_t k = c.a.back();
+      const int64_t n = c.b.back();
+      const int64_t batches = NumElements(c.a) / (m * k);
+      Rng rng(7);
+      Tensor a = Tensor::Randn(c.a, &rng);
+      Tensor b = Tensor::Randn(c.b, &rng);
+      a.set_requires_grad(true);
+      b.set_requires_grad(true);
+      Tensor y = MatMul(a, b);
+      Shape out_shape(c.a.begin(), c.a.end() - 1);
+      out_shape.push_back(n);
+      ASSERT_EQ(y.shape(), out_shape);
+      const Tensor proj = Tensor::Randn(out_shape, &rng);
+      Sum(Mul(y, proj)).Backward();
+
+      // dB before the fold: one zeroed buffer, one accumulating Gemm per
+      // batch in ascending batch order.
+      std::vector<float> want_db(k * n, 0.0f);
+      for (int64_t i = 0; i < batches; ++i) {
+        kernels::Gemm(true, false, k, n, m, a.data() + i * m * k,
+                      proj.data() + i * m * n, want_db.data(),
+                      /*accumulate=*/true);
+      }
+      ASSERT_TRUE(b.grad().defined());
+      EXPECT_EQ(0, std::memcmp(b.grad().data(), want_db.data(),
+                               sizeof(float) * k * n))
+          << "dB";
+      if (batches == 0) continue;
+
+      Tensor a2 = Tensor::FromVector(
+          std::vector<float>(a.data(), a.data() + a.numel()),
+          {batches, m, k});
+      Tensor b2 = Tensor::FromVector(
+          std::vector<float>(b.data(), b.data() + b.numel()), {k, n});
+      a2.set_requires_grad(true);
+      std::vector<Tensor> parts;
+      for (int64_t i = 0; i < batches; ++i) {
+        parts.push_back(MatMul(Reshape(Slice(a2, 0, i, i + 1), {m, k}), b2));
+      }
+      Tensor want_y = Reshape(Concat(parts, 0), out_shape);
+      Sum(Mul(want_y, proj)).Backward();
+      EXPECT_EQ(0, std::memcmp(y.data(), want_y.data(),
+                               sizeof(float) * y.numel()))
+          << "output";
+      EXPECT_EQ(0, std::memcmp(a.grad().data(), a2.grad().data(),
+                               sizeof(float) * a.numel()))
+          << "dA";
+    }
+  }
+  ThreadPool::Global().SetNumThreads(ambient);
 }
 
 // -- reductions ---------------------------------------------------------------
