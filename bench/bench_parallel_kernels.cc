@@ -3,7 +3,9 @@
 // (deduplicated), plus per-SIMD-level rows (docs/SIMD.md) — the same Gemm /
 // elementwise / softmax work pinned to 1 thread under each available
 // CONFORMER_SIMD_LEVEL, a `gemm_dispatch` row at the auto-detected level,
-// and a one-thread GruSequence forward at the serving batch-8 geometry.
+// a one-thread GruSequence forward at the serving batch-8 geometry, and
+// one-thread rows for the sequence-path copies: the moving average
+// (forward + adjoint), conv im2col's strided gather, and a bias gradient.
 // CI's bench-smoke job asserts gemm_dispatch >= 1.5x gemm_scalar.
 // Emits one JSON document on stdout so CI can diff runs:
 //
@@ -145,6 +147,61 @@ void BenchSimdLevels(std::vector<BenchRow>* results) {
                         Tensor out = GruSequence(gates, w_hh, b_hh);
                         (void)out;
                       })});
+
+  // SIRN's trend/seasonal split at the training geometry [16, 48, 16],
+  // window 13: the moving-average kernel's forward, then its adjoint (the
+  // backward), over every slab.
+  {
+    const int64_t slabs = 16, steps = 48, width = 16, window = 13;
+    Tensor x = Tensor::Randn({slabs, steps, width}, &rng);
+    std::vector<float> y(x.numel()), dx(x.numel());
+    const float inv_k = 1.0f / static_cast<float>(window);
+    results->push_back(
+        {"moving_average_16x48x16_k13", 1, MeasureOpsPerSec([&] {
+           for (const bool adjoint : {false, true}) {
+             const float* src = adjoint ? y.data() : x.data();
+             float* dst = adjoint ? dx.data() : y.data();
+             for (int64_t s = 0; s < slabs; ++s) {
+               vec::MovingAverageRows(src + s * steps * width, steps, width,
+                                      window, inv_k, adjoint, 0, steps,
+                                      dst + s * steps * width);
+             }
+           }
+         })});
+  }
+
+  // Conv1d's im2col view (kernel 3) of a padded channels-first [8, 16, 50]
+  // input: [b, t, c, k] reads padded[b, c, t + k], overlapping windows.
+  {
+    const int64_t batch8 = 8, steps = 48, channels = 16, taps = 3;
+    const int64_t padded_len = steps + taps - 1;
+    Tensor padded = Tensor::Randn({batch8, channels, padded_len}, &rng);
+    std::vector<float> columns(batch8 * steps * channels * taps);
+    results->push_back(
+        {"unfold_gather_8x48x16x3", 1, MeasureOpsPerSec([&] {
+           kernels::Gather(padded.data(), {batch8, steps, channels, taps},
+                           {channels * padded_len, 1, padded_len, 1}, 0,
+                           columns.data());
+         })});
+  }
+
+  // A [16] bias's gradient over a [768, 16] output: the upstream gradient
+  // summed over rows, straight from the terms.
+  {
+    const Shape out_shape = {768, 16}, bias_shape = {16};
+    Tensor x = Tensor::Randn(out_shape, &rng);
+    Tensor bias = Tensor::Randn(bias_shape, &rng);
+    Tensor g = Tensor::Randn(out_shape, &rng);
+    std::vector<float> dbias(16);
+    results->push_back(
+        {"bias_add_bwd_768x16", 1, MeasureOpsPerSec([&] {
+           std::fill(dbias.begin(), dbias.end(), 0.0f);
+           kernels::BroadcastScatterAdd(
+               x.data(), out_shape, bias.data(), bias_shape, g.data(),
+               out_shape, dbias.data(), bias_shape, /*unit=*/true,
+               [](float, float, float grad) { return grad; });
+         })});
+  }
   vec::SetSimdLevel(ambient);
 }
 

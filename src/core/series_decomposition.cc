@@ -12,12 +12,7 @@ Decomposition DecomposeSeries(const Tensor& x, int64_t kernel) {
   if (kernel % 2 == 0) kernel -= 1;
   if (kernel < 1) kernel = 1;
 
-  // Pool over time: [B, L, D] -> [B, D, L], replicate-pad, average, back.
-  Tensor t = Permute(x, {0, 2, 1});
-  const int64_t half = kernel / 2;
-  t = ReplicatePad(t, /*dim=*/2, half, half);
-  t = AvgPool1d(t, kernel, /*stride=*/1);
-  Tensor trend = Permute(t, {0, 2, 1});
+  Tensor trend = MovingAverage(x, /*dim=*/1, kernel);
   return Decomposition{trend, Sub(x, trend)};
 }
 

@@ -16,6 +16,19 @@ int64_t GemmRowGrain(int64_t n, int64_t k) {
   return std::max<int64_t>(1, kGrainGemmMacs / macs_per_row);
 }
 
+// Copies one contiguous row. Rows here are often 3-16 floats, where a
+// library memmove call costs more than the copy; fixed-size 4-float moves
+// compile to single vector loads and stores.
+inline void CopyRow(const float* s, float* d, int64_t len) {
+  if (len > 64) {
+    std::copy(s, s + len, d);
+    return;
+  }
+  int64_t t = 0;
+  for (; t + 4 <= len; t += 4) std::memcpy(d + t, s + t, 4 * sizeof(float));
+  for (; t < len; ++t) d[t] = s[t];
+}
+
 }  // namespace
 
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
@@ -64,88 +77,85 @@ Shape BroadcastShape(const Shape& a, const Shape& b) {
 }
 
 std::vector<int64_t> BroadcastStrides(const Shape& from, const Shape& to) {
+  std::vector<int64_t> strides(to.size());
+  BroadcastStridesInto(from, to, strides.data());
+  return strides;
+}
+
+void BroadcastStridesInto(const Shape& from, const Shape& to, int64_t* out) {
   const int64_t rank = static_cast<int64_t>(to.size());
   const int64_t offset = rank - static_cast<int64_t>(from.size());
   CONFORMER_CHECK_GE(offset, 0);
-  std::vector<int64_t> from_strides = ContiguousStrides(from);
-  std::vector<int64_t> strides(rank, 0);
-  for (int64_t i = 0; i < static_cast<int64_t>(from.size()); ++i) {
+  std::fill(out, out + offset, 0);
+  int64_t stride = 1;  // `from`'s contiguous stride, innermost first
+  for (int64_t i = static_cast<int64_t>(from.size()) - 1; i >= 0; --i) {
     const int64_t d = i + offset;
     if (from[i] == to[d]) {
-      strides[d] = from_strides[i];
+      out[d] = stride;
     } else {
       CONFORMER_CHECK_EQ(from[i], 1)
           << "shape " << ShapeToString(from) << " does not broadcast to "
           << ShapeToString(to);
-      strides[d] = 0;
+      out[d] = 0;
     }
+    stride *= from[i];
   }
-  return strides;
 }
 
 void Gather(const float* src, const Shape& shape,
             const std::vector<int64_t>& strides, int64_t offset, float* dst) {
-  const RunLoops<1> loops = CoalesceLoops<1>(shape, {strides});
-  const int64_t step = loops.strides[0].back();
   const int64_t n = NumElements(shape);
+  if (n == 0) return;
+  const RunLoops<1> loops = CoalesceLoops<1>(shape, {strides.data()});
+  const int64_t step = loops.col_stride(0);
+  const int64_t row_step = loops.row_stride(0);
   src += offset;
   ParallelFor(0, n, kGrainStrided, [&](int64_t cb, int64_t ce) {
-    ForEachRun(loops, cb, ce,
-               [&](int64_t i, int64_t len, const std::array<int64_t, 1>& at) {
-                 const float* s = src + at[0];
-                 if (step == 1) {
-                   std::copy(s, s + len, dst + i);
-                 } else {
-                   for (int64_t t = 0; t < len; ++t) dst[i + t] = s[t * step];
-                 }
-               });
+    ForEachBlock(loops, cb, ce,
+                 [&](int64_t i, int64_t rows, int64_t len,
+                     const std::array<int64_t, 1>& at) {
+                   const float* s = src + at[0];
+                   float* d = dst + i;
+                   for (int64_t r = 0; r < rows; ++r, s += row_step, d += len) {
+                     if (step == 1) {
+                       CopyRow(s, d, len);
+                     } else {
+                       for (int64_t t = 0; t < len; ++t) d[t] = s[t * step];
+                     }
+                   }
+                 });
   });
 }
 
 void ScatterAdd(const float* src, const Shape& shape,
                 const std::vector<int64_t>& strides, int64_t offset,
                 float* dst) {
-  const int64_t n = NumElements(shape);
-  if (n == 0) return;
-  const RunLoops<1> loops = CoalesceLoops<1>(shape, {strides});
-  const int64_t step = loops.strides[0].back();
+  const RunLoops<1> loops = CoalesceLoops<1>(shape, {strides.data()});
+  const int64_t step = loops.col_stride(0);
+  const int64_t row_step = loops.row_stride(0);
   dst += offset;
-  auto scatter_range = [&](int64_t cb, int64_t ce) {
-    ForEachRun(loops, cb, ce,
-               [&](int64_t i, int64_t len, const std::array<int64_t, 1>& at) {
-                 float* d = dst + at[0];
-                 const float* s = src + i;
-                 if (step == 0) {
-                   float acc = *d;
-                   for (int64_t t = 0; t < len; ++t) acc += s[t];
-                   *d = acc;
-                 } else if (step == 1 && len >= vec::kFloatLanes) {
-                   // The dispatched call pays off once its vector body runs;
-                   // im2col's kernel-wide runs stay inline.
-                   vec::AddN(d, s, d, len);
-                 } else {
-                   for (int64_t t = 0; t < len; ++t) d[t * step] += s[t];
-                 }
-               });
-  };
-
-  // Leading slice r covers [r * lead_stride, r * lead_stride + span): the
-  // slices are disjoint exactly when lead_stride >= span, and then splitting
-  // over them leaves every dst element's flat add order unchanged.
-  const int64_t lead = loops.shape[0];
-  int64_t span = 1;
-  for (size_t d = 1; d < loops.shape.size(); ++d) {
-    span += (loops.shape[d] - 1) * loops.strides[0][d];
-  }
-  if (lead > 1 && loops.strides[0][0] >= span) {
-    const int64_t block = n / lead;
-    const int64_t row_grain = std::max<int64_t>(1, kGrainStrided / block);
-    ParallelFor(0, lead, row_grain, [&](int64_t r0, int64_t r1) {
-      scatter_range(r0 * block, r1 * block);
-    });
-  } else {
-    scatter_range(0, n);
-  }
+  ScatterRanges(loops, NumElements(shape), [&](int64_t cb, int64_t ce) {
+    ForEachBlock(
+        loops, cb, ce,
+        [&](int64_t i, int64_t rows, int64_t len,
+            const std::array<int64_t, 1>& at) {
+          float* d = dst + at[0];
+          const float* s = src + i;
+          for (int64_t r = 0; r < rows; ++r, d += row_step, s += len) {
+            if (step == 0) {
+              float acc = *d;
+              for (int64_t t = 0; t < len; ++t) acc += s[t];
+              *d = acc;
+            } else if (step == 1 && len >= vec::kFloatLanes) {
+              // The dispatched call pays off once its vector body runs;
+              // im2col's kernel-wide runs stay inline.
+              vec::AddN(d, s, d, len);
+            } else {
+              for (int64_t t = 0; t < len; ++t) d[t * step] += s[t];
+            }
+          }
+        });
+  });
 }
 
 }  // namespace conformer::kernels

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "tensor/vec/vec.h"
 #include "util/thread_pool.h"
 
 namespace conformer::kernels {
@@ -46,149 +47,296 @@ Shape BroadcastShape(const Shape& a, const Shape& b);
 /// Strides for reading a tensor of shape `from` as if it had shape `to`
 /// (stride 0 on broadcast dimensions). `from` must broadcast to `to`.
 std::vector<int64_t> BroadcastStrides(const Shape& from, const Shape& to);
+/// The same strides written to out[0, to.size()).
+void BroadcastStridesInto(const Shape& from, const Shape& to, int64_t* out);
+
+/// Most dims a loop nest keeps after coalescing, and the most dims a
+/// broadcast operand may have (tensors here have at most 6).
+inline constexpr int64_t kMaxLoopRank = 8;
+using LoopDims = std::array<int64_t, kMaxLoopRank>;
 
 /// A loop nest over a row-major shape, read through N operands' strides,
 /// with size-1 dims dropped and adjacent dims merged wherever every operand
 /// steps through them as one run. The flat visiting order is unchanged; the
-/// innermost dim is as long as it can be.
+/// innermost dim is as long as it can be. Fixed-size, so building one
+/// allocates nothing.
 template <size_t N>
 struct RunLoops {
-  Shape shape;  ///< Outermost first; never empty ({1} for a single element).
-  std::array<std::vector<int64_t>, N> strides;
+  int64_t rank = 0;  ///< Never 0 ({1} for a single element).
+  LoopDims shape{};  ///< Outermost first.
+  std::array<LoopDims, N> strides{};
+
+  int64_t cols() const { return shape[rank - 1]; }
+  int64_t rows() const { return rank >= 2 ? shape[rank - 2] : 1; }
+  /// Operand o's step along the innermost dim, and from one row of the
+  /// two innermost dims to the next (0 when there is one row).
+  int64_t col_stride(size_t o) const { return strides[o][rank - 1]; }
+  int64_t row_stride(size_t o) const {
+    return rank >= 2 ? strides[o][rank - 2] : 0;
+  }
 };
 
+/// `strides[o]` holds shape.size() entries for operand o.
 template <size_t N>
 RunLoops<N> CoalesceLoops(const Shape& shape,
-                          const std::array<std::vector<int64_t>, N>& strides) {
+                          const std::array<const int64_t*, N>& strides) {
   RunLoops<N> loops;
   for (size_t d = 0; d < shape.size(); ++d) {
     if (shape[d] == 1) continue;
-    bool merge = !loops.shape.empty();
+    bool merge = loops.rank > 0;
     for (size_t o = 0; o < N && merge; ++o) {
-      merge = loops.strides[o].back() == strides[o][d] * shape[d];
+      merge = loops.strides[o][loops.rank - 1] == strides[o][d] * shape[d];
     }
     if (merge) {
-      loops.shape.back() *= shape[d];
-      for (size_t o = 0; o < N; ++o) loops.strides[o].back() = strides[o][d];
-    } else {
-      loops.shape.push_back(shape[d]);
-      for (size_t o = 0; o < N; ++o) loops.strides[o].push_back(strides[o][d]);
+      loops.shape[loops.rank - 1] *= shape[d];
+      for (size_t o = 0; o < N; ++o) {
+        loops.strides[o][loops.rank - 1] = strides[o][d];
+      }
+      continue;
     }
+    CONFORMER_CHECK_LT(loops.rank, kMaxLoopRank)
+        << "loop nest over " << ShapeToString(shape) << " has too many dims";
+    loops.shape[loops.rank] = shape[d];
+    for (size_t o = 0; o < N; ++o) loops.strides[o][loops.rank] = strides[o][d];
+    ++loops.rank;
   }
-  if (loops.shape.empty()) {
-    loops.shape.push_back(1);
-    for (size_t o = 0; o < N; ++o) loops.strides[o].push_back(0);
+  if (loops.rank == 0) {
+    loops.rank = 1;
+    loops.shape[0] = 1;
   }
   return loops;
 }
 
-/// Calls `run(i, len, at)` for each innermost-dim run of the flat range
-/// [cb, ce), in order: flat indices [i, i + len), whose first element sits at
-/// offset at[o] in operand o. The first and last runs may be partial rows, so
-/// a ParallelFor chunk may start and end mid-row; the odometer steps once per
-/// row, not once per element.
-template <size_t N, typename RunFn>
-void ForEachRun(const RunLoops<N>& loops, int64_t cb, int64_t ce, RunFn run) {
+/// The loop nest over `out` of N operands with the given shapes, each read
+/// as broadcast to `out` (numpy rules).
+template <size_t N>
+RunLoops<N> BroadcastLoops(const Shape& out,
+                           const std::array<const Shape*, N>& operands) {
+  CONFORMER_CHECK_LE(static_cast<int64_t>(out.size()), kMaxLoopRank)
+      << "broadcast to " << ShapeToString(out) << " has too many dims";
+  std::array<LoopDims, N> strides{};
+  std::array<const int64_t*, N> at;
+  for (size_t o = 0; o < N; ++o) {
+    BroadcastStridesInto(*operands[o], out, strides[o].data());
+    at[o] = strides[o].data();
+  }
+  return CoalesceLoops<N>(out, at);
+}
+
+/// Calls `block(i, rows, len, at)` for the flat range [cb, ce) of `loops`,
+/// in order. One call covers `rows` consecutive innermost runs of `len`
+/// elements that share one step of the outer odometer: flat indices
+/// [i, i + rows * len), whose first element sits at offset at[o] in operand
+/// o, each later row loops.row_stride(o) further on. Whole rows of the two
+/// innermost dims come as one block; a ParallelFor chunk that starts or
+/// ends mid-row gets that partial row as a block of one.
+template <size_t N, typename BlockFn>
+void ForEachBlock(const RunLoops<N>& loops, int64_t cb, int64_t ce,
+                  BlockFn block) {
   if (cb >= ce) return;
-  const int64_t rank = static_cast<int64_t>(loops.shape.size());
-  const int64_t inner = loops.shape[rank - 1];
-  // Seed the outer-dim odometer at this range's first row.
-  std::vector<int64_t> index(rank - 1, 0);
+  const int64_t rank = loops.rank;
+  const int64_t cols = loops.cols();
+  // The odometer over every dim but the innermost, seeded at cb's row; its
+  // innermost digit (dim rank - 2) is the row within the current block.
+  LoopDims index{};
   std::array<int64_t, N> row_off{};
-  int64_t rem = cb / inner;
+  int64_t rem = cb / cols;
   for (int64_t d = rank - 2; d >= 0; --d) {
     index[d] = rem % loops.shape[d];
     rem /= loops.shape[d];
     for (size_t o = 0; o < N; ++o) row_off[o] += index[d] * loops.strides[o][d];
   }
-  int64_t col = cb % inner;
+  int64_t col = cb % cols;
   for (int64_t i = cb; i < ce;) {
-    const int64_t len = std::min(inner - col, ce - i);
+    int64_t rows = 1;
+    int64_t len = std::min(cols - col, ce - i);
+    if (col == 0 && len == cols && rank >= 2) {
+      rows = std::min(loops.shape[rank - 2] - index[rank - 2], (ce - i) / cols);
+    }
     std::array<int64_t, N> at;
     for (size_t o = 0; o < N; ++o) {
       at[o] = row_off[o] + col * loops.strides[o][rank - 1];
     }
-    run(i, len, at);
-    i += len;
+    block(i, rows, len, at);
+    i += rows * len;
     col = 0;
-    for (int64_t d = rank - 2; d >= 0; --d) {
-      ++index[d];
-      for (size_t o = 0; o < N; ++o) row_off[o] += loops.strides[o][d];
-      if (index[d] < loops.shape[d]) break;
-      index[d] = 0;
-      for (size_t o = 0; o < N; ++o) {
-        row_off[o] -= loops.strides[o][d] * loops.shape[d];
+    // Step the odometer `rows` rows on: the block never crosses its own
+    // dim, so only a carry out of it ripples outward, one step at a time.
+    int64_t step = rows;
+    for (int64_t d = rank - 2; d >= 0 && step > 0; --d) {
+      index[d] += step;
+      for (size_t o = 0; o < N; ++o) row_off[o] += step * loops.strides[o][d];
+      step = 0;
+      if (index[d] == loops.shape[d]) {
+        index[d] = 0;
+        for (size_t o = 0; o < N; ++o) {
+          row_off[o] -= loops.strides[o][d] * loops.shape[d];
+        }
+        step = 1;
       }
     }
   }
 }
 
-/// Applies `f(a_i, b_i)` elementwise with broadcasting; `out` must have
-/// NumElements(out_shape) entries.
-template <typename Fn>
-void BroadcastBinary(const float* a, const Shape& a_shape, const float* b,
-                     const Shape& b_shape, float* out, const Shape& out_shape,
-                     Fn f) {
-  const int64_t n = NumElements(out_shape);
-  if (a_shape == out_shape && b_shape == out_shape) {
-    ParallelFor(0, n, kGrainElementwise, [&](int64_t cb, int64_t ce) {
-      for (int64_t i = cb; i < ce; ++i) out[i] = f(a[i], b[i]);
-    });
-    return;
+/// Runs `range(cb, ce)` over [0, n) for a scatter whose destination is
+/// operand 0 of `loops`: split across threads over the leading dim when its
+/// slices write disjoint ranges (leading stride >= the span of one slice,
+/// 1 + Σ_{d>=1} (shape[d] - 1) * strides[d]), serially otherwise. Either way
+/// each destination element takes its adds in ascending flat order, so the
+/// result is bitwise the same at any thread count.
+template <size_t N, typename RangeFn>
+void ScatterRanges(const RunLoops<N>& loops, int64_t n, RangeFn range) {
+  if (n == 0) return;
+  const int64_t lead = loops.shape[0];
+  int64_t span = 1;
+  for (int64_t d = 1; d < loops.rank; ++d) {
+    span += (loops.shape[d] - 1) * loops.strides[0][d];
   }
-  const RunLoops<2> loops = CoalesceLoops<2>(
-      out_shape, {BroadcastStrides(a_shape, out_shape),
-                  BroadcastStrides(b_shape, out_shape)});
-  const int64_t sa = loops.strides[0].back();
-  const int64_t sb = loops.strides[1].back();
-  ParallelFor(0, n, kGrainStrided, [&](int64_t cb, int64_t ce) {
-    ForEachRun(loops, cb, ce,
-               [&](int64_t i, int64_t len, const std::array<int64_t, 2>& at) {
-                 const float* ar = a + at[0];
-                 const float* br = b + at[1];
-                 float* o = out + i;
-                 // An operand's innermost stride is 1 (it spans the row) or
-                 // 0 (held constant); both are 0 only for a one-element
-                 // output.
-                 if (sa == 1 && sb == 1) {
-                   for (int64_t t = 0; t < len; ++t) o[t] = f(ar[t], br[t]);
-                 } else if (sa == 1 && sb == 0) {
-                   const float bv = *br;
-                   for (int64_t t = 0; t < len; ++t) o[t] = f(ar[t], bv);
-                 } else if (sa == 0 && sb == 1) {
-                   const float av = *ar;
-                   for (int64_t t = 0; t < len; ++t) o[t] = f(av, br[t]);
-                 } else {
-                   o[0] = f(*ar, *br);
-                 }
-               });
-  });
+  if (lead > 1 && loops.strides[0][0] >= span) {
+    const int64_t block = n / lead;
+    const int64_t row_grain = std::max<int64_t>(1, kGrainStrided / block);
+    ParallelFor(0, lead, row_grain, [&](int64_t r0, int64_t r1) {
+      range(r0 * block, r1 * block);
+    });
+  } else {
+    range(0, n);
+  }
 }
 
-/// Like BroadcastBinary, but when both operands already have the output
-/// shape, each ParallelFor chunk is handed whole to `span(a+cb, b+cb,
-/// out+cb, len)` — the hook the SIMD layer (tensor/vec/vec.h) plugs into.
-/// Chunk boundaries are identical to BroadcastBinary's, so the 1-vs-N-thread
-/// determinism contract is unchanged. The strided broadcast path still runs
-/// the per-element functor `f`.
-template <typename Fn, typename SpanFn>
+/// Floats a broadcast row hands its span at a time when one operand is
+/// held constant along the row (replicated into a stack buffer).
+inline constexpr int64_t kBroadcastPiece = 256;
+
+/// o[t] = span(a, b)[t] for one output row of `len` elements, where each
+/// operand either spans the row (stride 1) or holds one value for all of
+/// it (stride 0); a held value is replicated so that `span` always sees
+/// two contiguous inputs.
+template <typename SpanFn>
+void BroadcastRow(const float* a, int64_t sa, const float* b, int64_t sb,
+                  float* o, int64_t len, SpanFn span) {
+  if (sa == sb) {  // both span the row, or a one-element output
+    span(a, b, o, len);
+    return;
+  }
+  float held[kBroadcastPiece];
+  for (int64_t p = 0; p < len; p += kBroadcastPiece) {
+    const int64_t m = std::min(kBroadcastPiece, len - p);
+    if (sa == 0) {
+      std::fill(held, held + m, *a);
+      span(held, b + p, o + p, m);
+    } else {
+      std::fill(held, held + m, *b);
+      span(a + p, held, o + p, m);
+    }
+  }
+}
+
+/// out = span(a, b) with broadcasting. When both operands already have the
+/// output shape, each ParallelFor chunk is handed whole to `span`; the SIMD
+/// layer (tensor/vec/vec.h) plugs in there. Otherwise the coalesced loop
+/// nest is walked in row blocks and each output row is one
+/// `broadcast_span` call: a full row, a repeated row (strides {0, 1}:
+/// bias, gamma, beta) or a per-row scalar (strides {1, 0}: LayerNorm's
+/// mean and std). Both spans must give the same bits as the op's scalar
+/// functor wherever they run. Every output element is written once, so
+/// the result is the same at any thread count.
+template <typename SpanFn, typename BroadcastSpanFn>
 void BroadcastBinarySpan(const float* a, const Shape& a_shape, const float* b,
                          const Shape& b_shape, float* out,
-                         const Shape& out_shape, Fn f, SpanFn span) {
+                         const Shape& out_shape, SpanFn span,
+                         BroadcastSpanFn broadcast_span) {
+  const int64_t n = NumElements(out_shape);
   if (a_shape == out_shape && b_shape == out_shape) {
-    const int64_t n = NumElements(out_shape);
     ParallelFor(0, n, kGrainElementwise, [&](int64_t cb, int64_t ce) {
       span(a + cb, b + cb, out + cb, ce - cb);
     });
     return;
   }
-  BroadcastBinary(a, a_shape, b, b_shape, out, out_shape, f);
+  const RunLoops<2> loops = BroadcastLoops<2>(out_shape, {&a_shape, &b_shape});
+  const int64_t sa = loops.col_stride(0), ra = loops.row_stride(0);
+  const int64_t sb = loops.col_stride(1), rb = loops.row_stride(1);
+  ParallelFor(0, n, kGrainStrided, [&](int64_t cb, int64_t ce) {
+    ForEachBlock(loops, cb, ce,
+                 [&](int64_t i, int64_t rows, int64_t len,
+                     const std::array<int64_t, 2>& at) {
+                   for (int64_t r = 0; r < rows; ++r) {
+                     BroadcastRow(a + at[0] + r * ra, sa, b + at[1] + r * rb,
+                                  sb, out + i + r * len, len, broadcast_span);
+                   }
+                 });
+  });
+}
+
+/// out[i] = f(a_i, b_i) elementwise with broadcasting; `out` must have
+/// NumElements(out_shape) entries.
+template <typename Fn>
+void BroadcastBinary(const float* a, const Shape& a_shape, const float* b,
+                     const Shape& b_shape, float* out, const Shape& out_shape,
+                     Fn f) {
+  const auto span = [&f](const float* x, const float* y, float* o,
+                         int64_t len) {
+    for (int64_t t = 0; t < len; ++t) o[t] = f(x[t], y[t]);
+  };
+  BroadcastBinarySpan(a, a_shape, b, b_shape, out, out_shape, span, span);
+}
+
+/// The gradient of one operand of a broadcasting binary op, reduced
+/// straight from its terms: dst[j] += term(a_i, b_i, g[i]) for every flat
+/// output index i, where j is i's element of `dst_shape` read as broadcast
+/// to `out_shape` (so a dst of the output shape takes one term per element
+/// and a broadcast one sums over its broadcast dims). Each dst element adds
+/// its terms one at a time in ascending i — ScatterAdd's order — so the
+/// result is bitwise equal to materializing the terms and scatter-adding
+/// them, with no temporary tensor. `unit` says term(a, b, g) == g, which
+/// lets rows add g directly. Threads as ScatterAdd does.
+template <typename TermFn>
+void BroadcastScatterAdd(const float* a, const Shape& a_shape, const float* b,
+                         const Shape& b_shape, const float* g,
+                         const Shape& out_shape, float* dst,
+                         const Shape& dst_shape, bool unit, TermFn term) {
+  const RunLoops<3> loops =
+      BroadcastLoops<3>(out_shape, {&dst_shape, &a_shape, &b_shape});
+  const int64_t sd = loops.col_stride(0), rd = loops.row_stride(0);
+  const int64_t sa = loops.col_stride(1), ra = loops.row_stride(1);
+  const int64_t sb = loops.col_stride(2), rb = loops.row_stride(2);
+  auto scatter_row = [&](float* d, const float* ar, const float* br,
+                         const float* gr, int64_t len) {
+    if (sd == 0) {  // a per-row sum (or a single element)
+      float acc = *d;
+      for (int64_t t = 0; t < len; ++t) acc += term(ar[t * sa], br[t * sb], gr[t]);
+      *d = acc;
+      return;
+    }
+    if (unit) {
+      vec::AddN(d, gr, d, len);
+      return;
+    }
+    float terms[kBroadcastPiece];
+    for (int64_t p = 0; p < len; p += kBroadcastPiece) {
+      const int64_t m = std::min(kBroadcastPiece, len - p);
+      for (int64_t t = 0; t < m; ++t) {
+        terms[t] = term(ar[(p + t) * sa], br[(p + t) * sb], gr[p + t]);
+      }
+      vec::AddN(d + p, terms, d + p, m);
+    }
+  };
+  ScatterRanges(loops, NumElements(out_shape), [&](int64_t cb, int64_t ce) {
+    ForEachBlock(loops, cb, ce,
+                 [&](int64_t i, int64_t rows, int64_t len,
+                     const std::array<int64_t, 3>& at) {
+                   for (int64_t r = 0; r < rows; ++r) {
+                     scatter_row(dst + at[0] + r * rd, a + at[1] + r * ra,
+                                 b + at[2] + r * rb, g + i + r * len, len);
+                   }
+                 });
+  });
 }
 
 /// The strided gather: dst[i] = src[offset + Σ_d idx_d(i) * strides[d]] for
 /// every flat index i of `shape` (strides >= 0, may be 0 or overlap). Every
-/// dst element is written by exactly one chunk; a unit-stride run is one
-/// std::copy.
+/// dst element is written by exactly one chunk. Each chunk walks the two
+/// innermost coalesced dims as row blocks (ForEachBlock); a unit-stride row
+/// is one std::copy.
 void Gather(const float* src, const Shape& shape,
             const std::vector<int64_t>& strides, int64_t offset, float* dst);
 
@@ -196,11 +344,8 @@ void Gather(const float* src, const Shape& shape,
 /// dst[offset + Σ_d idx_d(i) * strides[d]] += src[i]. Each dst element adds
 /// its sources one at a time in ascending flat order of i, so stride-0 dims
 /// sum over them (broadcast-gradient reduction, Sum) and overlapping views
-/// add every window (im2col backward). Splits across threads only over the
-/// coalesced leading dim, and only when its stride is at least the span of
-/// one leading slice (1 + Σ_{d>=1} (shape[d] - 1) * strides[d]), so the
-/// slices write disjoint ranges; otherwise runs serially. Bitwise identical
-/// at any thread count either way.
+/// add every window (im2col backward). Walks row blocks like Gather and
+/// threads as ScatterRanges says: bitwise identical at any thread count.
 void ScatterAdd(const float* src, const Shape& shape,
                 const std::vector<int64_t>& strides, int64_t offset,
                 float* dst);

@@ -153,9 +153,14 @@ Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
 /// re-implemented.
 Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
               int64_t padding_h, int64_t padding_w);
-/// 1-D average pooling over the last dim: input [..., L], window `kernel`,
-/// given stride. No implicit padding (compose with Pad/ReplicatePad).
-Tensor AvgPool1d(const Tensor& input, int64_t kernel, int64_t stride);
+/// Centred moving average along `dim` with an odd window `kernel`; the
+/// edges replicate (source indices clamp to [0, size(dim))), so the output
+/// has the input's shape. Along time in [B, L, D] each output row is the sum
+/// of `kernel` whole input rows from +0 in window order, times 1/kernel:
+/// the forward is bitwise equal to replicate-padding and averaging each
+/// window. The backward adds each gradient row times 1/kernel into its
+/// clamped input rows in ascending (t, k) order.
+Tensor MovingAverage(const Tensor& x, int64_t dim, int64_t kernel);
 /// 1-D max pooling over the last dim (gradient routes to the argmax).
 Tensor MaxPool1d(const Tensor& input, int64_t kernel, int64_t stride);
 

@@ -38,6 +38,15 @@ Tensor PadInput(const Tensor& input, int64_t padding, PadMode mode) {
   return input;
 }
 
+// The argmax buffer MaxPool1d's replay needs but never reads back.
+// Thread-local and grown on first use, so replay allocates nothing after
+// warm-up and one replay closure can run on many threads at once.
+int64_t* MaxPoolArgScratch(int64_t n) {
+  thread_local std::vector<int64_t> scratch;
+  if (static_cast<int64_t>(scratch.size()) < n) scratch.resize(n);
+  return scratch.data();
+}
+
 }  // namespace
 
 Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
@@ -123,76 +132,54 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   return Permute(Reshape(out, {batch, out_h, out_w, cout}), {0, 3, 1, 2});
 }
 
-Tensor AvgPool1d(const Tensor& input, int64_t kernel, int64_t stride) {
-  CONFORMER_PROFILE_SCOPE("avg_pool1d");
-  CONFORMER_CHECK(input.defined());
-  CONFORMER_CHECK_GE(input.dim(), 1);
-  CONFORMER_CHECK(kernel >= 1 && stride >= 1);
-  const int64_t rank = input.dim();
-  const int64_t length = input.size(rank - 1);
-  CONFORMER_CHECK_GE(length, kernel) << "AvgPool1d window longer than input";
-  const int64_t out_len = (length - kernel) / stride + 1;
-
+Tensor MovingAverage(const Tensor& x, int64_t dim, int64_t kernel) {
+  CONFORMER_PROFILE_SCOPE("moving_average");
+  CONFORMER_CHECK(x.defined());
+  const int64_t rank = x.dim();
+  if (dim < 0) dim += rank;
+  CONFORMER_CHECK(dim >= 0 && dim < rank) << "MovingAverage dim out of range";
+  CONFORMER_CHECK(kernel >= 1 && kernel % 2 == 1)
+      << "MovingAverage window must be odd and positive, got " << kernel;
+  const int64_t length = x.size(dim);
   int64_t outer = 1;
-  for (int64_t i = 0; i < rank - 1; ++i) outer *= input.size(i);
-
-  Shape out_shape = input.shape();
-  out_shape[rank - 1] = out_len;
-  std::vector<float> out = internal::AcquireBuffer(outer * out_len);
+  int64_t inner = 1;
+  for (int64_t d = 0; d < dim; ++d) outer *= x.size(d);
+  for (int64_t d = dim + 1; d < rank; ++d) inner *= x.size(d);
   const float inv_k = 1.0f / static_cast<float>(kernel);
-  // Each outer index owns disjoint input/output rows in both directions
-  // (windows may overlap within a row, never across rows).
-  const int64_t pool_grain = std::max<int64_t>(
-      1, kernels::kGrainStrided / std::max<int64_t>(1, out_len * kernel));
-  auto forward = [outer, length, out_len, kernel, stride, inv_k,
-                  pool_grain](const float* ad, float* dst) {
-    ParallelFor(0, outer, pool_grain, [&](int64_t o0, int64_t o1) {
-      for (int64_t o = o0; o < o1; ++o) {
-        const float* row = ad + o * length;
-        if (stride == 1) {
-          // Stride-1 windows (the SIRN moving-average decomposition):
-          // dispatched SIMD kernel, vectorized across outputs with the same
-          // sequential per-output accumulation over the window — bitwise
-          // identical to the scalar loop below.
-          vec::MovingAvgN(row, out_len, kernel, inv_k, dst + o * out_len);
-          continue;
-        }
-        for (int64_t j = 0; j < out_len; ++j) {
-          float acc = 0.0f;
-          const float* window = row + j * stride;
-          for (int64_t k = 0; k < kernel; ++k) acc += window[k];
-          dst[o * out_len + j] = acc * inv_k;
-        }
+  // Each [length, inner] slab is independent and each chunk owns whole
+  // output rows, so the result is the same at any thread count.
+  const int64_t row_grain = std::max<int64_t>(
+      1, kernels::kGrainStrided / std::max<int64_t>(1, inner * kernel));
+  auto run = [outer, length, inner, kernel, inv_k, row_grain](
+                 const float* src, float* dst, bool adjoint) {
+    ParallelFor(0, outer * length, row_grain, [&](int64_t q0, int64_t q1) {
+      for (int64_t q = q0; q < q1;) {
+        const int64_t slab = q / length;
+        const int64_t base = slab * length;
+        const int64_t r1 = std::min(q1, base + length) - base;
+        vec::MovingAverageRows(src + base * inner, length, inner, kernel,
+                               inv_k, adjoint, q - base, r1,
+                               dst + base * inner);
+        q = base + r1;
       }
     });
   };
-  forward(input.data(), out.data());
+  std::vector<float> out = internal::AcquireBuffer(x.numel());
+  run(x.data(), out.data(), /*adjoint=*/false);
 
-  Tensor a_in = input;
-  auto backward = [a_in, outer, length, out_len, kernel, stride, inv_k,
-                   pool_grain](TensorImpl& self) mutable {
-    const float* gd = self.grad.data();
-    internal::AccumulateGradWith(*a_in.impl(), [&](float* delta) {
-      ParallelFor(0, outer, pool_grain, [&](int64_t o0, int64_t o1) {
-        for (int64_t o = o0; o < o1; ++o) {
-          float* row = delta + o * length;
-          for (int64_t j = 0; j < out_len; ++j) {
-            const float g = gd[o * out_len + j] * inv_k;
-            float* window = row + j * stride;
-            for (int64_t k = 0; k < kernel; ++k) window[k] += g;
-          }
-        }
-      });
+  Tensor x_in = x;
+  auto backward = [x_in, run](TensorImpl& self) mutable {
+    internal::AccumulateGradWith(*x_in.impl(), [&](float* dst) {
+      run(self.grad.data(), dst, /*adjoint=*/true);
     });
   };
-  Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
-                                         {input}, std::move(backward),
-                                         "AvgPool1d");
+  Tensor result = internal::MakeOpResult(x.shape(), std::move(out), {x},
+                                         std::move(backward), "MovingAverage");
   internal::MaybeCaptureStep(
-      result, {input},
-      {"AvgPool1d", /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
-        return [forward](const float* const* in, float* o) {
-          forward(in[0], o);
+      result, {x},
+      {"MovingAverage", /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
+        return [run](const float* const* in, float* o) {
+          run(in[0], o, /*adjoint=*/false);
         };
       });
   return result;
@@ -264,8 +251,7 @@ Tensor MaxPool1d(const Tensor& input, int64_t kernel, int64_t stride) {
       {"MaxPool1d", /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
         return [forward, scratch = outer * out_len](const float* const* in,
                                                     float* o) {
-          std::vector<int64_t> arg(scratch);
-          forward(in[0], o, arg.data());
+          forward(in[0], o, MaxPoolArgScratch(scratch));
         };
       });
   return result;

@@ -27,22 +27,24 @@ auto ScalarUnarySpan(Fn f) {
   };
 }
 
-// Shared plumbing for broadcasting binary ops. `f` computes the value and
-// serves the strided broadcast path; `span` computes whole contiguous chunks
-// when no broadcasting is needed (usually a dispatched vec:: kernel and
-// bitwise-equal to looping `f` — except where noted at the call site);
-// `dfda` / `dfdb` compute local partials from (a_i, b_i), or are a constant
-// float when the partial is one (Add, Sub), which then costs no local
-// tensor.
-template <typename Fn, typename SpanFn, typename DfA, typename DfB>
-Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, Fn f, SpanFn span,
-                    DfA dfda, DfB dfdb, const char* name) {
+// Shared plumbing for broadcasting binary ops. `span` computes whole
+// contiguous chunks when no broadcasting is needed (usually a dispatched
+// vec:: kernel and bitwise-equal to the op's scalar functor — except where
+// noted at the call site); `broadcast_span` computes each broadcast output
+// row and must equal the scalar functor bitwise. `dfda` / `dfdb` compute
+// local partials from (a_i, b_i), or are a constant float when the partial
+// is one (Add, Sub). A broadcast operand's gradient is reduced straight from
+// df * g, in ScatterAdd's ascending order, with no temporary.
+template <typename SpanFn, typename BroadcastSpanFn, typename DfA, typename DfB>
+Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span,
+                    BroadcastSpanFn broadcast_span, DfA dfda, DfB dfdb,
+                    const char* name) {
   CONFORMER_PROFILE_SCOPE(name);
   CONFORMER_CHECK(a.defined() && b.defined()) << name << " on undefined tensor";
   const Shape out_shape = kernels::BroadcastShape(a.shape(), b.shape());
   std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
   kernels::BroadcastBinarySpan(a.data(), a.shape(), b.data(), b.shape(),
-                               out.data(), out_shape, f, span);
+                               out.data(), out_shape, span, broadcast_span);
   Tensor a_in = a;
   Tensor b_in = b;
   auto backward = [a_in, b_in, out_shape, dfda, dfdb](TensorImpl& self) mutable {
@@ -52,87 +54,70 @@ Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, Fn f, SpanFn span,
     const float* bd = b_in.data();
     const bool no_broadcast =
         a_in.shape() == out_shape && b_in.shape() == out_shape;
-    std::vector<float> local;
     // Adds the terms df_i * g_i into `in`'s gradient: straight in when `in`
-    // has the output shape, else scatter-added over its broadcast dims
-    // (stride 0 sums them).
+    // has the output shape, else summed over its broadcast dims.
     const auto accumulate = [&](Tensor& in, const auto& df) {
       if (!internal::NeedsGrad(in)) return;
       constexpr bool kConstant =
           std::is_arithmetic_v<std::decay_t<decltype(df)>>;
-      const auto add_in = [&](const auto& term) {
+      const auto add_flat = [&](const auto& term) {
         float* dst = in.impl()->MutableGrad();
         ParallelFor(0, n, kernels::kGrainElementwise,
                     [&](int64_t cb, int64_t ce) {
                       for (int64_t i = cb; i < ce; ++i) dst[i] += term(i);
                     });
       };
-      const bool same_shape = in.shape() == out_shape;
+      bool unit = false;
       if constexpr (kConstant) {
-        if (same_shape) {
-          add_in([&](int64_t i) { return df * gd[i]; });
+        if (in.shape() == out_shape) {
+          add_flat([&](int64_t i) { return df * gd[i]; });
           return;
         }
+        unit = df == 1.0f;
       } else {
         if (no_broadcast) {
-          add_in([&](int64_t i) { return df(ad[i], bd[i]) * gd[i]; });
+          add_flat([&](int64_t i) { return df(ad[i], bd[i]) * gd[i]; });
           return;
         }
       }
-      // The terms over the output shape: a local tensor, unless they are
-      // the upstream gradient itself (a partial of 1).
-      const float* terms = gd;
-      bool unit = false;
-      if constexpr (kConstant) unit = df == 1.0f;
-      if (!unit) {
-        local.resize(n);
+      const auto term = [&df](float x, float y, float g) {
         if constexpr (kConstant) {
-          for (int64_t i = 0; i < n; ++i) local[i] = df * gd[i];
+          return df * g;
         } else {
-          kernels::BroadcastBinary(ad, a_in.shape(), bd, b_in.shape(),
-                                   local.data(), out_shape, df);
-          ParallelFor(0, n, kernels::kGrainElementwise,
-                      [&](int64_t cb, int64_t ce) {
-                        for (int64_t i = cb; i < ce; ++i) local[i] *= gd[i];
-                      });
+          return df(x, y) * g;
         }
-        terms = local.data();
+      };
+      const auto scatter = [&](float* dst) {
+        kernels::BroadcastScatterAdd(ad, a_in.shape(), bd, b_in.shape(), gd,
+                                     out_shape, dst, in.shape(), unit, term);
+      };
+      // An output-shaped gradient takes one term per element, so it adds
+      // straight in; a reduced one is a multi-term sum.
+      if (in.shape() == out_shape) {
+        scatter(in.impl()->MutableGrad());
+      } else {
+        internal::AccumulateGradWith(*in.impl(), scatter);
       }
-      if (same_shape) {
-        add_in([&](int64_t i) { return terms[i]; });
-        return;
-      }
-      internal::AccumulateGradWith(*in.impl(), [&](float* dst) {
-        kernels::ScatterAdd(terms, out_shape,
-                            kernels::BroadcastStrides(in.shape(), out_shape),
-                            0, dst);
-      });
     };
     accumulate(a_in, dfda);
     accumulate(b_in, dfdb);
   };
   Tensor result = internal::MakeOpResult(out_shape, std::move(out), {a, b},
                                          std::move(backward), name);
-  // BroadcastBinary fully overwrites and reads operand i of iteration i only
-  // within that iteration, so replay with out == in[0] is safe whenever the
-  // first operand is not broadcast.
+  // BroadcastBinarySpan fully overwrites and reads operand i of iteration i
+  // only within that iteration, so replay with out == in[0] is safe
+  // whenever the first operand is not broadcast.
   internal::MaybeCaptureStep(
       result, {a, b},
       {name, /*zero_init=*/false, /*inplace_safe=*/a.shape() == out_shape},
       [&] {
-        return [f, span, a_shape = a.shape(), b_shape = b.shape(),
+        return [span, broadcast_span, a_shape = a.shape(), b_shape = b.shape(),
                 out_shape](const float* const* in, float* o) {
           kernels::BroadcastBinarySpan(in[0], a_shape, in[1], b_shape, o,
-                                       out_shape, f, span);
+                                       out_shape, span, broadcast_span);
         };
       });
   return result;
-}
-
-template <typename Fn, typename DfA, typename DfB>
-Tensor BinaryOp(const Tensor& a, const Tensor& b, Fn f, DfA dfda, DfB dfdb,
-                const char* name) {
-  return BinaryOpSpan(a, b, f, ScalarBinarySpan(f), dfda, dfdb, name);
 }
 
 // The forward loop shared by the eager path and the captured replay closure
@@ -220,37 +205,33 @@ void GeluTanhSpan(const float* x, float* t, int64_t n) {
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  return BinaryOpSpan(
-      a, b, [](float x, float y) { return x + y; }, vec::AddN, 1.0f, 1.0f,
-      "Add");
+  return BinaryOpSpan(a, b, vec::AddN, vec::AddN, 1.0f, 1.0f, "Add");
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOpSpan(
-      a, b, [](float x, float y) { return x - y; }, vec::SubN, 1.0f, -1.0f,
-      "Sub");
+  return BinaryOpSpan(a, b, vec::SubN, vec::SubN, 1.0f, -1.0f, "Sub");
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOpSpan(
-      a, b, [](float x, float y) { return x * y; }, vec::MulN,
-      [](float, float y) { return y; }, [](float x, float) { return x; },
-      "Mul");
+      a, b, vec::MulN, vec::MulN, [](float, float y) { return y; },
+      [](float x, float) { return x; }, "Mul");
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
   return BinaryOpSpan(
-      a, b, [](float x, float y) { return x / y; }, vec::DivN,
-      [](float, float y) { return 1.0f / y; },
+      a, b, vec::DivN, vec::DivN, [](float, float y) { return 1.0f / y; },
       [](float x, float y) { return -x / (y * y); }, "Div");
 }
 
 Tensor Maximum(const Tensor& a, const Tensor& b) {
   // vec::MaxN matches `x >= y ? x : y` for all ordered lanes and ties (first
   // operand wins a tie); lanes with a NaN operand may differ from the ternary
-  // (SSE max semantics, identical across SIMD levels).
+  // (SSE max semantics, identical across SIMD levels). Broadcast rows run
+  // the ternary itself, so a broadcast Maximum keeps its NaN results.
+  const auto max = [](float x, float y) { return x >= y ? x : y; };
   return BinaryOpSpan(
-      a, b, [](float x, float y) { return x >= y ? x : y; }, vec::MaxN,
+      a, b, vec::MaxN, ScalarBinarySpan(max),
       [](float x, float y) { return x >= y ? 1.0f : 0.0f; },
       [](float x, float y) { return x >= y ? 0.0f : 1.0f; }, "Maximum");
 }

@@ -21,6 +21,7 @@
 
 // NOLINT(build/header_guard) — intentionally re-includable per backend TU.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -474,25 +475,117 @@ float MaxReduceKernel(const float* a, int64_t n) {
   return m;
 }
 
-// --- moving average (stride-1 windows) --------------------------------------
+// --- centred moving average over rows (clamped edges) ----------------------
 
-void MovingAvgKernel(const float* row, int64_t out_len, int64_t kernel,
-                     float inv_k, float* dst) {
+inline int64_t ClampRow(int64_t u, int64_t length) {
+  return u < 0 ? 0 : (u >= length ? length - 1 : u);
+}
+
+// Output rows [p, p + kRows) of one [length, width] slab. Source row u runs
+// once, ascending, over the union of the windows [p + r - half, p + r + half]
+// and is added into every accumulator whose window holds it, so each output
+// still sums its own window from +0 in ascending u while kRows independent
+// add chains stay in flight. Forward reads x[clamp(u)] and scales the sum by
+// inv_k; the adjoint (rows 0 < p < length - 1 only) reads x[u] * inv_k for u
+// inside the slab.
+template <int kRows, bool kAdjoint>
+void MovingAverageGroup(const float* x, int64_t length, int64_t width,
+                        int64_t half, float inv_k, int64_t p, float* out) {
+  const int64_t u0 = kAdjoint ? std::max<int64_t>(p - half, 0) : p - half;
+  const int64_t u1 = kAdjoint ? std::min(p + kRows - 1 + half, length - 1)
+                              : p + kRows - 1 + half;
   const Vec8f vinv = Vec8f::Broadcast(inv_k);
-  int64_t j = 0;
-  for (; j + 8 <= out_len; j += 8) {
-    Vec8f acc = Vec8f::Zero();
-    // Per-output accumulation over the window stays in ascending t order,
-    // exactly like the scalar pooling loop.
-    for (int64_t t = 0; t < kernel; ++t) {
-      acc = acc + Vec8f::Load(row + j + t);
+  int64_t c = 0;
+  for (; c + 8 <= width; c += 8) {
+    Vec8f acc[kRows];
+    for (int r = 0; r < kRows; ++r) acc[r] = Vec8f::Zero();
+    for (int64_t u = u0; u <= u1; ++u) {
+      Vec8f v = Vec8f::Load(x + ClampRow(u, length) * width + c);
+      if (kAdjoint) v = v * vinv;
+      for (int r = 0; r < kRows; ++r) {
+        if (u >= p + r - half && u <= p + r + half) acc[r] = acc[r] + v;
+      }
     }
-    (acc * vinv).Store(dst + j);
+    for (int r = 0; r < kRows; ++r) {
+      (kAdjoint ? acc[r] : acc[r] * vinv).Store(out + (p + r) * width + c);
+    }
   }
-  for (; j < out_len; ++j) {
+  for (; c < width; ++c) {
+    float acc[kRows] = {};
+    for (int64_t u = u0; u <= u1; ++u) {
+      float v = x[ClampRow(u, length) * width + c];
+      if (kAdjoint) v = v * inv_k;
+      for (int r = 0; r < kRows; ++r) {
+        if (u >= p + r - half && u <= p + r + half) acc[r] += v;
+      }
+    }
+    for (int r = 0; r < kRows; ++r) {
+      out[(p + r) * width + c] = kAdjoint ? acc[r] : acc[r] * inv_k;
+    }
+  }
+}
+
+// The adjoint's edge row p (0 or length - 1): source row t feeds it once for
+// every k whose clamped index lands on p, so x[t] * inv_k is added that many
+// times, t ascending.
+void MovingAverageEdgeAdjoint(const float* x, int64_t length, int64_t width,
+                              int64_t kernel, float inv_k, int64_t p,
+                              float* out) {
+  const int64_t half = kernel / 2;
+  auto count = [&](int64_t t) -> int64_t {
+    if (length == 1) return kernel;
+    if (p == 0) return std::max<int64_t>(half - t + 1, 0);
+    return std::max<int64_t>(t - (length - 1) + half + 1, 0);
+  };
+  const Vec8f vinv = Vec8f::Broadcast(inv_k);
+  int64_t c = 0;
+  for (; c + 8 <= width; c += 8) {
+    Vec8f acc = Vec8f::Zero();
+    for (int64_t t = 0; t < length; ++t) {
+      const Vec8f v = Vec8f::Load(x + t * width + c) * vinv;
+      for (int64_t n = count(t); n > 0; --n) acc = acc + v;
+    }
+    acc.Store(out + p * width + c);
+  }
+  for (; c < width; ++c) {
     float acc = 0.0f;
-    for (int64_t t = 0; t < kernel; ++t) acc += row[j + t];
-    dst[j] = acc * inv_k;
+    for (int64_t t = 0; t < length; ++t) {
+      const float v = x[t * width + c] * inv_k;
+      for (int64_t n = count(t); n > 0; --n) acc += v;
+    }
+    out[p * width + c] = acc;
+  }
+}
+
+template <bool kAdjoint>
+void MovingAverageRows(const float* x, int64_t length, int64_t width,
+                       int64_t kernel, float inv_k, int64_t r0, int64_t r1,
+                       float* out) {
+  const int64_t half = kernel / 2;
+  // The adjoint's rows 0 and length - 1 gather clamped repeats; every other
+  // row runs in groups of four.
+  const int64_t group_end = kAdjoint ? std::min(r1, length - 1) : r1;
+  for (int64_t p = r0; p < r1;) {
+    if (kAdjoint && (p == 0 || p == length - 1)) {
+      MovingAverageEdgeAdjoint(x, length, width, kernel, inv_k, p, out);
+      ++p;
+    } else if (p + 4 <= group_end) {
+      MovingAverageGroup<4, kAdjoint>(x, length, width, half, inv_k, p, out);
+      p += 4;
+    } else {
+      MovingAverageGroup<1, kAdjoint>(x, length, width, half, inv_k, p, out);
+      ++p;
+    }
+  }
+}
+
+void MovingAverageKernel(const float* x, int64_t length, int64_t width,
+                         int64_t kernel, float inv_k, bool adjoint, int64_t r0,
+                         int64_t r1, float* out) {
+  if (adjoint) {
+    MovingAverageRows<true>(x, length, width, kernel, inv_k, r0, r1, out);
+  } else {
+    MovingAverageRows<false>(x, length, width, kernel, inv_k, r0, r1, out);
   }
 }
 
@@ -588,7 +681,7 @@ const internal::KernelTable& Table() {
       .dot = DotKernel,
       .sum = SumKernel,
       .max_reduce = MaxReduceKernel,
-      .moving_avg = MovingAvgKernel,
+      .moving_average = MovingAverageKernel,
       .softmax_row = SoftmaxRowKernel,
       .log_softmax_row = LogSoftmaxRowKernel,
       .ddot = DdotKernel,

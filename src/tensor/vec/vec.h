@@ -113,10 +113,14 @@ struct KernelTable {
   float (*dot)(const float* a, const float* b, int64_t n);
   float (*sum)(const float* a, int64_t n);
   float (*max_reduce)(const float* a, int64_t n);
-  // dst[j] = (sum_{t<kernel} row[j + t]) * inv_k for j in [0, out_len);
-  // per-output accumulation over t stays sequential (stride-1 windows).
-  void (*moving_avg)(const float* row, int64_t out_len, int64_t kernel,
-                     float inv_k, float* dst);
+  // Rows [r0, r1) of the centred moving average (odd `kernel`) of one
+  // [length, width] slab, source rows clamped to [0, length). Forward:
+  // out[t] = (sum_k x[clamp(t - kernel/2 + k)]) * inv_k. Adjoint (the
+  // gradient): out[p] = sum of x[t] * inv_k over every (t, k) whose clamped
+  // row is p, in ascending (t, k). Both sum from +0 in that order.
+  void (*moving_average)(const float* x, int64_t length, int64_t width,
+                         int64_t kernel, float inv_k, bool adjoint, int64_t r0,
+                         int64_t r1, float* out);
   // Numerically-stable softmax / log-softmax over one contiguous row.
   void (*softmax_row)(const float* in, float* out, int64_t n);
   void (*log_softmax_row)(const float* in, float* out, int64_t n);
@@ -200,9 +204,11 @@ inline float SumN(const float* a, int64_t n) {
 inline float MaxReduceN(const float* a, int64_t n) {
   return internal::ActiveTable().max_reduce(a, n);
 }
-inline void MovingAvgN(const float* row, int64_t out_len, int64_t kernel,
-                       float inv_k, float* dst) {
-  internal::ActiveTable().moving_avg(row, out_len, kernel, inv_k, dst);
+inline void MovingAverageRows(const float* x, int64_t length, int64_t width,
+                              int64_t kernel, float inv_k, bool adjoint,
+                              int64_t r0, int64_t r1, float* out) {
+  internal::ActiveTable().moving_average(x, length, width, kernel, inv_k,
+                                         adjoint, r0, r1, out);
 }
 inline void SoftmaxRowN(const float* in, float* out, int64_t n) {
   internal::ActiveTable().softmax_row(in, out, n);

@@ -388,13 +388,27 @@ TEST(GradCheckTest, Conv2dValid) {
       {Leaf({1, 3, 5, 4}, 90), Leaf({2, 3, 2, 3}, 91)});
 }
 
-TEST(GradCheckTest, AvgPool) {
+TEST(GradCheckTest, MovingAverage) {
+  // Along time with a window wider than the clamped edges reach, along the
+  // last dim, and over a length-1 axis where every tap clamps to row 0.
   ExpectGradOk(
       [](const Inputs& in) {
-        Tensor y = AvgPool1d(in[0], 3, 2);
+        Tensor y = MovingAverage(in[0], 1, 5);
         return Sum(Mul(y, y));
       },
-      {Leaf({2, 9}, 47)});
+      {Leaf({2, 6, 3}, 47)});
+  ExpectGradOk(
+      [](const Inputs& in) {
+        Tensor y = MovingAverage(in[0], -1, 3);
+        return Sum(Mul(y, y));
+      },
+      {Leaf({2, 9}, 48)});
+  ExpectGradOk(
+      [](const Inputs& in) {
+        Tensor y = MovingAverage(in[0], 1, 3);
+        return Sum(Mul(y, y));
+      },
+      {Leaf({3, 1, 2}, 49)});
 }
 
 // -- nn functionals -----------------------------------------------------------------

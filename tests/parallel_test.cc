@@ -300,7 +300,9 @@ TEST_F(ParallelTest, PoolingForwardAndBackward) {
   ExpectBitwiseIdentical([] {
     return ForwardBackward(
         [](const Inputs& in) {
-          return Add(AvgPool1d(in[0], 4, 2), MaxPool1d(in[0], 4, 2));
+          return Concat({MovingAverage(in[0], 1, 5), MovingAverage(in[0], 2, 7),
+                         MaxPool1d(in[0], 4, 2)},
+                        2);
         },
         {{6, 7, 64}});
   });

@@ -236,28 +236,56 @@ TEST_F(SimdTest, AccumulateAndReduceKernelTailSweep) {
   }
 }
 
-TEST_F(SimdTest, MovingAvgKernelTailSweep) {
-  // Odd window widths and output lengths around the lane width.
-  for (int64_t kernel : {1, 2, 3, 7, 25}) {
-    for (int64_t out_len : SweepLengths()) {
-      if (out_len == 0) continue;
-      const int64_t len = out_len + kernel - 1;
-      std::vector<float> row(len);
-      for (int64_t i = 0; i < len; ++i) row[i] = TestValue(i);
-      const float inv_k = 1.0f / static_cast<float>(kernel);
-      ExpectAllLevelsMatchScalar(
-          out_len,
-          [&](float* o) { vec::MovingAvgN(row.data(), out_len, kernel, inv_k, o); },
-          "MovingAvgN");
-      // Cross-check against the plain sequential functor: the moving-average
-      // kernel is bitwise-reproducible even against naive scalar code.
-      ASSERT_TRUE(vec::SetSimdLevel(vec::DetectedSimdLevel()));
-      std::vector<float> got(out_len);
-      vec::MovingAvgN(row.data(), out_len, kernel, inv_k, got.data());
-      for (int64_t j = 0; j < out_len; ++j) {
-        float acc = 0.0f;
-        for (int64_t t = 0; t < kernel; ++t) acc += row[j + t];
-        ASSERT_EQ(got[j], acc * inv_k) << "j=" << j << " kernel=" << kernel;
+TEST_F(SimdTest, MovingAverageKernelTailSweep) {
+  // Slab widths around the lane width, lengths with and without interior
+  // rows and row groups of four, windows up to wider than the slab; forward
+  // and adjoint over the whole slab and over an offset row range.
+  for (int64_t width : SweepLengths()) {
+    for (int64_t length : {1, 2, 3, 6, 11}) {
+      for (int64_t kernel : {1, 3, 7, 25}) {
+        const int64_t half = kernel / 2;
+        const float inv_k = 1.0f / static_cast<float>(kernel);
+        std::vector<float> x(length * width);
+        for (int64_t i = 0; i < length * width; ++i) x[i] = TestValue(i);
+        auto clamp = [&](int64_t u) {
+          return std::min(std::max<int64_t>(u, 0), length - 1);
+        };
+        // Plain loops: the forward sums each window from +0 in ascending k;
+        // the adjoint scatters in ascending (t, k).
+        std::vector<float> want_fwd(length * width);
+        std::vector<float> want_adj(length * width, 0.0f);
+        for (int64_t t = 0; t < length; ++t) {
+          for (int64_t c = 0; c < width; ++c) {
+            float acc = 0.0f;
+            for (int64_t k = 0; k < kernel; ++k) {
+              acc += x[clamp(t - half + k) * width + c];
+              want_adj[clamp(t - half + k) * width + c] +=
+                  x[t * width + c] * inv_k;
+            }
+            want_fwd[t * width + c] = acc * inv_k;
+          }
+        }
+        for (const bool adjoint : {false, true}) {
+          const std::vector<float>& want = adjoint ? want_adj : want_fwd;
+          for (const int64_t r0 : {int64_t{0}, std::min<int64_t>(1, length)}) {
+            // Rows before r0 are left as the harness pre-filled them.
+            const int64_t n = length * width;
+            auto fn = [&](float* o) {
+              vec::MovingAverageRows(x.data(), length, width, kernel, inv_k,
+                                     adjoint, r0, length, o);
+            };
+            ExpectAllLevelsMatchScalar(n, fn, "MovingAverageRows");
+            ASSERT_TRUE(vec::SetSimdLevel(vec::DetectedSimdLevel()));
+            std::vector<float> got(n);
+            fn(got.data());
+            const int64_t skip = r0 * width;
+            ASSERT_EQ(0, std::memcmp(got.data() + skip, want.data() + skip,
+                                     sizeof(float) * (n - skip)))
+                << "width=" << width << " length=" << length
+                << " kernel=" << kernel << " adjoint=" << adjoint
+                << " r0=" << r0;
+          }
+        }
       }
     }
   }
@@ -874,8 +902,8 @@ TEST_F(SimdTest, LogSoftmaxAndReduceGraphAcrossLevels) {
 }
 
 TEST_F(SimdTest, SeriesDecompositionAcrossLevels) {
-  // The SIRN moving-average path: DecomposeSeries → ReplicatePad →
-  // AvgPool1d (stride 1 → vec::MovingAvgN).
+  // The SIRN moving-average path: DecomposeSeries → MovingAverage
+  // (vec::MovingAverageRows, forward and adjoint).
   ExpectGraphIdenticalAcrossLevels(
       [](const std::vector<Tensor>& in) {
         core::Decomposition d = core::DecomposeSeries(in[0], /*kernel=*/25);

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +18,7 @@
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "tensor/vec/vec.h"
 #include "util/thread_pool.h"
 
 namespace conformer {
@@ -565,19 +570,20 @@ TEST(ConvTest, BiasBroadcast) {
   EXPECT_EQ(y.at({0, 1, 2}), -5.0f);
 }
 
-TEST(PoolTest, AvgPool) {
+TEST(PoolTest, MovingAverageReplicatesEdges) {
   Tensor x = Tensor::FromVector({1, 2, 3, 4, 5, 6}, {1, 6});
-  Tensor y = AvgPool1d(x, 2, 2);
-  EXPECT_EQ(y.shape(), (Shape{1, 3}));
-  EXPECT_EQ(y.at({0, 0}), 1.5f);
-  EXPECT_EQ(y.at({0, 2}), 5.5f);
+  Tensor y = MovingAverage(x, 1, 3);
+  EXPECT_EQ(y.shape(), (Shape{1, 6}));
+  const float third = 1.0f / 3.0f;
+  EXPECT_EQ(y.at({0, 0}), (1.0f + 1.0f + 2.0f) * third);
+  EXPECT_EQ(y.at({0, 1}), (1.0f + 2.0f + 3.0f) * third);
+  EXPECT_EQ(y.at({0, 5}), (5.0f + 6.0f + 6.0f) * third);
 }
 
-TEST(PoolTest, AvgPoolStride1) {
-  Tensor x = Tensor::FromVector({1, 2, 3}, {3});
-  Tensor y = AvgPool1d(x, 3, 1);
-  EXPECT_EQ(y.shape(), (Shape{1}));
-  EXPECT_EQ(y.at({0}), 2.0f);
+TEST(PoolTest, MovingAverageKernelOneIsIdentity) {
+  Tensor x = Tensor::FromVector({1, -2, 3, 0.5f}, {2, 2});
+  Tensor y = MovingAverage(x, 0, 1);
+  EXPECT_EQ(0, std::memcmp(y.data(), x.data(), sizeof(float) * 4));
 }
 
 TEST(PoolTest, MaxPoolValues) {
@@ -1092,6 +1098,404 @@ TEST(StridedViewOracleTest, Conv2dMatchesComposedIm2col) {
   }
 }
 
+// -- Strided kernels against flat-order naive loops ----------------------------
+//
+// Gather, ScatterAdd and the broadcast loops walk coalesced row blocks; the
+// oracles below walk every flat index in order with a full odometer, so the
+// walk's bookkeeping (blocks, partial rows at chunk edges, carries) must
+// reproduce them bit for bit at 1 and 8 threads.
+
+// The element of a strided view that flat index i of `shape` reads.
+int64_t FlatToOffset(int64_t i, const Shape& shape,
+                     const std::vector<int64_t>& strides, int64_t offset) {
+  for (int64_t d = static_cast<int64_t>(shape.size()) - 1; d >= 0; --d) {
+    offset += (i % shape[d]) * strides[d];
+    i /= shape[d];
+  }
+  return offset;
+}
+
+// Values of mixed sign and magnitude, so any change in summation order
+// shows in the bits.
+std::vector<float> OracleValues(int64_t n, std::mt19937& gen) {
+  std::uniform_real_distribution<float> mantissa(-1.0f, 1.0f);
+  std::uniform_int_distribution<int> exponent(-6, 6);
+  std::vector<float> v(n);
+  for (float& x : v) x = std::ldexp(mantissa(gen), exponent(gen));
+  return v;
+}
+
+struct StridedCase {
+  Shape shape;
+  std::vector<int64_t> strides;
+  int64_t offset;
+};
+
+// A random strided view of rank 1-6: size-0 and size-1 dims, stride 0,
+// unit and wider strides, and overlapping reads.
+StridedCase RandomStridedCase(std::mt19937& gen) {
+  std::uniform_int_distribution<int> rank_dist(1, 6);
+  std::uniform_int_distribution<int> pick(0, 99);
+  StridedCase c;
+  const int rank = rank_dist(gen);
+  int64_t budget = 40000;
+  for (int d = 0; d < rank; ++d) {
+    const int r = pick(gen);
+    int64_t size = r < 5 ? 0 : r < 25 ? 1 : r < 80 ? 2 + r % 5 : 9 + r % 31;
+    size = std::min(size, std::max<int64_t>(1, budget));
+    budget /= std::max<int64_t>(size, 1);
+    c.shape.push_back(size);
+    const int s = pick(gen);
+    c.strides.push_back(s < 15 ? 0 : s < 40 ? 1 : s % 23);
+  }
+  c.offset = pick(gen) % 4;
+  // Half the time, make it a contiguous-backed view (permuted, sliced).
+  if (pick(gen) < 50) {
+    std::vector<int64_t> contiguous = ContiguousStrides(c.shape);
+    for (int d = 0; d < rank; ++d) {
+      if (c.strides[d] != 0) c.strides[d] = contiguous[d] + (pick(gen) < 20);
+    }
+  }
+  return c;
+}
+
+int64_t SourceSize(const StridedCase& c) {
+  int64_t last = c.offset;
+  for (size_t d = 0; d < c.shape.size(); ++d) {
+    if (c.shape[d] == 0) return c.offset + 1;
+    last += (c.shape[d] - 1) * c.strides[d];
+  }
+  return last + 1;
+}
+
+void ExpectGatherAndScatterMatchOracle(const StridedCase& c,
+                                       std::mt19937& gen) {
+  SCOPED_TRACE("shape " + ShapeToString(c.shape) + " strides " +
+               ShapeToString(c.strides) + " offset " +
+               std::to_string(c.offset));
+  const int64_t n = NumElements(c.shape);
+  const std::vector<float> src = OracleValues(SourceSize(c), gen);
+  const std::vector<float> grad = OracleValues(n, gen);
+  std::vector<float> want_gather(n);
+  std::vector<float> want_scatter = OracleValues(src.size(), gen);
+  const std::vector<float> scatter_init = want_scatter;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t at = FlatToOffset(i, c.shape, c.strides, c.offset);
+    want_gather[i] = src[at];
+    want_scatter[at] += grad[i];
+  }
+  for (const int threads : {1, 8}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    std::vector<float> got_gather(n, -7.0f);
+    kernels::Gather(src.data(), c.shape, c.strides, c.offset,
+                    got_gather.data());
+    EXPECT_EQ(0, std::memcmp(got_gather.data(), want_gather.data(),
+                             sizeof(float) * n))
+        << "Gather at " << threads << " threads";
+    std::vector<float> got_scatter = scatter_init;
+    kernels::ScatterAdd(grad.data(), c.shape, c.strides, c.offset,
+                        got_scatter.data());
+    EXPECT_EQ(0, std::memcmp(got_scatter.data(), want_scatter.data(),
+                             sizeof(float) * want_scatter.size()))
+        << "ScatterAdd at " << threads << " threads";
+  }
+}
+
+TEST(StridedKernelOracleTest, GatherAndScatterAddMatchFlatLoops) {
+  const int64_t ambient = ThreadPool::Global().num_threads();
+  std::mt19937 gen(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    ExpectGatherAndScatterMatchOracle(RandomStridedCase(gen), gen);
+  }
+  // Conv im2col windows that overlap (kernel wider than the stride), with
+  // dilation, over the channels-first padded input [B, C, L].
+  for (auto [kernel, stride, dilation] :
+       {std::array<int64_t, 3>{3, 1, 1}, {5, 2, 1}, {3, 1, 2}, {4, 3, 2}}) {
+    const int64_t batch = 5, cin = 7, length = 300;
+    const int64_t out_len = (length - (kernel - 1) * dilation - 1) / stride + 1;
+    ExpectGatherAndScatterMatchOracle(
+        {{batch, out_len, cin, kernel},
+         {cin * length, stride, length, dilation},
+         0},
+        gen);
+  }
+  ThreadPool::Global().SetNumThreads(ambient);
+}
+
+// A random broadcast pair: the output shape, then each operand with some
+// dims set to 1 and some leading dims dropped; often both are broadcast.
+std::array<Shape, 3> RandomBroadcastShapes(std::mt19937& gen) {
+  std::uniform_int_distribution<int> rank_dist(1, 6);
+  std::uniform_int_distribution<int> pick(0, 99);
+  Shape out;
+  const int rank = rank_dist(gen);
+  int64_t budget = 40000;
+  for (int d = 0; d < rank; ++d) {
+    const int r = pick(gen);
+    int64_t size = r < 4 ? 0 : r < 20 ? 1 : r < 80 ? 2 + r % 6 : 9 + r % 40;
+    size = std::min(size, std::max<int64_t>(1, budget));
+    budget /= std::max<int64_t>(size, 1);
+    out.push_back(size);
+  }
+  auto operand = [&] {
+    Shape s = out;
+    for (int64_t& dim : s) {
+      if (pick(gen) < 35) dim = 1;
+    }
+    const int drop = pick(gen) < 30 ? pick(gen) % (rank + 1) : 0;
+    s.erase(s.begin(), s.begin() + drop);
+    return s;
+  };
+  Shape a = operand();
+  Shape b = operand();
+  return {kernels::BroadcastShape(a, b), a, b};
+}
+
+Tensor OracleLeaf(const Shape& shape, std::mt19937& gen) {
+  Tensor t = Tensor::FromVector(OracleValues(NumElements(shape), gen), shape);
+  t.set_requires_grad(true);
+  return t;
+}
+
+TEST(StridedKernelOracleTest, BroadcastForwardAndBackwardMatchFlatLoops) {
+  struct Op {
+    const char* name;
+    Tensor (*op)(const Tensor&, const Tensor&);
+    float (*f)(float, float);
+    float (*dfda)(float, float);
+    float (*dfdb)(float, float);
+  };
+  const Op ops[] = {
+      {"Add", Add, [](float x, float y) { return x + y; },
+       [](float, float) { return 1.0f; }, [](float, float) { return 1.0f; }},
+      {"Sub", Sub, [](float x, float y) { return x - y; },
+       [](float, float) { return 1.0f; }, [](float, float) { return -1.0f; }},
+      {"Mul", Mul, [](float x, float y) { return x * y; },
+       [](float, float y) { return y; }, [](float x, float) { return x; }},
+      {"Div", Div, [](float x, float y) { return x / y; },
+       [](float, float y) { return 1.0f / y; },
+       [](float x, float y) { return -x / (y * y); }},
+      {"Maximum", Maximum, [](float x, float y) { return x >= y ? x : y; },
+       [](float x, float y) { return x >= y ? 1.0f : 0.0f; },
+       [](float x, float y) { return x >= y ? 0.0f : 1.0f; }},
+  };
+  const int64_t ambient = ThreadPool::Global().num_threads();
+  std::mt19937 gen(77);
+  for (int trial = 0; trial < 120; ++trial) {
+    const auto [out_shape, a_shape, b_shape] = RandomBroadcastShapes(gen);
+    const std::vector<int64_t> sa = kernels::BroadcastStrides(a_shape, out_shape);
+    const std::vector<int64_t> sb = kernels::BroadcastStrides(b_shape, out_shape);
+    const int64_t n = NumElements(out_shape);
+    for (const Op& op : ops) {
+      SCOPED_TRACE(std::string(op.name) + " " + ShapeToString(a_shape) +
+                   " with " + ShapeToString(b_shape));
+      std::mt19937 values(trial);
+      Tensor a = OracleLeaf(a_shape, values);
+      Tensor b = OracleLeaf(b_shape, values);
+      const std::vector<float> g = OracleValues(n, values);
+      // Flat-order oracle: the scalar functor per element; each operand's
+      // gradient adds df * g from +0 in ascending flat order.
+      std::vector<float> want_y(n);
+      std::vector<float> want_da(a.numel(), 0.0f), want_db(b.numel(), 0.0f);
+      for (int64_t i = 0; i < n; ++i) {
+        const int64_t ia = FlatToOffset(i, out_shape, sa, 0);
+        const int64_t ib = FlatToOffset(i, out_shape, sb, 0);
+        const float x = a.data()[ia], y = b.data()[ib];
+        want_y[i] = op.f(x, y);
+        want_da[ia] += op.dfda(x, y) * g[i];
+        want_db[ib] += op.dfdb(x, y) * g[i];
+      }
+      for (const int threads : {1, 8}) {
+        ThreadPool::Global().SetNumThreads(threads);
+        a.ZeroGrad();
+        b.ZeroGrad();
+        Tensor out = op.op(a, b);
+        ASSERT_EQ(out.shape(), out_shape);
+        // Same-shape Maximum runs MaxN, which only differs on NaN lanes;
+        // these values have none.
+        EXPECT_EQ(0, std::memcmp(out.data(), want_y.data(), sizeof(float) * n))
+            << "forward at " << threads << " threads";
+        Sum(Mul(out, Tensor::FromVector(g, out_shape))).Backward();
+        if (n == 0) continue;
+        if (a.numel() > 0) {
+          EXPECT_EQ(0, std::memcmp(a.grad().data(), want_da.data(),
+                                   sizeof(float) * a.numel()))
+              << "da at " << threads << " threads";
+        }
+        if (b.numel() > 0) {
+          EXPECT_EQ(0, std::memcmp(b.grad().data(), want_db.data(),
+                                   sizeof(float) * b.numel()))
+              << "db at " << threads << " threads";
+        }
+      }
+    }
+  }
+  ThreadPool::Global().SetNumThreads(ambient);
+}
+
+TEST(StridedKernelOracleTest, BroadcastSpanMatchesFlatLoop) {
+  // The dispatched spans on broadcast rows (a held operand replicated into
+  // the span's buffer) against the scalar functor.
+  const int64_t ambient = ThreadPool::Global().num_threads();
+  std::mt19937 gen(91);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto [out_shape, a_shape, b_shape] = RandomBroadcastShapes(gen);
+    const std::vector<float> a = OracleValues(NumElements(a_shape), gen);
+    const std::vector<float> b = OracleValues(NumElements(b_shape), gen);
+    const std::vector<int64_t> sa = kernels::BroadcastStrides(a_shape, out_shape);
+    const std::vector<int64_t> sb = kernels::BroadcastStrides(b_shape, out_shape);
+    const int64_t n = NumElements(out_shape);
+    std::vector<float> want(n);
+    for (int64_t i = 0; i < n; ++i) {
+      want[i] = a[FlatToOffset(i, out_shape, sa, 0)] /
+                b[FlatToOffset(i, out_shape, sb, 0)];
+    }
+    for (const int threads : {1, 8}) {
+      ThreadPool::Global().SetNumThreads(threads);
+      std::vector<float> got(n, -7.0f);
+      kernels::BroadcastBinarySpan(a.data(), a_shape, b.data(), b_shape,
+                                   got.data(), out_shape, vec::DivN, vec::DivN);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), sizeof(float) * n))
+          << ShapeToString(a_shape) << " / " << ShapeToString(b_shape)
+          << " at " << threads << " threads";
+    }
+  }
+  ThreadPool::Global().SetNumThreads(ambient);
+}
+
+TEST(StridedKernelOracleTest, BroadcastMaximumKeepsTernaryNaNResults) {
+  // x >= y ? x : y returns y whenever either side is NaN. A broadcast
+  // Maximum runs that ternary on every row (MaxN's NaN lanes differ), so
+  // the NaN result is pinned here for a repeated row and a per-row scalar.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor a = Tensor::FromVector({nan, 1.0f, -2.0f, 3.0f, nan, 0.5f}, {2, 3});
+  Tensor row = Tensor::FromVector({2.0f, nan, -1.0f}, {3});
+  Tensor col = Tensor::FromVector({nan, 0.0f}, {2, 1});
+  auto ternary = [](float x, float y) { return x >= y ? x : y; };
+  for (const bool per_row : {false, true}) {
+    const Tensor& b = per_row ? col : row;
+    Tensor y = Maximum(a, b);
+    for (int64_t r = 0; r < 2; ++r) {
+      for (int64_t c = 0; c < 3; ++c) {
+        const float want =
+            ternary(a.at({r, c}), per_row ? col.at({r, 0}) : row.at({c}));
+        const float got = y.at({r, c});
+        EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(float)))
+            << "per_row " << per_row << " at (" << r << ", " << c << ")";
+      }
+    }
+  }
+}
+
+// -- MovingAverage against naive loops ------------------------------------------
+
+// The centred, edge-clamped moving average along `dim` as plain nested loops
+// over [outer, length, inner]: the forward sums each window from +0 in
+// ascending k, then scales by 1/K; the backward scatters each gradient
+// element times 1/K into its clamped input rows in ascending (t, k) order.
+std::pair<std::vector<float>, std::vector<float>> NaiveMovingAverage(
+    const Tensor& x, const Tensor& g, int64_t dim, int64_t kernel) {
+  int64_t outer = 1, inner = 1;
+  for (int64_t d = 0; d < dim; ++d) outer *= x.size(d);
+  for (int64_t d = dim + 1; d < x.dim(); ++d) inner *= x.size(d);
+  const int64_t length = x.size(dim), half = kernel / 2;
+  const float inv_k = 1.0f / static_cast<float>(kernel);
+  auto clamp = [&](int64_t u) {
+    return std::min(std::max<int64_t>(u, 0), length - 1);
+  };
+  std::vector<float> y(x.numel()), dx(x.numel(), 0.0f);
+  for (int64_t o = 0; o < outer; ++o) {
+    for (int64_t t = 0; t < length; ++t) {
+      for (int64_t i = 0; i < inner; ++i) {
+        const int64_t at = (o * length + t) * inner + i;
+        float acc = 0.0f;
+        for (int64_t k = 0; k < kernel; ++k) {
+          acc += x.data()[(o * length + clamp(t - half + k)) * inner + i];
+        }
+        y[at] = acc * inv_k;
+        for (int64_t k = 0; k < kernel; ++k) {
+          dx[(o * length + clamp(t - half + k)) * inner + i] +=
+              g.data()[at] * inv_k;
+        }
+      }
+    }
+  }
+  return {y, dx};
+}
+
+TEST(MovingAverageTest, MatchesNaiveLoopsAt1And8Threads) {
+  struct Case {
+    Shape shape;
+    int64_t dim;
+    int64_t kernel;
+  };
+  const std::vector<Case> cases = {
+      {{2, 11, 5}, 1, 1},    // identity window
+      {{2, 11, 5}, 1, 3},    // D not a multiple of 8
+      {{2, 11, 5}, 1, 11},   // window clamped to L
+      {{2, 11, 5}, 1, 13},   // window wider than L
+      {{3, 1, 4}, 1, 5},     // L = 1: every tap clamps to row 0
+      {{2, 2, 9}, 1, 3},     // both rows are edge rows
+      {{2, 7, 19}, 1, 5},    // two vector blocks plus a 3-wide tail
+      {{2, 48, 16}, 1, 13},  // the SIRN shape: row groups of four
+      {{4, 9}, 1, 3},        // dim is the last dim
+      {{3, 10}, -1, 7},      // negative dim
+      {{2, 3, 10, 3}, 2, 5},  // a middle dim of rank 4
+      {{17, 3}, 0, 9},       // the leading dim
+  };
+  const int64_t ambient = ThreadPool::Global().num_threads();
+  for (const int threads : {1, 8}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(ShapeToString(c.shape) + " dim " + std::to_string(c.dim) +
+                   " kernel " + std::to_string(c.kernel) + " at " +
+                   std::to_string(threads) + " threads");
+      Tensor x = GradLeaf(c.shape, 60);
+      Tensor y = MovingAverage(x, c.dim, c.kernel);
+      ASSERT_EQ(y.shape(), c.shape);
+      Rng rng(61);
+      Tensor g = Tensor::Randn(c.shape, &rng);
+      Sum(Mul(y, g)).Backward();
+      const int64_t dim = c.dim < 0 ? c.dim + x.dim() : c.dim;
+      const auto [want_y, want_dx] = NaiveMovingAverage(x, g, dim, c.kernel);
+      EXPECT_EQ(0, std::memcmp(y.data(), want_y.data(),
+                               sizeof(float) * want_y.size()))
+          << "forward";
+      EXPECT_EQ(0, std::memcmp(x.grad().data(), want_dx.data(),
+                               sizeof(float) * want_dx.size()))
+          << "backward";
+    }
+  }
+  ThreadPool::Global().SetNumThreads(ambient);
+}
+
+TEST(MovingAverageTest, ForwardMatchesReplicatePaddedWindows) {
+  // The composition DecomposeSeries ran before: replicate-pad time, then
+  // average each window of the padded row from +0 in ascending k.
+  Tensor x = GradLeaf({3, 20, 6}, 62);
+  for (int64_t kernel : {1, 5, 19}) {
+    const int64_t half = kernel / 2;
+    Tensor padded = ReplicatePad(x, 1, half, half);
+    const float inv_k = 1.0f / static_cast<float>(kernel);
+    std::vector<float> want(x.numel());
+    for (int64_t b = 0; b < 3; ++b) {
+      for (int64_t t = 0; t < 20; ++t) {
+        for (int64_t d = 0; d < 6; ++d) {
+          float acc = 0.0f;
+          for (int64_t k = 0; k < kernel; ++k) {
+            acc += padded.at({b, t + k, d});
+          }
+          want[(b * 20 + t) * 6 + d] = acc * inv_k;
+        }
+      }
+    }
+    Tensor y = MovingAverage(x, 1, kernel);
+    EXPECT_EQ(0, std::memcmp(y.data(), want.data(),
+                             sizeof(float) * want.size()))
+        << "kernel " << kernel;
+  }
+}
+
 // -- nn functionals ----------------------------------------------------------------
 
 TEST(SoftmaxTest, RowsSumToOne) {
@@ -1179,7 +1583,7 @@ TEST(DeathTest, IndexSelectOutOfRange) {
 
 TEST(DeathTest, PoolWindowLongerThanInput) {
   Tensor a = Tensor::Ones({1, 3});
-  EXPECT_DEATH(AvgPool1d(a, 5, 1), "longer");
+  EXPECT_DEATH(MovingAverage(a, 1, 2), "odd");
   EXPECT_DEATH(MaxPool1d(a, 5, 1), "longer");
 }
 
@@ -1227,7 +1631,7 @@ TEST(EdgeCaseTest, SingleElementTensorsWork) {
 
 TEST(EdgeCaseTest, LengthOneSequencePools) {
   Tensor a = Tensor::Full({1, 1}, 4.0f);
-  EXPECT_EQ(AvgPool1d(a, 1, 1).item(), 4.0f);
+  EXPECT_EQ(MovingAverage(a, 1, 1).item(), 4.0f);
   EXPECT_EQ(MaxPool1d(a, 1, 1).item(), 4.0f);
 }
 
