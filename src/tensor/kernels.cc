@@ -16,19 +16,6 @@ int64_t GemmRowGrain(int64_t n, int64_t k) {
   return std::max<int64_t>(1, kGrainGemmMacs / macs_per_row);
 }
 
-// Copies one contiguous row. Rows here are often 3-16 floats, where a
-// library memmove call costs more than the copy; fixed-size 4-float moves
-// compile to single vector loads and stores.
-inline void CopyRow(const float* s, float* d, int64_t len) {
-  if (len > 64) {
-    std::copy(s, s + len, d);
-    return;
-  }
-  int64_t t = 0;
-  for (; t + 4 <= len; t += 4) std::memcpy(d + t, s + t, 4 * sizeof(float));
-  for (; t < len; ++t) d[t] = s[t];
-}
-
 }  // namespace
 
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
@@ -119,6 +106,8 @@ void Gather(const float* src, const Shape& shape,
                    for (int64_t r = 0; r < rows; ++r, s += row_step, d += len) {
                      if (step == 1) {
                        CopyRow(s, d, len);
+                     } else if (step == 0) {
+                       FillRow(*s, d, len);
                      } else {
                        for (int64_t t = 0; t < len; ++t) d[t] = s[t * step];
                      }

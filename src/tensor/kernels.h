@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -203,43 +204,73 @@ void ScatterRanges(const RunLoops<N>& loops, int64_t n, RangeFn range) {
   }
 }
 
-/// Floats a broadcast row hands its span at a time when one operand is
-/// held constant along the row (replicated into a stack buffer).
+/// Floats a broadcast block hands its span (or adds) at a time when an
+/// operand has to be gathered into a stack buffer first.
 inline constexpr int64_t kBroadcastPiece = 256;
 
-/// o[t] = span(a, b)[t] for one output row of `len` elements, where each
-/// operand either spans the row (stride 1) or holds one value for all of
-/// it (stride 0); a held value is replicated so that `span` always sees
-/// two contiguous inputs.
-template <typename SpanFn>
-void BroadcastRow(const float* a, int64_t sa, const float* b, int64_t sb,
-                  float* o, int64_t len, SpanFn span) {
-  if (sa == sb) {  // both span the row, or a one-element output
-    span(a, b, o, len);
+/// Copies one contiguous row. Rows here are often 3-16 floats, where a
+/// library memmove call costs more than the copy; fixed-size 4-float moves
+/// compile to single vector loads and stores.
+inline void CopyRow(const float* s, float* d, int64_t len) {
+  if (len > 64) {
+    std::copy(s, s + len, d);
     return;
   }
-  float held[kBroadcastPiece];
-  for (int64_t p = 0; p < len; p += kBroadcastPiece) {
-    const int64_t m = std::min(kBroadcastPiece, len - p);
-    if (sa == 0) {
-      std::fill(held, held + m, *a);
-      span(held, b + p, o + p, m);
-    } else {
-      std::fill(held, held + m, *b);
-      span(a + p, held, o + p, m);
-    }
-  }
+  int64_t t = 0;
+  for (; t + 4 <= len; t += 4) std::memcpy(d + t, s + t, 4 * sizeof(float));
+  for (; t < len; ++t) d[t] = s[t];
 }
+
+/// Fills one row with `v`, four floats per store.
+inline void FillRow(float v, float* d, int64_t len) {
+  const float four[4] = {v, v, v, v};
+  int64_t t = 0;
+  for (; t + 4 <= len; t += 4) std::memcpy(d + t, four, sizeof(four));
+  for (; t < len; ++t) d[t] = v;
+}
+
+/// An operand of a [rows, len] block of a broadcast loop: its first element
+/// and its steps between rows and along a row (0 or 1).
+struct BlockOperand {
+  const float* at;
+  int64_t row_stride;
+  int64_t col_stride;
+
+  /// True when the block's elements are contiguous in this operand.
+  bool Contiguous(int64_t rows, int64_t len) const {
+    return col_stride == 1 && (rows == 1 || row_stride == len);
+  }
+  /// Elements [p, p + m) of the block, in row-major order, either in place
+  /// (contiguous) or copied into `buf`.
+  const float* Piece(bool contiguous, int64_t len, int64_t p, int64_t m,
+                     float* buf) const {
+    if (contiguous) return at + p;
+    int64_t r = p / len;
+    for (int64_t q = 0, c = p % len; q < m; ++r, c = 0) {
+      const float* row = at + r * row_stride;
+      const int64_t run = std::min(len - c, m - q);
+      if (col_stride == 0) {
+        FillRow(*row, buf + q, run);
+      } else {
+        CopyRow(row + c, buf + q, run);
+      }
+      q += run;
+    }
+    return buf;
+  }
+};
 
 /// out = span(a, b) with broadcasting. When both operands already have the
 /// output shape, each ParallelFor chunk is handed whole to `span`; the SIMD
 /// layer (tensor/vec/vec.h) plugs in there. Otherwise the coalesced loop
-/// nest is walked in row blocks and each output row is one
-/// `broadcast_span` call: a full row, a repeated row (strides {0, 1}:
-/// bias, gamma, beta) or a per-row scalar (strides {1, 0}: LayerNorm's
-/// mean and std). Both spans must give the same bits as the op's scalar
-/// functor wherever they run. Every output element is written once, so
-/// the result is the same at any thread count.
+/// nest is walked in [rows, cols] blocks, and `broadcast_span` runs over
+/// each block's rows at once: an operand that is not contiguous over the
+/// block — a repeated row (strides {0, 1}: bias, gamma, beta), a per-row
+/// scalar (strides {1, 0}: LayerNorm's mean and std) — is first copied into
+/// a stack buffer, up to kBroadcastPiece floats at a time. Both spans must
+/// give the same bits as the op's scalar functor wherever they run. Every
+/// output element is written once, so the result is the same at any thread
+/// count.
 template <typename SpanFn, typename BroadcastSpanFn>
 void BroadcastBinarySpan(const float* a, const Shape& a_shape, const float* b,
                          const Shape& b_shape, float* out,
@@ -253,17 +284,26 @@ void BroadcastBinarySpan(const float* a, const Shape& a_shape, const float* b,
     return;
   }
   const RunLoops<2> loops = BroadcastLoops<2>(out_shape, {&a_shape, &b_shape});
-  const int64_t sa = loops.col_stride(0), ra = loops.row_stride(0);
-  const int64_t sb = loops.col_stride(1), rb = loops.row_stride(1);
   ParallelFor(0, n, kGrainStrided, [&](int64_t cb, int64_t ce) {
-    ForEachBlock(loops, cb, ce,
-                 [&](int64_t i, int64_t rows, int64_t len,
-                     const std::array<int64_t, 2>& at) {
-                   for (int64_t r = 0; r < rows; ++r) {
-                     BroadcastRow(a + at[0] + r * ra, sa, b + at[1] + r * rb,
-                                  sb, out + i + r * len, len, broadcast_span);
-                   }
-                 });
+    ForEachBlock(
+        loops, cb, ce,
+        [&](int64_t i, int64_t rows, int64_t len,
+            const std::array<int64_t, 2>& at) {
+          const BlockOperand ba{a + at[0], loops.row_stride(0),
+                                loops.col_stride(0)};
+          const BlockOperand bb{b + at[1], loops.row_stride(1),
+                                loops.col_stride(1)};
+          const bool ca = ba.Contiguous(rows, len);
+          const bool cb = bb.Contiguous(rows, len);
+          float abuf[kBroadcastPiece], bbuf[kBroadcastPiece];
+          const int64_t total = rows * len;
+          const int64_t piece = ca && cb ? total : kBroadcastPiece;
+          for (int64_t p = 0; p < total; p += piece) {
+            const int64_t m = std::min(piece, total - p);
+            broadcast_span(ba.Piece(ca, len, p, m, abuf),
+                           bb.Piece(cb, len, p, m, bbuf), out + i + p, m);
+          }
+        });
   });
 }
 
@@ -297,38 +337,65 @@ void BroadcastScatterAdd(const float* a, const Shape& a_shape, const float* b,
   const RunLoops<3> loops =
       BroadcastLoops<3>(out_shape, {&dst_shape, &a_shape, &b_shape});
   const int64_t sd = loops.col_stride(0), rd = loops.row_stride(0);
-  const int64_t sa = loops.col_stride(1), ra = loops.row_stride(1);
-  const int64_t sb = loops.col_stride(2), rb = loops.row_stride(2);
-  auto scatter_row = [&](float* d, const float* ar, const float* br,
-                         const float* gr, int64_t len) {
-    if (sd == 0) {  // a per-row sum (or a single element)
-      float acc = *d;
-      for (int64_t t = 0; t < len; ++t) acc += term(ar[t * sa], br[t * sb], gr[t]);
-      *d = acc;
-      return;
-    }
-    if (unit) {
-      vec::AddN(d, gr, d, len);
-      return;
-    }
-    float terms[kBroadcastPiece];
-    for (int64_t p = 0; p < len; p += kBroadcastPiece) {
-      const int64_t m = std::min(kBroadcastPiece, len - p);
-      for (int64_t t = 0; t < m; ++t) {
-        terms[t] = term(ar[(p + t) * sa], br[(p + t) * sb], gr[p + t]);
-      }
-      vec::AddN(d + p, terms, d + p, m);
-    }
-  };
   ScatterRanges(loops, NumElements(out_shape), [&](int64_t cb, int64_t ce) {
-    ForEachBlock(loops, cb, ce,
-                 [&](int64_t i, int64_t rows, int64_t len,
-                     const std::array<int64_t, 3>& at) {
-                   for (int64_t r = 0; r < rows; ++r) {
-                     scatter_row(dst + at[0] + r * rd, a + at[1] + r * ra,
-                                 b + at[2] + r * rb, g + i + r * len, len);
-                   }
-                 });
+    ForEachBlock(
+        loops, cb, ce,
+        [&](int64_t i, int64_t rows, int64_t len,
+            const std::array<int64_t, 3>& at) {
+          float* d = dst + at[0];
+          const float* gb = g + i;
+          const BlockOperand ba{a + at[1], loops.row_stride(1),
+                                loops.col_stride(1)};
+          const BlockOperand bb{b + at[2], loops.row_stride(2),
+                                loops.col_stride(2)};
+          if (sd == 1 && (rows == 1 || rd == len)) {
+            // One term per dst element of the block: add them in pieces.
+            const int64_t total = rows * len;
+            if (unit) {
+              vec::AddN(d, gb, d, total);
+              return;
+            }
+            const bool ca = ba.Contiguous(rows, len);
+            const bool cb = bb.Contiguous(rows, len);
+            float abuf[kBroadcastPiece], bbuf[kBroadcastPiece];
+            float terms[kBroadcastPiece];
+            for (int64_t p = 0; p < total; p += kBroadcastPiece) {
+              const int64_t m = std::min(kBroadcastPiece, total - p);
+              const float* pa = ba.Piece(ca, len, p, m, abuf);
+              const float* pb = bb.Piece(cb, len, p, m, bbuf);
+              for (int64_t q = 0; q < m; ++q) {
+                terms[q] = term(pa[q], pb[q], gb[p + q]);
+              }
+              vec::AddN(d + p, terms, d + p, m);
+            }
+            return;
+          }
+          // A reduction: rows ascend, so every dst element still adds its
+          // terms in ascending flat order.
+          for (int64_t r = 0; r < rows; ++r, d += rd, gb += len) {
+            const float* ar = ba.at + r * ba.row_stride;
+            const float* br = bb.at + r * bb.row_stride;
+            const int64_t sa = ba.col_stride, sb = bb.col_stride;
+            if (sd == 0) {  // a per-row sum (or a single element)
+              float acc = *d;
+              for (int64_t t = 0; t < len; ++t) {
+                acc += term(ar[t * sa], br[t * sb], gb[t]);
+              }
+              *d = acc;
+            } else if (unit) {
+              vec::AddN(d, gb, d, len);
+            } else {
+              float terms[kBroadcastPiece];
+              for (int64_t p = 0; p < len; p += kBroadcastPiece) {
+                const int64_t m = std::min(kBroadcastPiece, len - p);
+                for (int64_t t = 0; t < m; ++t) {
+                  terms[t] = term(ar[(p + t) * sa], br[(p + t) * sb], gb[p + t]);
+                }
+                vec::AddN(d + p, terms, d + p, m);
+              }
+            }
+          }
+        });
   });
 }
 

@@ -48,38 +48,14 @@ Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span,
   Tensor a_in = a;
   Tensor b_in = b;
   auto backward = [a_in, b_in, out_shape, dfda, dfdb](TensorImpl& self) mutable {
-    const int64_t n = NumElements(out_shape);
-    const float* gd = self.grad.data();
-    const float* ad = a_in.data();
-    const float* bd = b_in.data();
-    const bool no_broadcast =
-        a_in.shape() == out_shape && b_in.shape() == out_shape;
-    // Adds the terms df_i * g_i into `in`'s gradient: straight in when `in`
-    // has the output shape, else summed over its broadcast dims.
+    // Adds the terms df_i * g_i into `in`'s gradient: one per element when
+    // `in` has the output shape, else summed over its broadcast dims.
     const auto accumulate = [&](Tensor& in, const auto& df) {
       if (!internal::NeedsGrad(in)) return;
       constexpr bool kConstant =
           std::is_arithmetic_v<std::decay_t<decltype(df)>>;
-      const auto add_flat = [&](const auto& term) {
-        float* dst = in.impl()->MutableGrad();
-        ParallelFor(0, n, kernels::kGrainElementwise,
-                    [&](int64_t cb, int64_t ce) {
-                      for (int64_t i = cb; i < ce; ++i) dst[i] += term(i);
-                    });
-      };
       bool unit = false;
-      if constexpr (kConstant) {
-        if (in.shape() == out_shape) {
-          add_flat([&](int64_t i) { return df * gd[i]; });
-          return;
-        }
-        unit = df == 1.0f;
-      } else {
-        if (no_broadcast) {
-          add_flat([&](int64_t i) { return df(ad[i], bd[i]) * gd[i]; });
-          return;
-        }
-      }
+      if constexpr (kConstant) unit = df == 1.0f;
       const auto term = [&df](float x, float y, float g) {
         if constexpr (kConstant) {
           return df * g;
@@ -88,8 +64,9 @@ Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span,
         }
       };
       const auto scatter = [&](float* dst) {
-        kernels::BroadcastScatterAdd(ad, a_in.shape(), bd, b_in.shape(), gd,
-                                     out_shape, dst, in.shape(), unit, term);
+        kernels::BroadcastScatterAdd(a_in.data(), a_in.shape(), b_in.data(),
+                                     b_in.shape(), self.grad.data(), out_shape,
+                                     dst, in.shape(), unit, term);
       };
       // An output-shaped gradient takes one term per element, so it adds
       // straight in; a reduced one is a multi-term sum.

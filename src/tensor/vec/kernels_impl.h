@@ -494,16 +494,35 @@ void MovingAverageGroup(const float* x, int64_t length, int64_t width,
   const int64_t u0 = kAdjoint ? std::max<int64_t>(p - half, 0) : p - half;
   const int64_t u1 = kAdjoint ? std::min(p + kRows - 1 + half, length - 1)
                               : p + kRows - 1 + half;
+  // Every row's window holds u in [s1, s2); only the ends need the test.
+  const int64_t s1 = std::clamp<int64_t>(p + kRows - 1 - half, u0, u1 + 1);
+  const int64_t s2 = std::clamp<int64_t>(p + half + 1, s1, u1 + 1);
+  auto covers = [&](int64_t u, int r) {
+    return u >= p + r - half && u <= p + r + half;
+  };
   const Vec8f vinv = Vec8f::Broadcast(inv_k);
   int64_t c = 0;
   for (; c + 8 <= width; c += 8) {
     Vec8f acc[kRows];
     for (int r = 0; r < kRows; ++r) acc[r] = Vec8f::Zero();
-    for (int64_t u = u0; u <= u1; ++u) {
-      Vec8f v = Vec8f::Load(x + ClampRow(u, length) * width + c);
-      if (kAdjoint) v = v * vinv;
+    auto load = [&](int64_t u) {
+      const Vec8f v = Vec8f::Load(x + ClampRow(u, length) * width + c);
+      return kAdjoint ? v * vinv : v;
+    };
+    for (int64_t u = u0; u < s1; ++u) {
+      const Vec8f v = load(u);
       for (int r = 0; r < kRows; ++r) {
-        if (u >= p + r - half && u <= p + r + half) acc[r] = acc[r] + v;
+        if (covers(u, r)) acc[r] = acc[r] + v;
+      }
+    }
+    for (int64_t u = s1; u < s2; ++u) {
+      const Vec8f v = load(u);
+      for (int r = 0; r < kRows; ++r) acc[r] = acc[r] + v;
+    }
+    for (int64_t u = s2; u <= u1; ++u) {
+      const Vec8f v = load(u);
+      for (int r = 0; r < kRows; ++r) {
+        if (covers(u, r)) acc[r] = acc[r] + v;
       }
     }
     for (int r = 0; r < kRows; ++r) {
@@ -516,7 +535,7 @@ void MovingAverageGroup(const float* x, int64_t length, int64_t width,
       float v = x[ClampRow(u, length) * width + c];
       if (kAdjoint) v = v * inv_k;
       for (int r = 0; r < kRows; ++r) {
-        if (u >= p + r - half && u <= p + r + half) acc[r] += v;
+        if (covers(u, r)) acc[r] += v;
       }
     }
     for (int r = 0; r < kRows; ++r) {
@@ -537,11 +556,14 @@ void MovingAverageEdgeAdjoint(const float* x, int64_t length, int64_t width,
     if (p == 0) return std::max<int64_t>(half - t + 1, 0);
     return std::max<int64_t>(t - (length - 1) + half + 1, 0);
   };
+  // The rows with a nonzero count.
+  const int64_t t0 = p == 0 ? 0 : std::max<int64_t>(length - 1 - half, 0);
+  const int64_t t1 = p == 0 ? std::min(half + 1, length) : length;
   const Vec8f vinv = Vec8f::Broadcast(inv_k);
   int64_t c = 0;
   for (; c + 8 <= width; c += 8) {
     Vec8f acc = Vec8f::Zero();
-    for (int64_t t = 0; t < length; ++t) {
+    for (int64_t t = t0; t < t1; ++t) {
       const Vec8f v = Vec8f::Load(x + t * width + c) * vinv;
       for (int64_t n = count(t); n > 0; --n) acc = acc + v;
     }
@@ -549,7 +571,7 @@ void MovingAverageEdgeAdjoint(const float* x, int64_t length, int64_t width,
   }
   for (; c < width; ++c) {
     float acc = 0.0f;
-    for (int64_t t = 0; t < length; ++t) {
+    for (int64_t t = t0; t < t1; ++t) {
       const float v = x[t * width + c] * inv_k;
       for (int64_t n = count(t); n > 0; --n) acc += v;
     }
