@@ -1364,23 +1364,32 @@ TEST(StridedKernelOracleTest, BroadcastSpanMatchesFlatLoop) {
 }
 
 TEST(StridedKernelOracleTest, BroadcastMaximumKeepsTernaryNaNResults) {
-  // x >= y ? x : y returns y whenever either side is NaN. A broadcast
-  // Maximum runs that ternary on every row (MaxN's NaN lanes differ), so
-  // the NaN result is pinned here for a repeated row and a per-row scalar.
+  // x >= y ? x : y returns y whenever either side is NaN; MaxN's vector
+  // lanes return x there. A broadcast Maximum runs the ternary on every
+  // block, so the NaN result is pinned here for a repeated row and a
+  // per-row scalar, with rows long enough for a vector body.
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  Tensor a = Tensor::FromVector({nan, 1.0f, -2.0f, 3.0f, nan, 0.5f}, {2, 3});
-  Tensor row = Tensor::FromVector({2.0f, nan, -1.0f}, {3});
-  Tensor col = Tensor::FromVector({nan, 0.0f}, {2, 1});
-  auto ternary = [](float x, float y) { return x >= y ? x : y; };
+  const int64_t rows = 3, cols = 16;
+  std::vector<float> av(rows * cols), rowv(cols), colv(rows);
+  for (int64_t i = 0; i < rows * cols; ++i) {
+    av[i] = i % 5 == 0 ? nan : static_cast<float>(i % 7) - 3.0f;
+  }
+  for (int64_t c = 0; c < cols; ++c) {
+    rowv[c] = c % 7 == 0 ? -nan : static_cast<float>(c % 4) - 1.5f;
+  }
+  colv = {0.5f, nan, -2.0f};
+  Tensor a = Tensor::FromVector(av, {rows, cols});
+  Tensor row = Tensor::FromVector(rowv, {cols});
+  Tensor col = Tensor::FromVector(colv, {rows, 1});
   for (const bool per_row : {false, true}) {
-    const Tensor& b = per_row ? col : row;
-    Tensor y = Maximum(a, b);
-    for (int64_t r = 0; r < 2; ++r) {
-      for (int64_t c = 0; c < 3; ++c) {
-        const float want =
-            ternary(a.at({r, c}), per_row ? col.at({r, 0}) : row.at({c}));
-        const float got = y.at({r, c});
-        EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(float)))
+    Tensor y = Maximum(a, per_row ? col : row);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t c = 0; c < cols; ++c) {
+        const float x = av[r * cols + c];
+        const float other = per_row ? colv[r] : rowv[c];
+        const float want = x >= other ? x : other;
+        EXPECT_EQ(0, std::memcmp(y.data() + r * cols + c, &want,
+                                 sizeof(float)))
             << "per_row " << per_row << " at (" << r << ", " << c << ")";
       }
     }
