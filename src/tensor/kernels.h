@@ -68,7 +68,6 @@ struct RunLoops {
   std::array<LoopDims, N> strides{};
 
   int64_t cols() const { return shape[rank - 1]; }
-  int64_t rows() const { return rank >= 2 ? shape[rank - 2] : 1; }
   /// Operand o's step along the innermost dim, and from one row of the
   /// two innermost dims to the next (0 when there is one row).
   int64_t col_stride(size_t o) const { return strides[o][rank - 1]; }
@@ -293,15 +292,15 @@ void BroadcastBinarySpan(const float* a, const Shape& a_shape, const float* b,
                                 loops.col_stride(0)};
           const BlockOperand bb{b + at[1], loops.row_stride(1),
                                 loops.col_stride(1)};
-          const bool ca = ba.Contiguous(rows, len);
-          const bool cb = bb.Contiguous(rows, len);
+          const bool a_flat = ba.Contiguous(rows, len);
+          const bool b_flat = bb.Contiguous(rows, len);
           float abuf[kBroadcastPiece], bbuf[kBroadcastPiece];
           const int64_t total = rows * len;
-          const int64_t piece = ca && cb ? total : kBroadcastPiece;
+          const int64_t piece = a_flat && b_flat ? total : kBroadcastPiece;
           for (int64_t p = 0; p < total; p += piece) {
             const int64_t m = std::min(piece, total - p);
-            broadcast_span(ba.Piece(ca, len, p, m, abuf),
-                           bb.Piece(cb, len, p, m, bbuf), out + i + p, m);
+            broadcast_span(ba.Piece(a_flat, len, p, m, abuf),
+                           bb.Piece(b_flat, len, p, m, bbuf), out + i + p, m);
           }
         });
   });
@@ -355,14 +354,14 @@ void BroadcastScatterAdd(const float* a, const Shape& a_shape, const float* b,
               vec::AddN(d, gb, d, total);
               return;
             }
-            const bool ca = ba.Contiguous(rows, len);
-            const bool cb = bb.Contiguous(rows, len);
+            const bool a_flat = ba.Contiguous(rows, len);
+            const bool b_flat = bb.Contiguous(rows, len);
             float abuf[kBroadcastPiece], bbuf[kBroadcastPiece];
             float terms[kBroadcastPiece];
             for (int64_t p = 0; p < total; p += kBroadcastPiece) {
               const int64_t m = std::min(kBroadcastPiece, total - p);
-              const float* pa = ba.Piece(ca, len, p, m, abuf);
-              const float* pb = bb.Piece(cb, len, p, m, bbuf);
+              const float* pa = ba.Piece(a_flat, len, p, m, abuf);
+              const float* pb = bb.Piece(b_flat, len, p, m, bbuf);
               for (int64_t q = 0; q < m; ++q) {
                 terms[q] = term(pa[q], pb[q], gb[p + q]);
               }
