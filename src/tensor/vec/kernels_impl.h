@@ -501,9 +501,11 @@ void MovingAverageGroup(const float* x, int64_t length, int64_t width,
     return u >= p + r - half && u <= p + r + half;
   };
   const Vec8f vinv = Vec8f::Broadcast(inv_k);
+  // The unroll pragmas keep acc in registers rather than on the stack.
   int64_t c = 0;
   for (; c + 8 <= width; c += 8) {
     Vec8f acc[kRows];
+#pragma GCC unroll 4
     for (int r = 0; r < kRows; ++r) acc[r] = Vec8f::Zero();
     auto load = [&](int64_t u) {
       const Vec8f v = Vec8f::Load(x + ClampRow(u, length) * width + c);
@@ -511,20 +513,24 @@ void MovingAverageGroup(const float* x, int64_t length, int64_t width,
     };
     for (int64_t u = u0; u < s1; ++u) {
       const Vec8f v = load(u);
+#pragma GCC unroll 4
       for (int r = 0; r < kRows; ++r) {
         if (covers(u, r)) acc[r] = acc[r] + v;
       }
     }
     for (int64_t u = s1; u < s2; ++u) {
       const Vec8f v = load(u);
+#pragma GCC unroll 4
       for (int r = 0; r < kRows; ++r) acc[r] = acc[r] + v;
     }
     for (int64_t u = s2; u <= u1; ++u) {
       const Vec8f v = load(u);
+#pragma GCC unroll 4
       for (int r = 0; r < kRows; ++r) {
         if (covers(u, r)) acc[r] = acc[r] + v;
       }
     }
+#pragma GCC unroll 4
     for (int r = 0; r < kRows; ++r) {
       (kAdjoint ? acc[r] : acc[r] * vinv).Store(out + (p + r) * width + c);
     }
@@ -534,10 +540,12 @@ void MovingAverageGroup(const float* x, int64_t length, int64_t width,
     for (int64_t u = u0; u <= u1; ++u) {
       float v = x[ClampRow(u, length) * width + c];
       if (kAdjoint) v = v * inv_k;
+#pragma GCC unroll 4
       for (int r = 0; r < kRows; ++r) {
         if (covers(u, r)) acc[r] += v;
       }
     }
+#pragma GCC unroll 4
     for (int r = 0; r < kRows; ++r) {
       out[(p + r) * width + c] = kAdjoint ? acc[r] : acc[r] * inv_k;
     }
