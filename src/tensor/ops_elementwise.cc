@@ -13,7 +13,7 @@ namespace conformer {
 namespace {
 
 // Adapters turning a scalar functor into a span function, for ops without a
-// dedicated SIMD kernel in tensor/vec.
+// dedicated SIMD kernel in tensor/vec (and Maximum's broadcast blocks).
 template <typename Fn>
 auto ScalarBinarySpan(Fn f) {
   return [f](const float* a, const float* b, float* o, int64_t n) {
@@ -30,11 +30,11 @@ auto ScalarUnarySpan(Fn f) {
 // Shared plumbing for broadcasting binary ops. `span` computes whole
 // contiguous chunks when no broadcasting is needed (usually a dispatched
 // vec:: kernel and bitwise-equal to the op's scalar functor — except where
-// noted at the call site); `broadcast_span` computes each broadcast output
-// row and must equal the scalar functor bitwise. `dfda` / `dfdb` compute
-// local partials from (a_i, b_i), or are a constant float when the partial
-// is one (Add, Sub). A broadcast operand's gradient is reduced straight from
-// df * g, in ScatterAdd's ascending order, with no temporary.
+// noted at the call site); `broadcast_span` computes the rows of each
+// broadcast block and must equal the scalar functor bitwise. `dfda` / `dfdb`
+// compute local partials from (a_i, b_i), or are a constant float (Add,
+// Sub). A broadcast operand's gradient is reduced straight from df * g, in
+// ScatterAdd's ascending order, with no temporary.
 template <typename SpanFn, typename BroadcastSpanFn, typename DfA, typename DfB>
 Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span,
                     BroadcastSpanFn broadcast_span, DfA dfda, DfB dfdb,

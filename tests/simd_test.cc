@@ -279,6 +279,7 @@ TEST_F(SimdTest, MovingAverageKernelTailSweep) {
             std::vector<float> got(n);
             fn(got.data());
             const int64_t skip = r0 * width;
+            if (n == skip) continue;  // memcmp on an empty vector's data()
             ASSERT_EQ(0, std::memcmp(got.data() + skip, want.data() + skip,
                                      sizeof(float) * (n - skip)))
                 << "width=" << width << " length=" << length
