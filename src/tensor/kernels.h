@@ -348,7 +348,7 @@ void BroadcastScatterAdd(const float* a, const Shape& a_shape, const float* b,
           const BlockOperand bb{b + at[2], loops.row_stride(2),
                                 loops.col_stride(2)};
           if (sd == 1 && (rows == 1 || rd == len)) {
-            // One term per dst element of the block: add them in pieces.
+            // One term per dst element of the block, added straight in.
             const int64_t total = rows * len;
             if (unit) {
               vec::AddN(d, gb, d, total);
@@ -357,15 +357,14 @@ void BroadcastScatterAdd(const float* a, const Shape& a_shape, const float* b,
             const bool a_flat = ba.Contiguous(rows, len);
             const bool b_flat = bb.Contiguous(rows, len);
             float abuf[kBroadcastPiece], bbuf[kBroadcastPiece];
-            float terms[kBroadcastPiece];
-            for (int64_t p = 0; p < total; p += kBroadcastPiece) {
-              const int64_t m = std::min(kBroadcastPiece, total - p);
+            const int64_t piece = a_flat && b_flat ? total : kBroadcastPiece;
+            for (int64_t p = 0; p < total; p += piece) {
+              const int64_t m = std::min(piece, total - p);
               const float* pa = ba.Piece(a_flat, len, p, m, abuf);
               const float* pb = bb.Piece(b_flat, len, p, m, bbuf);
               for (int64_t q = 0; q < m; ++q) {
-                terms[q] = term(pa[q], pb[q], gb[p + q]);
+                d[p + q] += term(pa[q], pb[q], gb[p + q]);
               }
-              vec::AddN(d + p, terms, d + p, m);
             }
             return;
           }
@@ -384,13 +383,8 @@ void BroadcastScatterAdd(const float* a, const Shape& a_shape, const float* b,
             } else if (unit) {
               vec::AddN(d, gb, d, len);
             } else {
-              float terms[kBroadcastPiece];
-              for (int64_t p = 0; p < len; p += kBroadcastPiece) {
-                const int64_t m = std::min(kBroadcastPiece, len - p);
-                for (int64_t t = 0; t < m; ++t) {
-                  terms[t] = term(ar[(p + t) * sa], br[(p + t) * sb], gb[p + t]);
-                }
-                vec::AddN(d + p, terms, d + p, m);
+              for (int64_t t = 0; t < len; ++t) {
+                d[t] += term(ar[t * sa], br[t * sb], gb[t]);
               }
             }
           }
