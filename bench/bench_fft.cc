@@ -27,8 +27,8 @@
 namespace conformer::bench {
 namespace {
 
-// Faithful replica of the pre-PR non-power-of-two fallback in
-// fft::AutoCorrelation (direct O(n^2) circular correlation).
+// Faithful replica of the old non-power-of-two fallback of the FFT
+// auto-correlation (direct O(n^2) circular correlation).
 void DirectAutoCorrelation(const double* signal, int64_t n, double* out) {
   for (int64_t lag = 0; lag < n; ++lag) {
     double acc = 0.0;

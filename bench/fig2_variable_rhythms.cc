@@ -53,7 +53,7 @@ int Run() {
       for (int64_t t = 0; t < window; ++t) {
         column[t] = series.value(t, d) - mean;
       }
-      auto ac = fft::AutoCorrelation(column);
+      auto ac = fft::AutoCorrelationBatch(column, 1, window);
       // The rhythm is the strongest LOCAL maximum of the auto-correlation:
       // AR noise decays monotonically, while a seasonal component produces
       // a bump at its period.

@@ -46,29 +46,6 @@ void CircularAutoCorrelationInto(const double* x, int64_t n,
 
 }  // namespace
 
-std::vector<double> AutoCorrelation(const std::vector<double>& signal,
-                                    bool circular) {
-  const int64_t n = static_cast<int64_t>(signal.size());
-  CONFORMER_CHECK_GT(n, 0);
-  if (circular) {
-    std::vector<double> out(n);
-    std::shared_ptr<const FftPlan> plan = GetPlan(CircularPlanLength(n));
-    CircularAutoCorrelationInto(signal.data(), n, *plan, out.data());
-    return out;
-  }
-  // Linear correlation: zero padding to >= 2n leaves no wrap-around term.
-  const int64_t padded = NextPowerOfTwo(2 * n);
-  std::shared_ptr<const FftPlan> plan = GetPlan(padded);
-  std::vector<std::complex<double>> buffer(padded, {0.0, 0.0});
-  for (int64_t i = 0; i < n; ++i) buffer[i] = {signal[i], 0.0};
-  plan->Forward(buffer.data());
-  for (auto& c : buffer) c *= std::conj(c);
-  plan->Inverse(buffer.data());
-  std::vector<double> out(n);
-  for (int64_t i = 0; i < n; ++i) out[i] = buffer[i].real();
-  return out;
-}
-
 std::vector<double> AutoCorrelationBatch(const std::vector<double>& series,
                                          int64_t count, int64_t length) {
   CONFORMER_CHECK_GE(count, 0);

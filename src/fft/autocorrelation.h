@@ -16,18 +16,14 @@
 
 namespace conformer::fft {
 
-/// Circular auto-correlation of `signal` at all lags [0, n): the inverse FFT
-/// of the power spectrum, computed with zero padding to >= 2n to avoid wrap
-/// contamination when `circular` is false.
-std::vector<double> AutoCorrelation(const std::vector<double>& signal,
-                                    bool circular = true);
-
 /// Circular auto-correlation of `count` series of length `length`, stored
-/// back-to-back in `series` (row-major [count, length]). Returns the same
-/// layout. Rows fan out across util::ParallelFor under the determinism
-/// contract of docs/THREADING.md: each row is one disjoint output slice, so
-/// the result is bitwise identical to calling AutoCorrelation per row at any
-/// thread count. The FFT plan is warmed once before the parallel region.
+/// back-to-back in `series` (row-major [count, length]), at all lags
+/// [0, length): the inverse FFT of each row's power spectrum. Returns the
+/// same layout; one series is a batch of one. Rows fan out across
+/// util::ParallelFor under the determinism contract of docs/THREADING.md:
+/// each row is one disjoint output slice, so row i is bitwise identical to
+/// that row run alone at any thread count. The FFT plan is warmed once
+/// before the parallel region.
 std::vector<double> AutoCorrelationBatch(const std::vector<double>& series,
                                          int64_t count, int64_t length);
 

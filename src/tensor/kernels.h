@@ -262,19 +262,18 @@ struct BlockOperand {
 /// out = span(a, b) with broadcasting. When both operands already have the
 /// output shape, each ParallelFor chunk is handed whole to `span`; the SIMD
 /// layer (tensor/vec/vec.h) plugs in there. Otherwise the coalesced loop
-/// nest is walked in [rows, cols] blocks, and `broadcast_span` runs over
-/// each block's rows at once: an operand that is not contiguous over the
-/// block — a repeated row (strides {0, 1}: bias, gamma, beta), a per-row
-/// scalar (strides {1, 0}: LayerNorm's mean and std) — is first copied into
-/// a stack buffer, up to kBroadcastPiece floats at a time. Both spans must
-/// give the same bits as the op's scalar functor wherever they run. Every
-/// output element is written once, so the result is the same at any thread
-/// count.
-template <typename SpanFn, typename BroadcastSpanFn>
+/// nest is walked in [rows, cols] blocks, and `span` runs over each block's
+/// rows at once: an operand that is not contiguous over the block — a
+/// repeated row (strides {0, 1}: bias, gamma, beta), a per-row scalar
+/// (strides {1, 0}: LayerNorm's mean and std) — is first copied into a
+/// stack buffer, up to kBroadcastPiece floats at a time. `span` must compute
+/// each element on its own, so its bits do not depend on where a span
+/// starts or ends. Every output element is written once, so the result is
+/// the same at any thread count.
+template <typename SpanFn>
 void BroadcastBinarySpan(const float* a, const Shape& a_shape, const float* b,
                          const Shape& b_shape, float* out,
-                         const Shape& out_shape, SpanFn span,
-                         BroadcastSpanFn broadcast_span) {
+                         const Shape& out_shape, SpanFn span) {
   const int64_t n = NumElements(out_shape);
   if (a_shape == out_shape && b_shape == out_shape) {
     ParallelFor(0, n, kGrainElementwise, [&](int64_t cb, int64_t ce) {
@@ -299,8 +298,8 @@ void BroadcastBinarySpan(const float* a, const Shape& a_shape, const float* b,
           const int64_t piece = a_flat && b_flat ? total : kBroadcastPiece;
           for (int64_t p = 0; p < total; p += piece) {
             const int64_t m = std::min(piece, total - p);
-            broadcast_span(ba.Piece(a_flat, len, p, m, abuf),
-                           bb.Piece(b_flat, len, p, m, bbuf), out + i + p, m);
+            span(ba.Piece(a_flat, len, p, m, abuf),
+                 bb.Piece(b_flat, len, p, m, bbuf), out + i + p, m);
           }
         });
   });
@@ -316,7 +315,7 @@ void BroadcastBinary(const float* a, const Shape& a_shape, const float* b,
                          int64_t len) {
     for (int64_t t = 0; t < len; ++t) o[t] = f(x[t], y[t]);
   };
-  BroadcastBinarySpan(a, a_shape, b, b_shape, out, out_shape, span, span);
+  BroadcastBinarySpan(a, a_shape, b, b_shape, out, out_shape, span);
 }
 
 /// The gradient of one operand of a broadcasting binary op, reduced

@@ -21,8 +21,6 @@ Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
-/// max(a, b) elementwise; gradient flows to the larger input (ties to `a`).
-Tensor Maximum(const Tensor& a, const Tensor& b);
 
 inline Tensor operator+(const Tensor& a, const Tensor& b) { return Add(a, b); }
 inline Tensor operator-(const Tensor& a, const Tensor& b) { return Sub(a, b); }
@@ -33,8 +31,6 @@ inline Tensor operator/(const Tensor& a, const Tensor& b) { return Div(a, b); }
 
 Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
-/// a^p elementwise (a must be positive unless p is a small integer).
-Tensor PowScalar(const Tensor& a, float p);
 
 inline Tensor operator+(const Tensor& a, float s) { return AddScalar(a, s); }
 inline Tensor operator-(const Tensor& a, float s) { return AddScalar(a, -s); }
@@ -45,11 +41,9 @@ inline Tensor operator*(float s, const Tensor& a) { return MulScalar(a, s); }
 // -- Elementwise unary ------------------------------------------------------
 
 Tensor Neg(const Tensor& a);
-Tensor Exp(const Tensor& a);
 /// Natural log; inputs must be positive.
 Tensor Log(const Tensor& a);
 Tensor Sqrt(const Tensor& a);
-Tensor Abs(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
@@ -57,10 +51,6 @@ Tensor Relu(const Tensor& a);
 Tensor Gelu(const Tensor& a);
 /// log(1 + e^x), numerically stabilized.
 Tensor Softplus(const Tensor& a);
-Tensor Sin(const Tensor& a);
-Tensor Cos(const Tensor& a);
-/// Clamps values into [lo, hi]; gradient is zero outside the interval.
-Tensor Clamp(const Tensor& a, float lo, float hi);
 
 inline Tensor operator-(const Tensor& a) { return Neg(a); }
 
@@ -75,11 +65,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// Sum over `dims` (all dims when empty). Negative dims allowed.
 Tensor Sum(const Tensor& a, std::vector<int64_t> dims = {}, bool keepdim = false);
 Tensor Mean(const Tensor& a, std::vector<int64_t> dims = {}, bool keepdim = false);
-/// Max over one dim; gradient routes to the (first) argmax.
-Tensor Max(const Tensor& a, int64_t dim, bool keepdim = false);
-Tensor Min(const Tensor& a, int64_t dim, bool keepdim = false);
-/// Population variance over `dims` (biased, matching LayerNorm's usage).
-Tensor Variance(const Tensor& a, std::vector<int64_t> dims, bool keepdim = false);
 
 // -- Shape manipulation -------------------------------------------------------
 
@@ -173,8 +158,6 @@ Tensor LogSoftmax(const Tensor& a, int64_t dim);
 Tensor DropoutOp(const Tensor& a, float p, bool training, Rng* rng = nullptr);
 /// Mean squared error over all elements.
 Tensor MseLoss(const Tensor& pred, const Tensor& target);
-/// Mean absolute error over all elements.
-Tensor MaeLoss(const Tensor& pred, const Tensor& target);
 
 /// One GRU layer (torch gate layout r, z, n) over a whole sequence from a
 /// zero state, as a single op: `gates` [B, L, 3h] holds the input-side
@@ -183,13 +166,6 @@ Tensor MaeLoss(const Tensor& pred, const Tensor& target);
 /// r|z = sigmoid(gi + gh), n = tanh(gi_n + r*gh_n), h' = (1-z)*n + z*h, in
 /// exactly that float order. Backward is hand-written BPTT.
 Tensor GruSequence(const Tensor& gates, const Tensor& w_hh, const Tensor& b_hh);
-
-/// Adds `b` (must broadcast) — convenience for bias terms: a + b.
-inline Tensor AddBias(const Tensor& a, const Tensor& b) { return Add(a, b); }
-
-/// Elementwise a + b where the node is detached from `b`'s graph
-/// (treats `b` as a constant).
-Tensor AddDetached(const Tensor& a, const Tensor& b);
 
 }  // namespace conformer
 

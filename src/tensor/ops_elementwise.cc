@@ -12,39 +12,21 @@ namespace conformer {
 
 namespace {
 
-// Adapters turning a scalar functor into a span function, for ops without a
-// dedicated SIMD kernel in tensor/vec (and Maximum's broadcast blocks).
-template <typename Fn>
-auto ScalarBinarySpan(Fn f) {
-  return [f](const float* a, const float* b, float* o, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) o[i] = f(a[i], b[i]);
-  };
-}
-template <typename Fn>
-auto ScalarUnarySpan(Fn f) {
-  return [f](const float* a, float* o, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) o[i] = f(a[i]);
-  };
-}
-
-// Shared plumbing for broadcasting binary ops. `span` computes whole
-// contiguous chunks when no broadcasting is needed (usually a dispatched
-// vec:: kernel and bitwise-equal to the op's scalar functor — except where
-// noted at the call site); `broadcast_span` computes the rows of each
-// broadcast block and must equal the scalar functor bitwise. `dfda` / `dfdb`
-// compute local partials from (a_i, b_i), or are a constant float (Add,
-// Sub). A broadcast operand's gradient is reduced straight from df * g, in
+// Shared plumbing for broadcasting binary ops. `span` (a dispatched vec::
+// kernel) computes whole contiguous chunks when no broadcasting is needed
+// and the rows of each broadcast block otherwise. `dfda` / `dfdb` compute
+// local partials from (a_i, b_i), or are a constant float (Add, Sub). A
+// broadcast operand's gradient is reduced straight from df * g, in
 // ScatterAdd's ascending order, with no temporary.
-template <typename SpanFn, typename BroadcastSpanFn, typename DfA, typename DfB>
-Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span,
-                    BroadcastSpanFn broadcast_span, DfA dfda, DfB dfdb,
-                    const char* name) {
+template <typename SpanFn, typename DfA, typename DfB>
+Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span, DfA dfda,
+                    DfB dfdb, const char* name) {
   CONFORMER_PROFILE_SCOPE(name);
   CONFORMER_CHECK(a.defined() && b.defined()) << name << " on undefined tensor";
   const Shape out_shape = kernels::BroadcastShape(a.shape(), b.shape());
   std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
   kernels::BroadcastBinarySpan(a.data(), a.shape(), b.data(), b.shape(),
-                               out.data(), out_shape, span, broadcast_span);
+                               out.data(), out_shape, span);
   Tensor a_in = a;
   Tensor b_in = b;
   auto backward = [a_in, b_in, out_shape, dfda, dfdb](TensorImpl& self) mutable {
@@ -88,10 +70,10 @@ Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span,
       result, {a, b},
       {name, /*zero_init=*/false, /*inplace_safe=*/a.shape() == out_shape},
       [&] {
-        return [span, broadcast_span, a_shape = a.shape(), b_shape = b.shape(),
+        return [span, a_shape = a.shape(), b_shape = b.shape(),
                 out_shape](const float* const* in, float* o) {
           kernels::BroadcastBinarySpan(in[0], a_shape, in[1], b_shape, o,
-                                       out_shape, span, broadcast_span);
+                                       out_shape, span);
         };
       });
   return result;
@@ -161,10 +143,16 @@ Tensor UnaryOpSpan(const Tensor& a, SpanFn span, Df df, const char* name) {
   return result;
 }
 
-// `f` computes out_i from a_i, applied chunk-by-chunk via ScalarUnarySpan.
+// `f` computes out_i from a_i, for ops without a dedicated SIMD kernel in
+// tensor/vec; it runs chunk-by-chunk as a span.
 template <typename Fn, typename Df>
 Tensor UnaryOp(const Tensor& a, Fn f, Df df, const char* name) {
-  return UnaryOpSpan(a, ScalarUnarySpan(f), df, name);
+  return UnaryOpSpan(
+      a,
+      [f](const float* x, float* o, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) o[i] = f(x[i]);
+      },
+      df, name);
 }
 
 // Gelu's tanh approximation constants: sqrt(2/pi) and the cubic weight.
@@ -182,35 +170,23 @@ void GeluTanhSpan(const float* x, float* t, int64_t n) {
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  return BinaryOpSpan(a, b, vec::AddN, vec::AddN, 1.0f, 1.0f, "Add");
+  return BinaryOpSpan(a, b, vec::AddN, 1.0f, 1.0f, "Add");
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOpSpan(a, b, vec::SubN, vec::SubN, 1.0f, -1.0f, "Sub");
+  return BinaryOpSpan(a, b, vec::SubN, 1.0f, -1.0f, "Sub");
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOpSpan(
-      a, b, vec::MulN, vec::MulN, [](float, float y) { return y; },
+      a, b, vec::MulN, [](float, float y) { return y; },
       [](float x, float) { return x; }, "Mul");
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
   return BinaryOpSpan(
-      a, b, vec::DivN, vec::DivN, [](float, float y) { return 1.0f / y; },
+      a, b, vec::DivN, [](float, float y) { return 1.0f / y; },
       [](float x, float y) { return -x / (y * y); }, "Div");
-}
-
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  // vec::MaxN matches `x >= y ? x : y` for all ordered lanes and ties (first
-  // operand wins a tie); lanes with a NaN operand may differ from the ternary
-  // (SSE max semantics, identical across SIMD levels). Broadcast rows run
-  // the ternary itself, so a broadcast Maximum keeps its NaN results.
-  const auto max = [](float x, float y) { return x >= y ? x : y; };
-  return BinaryOpSpan(
-      a, b, vec::MaxN, ScalarBinarySpan(max),
-      [](float x, float y) { return x >= y ? 1.0f : 0.0f; },
-      [](float x, float y) { return x >= y ? 0.0f : 1.0f; }, "Maximum");
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
@@ -227,19 +203,7 @@ Tensor MulScalar(const Tensor& a, float s) {
       [s](float, float) { return s; }, "MulScalar");
 }
 
-Tensor PowScalar(const Tensor& a, float p) {
-  return UnaryOp(
-      a, [p](float x) { return std::pow(x, p); },
-      [p](float x, float) { return p * std::pow(x, p - 1.0f); }, "PowScalar");
-}
-
 Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
-
-Tensor Exp(const Tensor& a) {
-  // vec::ExpN is the shared polynomial exp (docs/SIMD.md): ~1 ulp of
-  // std::exp, exact at 0, bitwise identical across SIMD levels.
-  return UnaryOpSpan(a, vec::ExpN, [](float, float y) { return y; }, "Exp");
-}
 
 Tensor Log(const Tensor& a) {
   return UnaryOp(
@@ -251,12 +215,6 @@ Tensor Sqrt(const Tensor& a) {
   // Hardware sqrt is IEEE correctly-rounded, so vec::SqrtN == std::sqrt.
   return UnaryOpSpan(a, vec::SqrtN, [](float, float y) { return 0.5f / y; },
                      "Sqrt");
-}
-
-Tensor Abs(const Tensor& a) {
-  return UnaryOpSpan(a, vec::AbsN,
-                     [](float x, float) { return x >= 0.0f ? 1.0f : -1.0f; },
-                     "Abs");
 }
 
 Tensor Tanh(const Tensor& a) {
@@ -320,32 +278,6 @@ Tensor Softplus(const Tensor& a) {
         return z / (1.0f + z);
       },
       "Softplus");
-}
-
-Tensor Sin(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::sin(x); },
-      [](float x, float) { return std::cos(x); }, "Sin");
-}
-
-Tensor Cos(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::cos(x); },
-      [](float x, float) { return -std::sin(x); }, "Cos");
-}
-
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  return UnaryOpSpan(
-      a,
-      [lo, hi](const float* x, float* o, int64_t n) {
-        vec::ClampN(x, lo, hi, o, n);
-      },
-      [lo, hi](float x, float) { return (x >= lo && x <= hi) ? 1.0f : 0.0f; },
-      "Clamp");
-}
-
-Tensor AddDetached(const Tensor& a, const Tensor& b) {
-  return Add(a, b.Detach());
 }
 
 }  // namespace conformer

@@ -142,6 +142,7 @@ Tensor Roll(const Tensor& a, int64_t dim, int64_t shift) {
   CONFORMER_PROFILE_SCOPE("roll");
   CONFORMER_CHECK(a.defined());
   const int64_t size = a.size(dim);
+  if (size == 0) return a;
   shift %= size;
   if (shift < 0) shift += size;
   std::vector<int64_t> indices(size);

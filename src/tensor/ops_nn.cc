@@ -297,6 +297,7 @@ Tensor LogSoftmax(const Tensor& a, int64_t dim) {
   CONFORMER_CHECK(a.defined());
   const int64_t rank = a.dim();
   if (dim < 0) dim += rank;
+  CONFORMER_CHECK(dim >= 0 && dim < rank);
   const DimSplit s = SplitAt(a.shape(), dim);
 
   std::vector<float> out = internal::AcquireBuffer(a.numel());
@@ -368,11 +369,6 @@ Tensor MseLoss(const Tensor& pred, const Tensor& target) {
   CONFORMER_PROFILE_SCOPE("mse_loss");
   Tensor diff = Sub(pred, target.Detach());
   return Mean(Mul(diff, diff));
-}
-
-Tensor MaeLoss(const Tensor& pred, const Tensor& target) {
-  CONFORMER_PROFILE_SCOPE("mae_loss");
-  return Mean(Abs(Sub(pred, target.Detach())));
 }
 
 }  // namespace conformer

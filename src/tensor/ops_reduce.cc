@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <limits>
 
 #include "tensor/capture.h"
 #include "tensor/kernels.h"
@@ -124,111 +123,6 @@ Tensor Mean(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
   for (int64_t d : norm) count *= a.shape()[d];
   Tensor s = Sum(a, std::move(norm), keepdim);
   return MulScalar(s, 1.0f / static_cast<float>(count));
-}
-
-Tensor Variance(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
-  CONFORMER_PROFILE_SCOPE("variance");
-  Tensor mu = Mean(a, dims, /*keepdim=*/true);
-  Tensor centered = Sub(a, mu);
-  return Mean(Mul(centered, centered), dims, keepdim);
-}
-
-namespace {
-
-// Max/Min over one dim share this implementation. `cmp(candidate, best)`
-// returns true when the candidate should replace the current best.
-template <typename Cmp>
-Tensor ExtremeOverDim(const Tensor& a, int64_t dim, bool keepdim, Cmp cmp,
-                      float init, const char* name) {
-  CONFORMER_CHECK(a.defined());
-  const Shape& in_shape = a.shape();
-  const int64_t rank = static_cast<int64_t>(in_shape.size());
-  if (dim < 0) dim += rank;
-  CONFORMER_CHECK(dim >= 0 && dim < rank) << name << " dim out of range";
-
-  const int64_t reduce_n = in_shape[dim];
-  CONFORMER_CHECK_GT(reduce_n, 0) << name << " over empty dim " << dim;
-  int64_t outer = 1;
-  for (int64_t i = 0; i < dim; ++i) outer *= in_shape[i];
-  int64_t inner = 1;
-  for (int64_t i = dim + 1; i < rank; ++i) inner *= in_shape[i];
-
-  std::vector<float> out(outer * inner, init);
-  std::vector<int64_t> argbest(outer * inner, 0);
-  // Each outer index owns a disjoint slice of out/argbest. The r == 0 case
-  // writes unconditionally, so `dst` needs no init prefill — the eager pass
-  // and a captured replay (which passes scratch arg storage) share this.
-  auto forward = [outer, inner, reduce_n, cmp](const float* ad, float* dst,
-                                               int64_t* arg) {
-    const int64_t o_grain = std::max<int64_t>(
-        1, kernels::kGrainStrided / std::max<int64_t>(1, reduce_n * inner));
-    ParallelFor(0, outer, o_grain, [&](int64_t o0, int64_t o1) {
-      for (int64_t o = o0; o < o1; ++o) {
-        for (int64_t r = 0; r < reduce_n; ++r) {
-          const float* row = ad + (o * reduce_n + r) * inner;
-          for (int64_t i = 0; i < inner; ++i) {
-            float& best = dst[o * inner + i];
-            if (r == 0 || cmp(row[i], best)) {
-              best = row[i];
-              arg[o * inner + i] = r;
-            }
-          }
-        }
-      }
-    });
-  };
-  forward(a.data(), out.data(), argbest.data());
-
-  Shape out_shape;
-  for (int64_t i = 0; i < rank; ++i) {
-    if (i == dim) {
-      if (keepdim) out_shape.push_back(1);
-    } else {
-      out_shape.push_back(in_shape[i]);
-    }
-  }
-
-  Tensor a_in = a;
-  auto backward = [a_in, argbest, dim, reduce_n, outer,
-                   inner](TensorImpl& self) mutable {
-    // Each input element receives at most one output gradient, so it adds
-    // straight in.
-    float* dst = a_in.impl()->MutableGrad();
-    const float* gd = self.grad.data();
-    for (int64_t o = 0; o < outer; ++o) {
-      for (int64_t i = 0; i < inner; ++i) {
-        const int64_t r = argbest[o * inner + i];
-        dst[(o * reduce_n + r) * inner + i] += gd[o * inner + i];
-      }
-    }
-  };
-  Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
-                                         {a}, std::move(backward), name);
-  internal::MaybeCaptureStep(
-      result, {a}, {name, /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
-        return [forward, scratch = outer * inner](const float* const* in,
-                                                  float* o) {
-          std::vector<int64_t> arg(scratch);
-          forward(in[0], o, arg.data());
-        };
-      });
-  return result;
-}
-
-}  // namespace
-
-Tensor Max(const Tensor& a, int64_t dim, bool keepdim) {
-  CONFORMER_PROFILE_SCOPE("max");
-  return ExtremeOverDim(
-      a, dim, keepdim, [](float c, float b) { return c > b; },
-      -std::numeric_limits<float>::infinity(), "Max");
-}
-
-Tensor Min(const Tensor& a, int64_t dim, bool keepdim) {
-  CONFORMER_PROFILE_SCOPE("min");
-  return ExtremeOverDim(
-      a, dim, keepdim, [](float c, float b) { return c < b; },
-      std::numeric_limits<float>::infinity(), "Min");
 }
 
 }  // namespace conformer

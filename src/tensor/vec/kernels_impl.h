@@ -211,17 +211,6 @@ void DivKernel(const float* a, const float* b, float* o, int64_t n) {
   for (; i < n; ++i) o[i] = a[i] / b[i];
 }
 
-void MaxKernel(const float* a, const float* b, float* o, int64_t n) {
-  int64_t i = 0;
-  // Matches the Maximum op's `x >= y ? x : y`: select the FIRST operand on
-  // ties, so use Max(b, a) whose lane semantics return the second operand
-  // (a) on ties.
-  for (; i + 8 <= n; i += 8) {
-    Vec8f::Max(Vec8f::Load(b + i), Vec8f::Load(a + i)).Store(o + i);
-  }
-  for (; i < n; ++i) o[i] = a[i] >= b[i] ? a[i] : b[i];
-}
-
 void AddScalarKernel(const float* a, float s, float* o, int64_t n) {
   const Vec8f vs = Vec8f::Broadcast(s);
   int64_t i = 0;
@@ -236,16 +225,6 @@ void MulScalarKernel(const float* a, float s, float* o, int64_t n) {
   for (; i < n; ++i) o[i] = a[i] * s;
 }
 
-void ClampKernel(const float* a, float lo, float hi, float* o, int64_t n) {
-  const Vec8f vlo = Vec8f::Broadcast(lo);
-  const Vec8f vhi = Vec8f::Broadcast(hi);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    Vec8f::Min(Vec8f::Max(Vec8f::Load(a + i), vlo), vhi).Store(o + i);
-  }
-  for (; i < n; ++i) o[i] = LaneMin(LaneMax(a[i], lo), hi);
-}
-
 void ReluKernel(const float* a, float* o, int64_t n) {
   const Vec8f zero = Vec8f::Zero();
   int64_t i = 0;
@@ -255,12 +234,6 @@ void ReluKernel(const float* a, float* o, int64_t n) {
     Vec8f::Max(Vec8f::Load(a + i), zero).Store(o + i);
   }
   for (; i < n; ++i) o[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
-void AbsKernel(const float* a, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) Vec8f::Abs(Vec8f::Load(a + i)).Store(o + i);
-  for (; i < n; ++i) o[i] = std::fabs(a[i]);
 }
 
 void SqrtKernel(const float* a, float* o, int64_t n) {
@@ -694,12 +667,9 @@ const internal::KernelTable& Table() {
       .sub = SubKernel,
       .mul = MulKernel,
       .div = DivKernel,
-      .max = MaxKernel,
       .add_scalar = AddScalarKernel,
       .mul_scalar = MulScalarKernel,
-      .clamp = ClampKernel,
       .relu = ReluKernel,
-      .abs = AbsKernel,
       .sqrt = SqrtKernel,
       .exp = ExpKernel,
       .sigmoid = SigmoidKernel,

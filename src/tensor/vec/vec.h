@@ -87,12 +87,9 @@ struct KernelTable {
   void (*sub)(const float* a, const float* b, float* o, int64_t n);
   void (*mul)(const float* a, const float* b, float* o, int64_t n);
   void (*div)(const float* a, const float* b, float* o, int64_t n);
-  void (*max)(const float* a, const float* b, float* o, int64_t n);
   void (*add_scalar)(const float* a, float s, float* o, int64_t n);
   void (*mul_scalar)(const float* a, float s, float* o, int64_t n);
-  void (*clamp)(const float* a, float lo, float hi, float* o, int64_t n);
   void (*relu)(const float* a, float* o, int64_t n);
-  void (*abs)(const float* a, float* o, int64_t n);
   void (*sqrt)(const float* a, float* o, int64_t n);
   void (*exp)(const float* a, float* o, int64_t n);
   void (*sigmoid)(const float* a, float* o, int64_t n);
@@ -150,23 +147,14 @@ inline void MulN(const float* a, const float* b, float* o, int64_t n) {
 inline void DivN(const float* a, const float* b, float* o, int64_t n) {
   internal::ActiveTable().div(a, b, o, n);
 }
-inline void MaxN(const float* a, const float* b, float* o, int64_t n) {
-  internal::ActiveTable().max(a, b, o, n);
-}
 inline void AddScalarN(const float* a, float s, float* o, int64_t n) {
   internal::ActiveTable().add_scalar(a, s, o, n);
 }
 inline void MulScalarN(const float* a, float s, float* o, int64_t n) {
   internal::ActiveTable().mul_scalar(a, s, o, n);
 }
-inline void ClampN(const float* a, float lo, float hi, float* o, int64_t n) {
-  internal::ActiveTable().clamp(a, lo, hi, o, n);
-}
 inline void ReluN(const float* a, float* o, int64_t n) {
   internal::ActiveTable().relu(a, o, n);
-}
-inline void AbsN(const float* a, float* o, int64_t n) {
-  internal::ActiveTable().abs(a, o, n);
 }
 inline void SqrtN(const float* a, float* o, int64_t n) {
   internal::ActiveTable().sqrt(a, o, n);

@@ -126,15 +126,9 @@ TEST(GradCheckTest, MulDiv) {
       {Leaf({2, 2}, 6), Leaf({2, 2}, 7), PositiveLeaf({2, 2}, 8)});
 }
 
-TEST(GradCheckTest, Maximum) {
-  ExpectGradOk([](const Inputs& in) { return Sum(Maximum(in[0], in[1])); },
-               {Leaf({8}, 9), Leaf({8}, 10)});
-}
-
 TEST(GradCheckTest, Unaries) {
   ExpectGradOk([](const Inputs& in) { return Sum(Tanh(in[0])); }, {Leaf({6}, 11)});
   ExpectGradOk([](const Inputs& in) { return Sum(Sigmoid(in[0])); }, {Leaf({6}, 12)});
-  ExpectGradOk([](const Inputs& in) { return Sum(Exp(in[0])); }, {Leaf({6}, 13)});
   ExpectGradOk([](const Inputs& in) { return Sum(Log(in[0])); },
                {PositiveLeaf({6}, 14)});
   ExpectGradOk([](const Inputs& in) { return Sum(Sqrt(in[0])); },
@@ -142,13 +136,6 @@ TEST(GradCheckTest, Unaries) {
   ExpectGradOk([](const Inputs& in) { return Sum(Gelu(in[0])); }, {Leaf({6}, 16)});
   ExpectGradOk([](const Inputs& in) { return Sum(Softplus(in[0])); },
                {Leaf({6}, 17)});
-  ExpectGradOk([](const Inputs& in) { return Sum(Sin(in[0])); }, {Leaf({6}, 18)});
-  ExpectGradOk([](const Inputs& in) { return Sum(Cos(in[0])); }, {Leaf({6}, 19)});
-}
-
-TEST(GradCheckTest, PowScalar) {
-  ExpectGradOk([](const Inputs& in) { return Sum(PowScalar(in[0], 3.0f)); },
-               {PositiveLeaf({5}, 20)});
 }
 
 // -- matmul -------------------------------------------------------------------
@@ -196,16 +183,6 @@ TEST(GradCheckTest, MeanKeepdim) {
         return Sum(Mul(m, m));
       },
       {Leaf({3, 2}, 30)});
-}
-
-TEST(GradCheckTest, VarianceComposite) {
-  ExpectGradOk([](const Inputs& in) { return Sum(Variance(in[0], {1})); },
-               {Leaf({2, 5}, 31)});
-}
-
-TEST(GradCheckTest, MaxRoutesToArgmax) {
-  ExpectGradOk([](const Inputs& in) { return Sum(Max(in[0], 1)); },
-               {Leaf({3, 4}, 32)});
 }
 
 // -- shape ops ---------------------------------------------------------------------
@@ -444,10 +421,6 @@ TEST(GradCheckTest, MseMae) {
   ExpectGradOk(
       [](const Inputs& in) { return MseLoss(in[0], Tensor::Zeros({2, 3})); },
       {Leaf({2, 3}, 54)});
-  // MAE is non-differentiable at 0; random leaves avoid exact zeros.
-  ExpectGradOk(
-      [](const Inputs& in) { return MaeLoss(in[0], Tensor::Zeros({2, 3})); },
-      {Leaf({2, 3}, 55)});
 }
 
 // -- composites mirroring model structure --------------------------------------------
@@ -472,16 +445,6 @@ TEST(GradCheckTest, AttentionShaped) {
       },
       {Leaf({1, 3, 2}, 60), Leaf({1, 3, 2}, 61), Leaf({1, 3, 2}, 62),
        Leaf({1, 3, 2}, 63)});
-}
-
-TEST(AutogradTest, AddDetachedTreatsSecondArgAsConstant) {
-  Tensor x = Tensor::Full({2}, 2.0f).set_requires_grad(true);
-  Tensor y = AddDetached(MulScalar(x, 3.0f), Mul(x, x));
-  Sum(y).Backward();
-  // Gradient only flows through the 3x path: d/dx = 3 (not 3 + 2x).
-  for (int64_t i = 0; i < 2; ++i) {
-    EXPECT_NEAR(x.grad().data()[i], 3.0f, 1e-5);
-  }
 }
 
 TEST(AutogradTest, RetainGraphAllowsSecondBackward) {

@@ -330,7 +330,7 @@ TEST(ForecasterTest, ZeroLabelLengthWorks) {
   data::WindowConfig cfg{.input_len = 16, .label_len = 0, .pred_len = 8};
   data::DatasetSplits splits = data::MakeSplits(ts, cfg);
   data::Batch batch = splits.train.GetRange(0, 2);
-  for (const std::string name : {"informer", "conformer"}) {
+  for (const std::string& name : AvailableModels()) {
     models::ModelHyperParams params;
     params.d_model = 8;
     params.n_heads = 2;

@@ -489,7 +489,7 @@ TEST(SyntheticTest, EtthHasDailyPeriodicity) {
   TimeSeries ts = MakeDataset("etth1", 0.1, 3).value();
   std::vector<double> col(512);
   for (int64_t i = 0; i < 512; ++i) col[i] = ts.value(i, 0);
-  auto ac = fft::AutoCorrelation(col);
+  auto ac = fft::AutoCorrelationBatch(col, 1, 512);
   // Correlation at the daily lag (24 steps) beats a mid-cycle lag (12).
   EXPECT_GT(ac[24], ac[12]);
 }
@@ -498,7 +498,7 @@ TEST(SyntheticTest, ExchangeHasNoStrongPeriodicity) {
   TimeSeries ts = MakeDataset("exchange", 0.2, 3).value();
   std::vector<double> col(1024);
   for (int64_t i = 0; i < 1024; ++i) col[i] = ts.value(i, 0);
-  auto ac = fft::AutoCorrelation(col);
+  auto ac = fft::AutoCorrelationBatch(col, 1, 1024);
   // Normalized correlation decays smoothly: no lag beyond 2 steps should
   // exceed 99.9% of the lag-1 value (random-walk signature: monotone-ish
   // decay, no resonant peaks).

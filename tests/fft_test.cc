@@ -42,6 +42,11 @@ std::vector<double> DirectCircularCorrelation(const std::vector<double>& a,
   return out;
 }
 
+// The auto-correlation of one series: a batch of one.
+std::vector<double> AutoCorrelationOf(const std::vector<double>& signal) {
+  return AutoCorrelationBatch(signal, 1, static_cast<int64_t>(signal.size()));
+}
+
 TEST(FftTest, NextPowerOfTwo) {
   EXPECT_EQ(NextPowerOfTwo(1), 1);
   EXPECT_EQ(NextPowerOfTwo(2), 2);
@@ -257,7 +262,7 @@ TEST(FftPlanTest, CacheCountsHitsAndMisses) {
   Rng rng(10);
   std::vector<double> signal(336);
   for (auto& x : signal) x = rng.Normal();
-  (void)AutoCorrelation(signal);
+  (void)AutoCorrelationOf(signal);
   EXPECT_EQ(misses.value(), 2);
   EXPECT_GE(hits.value(), 2);
 }
@@ -288,7 +293,7 @@ TEST(FftPlanTest, PlanTransformMatchesOracleBothPaths) {
 
 TEST(AutoCorrTest, LagZeroIsEnergy) {
   std::vector<double> signal = {1.0, -2.0, 3.0, 0.5};
-  auto ac = AutoCorrelation(signal);
+  auto ac = AutoCorrelationOf(signal);
   EXPECT_NEAR(ac[0], 1.0 + 4.0 + 9.0 + 0.25, 1e-9);
 }
 
@@ -296,7 +301,7 @@ TEST(AutoCorrTest, MatchesDirectComputation) {
   Rng rng(3);
   std::vector<double> signal(32);
   for (auto& x : signal) x = rng.Normal();
-  auto ac = AutoCorrelation(signal);  // power-of-two path (circular FFT)
+  auto ac = AutoCorrelationOf(signal);  // power-of-two path (circular FFT)
   auto expected = DirectCircularCorrelation(signal, signal);
   for (int64_t lag = 0; lag < 32; ++lag) {
     EXPECT_NEAR(ac[lag], expected[lag], 1e-8) << "lag=" << lag;
@@ -311,7 +316,7 @@ TEST(AutoCorrTest, MatchesDirectOracleAtEveryBenchmarkLength) {
   for (int64_t n : {1, 2, 5, 96, 192, 336, 720}) {
     std::vector<double> signal(n);
     for (auto& x : signal) x = rng.Normal();
-    auto ac = AutoCorrelation(signal);
+    auto ac = AutoCorrelationOf(signal);
     ASSERT_EQ(ac.size(), static_cast<size_t>(n));
     auto expected = DirectCircularCorrelation(signal, signal);
     for (int64_t lag = 0; lag < n; ++lag) {
@@ -343,7 +348,7 @@ TEST(AutoCorrTest, PeriodicSignalPeaksAtPeriod) {
   for (int64_t t = 0; t < n; ++t) {
     signal[t] = std::sin(2.0 * std::numbers::pi * t / period);
   }
-  auto ac = AutoCorrelation(signal);
+  auto ac = AutoCorrelationOf(signal);
   auto lags = TopKLags(ac, 1);
   EXPECT_EQ(lags[0] % period, 0) << "top lag " << lags[0];
 }
@@ -357,7 +362,7 @@ TEST(AutoCorrTest, PeriodicSignalPeaksAtPeriodNonPowerOfTwo) {
   for (int64_t t = 0; t < n; ++t) {
     signal[t] = std::sin(2.0 * std::numbers::pi * t / period);
   }
-  auto ac = AutoCorrelation(signal);
+  auto ac = AutoCorrelationOf(signal);
   auto lags = TopKLags(ac, 1);
   EXPECT_EQ(lags[0] % period, 0) << "top lag " << lags[0];
 }
@@ -368,7 +373,7 @@ TEST(AutoCorrTest, CrossCorrelationOfSelfIsAutoCorrelation) {
     std::vector<double> a(n);
     for (auto& x : a) x = rng.Normal();
     auto cross = CrossCorrelation(a, a);
-    auto ac = AutoCorrelation(a);
+    auto ac = AutoCorrelationOf(a);
     for (int64_t i = 0; i < n; ++i) EXPECT_NEAR(cross[i], ac[i], 1e-8);
   }
 }
@@ -476,7 +481,7 @@ TEST(TopKPeriodsTest, TiesPreferLowerFrequencyAndKClamps) {
 
 // -- batched auto-correlation (threaded; tsan-labeled suite) ----------------
 
-TEST(AutoCorrBatchTest, MatchesPerRowAutoCorrelationBitwise) {
+TEST(AutoCorrBatchTest, RowEqualsBatchOfOneBitwise) {
   Rng rng(16);
   const int64_t count = 7;
   for (int64_t length : {96, 336}) {
@@ -487,12 +492,12 @@ TEST(AutoCorrBatchTest, MatchesPerRowAutoCorrelationBitwise) {
     for (int64_t i = 0; i < count; ++i) {
       std::vector<double> row(series.begin() + i * length,
                               series.begin() + (i + 1) * length);
-      auto single = AutoCorrelation(row);
+      auto single = AutoCorrelationOf(row);
       EXPECT_EQ(std::memcmp(batch.data() + i * length, single.data(),
                             length * sizeof(double)),
                 0)
           << "row " << i << " length " << length
-          << " differs from the single-series path";
+          << " differs from that row run alone";
     }
   }
 }

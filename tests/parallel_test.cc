@@ -284,18 +284,6 @@ TEST_F(ParallelTest, SumOverVariousDims) {
   });
 }
 
-TEST_F(ParallelTest, MaxMinOverDim) {
-  for (int64_t dim : {0, 1, 2}) {
-    ExpectBitwiseIdentical([dim] {
-      return ForwardBackward(
-          [dim](const Inputs& in) {
-            return Add(Max(in[0], dim), Min(in[0], dim));
-          },
-          {{31, 37, 11}});
-    });
-  }
-}
-
 TEST_F(ParallelTest, PoolingForwardAndBackward) {
   ExpectBitwiseIdentical([] {
     return ForwardBackward(
