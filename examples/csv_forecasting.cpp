@@ -1,18 +1,19 @@
 // Forecasting your own data: writes a small CSV (standing in for a file you
-// bring, e.g. ETTh1.csv), loads it with the CSV loader, trains Conformer,
-// saves a checkpoint, reloads it, and forecasts — the full
-// bring-your-own-data workflow.
+// bring, e.g. ETTh1.csv), loads it with the CSV loader, trains Conformer
+// into a checkpoint directory, loads the trained weights back from it, and
+// forecasts — the full bring-your-own-data workflow.
 //
 //   $ ./build/examples/example_csv_forecasting [path/to/your.csv]
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <numbers>
 
 #include "core/conformer_model.h"
 #include "data/csv_loader.h"
-#include "nn/serialize.h"
+#include "train/checkpoint.h"
 #include "train/trainer.h"
 #include "util/civil_time.h"
 
@@ -61,25 +62,25 @@ int main(int argc, char** argv) {
   config.n_heads = 2;
   core::ConformerModel model(config, window, series.dims());
 
+  // Fit resumes a checkpoint directory that already holds a run, so start
+  // from an empty one to train from scratch.
+  const std::string ckpt_dir = "/tmp/conformer_demo_checkpoints";
+  std::filesystem::remove_all(ckpt_dir);
   train::TrainConfig tc;
   tc.epochs = 3;
   tc.learning_rate = 1.5e-3f;
   tc.max_train_batches = 40;
   tc.max_eval_batches = 8;
+  tc.checkpoint_dir = ckpt_dir;
   train::Trainer trainer(tc);
   trainer.Fit(&model, splits.train, splits.val);
   train::EvalMetrics m = trainer.Evaluate(&model, splits.test);
   std::printf("test MSE %.4f MAE %.4f (standardized)\n", m.mse, m.mae);
 
-  // Checkpoint round trip: the deployment workflow.
-  const std::string ckpt = "/tmp/conformer_demo_model.bin";
-  Status saved = nn::SaveModule(model, ckpt);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
-    return 1;
-  }
+  // Deployment: the run's last checkpoint holds the best-validation weights
+  // Fit returned; load them the way InferenceSession does.
   core::ConformerModel deployed(config, window, series.dims());
-  Status restored = nn::LoadModule(&deployed, ckpt);
+  Status restored = train::LoadLatestCheckpointParams(ckpt_dir, &deployed);
   if (!restored.ok()) {
     std::fprintf(stderr, "load failed: %s\n", restored.ToString().c_str());
     return 1;

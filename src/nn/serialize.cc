@@ -4,7 +4,7 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/binary_io.h"
@@ -53,7 +53,10 @@ Status DeserializeModule(Module* module, std::istream& in,
         std::to_string(by_name.size()));
   }
 
+  // Every tensor is staged and the whole stream validated before any
+  // parameter is written, so a rejected stream leaves the module unchanged.
   std::set<std::string> loaded;
+  std::vector<std::pair<Tensor, Tensor>> staged;
   for (uint64_t i = 0; i < count; ++i) {
     std::string name;
     CONFORMER_RETURN_IF_ERROR(io::ReadString(
@@ -111,7 +114,8 @@ Status DeserializeModule(Module* module, std::istream& in,
           ShapeToString(shape) + " vs module " +
           ShapeToString(it->second.shape()));
     }
-    it->second.CopyDataFrom(Tensor::FromVector(std::move(values), shape));
+    staged.emplace_back(it->second,
+                        Tensor::FromVector(std::move(values), shape));
   }
 
   for (const auto& [name, tensor] : by_name) {
@@ -121,20 +125,8 @@ Status DeserializeModule(Module* module, std::istream& in,
           context + ": file leaves module parameter '" + name + "' unset");
     }
   }
+  for (auto& [param, values] : staged) param.CopyDataFrom(values);
   return Status::OK();
-}
-
-Status SaveModule(const Module& module, const std::string& path) {
-  std::ostringstream out(std::ios::binary);
-  CONFORMER_RETURN_IF_ERROR(SerializeModule(module, out));
-  return io::AtomicWriteFile(path, out.str());
-}
-
-Status LoadModule(Module* module, const std::string& path) {
-  Result<std::string> contents = io::ReadFileToString(path);
-  if (!contents.ok()) return contents.status();
-  std::istringstream in(contents.value(), std::ios::binary);
-  return DeserializeModule(module, in, path, contents.value().size());
 }
 
 }  // namespace conformer::nn

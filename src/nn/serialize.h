@@ -1,9 +1,7 @@
-// Model checkpointing: saves / loads a module's named parameters to a simple
-// binary format (magic, count, then per-parameter name + shape + float data).
-//
-// The stream-based entry points let the training checkpoint embed the same
-// format as one CRC-protected section (see train/checkpoint.h); the
-// file-based ones add crash-safe atomic writes.
+// Module parameter streams: a module's named parameters in a simple binary
+// format (magic, count, then per-parameter name + shape + float data). The
+// training checkpoint embeds one as its CRC-protected "model" section (see
+// train/checkpoint.h); that checkpoint is the only model file.
 
 #ifndef CONFORMER_NN_SERIALIZE_H_
 #define CONFORMER_NN_SERIALIZE_H_
@@ -25,19 +23,10 @@ Status SerializeModule(const Module& module, std::ostream& out);
 /// every field. Fails on: truncation, negative or overflowing shape dims,
 /// tensors larger than `byte_limit`, duplicate parameter names, names
 /// missing from the module, shape mismatches, and files that leave any
-/// module parameter unset. `context` prefixes error messages (a path or
-/// section name).
+/// module parameter unset. Nothing is written unless the whole stream
+/// validates. `context` prefixes error messages (a path or section name).
 Status DeserializeModule(Module* module, std::istream& in,
                          const std::string& context, uint64_t byte_limit);
-
-/// Writes every named parameter of `module` to `path` atomically
-/// (temp file + fsync + rename): a crash mid-save leaves the previous
-/// file intact.
-Status SaveModule(const Module& module, const std::string& path);
-
-/// Loads parameters by name into `module` from `path`; every module
-/// parameter must be present in the file (see DeserializeModule).
-Status LoadModule(Module* module, const std::string& path);
 
 }  // namespace conformer::nn
 

@@ -43,13 +43,17 @@ Status NotAdded(const std::string& key) {
 Status ValidateRequest(const data::Batch& request,
                        const SessionConfig& config) {
   const data::WindowConfig& window = config.window;
-  if (!request.x.defined() || request.size() < 1) {
+  if (!request.x.defined()) {
     return Status::InvalidArgument("empty request batch");
   }
+  // Rank first: request.size() reads x.size(0).
   if (request.x.dim() != 3 || request.x.size(1) != window.input_len ||
       request.x.size(2) != config.dims) {
     return Status::InvalidArgument(
         "request x geometry does not match the session window");
+  }
+  if (request.size() < 1) {
+    return Status::InvalidArgument("empty request batch");
   }
   const int64_t rows = request.size();
   const int64_t decoder_len = window.label_len + window.pred_len;

@@ -1,13 +1,13 @@
 // Generic bodies for every dispatched span kernel, compiled once per ISA
 // backend. The including translation unit defines
-// CONFORMER_SIMD_CAPABILITY_* (selecting the Vec8f/Vec4d implementation in
+// CONFORMER_SIMD_CAPABILITY_* (selecting the Vec8f implementation in
 // vec8f.h) and CONFORMER_SIMD_NAMESPACE (the namespace this TU's kernels
 // land in), then includes this header. vec.cc dispatches to the per-TU
 // Table().
 //
 // Bitwise portability rules (docs/SIMD.md) — every construct here must be
 // identical-by-construction across backends:
-//   * arithmetic only through Vec8f/Vec4d per-lane IEEE ops, never FMA
+//   * arithmetic only through Vec8f per-lane IEEE ops, never FMA
 //     (the build adds -ffp-contract=off so scalar code cannot be contracted
 //     either);
 //   * reductions accumulate into the 8 logical bins (lane l holds indices
@@ -170,11 +170,6 @@ inline float FoldMax(const Vec8f& v) {
                          LaneMax(v.ExtractLane(2), v.ExtractLane(6))),
                  LaneMax(LaneMax(v.ExtractLane(1), v.ExtractLane(5)),
                          LaneMax(v.ExtractLane(3), v.ExtractLane(7))));
-}
-
-inline double FoldAdd4(const Vec4d& v) {
-  return (v.ExtractLane(0) + v.ExtractLane(2)) +
-         (v.ExtractLane(1) + v.ExtractLane(3));
 }
 
 // --- elementwise spans ------------------------------------------------------
@@ -637,28 +632,6 @@ void LogSoftmaxRowKernel(const float* in, float* out, int64_t n) {
   for (; i < n; ++i) out[i] = in[i] - lse;
 }
 
-// --- double-precision spans (util/linalg.cc) --------------------------------
-
-double DdotKernel(const double* a, const double* b, int64_t n) {
-  Vec4d acc = Vec4d::Zero();
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = acc + Vec4d::Load(a + i) * Vec4d::Load(b + i);
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) tail += a[i] * b[i];
-  return FoldAdd4(acc) + tail;
-}
-
-void DmulAddKernel(const double* x, double alpha, double* o, int64_t n) {
-  const Vec4d va = Vec4d::Broadcast(alpha);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    (Vec4d::Load(o + i) + va * Vec4d::Load(x + i)).Store(o + i);
-  }
-  for (; i < n; ++i) o[i] += alpha * x[i];
-}
-
 }  // namespace
 
 const internal::KernelTable& Table() {
@@ -684,8 +657,6 @@ const internal::KernelTable& Table() {
       .moving_average = MovingAverageKernel,
       .softmax_row = SoftmaxRowKernel,
       .log_softmax_row = LogSoftmaxRowKernel,
-      .ddot = DdotKernel,
-      .dmul_add = DmulAddKernel,
   };
   return table;
 }

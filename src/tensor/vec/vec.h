@@ -1,12 +1,12 @@
 // Runtime-dispatched SIMD span kernels behind the tensor kernel layer.
 //
 // Design (docs/SIMD.md): every kernel is defined in terms of a FIXED logical
-// vector width of 8 float lanes (4 double lanes), independent of the
-// instruction set that executes it. Each ISA backend (scalar, SSE2, AVX2,
-// NEON) implements the same logical algorithm — same lane-to-bin mapping for
-// accumulators, same fixed pairwise horizontal-fold order, same polynomials
-// for exp and tanh, multiply-then-add everywhere (no FMA; the build
-// compiles with -ffp-contract=off) — so the dispatched result is BITWISE
+// vector width of 8 float lanes, independent of the instruction set that
+// executes it. Each ISA backend (scalar, SSE2, AVX2, NEON) implements the
+// same logical algorithm — same lane-to-bin mapping for accumulators, same
+// fixed pairwise horizontal-fold order, same polynomials for exp and tanh,
+// multiply-then-add everywhere (no FMA; the build compiles with
+// -ffp-contract=off) — so the dispatched result is BITWISE
 // IDENTICAL across every SIMD level for every kernel in this table, not
 // just within a level.
 // tests/simd_test.cc memcmp-enforces this; CI's simd-matrix job re-runs the
@@ -121,9 +121,6 @@ struct KernelTable {
   // Numerically-stable softmax / log-softmax over one contiguous row.
   void (*softmax_row)(const float* in, float* out, int64_t n);
   void (*log_softmax_row)(const float* in, float* out, int64_t n);
-  // Double-precision spans for util/linalg.cc (4-bin dot, axpy).
-  double (*ddot)(const double* a, const double* b, int64_t n);
-  void (*dmul_add)(const double* x, double alpha, double* o, int64_t n);
 };
 
 /// Table for the active level; never null.
@@ -203,12 +200,6 @@ inline void SoftmaxRowN(const float* in, float* out, int64_t n) {
 }
 inline void LogSoftmaxRowN(const float* in, float* out, int64_t n) {
   internal::ActiveTable().log_softmax_row(in, out, n);
-}
-inline double DdotN(const double* a, const double* b, int64_t n) {
-  return internal::ActiveTable().ddot(a, b, n);
-}
-inline void DmulAddN(const double* x, double alpha, double* o, int64_t n) {
-  internal::ActiveTable().dmul_add(x, alpha, o, n);
 }
 
 }  // namespace conformer::vec

@@ -2,9 +2,9 @@
 //
 // This header is included by each backend translation unit with
 // CONFORMER_SIMD_CAPABILITY_{SCALAR,SSE2,AVX2,NEON} defined; it provides a
-// Vec8f (8 float lanes) and Vec4d (4 double lanes) whose operations are
-// bitwise-equivalent across every backend:
-//   * all arithmetic is per-lane IEEE single/double ops (mul, add, sub,
+// Vec8f (8 float lanes) whose operations are bitwise-equivalent across every
+// backend:
+//   * all arithmetic is per-lane IEEE single ops (mul, add, sub,
 //     div, sqrt are correctly rounded on every target; never FMA),
 //   * Min/Max use the SSE operand-order semantics (`a OP b ? a : b`,
 //     second operand on ties/NaN), which the scalar backend reproduces,
@@ -74,25 +74,6 @@ struct Vec8f {
   }
 };
 
-struct Vec4d {
-  __m256d v;
-  static Vec4d Load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  void Store(double* p) const { _mm256_storeu_pd(p, v); }
-  static Vec4d Broadcast(double s) { return {_mm256_set1_pd(s)}; }
-  static Vec4d Zero() { return {_mm256_setzero_pd()}; }
-  friend Vec4d operator+(Vec4d a, Vec4d b) {
-    return {_mm256_add_pd(a.v, b.v)};
-  }
-  friend Vec4d operator*(Vec4d a, Vec4d b) {
-    return {_mm256_mul_pd(a.v, b.v)};
-  }
-  double ExtractLane(int lane) const {
-    alignas(32) double tmp[4];
-    _mm256_store_pd(tmp, v);
-    return tmp[lane];
-  }
-};
-
 #elif defined(CONFORMER_SIMD_CAPABILITY_SSE2)
 
 struct Vec8f {
@@ -152,31 +133,6 @@ struct Vec8f {
   }
 };
 
-struct Vec4d {
-  __m128d lo, hi;  // lanes 0-1, 2-3
-  static Vec4d Load(const double* p) {
-    return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)};
-  }
-  void Store(double* p) const {
-    _mm_storeu_pd(p, lo);
-    _mm_storeu_pd(p + 2, hi);
-  }
-  static Vec4d Broadcast(double s) { return {_mm_set1_pd(s), _mm_set1_pd(s)}; }
-  static Vec4d Zero() { return {_mm_setzero_pd(), _mm_setzero_pd()}; }
-  friend Vec4d operator+(Vec4d a, Vec4d b) {
-    return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
-  }
-  friend Vec4d operator*(Vec4d a, Vec4d b) {
-    return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
-  }
-  double ExtractLane(int lane) const {
-    alignas(16) double tmp[4];
-    _mm_store_pd(tmp, lo);
-    _mm_store_pd(tmp + 2, hi);
-    return tmp[lane];
-  }
-};
-
 #elif defined(CONFORMER_SIMD_CAPABILITY_NEON)
 
 struct Vec8f {
@@ -228,30 +184,6 @@ struct Vec8f {
   }
   float ExtractLane(int lane) const {
     float tmp[8];
-    Store(tmp);
-    return tmp[lane];
-  }
-};
-
-struct Vec4d {
-  float64x2_t lo, hi;
-  static Vec4d Load(const double* p) {
-    return {vld1q_f64(p), vld1q_f64(p + 2)};
-  }
-  void Store(double* p) const {
-    vst1q_f64(p, lo);
-    vst1q_f64(p + 2, hi);
-  }
-  static Vec4d Broadcast(double s) { return {vdupq_n_f64(s), vdupq_n_f64(s)}; }
-  static Vec4d Zero() { return Broadcast(0.0); }
-  friend Vec4d operator+(Vec4d a, Vec4d b) {
-    return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)};
-  }
-  friend Vec4d operator*(Vec4d a, Vec4d b) {
-    return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
-  }
-  double ExtractLane(int lane) const {
-    double tmp[4];
     Store(tmp);
     return tmp[lane];
   }
@@ -340,33 +272,6 @@ struct Vec8f {
     return r;
   }
   float ExtractLane(int lane_index) const { return lane[lane_index]; }
-};
-
-struct Vec4d {
-  double lane[4];
-  static Vec4d Load(const double* p) {
-    Vec4d r;
-    std::memcpy(r.lane, p, sizeof(r.lane));
-    return r;
-  }
-  void Store(double* p) const { std::memcpy(p, lane, sizeof(lane)); }
-  static Vec4d Broadcast(double s) {
-    Vec4d r;
-    for (double& l : r.lane) l = s;
-    return r;
-  }
-  static Vec4d Zero() { return Broadcast(0.0); }
-  friend Vec4d operator+(Vec4d a, Vec4d b) {
-    Vec4d r;
-    for (int i = 0; i < 4; ++i) r.lane[i] = a.lane[i] + b.lane[i];
-    return r;
-  }
-  friend Vec4d operator*(Vec4d a, Vec4d b) {
-    Vec4d r;
-    for (int i = 0; i < 4; ++i) r.lane[i] = a.lane[i] * b.lane[i];
-    return r;
-  }
-  double ExtractLane(int lane_index) const { return lane[lane_index]; }
 };
 
 #endif  // backend selection

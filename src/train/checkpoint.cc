@@ -22,6 +22,9 @@ constexpr uint64_t kMaxHistory = 1ull << 24;   // Per-epoch history entries.
 constexpr uint64_t kMaxSnapshots = 1ull << 20;  // Best-snapshot buffers.
 const char kManifestName[] = "MANIFEST";
 const char kManifestHeader[] = "conformer-checkpoint-manifest v1";
+// Type string that opens the "optimizer" section. Adam is the only
+// optimizer; any other type is refused.
+const char kOptimizerType[] = "adam";
 
 std::string CheckpointFileName(int64_t global_step) {
   std::string digits = std::to_string(global_step);
@@ -118,6 +121,22 @@ Status ParseTrainerSection(const std::string& payload, TrainProgress* out) {
   return Status::OK();
 }
 
+/// Applies an "optimizer" section to `optimizer`; Adam::LoadState leaves
+/// the optimizer unchanged when it fails.
+Status LoadOptimizerSection(const std::string& payload, const std::string& path,
+                            Adam* optimizer) {
+  std::istringstream in(payload, std::ios::binary);
+  std::string type;
+  CONFORMER_RETURN_IF_ERROR(
+      io::ReadString(in, &type, path + ": optimizer type", 256));
+  if (type != kOptimizerType) {
+    return Status::InvalidArgument(path + ": checkpoint holds '" + type +
+                                   "' optimizer state; only '" +
+                                   kOptimizerType + "' is supported");
+  }
+  return optimizer->LoadState(in);
+}
+
 /// Parses the section table of a checkpoint file, validating every CRC
 /// before returning. `contents` is the whole file.
 Status ParseSections(const std::string& contents, const std::string& path,
@@ -180,7 +199,7 @@ Status ParseSections(const std::string& contents, const std::string& path,
 }  // namespace
 
 Status LoadCheckpointFile(const std::string& path, nn::Module* model,
-                          Optimizer* optimizer, TrainProgress* progress) {
+                          Adam* optimizer, TrainProgress* progress) {
   CONFORMER_PROFILE_SCOPE_CAT("checkpoint", "load");
   Result<std::string> contents = io::ReadFileToString(path);
   if (!contents.ok()) return contents.status();
@@ -204,28 +223,12 @@ Status LoadCheckpointFile(const std::string& path, nn::Module* model,
     CONFORMER_RETURN_IF_ERROR(probe.Deserialize(staged.epoch_rng_state));
   }
 
-  {
-    std::istringstream in(sections["optimizer"], std::ios::binary);
-    std::string type;
-    CONFORMER_RETURN_IF_ERROR(
-        io::ReadString(in, &type, path + ": optimizer type", 256));
-    if (type != optimizer->type_name()) {
-      return Status::InvalidArgument(
-          path + ": checkpoint holds '" + type + "' optimizer state but a '" +
-          optimizer->type_name() + "' optimizer was supplied");
-    }
-    CONFORMER_RETURN_IF_ERROR(optimizer->LoadState(in));
-  }
-
-  {
-    std::istringstream in(sections["model"], std::ios::binary);
-    CONFORMER_RETURN_IF_ERROR(nn::DeserializeModule(
-        model, in, path + ": model section", sections["model"].size()));
-  }
-
-  // The best snapshot must line up with the model it will be restored into.
+  // Validate every section before writing anything: the best snapshot's
+  // geometry and the optimizer section (on a scratch Adam) against the
+  // model's parameters, then the model section, which DeserializeModule
+  // applies only once the whole stream validates.
+  const std::vector<Tensor> params = model->Parameters();
   if (!staged.best_snapshot.empty()) {
-    const std::vector<Tensor> params = model->Parameters();
     if (staged.best_snapshot.size() != params.size()) {
       return Status::InvalidArgument(
           path + ": best snapshot holds " +
@@ -242,6 +245,18 @@ Status LoadCheckpointFile(const std::string& path, nn::Module* model,
       }
     }
   }
+  {
+    Adam probe(params);
+    CONFORMER_RETURN_IF_ERROR(
+        LoadOptimizerSection(sections["optimizer"], path, &probe));
+  }
+  {
+    std::istringstream in(sections["model"], std::ios::binary);
+    CONFORMER_RETURN_IF_ERROR(nn::DeserializeModule(
+        model, in, path + ": model section", sections["model"].size()));
+  }
+  CONFORMER_RETURN_IF_ERROR(
+      LoadOptimizerSection(sections["optimizer"], path, optimizer));
 
   *progress = std::move(staged);
   return Status::OK();
@@ -309,7 +324,7 @@ Result<std::vector<std::string>> CheckpointManager::ListCheckpoints() const {
 }
 
 Status CheckpointManager::Save(const nn::Module& model,
-                               const Optimizer& optimizer,
+                               const Adam& optimizer,
                                const TrainProgress& progress) {
   CONFORMER_PROFILE_SCOPE_CAT("checkpoint", "save");
   const int64_t start_ns = prof::internal::NowNs();
@@ -323,7 +338,7 @@ Status CheckpointManager::Save(const nn::Module& model,
   }
   {
     std::ostringstream out(std::ios::binary);
-    io::WriteString(out, optimizer.type_name());
+    io::WriteString(out, kOptimizerType);
     optimizer.SaveState(out);
     sections.emplace_back("optimizer", out.str());
   }
@@ -384,7 +399,7 @@ Status CheckpointManager::Save(const nn::Module& model,
 }
 
 Status CheckpointManager::RestoreLatest(nn::Module* model,
-                                        Optimizer* optimizer,
+                                        Adam* optimizer,
                                         TrainProgress* progress) const {
   CONFORMER_PROFILE_SCOPE_CAT("checkpoint", "restore");
   Result<std::vector<std::string>> list = ListCheckpoints();

@@ -14,7 +14,7 @@
 //
 // Section payloads:
 //   "model"      nn::SerializeModule stream
-//   "optimizer"  string type_name + Optimizer::SaveState stream
+//   "optimizer"  string "adam" + Adam::SaveState stream
 //   "rng"        Rng::Serialize() text (state at the start of the epoch)
 //   "trainer"    TrainProgress fields (cursor, accumulators, FitResult
 //                history, best-validation parameter snapshot)
@@ -54,14 +54,13 @@ struct TrainProgress {
   std::vector<std::vector<float>> best_snapshot;
 };
 
-/// Reads one checkpoint file into `model`, `optimizer`, and `progress`.
-/// All section CRCs are validated before any state is touched, and the
-/// optimizer/trainer sections are staged before application, so a corrupt
-/// file leaves the inputs unchanged (the model section, applied last, can
-/// only be half-applied if corruption slips past its CRC). The stored
-/// optimizer type must match `optimizer->type_name()`.
+/// Reads one checkpoint file into `model`, `optimizer` (which must track
+/// `model->Parameters()`), and `progress`. Every section is validated —
+/// CRCs, the optimizer type ("adam"), buffer counts and sizes, the model
+/// stream, the best snapshot's geometry — before any state is written, so a
+/// rejected file leaves the inputs unchanged.
 Status LoadCheckpointFile(const std::string& path, nn::Module* model,
-                          Optimizer* optimizer, TrainProgress* progress);
+                          Adam* optimizer, TrainProgress* progress);
 
 /// Reads only the "model" section of a checkpoint into `model` — the
 /// serving path's loader (docs/SERVING.md). Every section's CRC is still
@@ -85,13 +84,13 @@ class CheckpointManager {
   /// appends it to the manifest, and prunes checkpoints beyond the
   /// retention window. Bumps train.checkpoint_writes / observes
   /// train.checkpoint_seconds.
-  Status Save(const nn::Module& model, const Optimizer& optimizer,
+  Status Save(const nn::Module& model, const Adam& optimizer,
               const TrainProgress& progress);
 
   /// Restores the newest manifest entry that validates, trying older ones
   /// on failure. Returns NotFound when the directory holds no manifest or
   /// the manifest is empty; IOError when every retained checkpoint fails.
-  Status RestoreLatest(nn::Module* model, Optimizer* optimizer,
+  Status RestoreLatest(nn::Module* model, Adam* optimizer,
                        TrainProgress* progress) const;
 
   /// Manifest entries as absolute paths, oldest first. NotFound without a

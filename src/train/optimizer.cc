@@ -1,40 +1,41 @@
 #include "train/optimizer.h"
 
 #include <cmath>
+#include <string>
+
 #include "util/binary_io.h"
 #include "util/profiler.h"
 
 namespace conformer::train {
 
-void Optimizer::ZeroGrad() {
-  CONFORMER_PROFILE_SCOPE_CAT("train", "zero_grad");
-  for (Tensor& p : params_) p.ZeroGrad();
-}
+namespace {
 
-void Optimizer::SaveParamBuffers(
-    std::ostream& out, const std::vector<std::vector<float>>& buffers) const {
+void SaveParamBuffers(std::ostream& out,
+                      const std::vector<std::vector<float>>& buffers) {
   io::WriteU64(out, buffers.size());
   for (const std::vector<float>& buf : buffers) {
     io::WriteFloats(out, buf.data(), static_cast<int64_t>(buf.size()));
   }
 }
 
-Status Optimizer::LoadParamBuffers(
-    std::istream& in, const std::string& what,
-    std::vector<std::vector<float>>* buffers) {
+// Reads one buffer per parameter and checks each against the matching
+// parameter's numel.
+Status LoadParamBuffers(std::istream& in, const std::vector<Tensor>& params,
+                        const std::string& what,
+                        std::vector<std::vector<float>>* buffers) {
   uint64_t count = 0;
   CONFORMER_RETURN_IF_ERROR(io::ReadU64(in, &count, what + " buffer count"));
-  if (count != params_.size()) {
+  if (count != params.size()) {
     return Status::InvalidArgument(
         what + ": state holds " + std::to_string(count) +
-        " buffers but the optimizer tracks " + std::to_string(params_.size()) +
+        " buffers but the optimizer tracks " + std::to_string(params.size()) +
         " parameters");
   }
   std::vector<std::vector<float>> loaded(count);
   for (uint64_t i = 0; i < count; ++i) {
     CONFORMER_RETURN_IF_ERROR(io::ReadFloats(
         in, &loaded[i], what + " buffer " + std::to_string(i)));
-    const uint64_t expect = static_cast<uint64_t>(params_[i].numel());
+    const uint64_t expect = static_cast<uint64_t>(params[i].numel());
     if (loaded[i].size() != expect) {
       return Status::InvalidArgument(
           what + " buffer " + std::to_string(i) + " has " +
@@ -46,52 +47,11 @@ Status Optimizer::LoadParamBuffers(
   return Status::OK();
 }
 
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.resize(params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    velocity_[i].assign(params_[i].numel(), 0.0f);
-  }
-}
-
-void Sgd::Step() {
-  CONFORMER_PROFILE_SCOPE_CAT("optimizer", "sgd_step");
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    if (!p.has_grad()) continue;
-    const float* g = p.grad_data();
-    float* w = p.data();
-    float* vel = velocity_[i].data();
-    const int64_t n = p.numel();
-    for (int64_t j = 0; j < n; ++j) {
-      vel[j] = momentum_ * vel[j] + g[j];
-      w[j] -= lr_ * vel[j];
-    }
-  }
-}
-
-void Sgd::SaveState(std::ostream& out) const {
-  io::WriteF64(out, lr_);
-  io::WriteF64(out, momentum_);
-  SaveParamBuffers(out, velocity_);
-}
-
-Status Sgd::LoadState(std::istream& in) {
-  double lr = 0.0;
-  double momentum = 0.0;
-  CONFORMER_RETURN_IF_ERROR(io::ReadF64(in, &lr, "sgd lr"));
-  CONFORMER_RETURN_IF_ERROR(io::ReadF64(in, &momentum, "sgd momentum"));
-  std::vector<std::vector<float>> velocity;
-  CONFORMER_RETURN_IF_ERROR(LoadParamBuffers(in, "sgd velocity", &velocity));
-  lr_ = static_cast<float>(lr);
-  momentum_ = static_cast<float>(momentum);
-  velocity_ = std::move(velocity);
-  return Status::OK();
-}
+}  // namespace
 
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
@@ -103,6 +63,11 @@ Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
     m_[i].assign(params_[i].numel(), 0.0f);
     v_[i].assign(params_[i].numel(), 0.0f);
   }
+}
+
+void Adam::ZeroGrad() {
+  CONFORMER_PROFILE_SCOPE_CAT("train", "zero_grad");
+  for (Tensor& p : params_) p.ZeroGrad();
 }
 
 void Adam::Step() {
@@ -155,8 +120,8 @@ Status Adam::LoadState(std::istream& in) {
   }
   std::vector<std::vector<float>> m;
   std::vector<std::vector<float>> v;
-  CONFORMER_RETURN_IF_ERROR(LoadParamBuffers(in, "adam m", &m));
-  CONFORMER_RETURN_IF_ERROR(LoadParamBuffers(in, "adam v", &v));
+  CONFORMER_RETURN_IF_ERROR(LoadParamBuffers(in, params_, "adam m", &m));
+  CONFORMER_RETURN_IF_ERROR(LoadParamBuffers(in, params_, "adam v", &v));
   lr_ = static_cast<float>(lr);
   beta1_ = static_cast<float>(beta1);
   beta2_ = static_cast<float>(beta2);

@@ -1,11 +1,11 @@
-// First-order optimizers operating on a module's parameter list.
+// Adam, the one optimizer the paper trains with, and global-norm gradient
+// clipping.
 
 #ifndef CONFORMER_TRAIN_OPTIMIZER_H_
 #define CONFORMER_TRAIN_OPTIMIZER_H_
 
 #include <istream>
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -13,82 +13,36 @@
 
 namespace conformer::train {
 
-/// \brief Base optimizer: owns the parameter handles, applies Step() from
-/// their accumulated gradients, and clears them with ZeroGrad().
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update from the current gradients.
-  virtual void Step() = 0;
-
-  void ZeroGrad();
-
-  /// Rescales the base learning rate (for schedules).
-  virtual void set_learning_rate(float lr) = 0;
-  virtual float learning_rate() const = 0;
-
-  /// Stable identifier stored in checkpoints ("sgd", "adam"); LoadState
-  /// refuses state written by a different optimizer type.
-  virtual std::string type_name() const = 0;
-
-  /// Serializes every piece of state a bitwise-identical resume needs
-  /// (hyperparameters, step counts, per-parameter moment buffers).
-  virtual void SaveState(std::ostream& out) const = 0;
-
-  /// Restores state written by SaveState on an optimizer constructed over
-  /// the same parameter list; validates buffer counts and sizes against
-  /// the current parameters before overwriting anything.
-  virtual Status LoadState(std::istream& in) = 0;
-
- protected:
-  /// Shared LoadState validation: reads `count` per-parameter buffers and
-  /// checks each against the matching parameter's numel.
-  Status LoadParamBuffers(std::istream& in, const std::string& what,
-                          std::vector<std::vector<float>>* buffers);
-  void SaveParamBuffers(std::ostream& out,
-                        const std::vector<std::vector<float>>& buffers) const;
-
-  std::vector<Tensor> params_;
-};
-
-/// \brief Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-
-  void Step() override;
-  void set_learning_rate(float lr) override { lr_ = lr; }
-  float learning_rate() const override { return lr_; }
-  std::string type_name() const override { return "sgd"; }
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// \brief Adam (Kingma & Ba). The paper trains every model with Adam at
-/// lr = 1e-4 (Section V-A3).
-class Adam : public Optimizer {
+/// \brief Adam (Kingma & Ba) over a module's parameter list. The paper
+/// trains every model with Adam at lr = 1e-4 (Section V-A3). Step() applies
+/// one update from the parameters' accumulated gradients; ZeroGrad() clears
+/// them.
+class Adam {
  public:
   Adam(std::vector<Tensor> params, float lr = 1e-4f, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
 
-  void Step() override;
-  void set_learning_rate(float lr) override { lr_ = lr; }
-  float learning_rate() const override { return lr_; }
-  std::string type_name() const override { return "adam"; }
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
+
+  /// Applies one update from the current gradients.
+  void Step();
+
+  void ZeroGrad();
+
+  float learning_rate() const { return lr_; }
+
+  /// Serializes every piece of state a bitwise-identical resume needs
+  /// (hyperparameters, step count, per-parameter moment buffers).
+  void SaveState(std::ostream& out) const;
+
+  /// Restores state written by SaveState on an optimizer constructed over
+  /// the same parameter list; validates buffer counts and sizes against
+  /// the current parameters before overwriting anything.
+  Status LoadState(std::istream& in);
 
  private:
+  std::vector<Tensor> params_;
   float lr_;
   float beta1_;
   float beta2_;

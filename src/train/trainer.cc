@@ -15,6 +15,10 @@ namespace conformer::train {
 
 namespace {
 
+// Consecutive non-finite steps after which Fit rolls back to the last
+// known-good parameters and optimizer state.
+constexpr int64_t kNonfinitePatience = 3;
+
 // Snapshot / restore of parameter values for best-weights early stopping and
 // non-finite rollback.
 std::vector<std::vector<float>> SnapshotParams(const std::vector<Tensor>& params) {
@@ -54,24 +58,22 @@ FitResult Trainer::Fit(models::Forecaster* model,
   if (!config_.checkpoint_dir.empty()) {
     checkpoints = std::make_unique<CheckpointManager>(
         config_.checkpoint_dir, config_.checkpoint_keep_last);
-    if (config_.resume) {
-      const Status st = checkpoints->RestoreLatest(model, &optimizer, &prog);
-      if (st.ok()) {
-        CONFORMER_CHECK(rng.Deserialize(prog.epoch_rng_state).ok());
-        prog.result.resumed = true;
-        resume_epoch = prog.epoch;
-        resume_step = prog.step_in_epoch;
-        if (config_.verbose) {
-          CONFORMER_LOG(Info) << model->name() << " resuming from "
-                              << config_.checkpoint_dir << " at epoch "
-                              << prog.epoch << " step " << prog.step_in_epoch
-                              << " (global step " << prog.global_step << ")";
-        }
-      } else if (st.code() != StatusCode::kNotFound) {
-        CONFORMER_LOG(Warning)
-            << "cannot resume from " << config_.checkpoint_dir << ": "
-            << st.ToString() << "; training from scratch";
+    const Status st = checkpoints->RestoreLatest(model, &optimizer, &prog);
+    if (st.ok()) {
+      CONFORMER_CHECK(rng.Deserialize(prog.epoch_rng_state).ok());
+      prog.result.resumed = true;
+      resume_epoch = prog.epoch;
+      resume_step = prog.step_in_epoch;
+      if (config_.verbose) {
+        CONFORMER_LOG(Info) << model->name() << " resuming from "
+                            << config_.checkpoint_dir << " at epoch "
+                            << prog.epoch << " step " << prog.step_in_epoch
+                            << " (global step " << prog.global_step << ")";
       }
+    } else if (st.code() != StatusCode::kNotFound) {
+      CONFORMER_LOG(Warning)
+          << "cannot resume from " << config_.checkpoint_dir << ": "
+          << st.ToString() << "; training from scratch";
     }
   }
 
@@ -91,7 +93,6 @@ FitResult Trainer::Fit(models::Forecaster* model,
   std::vector<std::vector<float>> good_params;
   std::string good_optimizer_state;
   const auto capture_good = [&]() {
-    if (config_.nonfinite_patience <= 0) return;
     good_params = SnapshotParams(params);
     std::ostringstream out(std::ios::binary);
     optimizer.SaveState(out);
@@ -111,18 +112,11 @@ FitResult Trainer::Fit(models::Forecaster* model,
   for (int64_t epoch = prog.epoch;
        epoch < config_.epochs && !result.early_stopped; ++epoch) {
     CONFORMER_PROFILE_SCOPE_CAT("train", "epoch");
-    const bool mid_epoch_resume = epoch == resume_epoch && resume_step > 0;
     if (epoch != resume_epoch) {
       prog.epoch = epoch;
       prog.step_in_epoch = 0;
       prog.loss_sum = 0.0;
       prog.finite_batches = 0;
-    }
-    // A mid-epoch checkpoint stored the already-decayed learning rate for
-    // this epoch; applying the decay again would diverge from the
-    // uninterrupted run.
-    if (epoch > 0 && config_.lr_decay != 1.0f && !mid_epoch_resume) {
-      optimizer.set_learning_rate(optimizer.learning_rate() * config_.lr_decay);
     }
     registry.GetGauge("train.learning_rate").Set(optimizer.learning_rate());
     // The shuffle below advances `rng`; saving the pre-shuffle state lets a
@@ -130,7 +124,7 @@ FitResult Trainer::Fit(models::Forecaster* model,
     prog.epoch_rng_state = rng.Serialize();
     model->SetTraining(true);
     data::BatchIterator it(train, config_.batch_size, /*shuffle=*/true, &rng);
-    if (mid_epoch_resume) it.Skip(resume_step);
+    if (epoch == resume_epoch) it.Skip(resume_step);
     capture_good();
     data::Batch batch;
     while (it.Next(&batch)) {
@@ -161,8 +155,7 @@ FitResult Trainer::Fit(models::Forecaster* model,
                 << model->name() << " non-finite step skipped (loss="
                 << loss_value << ", grad_norm=" << grad_norm << ")";
           }
-          if (config_.nonfinite_patience > 0 &&
-              consecutive_nonfinite >= config_.nonfinite_patience &&
+          if (consecutive_nonfinite >= kNonfinitePatience &&
               !good_params.empty()) {
             RestoreParams(params, good_params);
             std::istringstream in(good_optimizer_state, std::ios::binary);
@@ -171,8 +164,7 @@ FitResult Trainer::Fit(models::Forecaster* model,
             consecutive_nonfinite = 0;
             CONFORMER_LOG(Warning)
                 << model->name() << " restored last-good state after "
-                << config_.nonfinite_patience
-                << " consecutive non-finite steps";
+                << kNonfinitePatience << " consecutive non-finite steps";
           }
         }
       }
@@ -229,11 +221,13 @@ FitResult Trainer::Fit(models::Forecaster* model,
     prog.loss_sum = 0.0;
     prog.finite_batches = 0;
     prog.epoch_rng_state = rng.Serialize();
-    if (checkpoints && config_.checkpoint_every_n_epochs > 0 &&
-        ((epoch + 1) % config_.checkpoint_every_n_epochs == 0 ||
-         result.early_stopped || epoch + 1 == config_.epochs)) {
-      write_checkpoint();
+    // The run's last checkpoint is the trained model: it holds the weights
+    // Fit returns, not the last epoch's.
+    if ((result.early_stopped || epoch + 1 == config_.epochs) &&
+        !prog.best_snapshot.empty()) {
+      RestoreParams(params, prog.best_snapshot);
     }
+    if (checkpoints) write_checkpoint();
   }
 
   if (!prog.best_snapshot.empty()) RestoreParams(params, prog.best_snapshot);

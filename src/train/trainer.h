@@ -21,9 +21,6 @@ struct TrainConfig {
   int64_t epochs = 10;        ///< Paper: early stopping within 10 epochs.
   int64_t batch_size = 32;
   float learning_rate = 1e-4f;
-  /// Per-epoch learning-rate multiplier (Informer's protocol halves the LR
-  /// each epoch; 1.0 keeps it constant).
-  float lr_decay = 1.0f;
   int64_t patience = 3;       ///< Epochs without val improvement tolerated.
   float clip_norm = 5.0f;     ///< 0 disables clipping.
   /// Caps batches per epoch / per evaluation (0 = no cap). The scaled-down
@@ -36,26 +33,16 @@ struct TrainConfig {
   // -- Crash safety (docs/ROBUSTNESS.md) ------------------------------------
 
   /// Directory for checkpoints; empty disables checkpointing entirely.
+  /// Fit checkpoints at every epoch boundary and, when the directory already
+  /// holds a valid checkpoint, continues from it: a resumed run reproduces
+  /// the uninterrupted run bitwise (same shuffles, same updates, same
+  /// FitResult history). The run's final checkpoint holds the restored
+  /// best-validation weights, so the directory is the trained model.
   std::string checkpoint_dir;
   /// Also checkpoint every N optimizer steps (0 = epoch boundaries only).
   int64_t checkpoint_every_n_steps = 0;
-  /// Checkpoint at every Nth epoch boundary (0 disables epoch checkpoints).
-  int64_t checkpoint_every_n_epochs = 1;
   /// Retained checkpoint count; older ones are pruned from the manifest.
   int64_t checkpoint_keep_last = 2;
-  /// When checkpoint_dir holds a valid checkpoint, continue from it instead
-  /// of training from scratch. A resumed run reproduces the uninterrupted
-  /// run bitwise (same shuffles, same updates, same FitResult history).
-  bool resume = true;
-
-  // -- Non-finite recovery --------------------------------------------------
-
-  /// A step whose loss or gradient norm is NaN/Inf is skipped (no optimizer
-  /// update) and counted in train.nonfinite_steps. After this many
-  /// consecutive skipped steps, parameters and optimizer state are restored
-  /// from the last known-good snapshot. <= 0 disables the rollback (bad
-  /// steps are still skipped).
-  int64_t nonfinite_patience = 3;
 
   // -- Fault injection (tests / docs only) ----------------------------------
 
@@ -81,7 +68,11 @@ class Trainer {
   explicit Trainer(TrainConfig config) : config_(config) {}
 
   /// Trains `model` and restores the best-validation weights before
-  /// returning.
+  /// returning (and before writing the run's final checkpoint). A step whose
+  /// loss or gradient norm is NaN/Inf is skipped (no optimizer update) and
+  /// counted in train.nonfinite_steps; after 3 consecutive skipped steps,
+  /// parameters and optimizer state are restored from the last known-good
+  /// snapshot (docs/ROBUSTNESS.md).
   FitResult Fit(models::Forecaster* model, const data::WindowDataset& train,
                 const data::WindowDataset& val) const;
 

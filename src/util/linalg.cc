@@ -2,19 +2,26 @@
 
 #include <cmath>
 
-#include "tensor/vec/vec.h"
 #include "util/logging.h"
 
 namespace conformer {
 
+namespace {
+
+// Sum of a[k] * b[k] for k in [0, n), accumulated in ascending k.
+double Dot(const double* a, const double* b, int64_t n) {
+  double acc = 0.0;
+  for (int64_t k = 0; k < n; ++k) acc += a[k] * b[k];
+  return acc;
+}
+
+}  // namespace
+
 Status CholeskyFactor(std::vector<double>* a_in, int64_t n) {
   CONFORMER_CHECK_EQ(static_cast<int64_t>(a_in->size()), n * n);
   std::vector<double>& a = *a_in;
-  // Row dot products go through the dispatched SIMD kernel (fixed 4-bin
-  // fold; deterministic, identical across SIMD levels).
   for (int64_t j = 0; j < n; ++j) {
-    const double diag =
-        a[j * n + j] - vec::DdotN(&a[j * n], &a[j * n], j);
+    const double diag = a[j * n + j] - Dot(&a[j * n], &a[j * n], j);
     if (diag <= 0.0) {
       return Status::InvalidArgument(
           "matrix is not positive definite (pivot " + std::to_string(j) + ")");
@@ -22,8 +29,7 @@ Status CholeskyFactor(std::vector<double>* a_in, int64_t n) {
     const double ljj = std::sqrt(diag);
     a[j * n + j] = ljj;
     for (int64_t i = j + 1; i < n; ++i) {
-      const double acc = a[i * n + j] - vec::DdotN(&a[i * n], &a[j * n], j);
-      a[i * n + j] = acc / ljj;
+      a[i * n + j] = (a[i * n + j] - Dot(&a[i * n], &a[j * n], j)) / ljj;
     }
   }
   return Status::OK();
@@ -35,8 +41,7 @@ void CholeskySolveInPlace(const std::vector<double>& l, int64_t n,
   std::vector<double>& b = *b_in;
   // Forward substitution: L y = b.
   for (int64_t i = 0; i < n; ++i) {
-    const double acc = b[i] - vec::DdotN(&l[i * n], b.data(), i);
-    b[i] = acc / l[i * n + i];
+    b[i] = (b[i] - Dot(&l[i * n], b.data(), i)) / l[i * n + i];
   }
   // Back substitution: L^T x = y.
   for (int64_t i = n - 1; i >= 0; --i) {
@@ -54,14 +59,15 @@ Result<std::vector<double>> RidgeLeastSquares(const std::vector<double>& x,
   CONFORMER_CHECK_EQ(static_cast<int64_t>(y.size()), rows * outputs);
   CONFORMER_CHECK_GE(ridge, 0.0);
 
-  // Gram matrix X^T X + ridge I.
+  // Gram matrix X^T X + ridge I: accumulate the upper triangle of each
+  // row's rank-1 update, then mirror it.
   std::vector<double> gram(features * features, 0.0);
   for (int64_t r = 0; r < rows; ++r) {
     const double* row = x.data() + r * features;
     for (int64_t i = 0; i < features; ++i) {
-      // Upper triangle of the rank-1 update row ⊗ row, as one axpy span.
-      vec::DmulAddN(row + i, row[i], gram.data() + i * features + i,
-                    features - i);
+      for (int64_t j = i; j < features; ++j) {
+        gram[i * features + j] += row[i] * row[j];
+      }
     }
   }
   for (int64_t i = 0; i < features; ++i) {
@@ -78,7 +84,8 @@ Result<std::vector<double>> RidgeLeastSquares(const std::vector<double>& x,
     std::fill(rhs.begin(), rhs.end(), 0.0);
     for (int64_t r = 0; r < rows; ++r) {
       const double target = y[r * outputs + o];
-      vec::DmulAddN(x.data() + r * features, target, rhs.data(), features);
+      const double* row = x.data() + r * features;
+      for (int64_t i = 0; i < features; ++i) rhs[i] += target * row[i];
     }
     CholeskySolveInPlace(gram, features, &rhs);
     for (int64_t i = 0; i < features; ++i) w[i * outputs + o] = rhs[i];

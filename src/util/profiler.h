@@ -8,12 +8,8 @@
 // buffer (uncontended mutex). Recording is safe from ThreadPool workers; see
 // profiler_test.cc for the concurrency contract.
 //
-// Enabling:
-//   - runtime: CONFORMER_PROFILE=1 in the environment, or
-//     Profiler::Global().Enable() programmatically.
-//   - compile-time kill switch: -DCONFORMER_PROFILE_DISABLED turns the
-//     CONFORMER_PROFILE_SCOPE macros into no-ops (cmake option
-//     CONFORMER_DISABLE_PROFILING).
+// Enabling: CONFORMER_PROFILE=1 in the environment, or
+// Profiler::Global().Enable() programmatically.
 //
 // With CONFORMER_PROFILE=1, setting CONFORMER_PROFILE_JSON=<path> and/or
 // CONFORMER_TRACE_FILE=<path> dumps the summary / trace at process exit, so
@@ -161,9 +157,7 @@ class ScopedTimer {
 
 }  // namespace conformer::prof
 
-// Scope macros: the only instrumentation API call sites should use. With
-// CONFORMER_PROFILE_DISABLED they compile to nothing.
-#ifndef CONFORMER_PROFILE_DISABLED
+// Scope macros: the only instrumentation API call sites should use.
 #define CONFORMER_PROFILE_CONCAT_INNER(a, b) a##b
 #define CONFORMER_PROFILE_CONCAT(a, b) CONFORMER_PROFILE_CONCAT_INNER(a, b)
 /// Times the enclosing scope under (`cat`, `name`).
@@ -176,16 +170,5 @@ class ScopedTimer {
       conformer_prof_scope_, __LINE__)((name), (cat), (bytes))
 /// Times the enclosing scope under the default "op" category.
 #define CONFORMER_PROFILE_SCOPE(name) CONFORMER_PROFILE_SCOPE_CAT("op", name)
-#else
-#define CONFORMER_PROFILE_SCOPE_CAT(cat, name) \
-  do {                                         \
-  } while (false)
-#define CONFORMER_PROFILE_SCOPE_BYTES(cat, name, bytes) \
-  do {                                                  \
-  } while (false)
-#define CONFORMER_PROFILE_SCOPE(name) \
-  do {                                \
-  } while (false)
-#endif  // CONFORMER_PROFILE_DISABLED
 
 #endif  // CONFORMER_UTIL_PROFILER_H_

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -185,7 +186,7 @@ TEST(CheckpointTest, RoundTripAcrossAllRegisteredBaselines) {
 TEST(CheckpointFuzzTest, TruncationAtEveryByteOffsetErrorsCleanly) {
   const std::string dir = MakeTempDir("truncfuzz");
   nn::Linear model(4, 3);
-  Sgd opt(model.Parameters(), 0.1f, 0.5f);
+  Adam opt(model.Parameters(), 0.1f);
   CheckpointManager manager(dir, 2);
   ASSERT_TRUE(manager.Save(model, opt, MakeProgress(1)).ok());
   Result<std::vector<std::string>> list = manager.ListCheckpoints();
@@ -198,7 +199,7 @@ TEST(CheckpointFuzzTest, TruncationAtEveryByteOffsetErrorsCleanly) {
   for (size_t len = 0; len < bytes.size(); ++len) {
     WriteFileBytes(victim, bytes.substr(0, len));
     nn::Linear target(4, 3);
-    Sgd target_opt(target.Parameters(), 0.1f, 0.5f);
+    Adam target_opt(target.Parameters(), 0.1f);
     TrainProgress progress;
     const Status st = LoadCheckpointFile(victim, &target, &target_opt,
                                          &progress);
@@ -212,7 +213,7 @@ TEST(CheckpointFuzzTest, TruncationAtEveryByteOffsetErrorsCleanly) {
 TEST(CheckpointFuzzTest, SingleBitFlipsAreCaught) {
   const std::string dir = MakeTempDir("bitflip");
   nn::Linear model(4, 3);
-  Sgd opt(model.Parameters(), 0.1f, 0.5f);
+  Adam opt(model.Parameters(), 0.1f);
   CheckpointManager manager(dir, 2);
   ASSERT_TRUE(manager.Save(model, opt, MakeProgress(1)).ok());
   const std::string path = manager.ListCheckpoints().value()[0];
@@ -224,7 +225,7 @@ TEST(CheckpointFuzzTest, SingleBitFlipsAreCaught) {
     corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x20);
     WriteFileBytes(victim, corrupt);
     nn::Linear target(4, 3);
-    Sgd target_opt(target.Parameters(), 0.1f, 0.5f);
+    Adam target_opt(target.Parameters(), 0.1f);
     TrainProgress progress;
     const Status st = LoadCheckpointFile(victim, &target, &target_opt,
                                          &progress);
@@ -237,7 +238,7 @@ TEST(CheckpointFuzzTest, SingleBitFlipsAreCaught) {
 TEST(CheckpointTest, FallsBackToPreviousCheckpointWhenNewestIsCorrupt) {
   const std::string dir = MakeTempDir("fallback");
   nn::Linear model(3, 2);
-  Sgd opt(model.Parameters(), 0.1f);
+  Adam opt(model.Parameters(), 0.1f);
   CheckpointManager manager(dir, 2);
 
   model.Parameters()[0].data()[0] = 11.0f;
@@ -254,7 +255,7 @@ TEST(CheckpointTest, FallsBackToPreviousCheckpointWhenNewestIsCorrupt) {
   WriteFileBytes(newest, bytes);
 
   nn::Linear target(3, 2);
-  Sgd target_opt(target.Parameters(), 0.1f);
+  Adam target_opt(target.Parameters(), 0.1f);
   TrainProgress progress;
   ASSERT_TRUE(manager.RestoreLatest(&target, &target_opt, &progress).ok());
   EXPECT_EQ(progress.global_step, 1);
@@ -265,7 +266,7 @@ TEST(CheckpointTest, FallsBackToPreviousCheckpointWhenNewestIsCorrupt) {
 TEST(CheckpointTest, RetentionPrunesOldCheckpoints) {
   const std::string dir = MakeTempDir("retention");
   nn::Linear model(3, 2);
-  Sgd opt(model.Parameters(), 0.1f);
+  Adam opt(model.Parameters(), 0.1f);
   CheckpointManager manager(dir, /*keep_last=*/2);
   for (int64_t step = 1; step <= 4; ++step) {
     ASSERT_TRUE(manager.Save(model, opt, MakeProgress(step)).ok());
@@ -284,12 +285,43 @@ TEST(CheckpointTest, RetentionPrunesOldCheckpoints) {
 TEST(CheckpointTest, RestoreLatestWithoutManifestIsNotFound) {
   const std::string dir = MakeTempDir("nomanifest");
   nn::Linear model(3, 2);
-  Sgd opt(model.Parameters(), 0.1f);
+  Adam opt(model.Parameters(), 0.1f);
   TrainProgress progress;
   CheckpointManager manager(dir, 2);
   const Status st = manager.RestoreLatest(&model, &opt, &progress);
   EXPECT_EQ(st.code(), StatusCode::kNotFound);
   std::filesystem::remove_all(dir);
+}
+
+/// Returns checkpoint file `bytes` with section `name`'s payload replaced by
+/// `payload` under a freshly computed CRC, so only the payload is wrong.
+std::string ReplaceSection(const std::string& bytes, const std::string& name,
+                           const std::string& payload) {
+  std::istringstream in(bytes, std::ios::binary);
+  std::ostringstream out(std::ios::binary);
+  uint32_t magic = 0, version = 0, count = 0;
+  EXPECT_TRUE(io::ReadU32(in, &magic, "magic").ok());
+  EXPECT_TRUE(io::ReadU32(in, &version, "version").ok());
+  EXPECT_TRUE(io::ReadU32(in, &count, "count").ok());
+  io::WriteU32(out, magic);
+  io::WriteU32(out, version);
+  io::WriteU32(out, count);
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string section;
+    uint64_t len = 0;
+    uint32_t crc = 0;
+    EXPECT_TRUE(io::ReadString(in, &section, "name", 256).ok());
+    EXPECT_TRUE(io::ReadU64(in, &len, "len").ok());
+    EXPECT_TRUE(io::ReadU32(in, &crc, "crc").ok());
+    std::string body(len, '\0');
+    in.read(body.data(), static_cast<std::streamsize>(len));
+    if (section == name) body = payload;
+    io::WriteString(out, section);
+    io::WriteU64(out, body.size());
+    io::WriteU32(out, io::Crc32(body.data(), body.size()));
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  }
+  return out.str();
 }
 
 TEST(CheckpointTest, OptimizerTypeMismatchIsRejected) {
@@ -299,10 +331,52 @@ TEST(CheckpointTest, OptimizerTypeMismatchIsRejected) {
   CheckpointManager manager(dir, 2);
   ASSERT_TRUE(manager.Save(model, adam, MakeProgress(1)).ok());
 
-  Sgd sgd(model.Parameters(), 0.1f);
+  // An "sgd"-typed optimizer section that passes its CRC must still be
+  // refused: Adam is the only optimizer a checkpoint can hold.
+  std::ostringstream section(std::ios::binary);
+  io::WriteString(section, "sgd");
+  io::WriteF64(section, 0.1);  // lr
+  io::WriteF64(section, 0.0);  // momentum
+  io::WriteU64(section, 0);    // velocity buffers
+  const std::string path = manager.ListCheckpoints().value().back();
+  WriteFileBytes(path,
+                 ReplaceSection(ReadFileBytes(path), "optimizer", section.str()));
+
   TrainProgress progress;
-  const Status st = manager.RestoreLatest(&model, &sgd, &progress);
-  EXPECT_FALSE(st.ok());
+  const Status st = LoadCheckpointFile(path, &model, &adam, &progress);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("'sgd'"), std::string::npos) << st.ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointTest, RejectedCheckpointLeavesTargetStateUnchanged) {
+  // A best snapshot with one buffer for a two-parameter model: every CRC
+  // and the model/optimizer sections are valid, so the geometry check is the
+  // only thing that rejects the file. It must reject it before writing the
+  // target's weights or optimizer state.
+  const std::string dir = MakeTempDir("rejected");
+  nn::Linear model(3, 2);
+  for (Tensor& p : model.Parameters()) {
+    std::fill(p.data(), p.data() + p.numel(), 7.0f);
+  }
+  Adam opt(model.Parameters(), 0.1f);
+  TrainProgress saved = MakeProgress(1);
+  saved.best_snapshot = {std::vector<float>(model.Parameters()[0].numel())};
+  CheckpointManager manager(dir, 2);
+  ASSERT_TRUE(manager.Save(model, opt, saved).ok());
+
+  nn::Linear target(3, 2);
+  for (Tensor& p : target.Parameters()) {
+    std::fill(p.data(), p.data() + p.numel(), -1.0f);
+  }
+  Adam target_opt(target.Parameters(), 0.5f);
+  TrainProgress progress;
+  EXPECT_FALSE(manager.RestoreLatest(&target, &target_opt, &progress).ok());
+  for (const Tensor& p : target.Parameters()) {
+    for (int64_t i = 0; i < p.numel(); ++i) EXPECT_EQ(p.data()[i], -1.0f);
+  }
+  EXPECT_EQ(target_opt.learning_rate(), 0.5f);
+  EXPECT_EQ(progress.global_step, 0);
   std::filesystem::remove_all(dir);
 }
 
@@ -319,7 +393,6 @@ TrainConfig ResumeBaseConfig() {
   config.epochs = 3;
   config.batch_size = 8;
   config.learning_rate = 5e-3f;
-  config.lr_decay = 0.5f;  // Exercise the decayed-LR restore path too.
   config.patience = 10;
   config.max_train_batches = 6;
   config.max_eval_batches = 3;
@@ -388,11 +461,10 @@ TEST(ResumeTest, KillAfterEpochBoundaryResumesBitwiseIdentical) {
 }
 
 TEST(ResumeTest, KillMidEpochResumesBitwiseIdentical) {
-  // No epoch-boundary checkpoints: the resume lands mid-epoch at step 4 and
-  // must re-shuffle from the saved RNG state and skip consumed batches.
-  TrainConfig base = ResumeBaseConfig();
-  base.checkpoint_every_n_epochs = 0;
-  RunKillAndResume(base, /*abort_step=*/7, "midepoch");
+  // Abort at step 5: the freshest checkpoint is the step-4 write inside
+  // epoch 0, so the resume must re-shuffle from the saved RNG state and skip
+  // the consumed batches.
+  RunKillAndResume(ResumeBaseConfig(), /*abort_step=*/5, "midepoch");
 }
 
 TEST(ResumeTest, ResumeOfFinishedRunIsIdempotent) {
@@ -488,7 +560,6 @@ TEST(NonFiniteTest, ConsecutiveNanStepsTriggerLastGoodRestore) {
   config.learning_rate = 5e-3f;
   config.max_train_batches = 8;
   config.max_eval_batches = 3;
-  config.nonfinite_patience = 3;
 
   metrics::Counter& restores =
       metrics::Registry::Global().GetCounter("train.nonfinite_restores");

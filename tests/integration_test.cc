@@ -4,13 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
-#include <cstdio>
+#include <filesystem>
 
 #include "baselines/registry.h"
 #include "core/conformer_model.h"
 #include "data/dataset_registry.h"
-#include "nn/serialize.h"
+#include "train/checkpoint.h"
+#include "train/optimizer.h"
 #include "train/trainer.h"
 
 namespace conformer {
@@ -85,12 +88,18 @@ TEST(IntegrationTest, CheckpointRoundTripPreservesPredictions) {
   core::ConformerModel model(config, splits.train.config(),
                              splits.train.dims());
 
-  const std::string path = "/tmp/conformer_integration_ckpt.bin";
-  ASSERT_TRUE(nn::SaveModule(model, path).ok());
+  const std::string dir = "/tmp/conformer_integration_ckpt_" +
+                          std::to_string(static_cast<int64_t>(::getpid()));
+  std::filesystem::remove_all(dir);
+  train::Adam optimizer(model.Parameters());
+  train::TrainProgress progress;
+  progress.epoch_rng_state = Rng(1).Serialize();
+  ASSERT_TRUE(
+      train::CheckpointManager(dir).Save(model, optimizer, progress).ok());
 
   core::ConformerModel restored(config, splits.train.config(),
                                 splits.train.dims());
-  ASSERT_TRUE(nn::LoadModule(&restored, path).ok());
+  ASSERT_TRUE(train::LoadLatestCheckpointParams(dir, &restored).ok());
 
   model.SetTraining(false);
   restored.SetTraining(false);
@@ -101,7 +110,7 @@ TEST(IntegrationTest, CheckpointRoundTripPreservesPredictions) {
   for (int64_t i = 0; i < a.numel(); ++i) {
     EXPECT_EQ(a.data()[i], b.data()[i]);
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(IntegrationTest, MultipleDatasetsTrainWithoutDivergence) {

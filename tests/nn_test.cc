@@ -4,10 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <sstream>
 
@@ -18,7 +15,6 @@
 #include "nn/gru.h"
 #include "nn/layer_norm.h"
 #include "nn/lstm.h"
-#include "nn/mlp.h"
 #include "nn/linear.h"
 #include "nn/serialize.h"
 #include "tensor/gradcheck.h"
@@ -537,54 +533,27 @@ TEST(DataEmbeddingTest, ShapeAndPositionalToggle) {
   EXPECT_EQ(without_pos.Forward(x, marks).shape(), (Shape{2, 6, 8}));
 }
 
-// -- Mlp --------------------------------------------------------------------------------
-
-TEST(MlpTest, ShapesAndLayerCount) {
-  Mlp mlp({5, 8, 8, 2});
-  EXPECT_EQ(mlp.num_layers(), 3);
-  EXPECT_EQ(mlp.Forward(Tensor::Randn({4, 5})).shape(), (Shape{4, 2}));
-}
-
-TEST(MlpTest, NoneActivationIsAffine) {
-  // A 2-layer MLP with no activation composes to one affine map: doubling
-  // the input (minus bias effects) must behave linearly. Check additivity
-  // on the linear part: f(x) - f(0) is linear.
-  Mlp mlp({3, 4, 2}, Activation::kNone);
-  NoGradGuard guard;
-  Tensor zero = Tensor::Zeros({1, 3});
-  Tensor x = Tensor::Randn({1, 3});
-  Tensor fx = Sub(mlp.Forward(x), mlp.Forward(zero));
-  Tensor f2x = Sub(mlp.Forward(MulScalar(x, 2.0f)), mlp.Forward(zero));
-  for (int64_t i = 0; i < fx.numel(); ++i) {
-    EXPECT_NEAR(f2x.data()[i], 2.0f * fx.data()[i], 1e-4);
-  }
-}
-
-TEST(MlpTest, GradientsFlowThroughAllLayers) {
-  Mlp mlp({3, 4, 4, 1}, Activation::kGelu);
-  Sum(mlp.Forward(Tensor::Randn({2, 3}))).Backward();
-  for (Tensor& p : mlp.Parameters()) EXPECT_TRUE(p.has_grad());
-}
-
-TEST(MlpTest, ActivationsDiffer) {
-  Tensor x = Tensor::FromVector({-1.0f, 2.0f}, {2});
-  EXPECT_EQ(ApplyActivation(x, Activation::kRelu).at({0}), 0.0f);
-  EXPECT_NEAR(ApplyActivation(x, Activation::kTanh).at({1}), std::tanh(2.0f),
-              1e-6);
-  EXPECT_EQ(ApplyActivation(x, Activation::kNone).at({0}), -1.0f);
-}
-
 // -- serialization -------------------------------------------------------------------------
 
+std::string SerializeToString(const Module& module) {
+  std::ostringstream out(std::ios::binary);
+  EXPECT_TRUE(SerializeModule(module, out).ok());
+  return out.str();
+}
+
+Status DeserializeInto(Module* model, const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  return DeserializeModule(model, in, "test", bytes.size());
+}
+
 TEST(SerializeTest, RoundTrip) {
-  const std::string path = "/tmp/conformer_serialize_test.bin";
   Linear src(4, 3);
-  ASSERT_TRUE(SaveModule(src, path).ok());
+  const std::string bytes = SerializeToString(src);
 
   Linear dst(4, 3);
   // Make sure dst differs first.
   dst.Parameters()[0].data()[0] = 1234.0f;
-  ASSERT_TRUE(LoadModule(&dst, path).ok());
+  ASSERT_TRUE(DeserializeInto(&dst, bytes).ok());
   std::vector<Tensor> src_params = src.Parameters();
   std::vector<Tensor> dst_params = dst.Parameters();
   for (size_t i = 0; i < src_params.size(); ++i) {
@@ -592,56 +561,29 @@ TEST(SerializeTest, RoundTrip) {
       EXPECT_EQ(src_params[i].data()[j], dst_params[i].data()[j]);
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, ShapeMismatchFails) {
-  const std::string path = "/tmp/conformer_serialize_mismatch.bin";
   Linear src(4, 3);
-  ASSERT_TRUE(SaveModule(src, path).ok());
   Linear wrong(4, 5);
-  Status s = LoadModule(&wrong, path);
-  EXPECT_FALSE(s.ok());
-  std::remove(path.c_str());
+  EXPECT_FALSE(DeserializeInto(&wrong, SerializeToString(src)).ok());
 }
 
-TEST(SerializeTest, MissingFileFails) {
-  Linear m(2, 2);
-  EXPECT_FALSE(LoadModule(&m, "/tmp/does_not_exist_conformer.bin").ok());
-}
-
-TEST(SerializeTest, TruncatedFileFails) {
-  // Failure injection: cut a valid checkpoint mid-tensor.
-  const std::string path = "/tmp/conformer_truncated.bin";
+TEST(SerializeTest, TruncatedStreamFails) {
+  // Failure injection: cut a valid stream mid-tensor.
   Linear src(6, 5);
-  ASSERT_TRUE(SaveModule(src, path).ok());
-  // Read it back, truncate to 60% of its size, rewrite.
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  std::string bytes = SerializeToString(src);
   bytes.resize(bytes.size() * 3 / 5);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-
   Linear dst(6, 5);
-  Status s = LoadModule(&dst, path);
-  EXPECT_FALSE(s.ok());
-  std::remove(path.c_str());
+  EXPECT_FALSE(DeserializeInto(&dst, bytes).ok());
 }
 
-TEST(SerializeTest, GarbageFileFails) {
-  const std::string path = "/tmp/conformer_garbage.bin";
-  FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not a checkpoint", f);
-  std::fclose(f);
+TEST(SerializeTest, GarbageStreamFails) {
   Linear m(2, 2);
-  EXPECT_FALSE(LoadModule(&m, path).ok());
-  std::remove(path.c_str());
+  EXPECT_FALSE(DeserializeInto(&m, "not a checkpoint").ok());
 }
 
-// -- handcrafted corrupt streams (the LoadModule hardening contract) ----------
+// -- handcrafted corrupt streams (the DeserializeModule hardening contract) ---
 
 constexpr uint32_t kModuleMagic = 0xC04F04E8;
 
@@ -656,11 +598,6 @@ std::ostringstream CorruptHeader(uint64_t count, const std::string& name,
   io::WriteU64(out, shape.size());
   for (int64_t d : shape) io::WriteI64(out, d);
   return out;
-}
-
-Status DeserializeInto(Linear* model, const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
-  return DeserializeModule(model, in, "test", bytes.size());
 }
 
 TEST(SerializeTest, NegativeDimFails) {
@@ -709,7 +646,8 @@ TEST(SerializeTest, DuplicateParameterNameFails) {
 
 TEST(SerializeTest, MissingParameterFails) {
   // A file holding only "weight" must not silently leave "bias" at its
-  // in-memory value.
+  // in-memory value, and the rejected stream must not have written
+  // "weight" either.
   Linear src(4, 3);
   const auto named = src.NamedParameters();
   std::ostringstream out(std::ios::binary);
@@ -722,9 +660,15 @@ TEST(SerializeTest, MissingParameterFails) {
   out.write(reinterpret_cast<const char*>(tensor.data()),
             static_cast<std::streamsize>(tensor.numel() * sizeof(float)));
   Linear dst(4, 3);
+  const Tensor weight = dst.NamedParameters()[0].second;
+  const std::vector<float> before(weight.data(),
+                                  weight.data() + weight.numel());
   const Status s = DeserializeInto(&dst, out.str());
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("unset"), std::string::npos);
+  EXPECT_EQ(std::memcmp(weight.data(), before.data(),
+                        before.size() * sizeof(float)),
+            0);
 }
 
 TEST(SerializeTest, CountBeyondModuleFails) {

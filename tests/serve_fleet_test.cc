@@ -56,6 +56,20 @@ TEST(FleetServerTest, SubmitToUnregisteredTenantResolvesNotFound) {
   EXPECT_EQ(fleet.tenant_count(), 0);
 }
 
+TEST(FleetServerTest, SubmitRejectsRankZeroInput) {
+  data::DatasetSplits splits = MakeTestSplits();
+  FleetServer fleet;
+  TenantSpec spec;
+  spec.session = LinearConfig(splits.test.dims());
+  ASSERT_TRUE(fleet.AddTenant("linear@8", spec).ok());
+  data::Batch request;
+  request.x = Tensor::Zeros({});
+  Result<Forecast> result = fleet.Submit("linear@8", request).get();
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  // The fleet still serves a well-formed request.
+  EXPECT_TRUE(fleet.Submit("linear@8", splits.test.GetRange(0, 1)).get().ok());
+}
+
 TEST(FleetServerTest, AddTenantRejectsDuplicateAndMalformedKeys) {
   data::DatasetSplits splits = MakeTestSplits();
   FleetServer fleet;

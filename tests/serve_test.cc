@@ -133,15 +133,6 @@ TEST(InferenceSessionTest, TrainerCheckpointRoundTripAllModels) {
     config.checkpoint_dir = dir;
     train::Trainer(config).Fit(model.get(), splits.train, splits.val);
 
-    // Re-checkpoint the final (best-validation) weights the way a training
-    // job would publish a model for serving.
-    train::Adam optimizer(model->Parameters());
-    train::TrainProgress progress;
-    progress.global_step = 1000;
-    progress.epoch_rng_state = Rng(5).Serialize();
-    train::CheckpointManager manager(dir);
-    ASSERT_TRUE(manager.Save(*model, optimizer, progress).ok());
-
     SessionConfig session_config;
     session_config.model_name = name;
     session_config.window = TestWindow();
@@ -156,6 +147,53 @@ TEST(InferenceSessionTest, TrainerCheckpointRoundTripAllModels) {
                               name + " round trip");
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST(InferenceSessionTest, EarlyStoppedRunServesFitsBestWeights) {
+  // Fit returns the best-validation weights; its checkpoint directory is the
+  // trained model and must hold exactly those, not the last epoch's.
+  data::DatasetSplits splits = MakeTestSplits();
+  const std::string dir = MakeTempDir("early_stop");
+  SeedGlobalRng(5);
+  auto model =
+      models::MakeForecaster("gru", TestWindow(), splits.test.dims()).value();
+  train::TrainConfig config;
+  config.epochs = 10;
+  config.patience = 1;
+  config.learning_rate = 2e-2f;
+  config.batch_size = 8;
+  config.max_train_batches = 8;
+  config.max_eval_batches = 4;
+  config.checkpoint_dir = dir;
+  const train::FitResult fit =
+      train::Trainer(config).Fit(model.get(), splits.train, splits.val);
+  // The last epoch must be worse than the best one, or the last epoch's
+  // weights would be the best weights anyway.
+  ASSERT_TRUE(fit.early_stopped);
+  ASSERT_GT(fit.val_mses.back(), fit.best_val_mse);
+
+  auto loaded =
+      models::MakeForecaster("gru", TestWindow(), splits.test.dims()).value();
+  ASSERT_TRUE(train::LoadLatestCheckpointParams(dir, loaded.get()).ok());
+  const std::vector<Tensor> want = model->Parameters();
+  const std::vector<Tensor> got = loaded->Parameters();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ExpectTensorsBitwiseEqual(got[i], want[i],
+                              "checkpoint parameter " + std::to_string(i));
+  }
+
+  SessionConfig session_config;
+  session_config.model_name = "gru";
+  session_config.window = TestWindow();
+  session_config.dims = splits.test.dims();
+  auto session = InferenceSession::Open(session_config, dir);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  model->SetTraining(false);
+  const data::Batch batch = splits.test.GetRange(0, 4);
+  ExpectTensorsBitwiseEqual(session.value()->Predict(batch).point,
+                            model->Predict(batch), "served vs Fit's model");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(InferenceSessionTest, OpenRejectsMissingCheckpoint) {

@@ -100,8 +100,8 @@ struct InjectorGuard {
   ~InjectorGuard() { FaultInjector::Uninstall(); }
 };
 
-/// Trains a linear model briefly and publishes it as a checkpoint
-/// directory; returns the trained model (eval mode) for reference outputs.
+/// Trains a linear model briefly into the checkpoint directory `dir`;
+/// returns the trained model (eval mode) for reference outputs.
 inline std::unique_ptr<models::Forecaster> PublishTrainedLinear(
     const data::DatasetSplits& splits, const std::string& dir) {
   auto model =
@@ -112,14 +112,8 @@ inline std::unique_ptr<models::Forecaster> PublishTrainedLinear(
   config.max_train_batches = 4;
   config.max_eval_batches = 2;
   config.batch_size = 8;
+  config.checkpoint_dir = dir;
   train::Trainer(config).Fit(model.get(), splits.train, splits.val);
-
-  train::Adam optimizer(model->Parameters());
-  train::TrainProgress progress;
-  progress.global_step = 100;
-  progress.epoch_rng_state = Rng(5).Serialize();
-  train::CheckpointManager manager(dir);
-  EXPECT_TRUE(manager.Save(*model, optimizer, progress).ok());
   model->SetTraining(false);
   return model;
 }

@@ -3,10 +3,10 @@
 // every kernel is defined at a fixed logical width of 8 float lanes with a
 // fixed horizontal-fold order, so results must be BITWISE IDENTICAL across
 // every SIMD level available in this process. These tests memcmp raw span
-// kernels, whole tensor graphs (forward AND gradients), and the double
-// kernels behind util/linalg — at every tail length and unaligned offset —
-// against the forced-scalar backend. CI's simd-matrix job re-runs the kernel
-// suites under each forced CONFORMER_SIMD_LEVEL on top of this.
+// kernels and whole tensor graphs (forward AND gradients) — at every tail
+// length and unaligned offset — against the forced-scalar backend. CI's
+// simd-matrix job re-runs the kernel suites under each forced
+// CONFORMER_SIMD_LEVEL on top of this.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/vec/vec.h"
-#include "util/linalg.h"
 #include "util/thread_pool.h"
 
 namespace conformer {
@@ -281,34 +280,6 @@ TEST_F(SimdTest, MovingAverageKernelTailSweep) {
                 << " r0=" << r0;
           }
         }
-      }
-    }
-  }
-}
-
-TEST_F(SimdTest, DoubleKernelTailSweep) {
-  for (int64_t n : SweepLengths()) {
-    for (int64_t off = 0; off < 4; ++off) {
-      std::vector<double> x(off + n), y(off + n);
-      for (int64_t i = 0; i < off + n; ++i) {
-        x[i] = static_cast<double>(TestValue(i));
-        y[i] = static_cast<double>(TestValue(i + 71));
-      }
-      ASSERT_TRUE(vec::SetSimdLevel(SimdLevel::kScalar));
-      const double want_dot = vec::DdotN(x.data() + off, y.data() + off, n);
-      std::vector<double> want_axpy(y.begin() + off, y.end());
-      vec::DmulAddN(x.data() + off, 0.625, want_axpy.data(), n);
-      for (SimdLevel level : VectorLevels()) {
-        ASSERT_TRUE(vec::SetSimdLevel(level));
-        const double got_dot = vec::DdotN(x.data() + off, y.data() + off, n);
-        EXPECT_EQ(0, std::memcmp(&want_dot, &got_dot, sizeof(double)))
-            << "DdotN " << vec::SimdLevelName(level) << " n=" << n;
-        std::vector<double> got_axpy(y.begin() + off, y.end());
-        vec::DmulAddN(x.data() + off, 0.625, got_axpy.data(), n);
-        if (n == 0) continue;  // Null data(): see ExpectAllLevelsMatchScalar.
-        EXPECT_EQ(0, std::memcmp(want_axpy.data(), got_axpy.data(),
-                                 sizeof(double) * n))
-            << "DmulAddN " << vec::SimdLevelName(level) << " n=" << n;
       }
     }
   }
@@ -963,24 +934,6 @@ TEST_F(SimdTest, TimesNetLiteForwardBackwardAcrossLevels) {
           << "timesnet tensor " << t << ": scalar vs "
           << vec::SimdLevelName(level);
     }
-  }
-}
-
-TEST_F(SimdTest, RidgeLeastSquaresIdenticalAcrossLevels) {
-  const int64_t rows = 29, features = 11, outputs = 3;
-  std::vector<double> x(rows * features), y(rows * outputs);
-  for (size_t i = 0; i < x.size(); ++i) x[i] = TestValue(i) * 0.5;
-  for (size_t i = 0; i < y.size(); ++i) y[i] = TestValue(i + 13);
-  ASSERT_TRUE(vec::SetSimdLevel(SimdLevel::kScalar));
-  auto want = RidgeLeastSquares(x, rows, features, y, outputs, 1e-3);
-  ASSERT_TRUE(want.ok());
-  for (SimdLevel level : VectorLevels()) {
-    ASSERT_TRUE(vec::SetSimdLevel(level));
-    auto got = RidgeLeastSquares(x, rows, features, y, outputs, 1e-3);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(0, std::memcmp(want.value().data(), got.value().data(),
-                             sizeof(double) * want.value().size()))
-        << "RidgeLeastSquares scalar vs " << vec::SimdLevelName(level);
   }
 }
 

@@ -1,4 +1,4 @@
-// Optimizers, metrics, and the training loop (convergence on a synthetic
+// Adam, metrics, and the training loop (convergence on a synthetic
 // problem, early stopping, best-weights restore).
 
 #include <gtest/gtest.h>
@@ -16,35 +16,7 @@
 namespace conformer::train {
 namespace {
 
-// -- optimizers --------------------------------------------------------------
-
-TEST(SgdTest, MinimizesQuadratic) {
-  Tensor x = Tensor::Full({1}, 5.0f);
-  x.set_requires_grad(true);
-  Sgd opt({x}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    opt.ZeroGrad();
-    Sum(Mul(x, x)).Backward();
-    opt.Step();
-  }
-  EXPECT_NEAR(x.item(), 0.0f, 1e-3);
-}
-
-TEST(SgdTest, MomentumAccelerates) {
-  Tensor a = Tensor::Full({1}, 5.0f).set_requires_grad(true);
-  Tensor b = Tensor::Full({1}, 5.0f).set_requires_grad(true);
-  Sgd plain({a}, 0.02f);
-  Sgd momentum({b}, 0.02f, 0.9f);
-  for (int i = 0; i < 30; ++i) {
-    plain.ZeroGrad();
-    Sum(Mul(a, a)).Backward();
-    plain.Step();
-    momentum.ZeroGrad();
-    Sum(Mul(b, b)).Backward();
-    momentum.Step();
-  }
-  EXPECT_LT(std::fabs(b.item()), std::fabs(a.item()));
-}
+// -- optimizer ---------------------------------------------------------------
 
 TEST(AdamTest, MinimizesQuadratic) {
   Tensor x = Tensor::Full({4}, 3.0f);
@@ -157,15 +129,6 @@ TEST(MetricsTest, BandCoverage) {
   Tensor upper = Tensor::FromVector({1, 1, 1, 1}, {4});
   Tensor target = Tensor::FromVector({0.5f, 2.0f, -1.0f, 1.0f}, {4});
   EXPECT_NEAR(BandCoverage(lower, upper, target), 0.5, 1e-12);
-}
-
-TEST(TrainerTest, LrDecayShrinksStepSize) {
-  // With aggressive decay the optimizer's LR after training is tiny; test
-  // it indirectly: decayed training moves weights less in later epochs.
-  Tensor x = Tensor::Full({1}, 10.0f).set_requires_grad(true);
-  Adam opt({x}, 1.0f);
-  opt.set_learning_rate(opt.learning_rate() * 0.5f);
-  EXPECT_NEAR(opt.learning_rate(), 0.5f, 1e-6);
 }
 
 // -- trainer -----------------------------------------------------------------------

@@ -148,11 +148,7 @@ def parse_optimizer(payload, path):
     cur = Cursor(payload, path + ": optimizer")
     kind = cur.string("optimizer type", max_len=64)
     info = {"type": kind}
-    if kind == "sgd":
-        info["lr"] = cur.f64("sgd lr")
-        info["momentum"] = cur.f64("sgd momentum")
-        info["buffers"] = cur.u64("velocity buffer count")
-    elif kind == "adam":
+    if kind == "adam":
         info["lr"] = cur.f64("adam lr")
         info["beta1"] = cur.f64("adam beta1")
         info["beta2"] = cur.f64("adam beta2")
