@@ -55,6 +55,11 @@ int main(int argc, char** argv) {
               series.column_names()[series.target_column()].c_str());
 
   data::WindowConfig window{.input_len = 48, .label_len = 24, .pred_len = 24};
+  if (Status valid = data::ValidateSplits(series, window); !valid.ok()) {
+    std::fprintf(stderr, "cannot split %s: %s\n", csv_path.c_str(),
+                 valid.ToString().c_str());
+    return 1;
+  }
   data::DatasetSplits splits = data::MakeSplits(series, window);
 
   core::ConformerConfig config;

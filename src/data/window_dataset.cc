@@ -1,6 +1,7 @@
 #include "data/window_dataset.h"
 
 #include <algorithm>
+#include <string>
 
 #include "data/time_features.h"
 #include "util/logging.h"
@@ -8,17 +9,38 @@
 
 namespace conformer::data {
 
+namespace {
+
+// `config` must be a valid geometry whose window fits in `rows` rows.
+// `rows - input_len < pred_len` is `rows < input_len + pred_len` without
+// overflow on huge lengths.
+Status CheckWindow(const WindowConfig& config, int64_t rows) {
+  if (config.input_len <= 0 || config.label_len < 0 || config.pred_len <= 0) {
+    return Status::InvalidArgument(
+        "window lengths must be positive (label_len may be 0)");
+  }
+  if (config.label_len > config.input_len) {
+    return Status::InvalidArgument(
+        "label_len " + std::to_string(config.label_len) +
+        " exceeds input_len " + std::to_string(config.input_len) +
+        ": the label section is a suffix of the encoder input");
+  }
+  if (rows - config.input_len < config.pred_len) {
+    return Status::InvalidArgument(
+        std::to_string(rows) + " rows hold no window of input_len " +
+        std::to_string(config.input_len) + " + pred_len " +
+        std::to_string(config.pred_len));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 WindowDataset::WindowDataset(TimeSeries series, WindowConfig config)
     : series_(std::move(series)), config_(config) {
-  CONFORMER_CHECK_GT(config_.input_len, 0);
-  CONFORMER_CHECK_GE(config_.label_len, 0);
-  CONFORMER_CHECK_GT(config_.pred_len, 0);
-  CONFORMER_CHECK_LE(config_.label_len, config_.input_len)
-      << "label section is a suffix of the encoder input";
+  const Status valid = CheckWindow(config_, series_.num_points());
+  CONFORMER_CHECK(valid.ok()) << valid.ToString();
   marks_ = ExtractTimeFeatures(series_.timestamps());
-  CONFORMER_CHECK_GT(size(), 0)
-      << "series of " << series_.num_points() << " points has no window of "
-      << config_.input_len << "+" << config_.pred_len;
 }
 
 int64_t WindowDataset::size() const {
@@ -67,28 +89,72 @@ Batch WindowDataset::GetRange(int64_t first, int64_t count) const {
   return GetBatch(indices);
 }
 
+namespace {
+
+// The rows at which the train and val splits end; test runs to the end.
+struct SplitBounds {
+  int64_t train_end;
+  int64_t val_end;
+};
+
+SplitBounds FractionBounds(int64_t n, double train_frac, double val_frac) {
+  return {static_cast<int64_t>(n * train_frac),
+          static_cast<int64_t>(n * (train_frac + val_frac))};
+}
+
+// Each split, with the input_len context rows val and test borrow from the
+// split before them, must hold one window.
+Status CheckSplitBounds(int64_t n, const WindowConfig& config,
+                        SplitBounds bounds) {
+  const int64_t begins[] = {
+      0, std::max<int64_t>(0, bounds.train_end - config.input_len),
+      std::max<int64_t>(0, bounds.val_end - config.input_len)};
+  const int64_t ends[] = {bounds.train_end, bounds.val_end, n};
+  const char* names[] = {"train", "val", "test"};
+  for (int s = 0; s < 3; ++s) {
+    const Status valid = CheckWindow(config, ends[s] - begins[s]);
+    if (!valid.ok()) {
+      return Status::InvalidArgument(std::string(names[s]) +
+                                     " split of a series of " +
+                                     std::to_string(n) + " rows: " +
+                                     valid.message());
+    }
+  }
+  return Status::OK();
+}
+
+DatasetSplits SplitAt(const TimeSeries& series, const WindowConfig& config,
+                      SplitBounds bounds) {
+  StandardScaler scaler;
+  scaler.Fit(series.Slice(0, bounds.train_end));
+  const TimeSeries scaled = scaler.Transform(series);
+  const int64_t val_begin =
+      std::max<int64_t>(0, bounds.train_end - config.input_len);
+  const int64_t test_begin =
+      std::max<int64_t>(0, bounds.val_end - config.input_len);
+  return DatasetSplits{
+      WindowDataset(scaled.Slice(0, bounds.train_end), config),
+      WindowDataset(scaled.Slice(val_begin, bounds.val_end), config),
+      WindowDataset(scaled.Slice(test_begin, series.num_points()), config),
+      scaler,
+  };
+}
+
+}  // namespace
+
+Status ValidateSplits(const TimeSeries& series, const WindowConfig& config) {
+  const int64_t n = series.num_points();
+  return CheckSplitBounds(n, config,
+                          FractionBounds(n, kTrainFraction, kValFraction));
+}
+
 DatasetSplits MakeSplits(const TimeSeries& series, const WindowConfig& config,
                          double train_frac, double val_frac) {
   const int64_t n = series.num_points();
-  const int64_t train_end = static_cast<int64_t>(n * train_frac);
-  const int64_t val_end = static_cast<int64_t>(n * (train_frac + val_frac));
-  CONFORMER_CHECK(train_end > config.input_len + config.pred_len)
-      << "train split too small";
-  CONFORMER_CHECK(val_end > train_end && n > val_end) << "degenerate splits";
-
-  StandardScaler scaler;
-  scaler.Fit(series.Slice(0, train_end));
-  const TimeSeries scaled = scaler.Transform(series);
-
-  // Val / test keep input_len rows of context from the previous split.
-  const int64_t val_begin = std::max<int64_t>(0, train_end - config.input_len);
-  const int64_t test_begin = std::max<int64_t>(0, val_end - config.input_len);
-  return DatasetSplits{
-      WindowDataset(scaled.Slice(0, train_end), config),
-      WindowDataset(scaled.Slice(val_begin, val_end), config),
-      WindowDataset(scaled.Slice(test_begin, n), config),
-      scaler,
-  };
+  const SplitBounds bounds = FractionBounds(n, train_frac, val_frac);
+  const Status valid = CheckSplitBounds(n, config, bounds);
+  CONFORMER_CHECK(valid.ok()) << valid.ToString();
+  return SplitAt(series, config, bounds);
 }
 
 Result<DatasetSplits> MakeSplitsByDate(const TimeSeries& series,
@@ -98,34 +164,15 @@ Result<DatasetSplits> MakeSplitsByDate(const TimeSeries& series,
     return Status::InvalidArgument("val_start must precede test_start");
   }
   const std::vector<int64_t>& ts = series.timestamps();
-  const int64_t n = series.num_points();
   const auto first_at_or_after = [&](int64_t stamp) {
     return static_cast<int64_t>(
         std::lower_bound(ts.begin(), ts.end(), stamp) - ts.begin());
   };
-  const int64_t train_end = first_at_or_after(val_start);
-  const int64_t val_end = first_at_or_after(test_start);
-
-  const int64_t min_rows = config.input_len + config.pred_len;
-  if (train_end < min_rows) {
-    return Status::InvalidArgument("train split shorter than one window");
-  }
-  if (val_end - std::max<int64_t>(0, train_end - config.input_len) < min_rows ||
-      n - std::max<int64_t>(0, val_end - config.input_len) < min_rows) {
-    return Status::InvalidArgument("val/test split shorter than one window");
-  }
-
-  StandardScaler scaler;
-  scaler.Fit(series.Slice(0, train_end));
-  const TimeSeries scaled = scaler.Transform(series);
-  const int64_t val_begin = std::max<int64_t>(0, train_end - config.input_len);
-  const int64_t test_begin = std::max<int64_t>(0, val_end - config.input_len);
-  return DatasetSplits{
-      WindowDataset(scaled.Slice(0, train_end), config),
-      WindowDataset(scaled.Slice(val_begin, val_end), config),
-      WindowDataset(scaled.Slice(test_begin, n), config),
-      scaler,
-  };
+  const SplitBounds bounds{first_at_or_after(val_start),
+                           first_at_or_after(test_start)};
+  Status valid = CheckSplitBounds(series.num_points(), config, bounds);
+  if (!valid.ok()) return valid;
+  return SplitAt(series, config, bounds);
 }
 
 BatchIterator::BatchIterator(const WindowDataset& dataset, int64_t batch_size,

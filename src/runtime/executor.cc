@@ -17,7 +17,7 @@ namespace {
 // Pointer a step reads slot `slot` through: pinned storage for constants,
 // the executor's arena otherwise.
 const float* SlotPtr(const PlanSlot& slot, const std::vector<float>& arena) {
-  if (slot.kind == SlotKind::kConstant) return slot.constant->data.data();
+  if (slot.kind == SlotKind::kConstant) return slot.constant->data();
   CONFORMER_CHECK_GE(slot.offset, 0) << "reading a slot with no storage";
   return arena.data() + slot.offset;
 }

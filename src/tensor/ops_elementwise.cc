@@ -112,9 +112,9 @@ Tensor UnaryOpSpan(const Tensor& a, SpanFn span, Df df, const char* name) {
   UnaryForward(n, span, a.data(), out.data());
   Tensor a_in = a;
   auto backward = [a_in, df](TensorImpl& self) mutable {
-    const int64_t n = static_cast<int64_t>(self.data.size());
+    const int64_t n = self.numel();
     const float* ad = a_in.data();
-    const float* yd = self.data.data();
+    const float* yd = self.data();
     const float* gd = self.grad.data();
     float* dst = a_in.impl()->MutableGrad();
     ParallelFor(0, n, kernels::kGrainElementwise, [&](int64_t cb, int64_t ce) {

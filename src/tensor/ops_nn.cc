@@ -267,7 +267,7 @@ Tensor Softmax(const Tensor& a, int64_t dim) {
     // dx_j = y_j * (g_j - sum_k g_k y_k), one term per element.
     float* delta = a_in.impl()->MutableGrad();
     const float* gd = self.grad.data();
-    const float* yd = self.data.data();
+    const float* yd = self.data();
     ParallelRows(s, [&](int64_t base) {
       float dot = 0.0f;
       for (int64_t j = 0; j < s.n; ++j) {
@@ -330,7 +330,7 @@ Tensor LogSoftmax(const Tensor& a, int64_t dim) {
     // dx_j = g_j - softmax_j * sum_k g_k, one term per element.
     float* delta = a_in.impl()->MutableGrad();
     const float* gd = self.grad.data();
-    const float* yd = self.data.data();
+    const float* yd = self.data();
     ParallelRows(s, [&](int64_t base) {
       float gsum = 0.0f;
       for (int64_t j = 0; j < s.n; ++j) gsum += gd[base + j * s.inner];

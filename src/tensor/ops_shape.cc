@@ -40,10 +40,10 @@ Tensor Reshape(const Tensor& a, Shape shape) {
                         static_cast<int64_t>(self.grad.size()));
     }
   };
-  Tensor result = internal::MakeOpResult(std::move(shape), a.impl()->data, {a},
-                                         std::move(backward), "Reshape");
-  // The eager path copies the data; replay elides the copy entirely: the
-  // result is the same buffer viewed under a new shape.
+  // A view: the result shares `a`'s storage under a new shape, in eager mode
+  // and in replay alike, so nothing is allocated or copied.
+  Tensor result = internal::MakeOpResult(std::move(shape), a.impl()->storage,
+                                         {a}, std::move(backward), "Reshape");
   internal::MaybeCaptureAlias(result, a, "Reshape");
   return result;
 }

@@ -34,35 +34,43 @@ std::string ShapeToString(const Shape& shape) {
   return out.str();
 }
 
-TensorImpl::TensorImpl(Shape shape_in, std::vector<float> values)
-    : data(std::move(values)), shape(std::move(shape_in)) {
-  CONFORMER_CHECK_EQ(static_cast<int64_t>(data.size()), NumElements(shape))
-      << "data size does not match shape " << ShapeToString(shape);
-  internal::RecordAlloc(static_cast<int64_t>(data.size()) * sizeof(float));
+Storage::Storage(std::vector<float> values) : values_(std::move(values)) {
+  internal::RecordAlloc(size() * static_cast<int64_t>(sizeof(float)));
 }
 
-TensorImpl::~TensorImpl() {
-  internal::RecordFree(static_cast<int64_t>(data.size() + grad.size()) *
-                       sizeof(float));
+Storage::~Storage() {
+  internal::RecordFree(size() * static_cast<int64_t>(sizeof(float)));
 }
+
+TensorImpl::TensorImpl(Shape shape_in, std::vector<float> values)
+    : TensorImpl(std::move(shape_in),
+                 std::make_shared<Storage>(std::move(values))) {}
+
+TensorImpl::TensorImpl(Shape shape_in, std::shared_ptr<Storage> storage_in)
+    : storage(std::move(storage_in)), shape(std::move(shape_in)) {
+  CONFORMER_CHECK_EQ(numel(), NumElements(shape))
+      << "data size does not match shape " << ShapeToString(shape);
+}
+
+TensorImpl::~TensorImpl() { ReleaseGrad(); }
 
 float* TensorImpl::MutableGrad() {
-  if (grad.empty() && !data.empty()) {
-    grad.assign(data.size(), 0.0f);
+  if (grad.empty() && numel() > 0) {
+    grad.assign(static_cast<size_t>(numel()), 0.0f);
     internal::RecordAlloc(static_cast<int64_t>(grad.size()) * sizeof(float));
   }
   return grad.data();
 }
 
 void TensorImpl::AccumulateGrad(const float* delta, int64_t n) {
-  CONFORMER_CHECK_EQ(n, static_cast<int64_t>(data.size()));
+  CONFORMER_CHECK_EQ(n, numel());
   float* dst = MutableGrad();
   for (int64_t i = 0; i < n; ++i) dst[i] += delta[i];
 }
 
 void TensorImpl::TakeGrad(TensorImpl& from) {
   CONFORMER_CHECK(grad.empty()) << "TakeGrad into a tensor holding a gradient";
-  CONFORMER_CHECK_EQ(from.grad.size(), data.size());
+  CONFORMER_CHECK_EQ(static_cast<int64_t>(from.grad.size()), numel());
   grad.swap(from.grad);
 }
 
@@ -134,17 +142,17 @@ int64_t Tensor::size(int64_t d) const {
 
 const float* Tensor::data() const {
   CONFORMER_CHECK(defined());
-  return impl_->data.data();
+  return impl_->data();
 }
 
 float* Tensor::data() {
   CONFORMER_CHECK(defined());
-  return impl_->data.data();
+  return impl_->data();
 }
 
 float Tensor::item() const {
   CONFORMER_CHECK_EQ(numel(), 1) << "item() requires a single-element tensor";
-  return impl_->data[0];
+  return impl_->data()[0];
 }
 
 float Tensor::at(std::initializer_list<int64_t> index) const {
@@ -160,7 +168,7 @@ float Tensor::at(std::initializer_list<int64_t> index) const {
     offset += i * strides[d];
     ++d;
   }
-  return impl_->data[offset];
+  return impl_->data()[offset];
 }
 
 namespace {
@@ -223,16 +231,17 @@ void Tensor::ZeroGrad() {
 
 Tensor Tensor::Detach() const {
   CONFORMER_CHECK(defined());
-  // Fresh impl with copied values: no tape, no leaf status.
-  auto impl = std::make_shared<TensorImpl>(impl_->shape, impl_->data);
-  Tensor result(std::move(impl));
+  // Fresh storage with copied values: no tape, no leaf status.
+  Tensor result = Tensor::FromVector(
+      std::vector<float>(data(), data() + numel()), impl_->shape);
   internal::MaybeCaptureAlias(result, *this, "Detach");
   return result;
 }
 
 Tensor Tensor::Clone() const {
   CONFORMER_CHECK(defined());
-  Tensor result = Tensor::FromVector(impl_->data, impl_->shape);
+  Tensor result = Tensor::FromVector(
+      std::vector<float>(data(), data() + numel()), impl_->shape);
   internal::MaybeCaptureAlias(result, *this, "Clone");
   return result;
 }
@@ -240,7 +249,7 @@ Tensor Tensor::Clone() const {
 void Tensor::CopyDataFrom(const Tensor& src) {
   CONFORMER_CHECK(defined() && src.defined());
   CONFORMER_CHECK_EQ(numel(), src.numel());
-  impl_->data = src.impl_->data;
+  std::copy(src.data(), src.data() + src.numel(), data());
 }
 
 // -- Recording plumbing --------------------------------------------------
@@ -277,7 +286,16 @@ Tensor MakeOpResult(Shape shape, std::vector<float> values,
                     std::vector<Tensor> inputs,
                     std::function<void(TensorImpl&)> backward,
                     const char* op_name) {
-  auto impl = std::make_shared<TensorImpl>(std::move(shape), std::move(values));
+  return MakeOpResult(std::move(shape),
+                      std::make_shared<Storage>(std::move(values)),
+                      std::move(inputs), std::move(backward), op_name);
+}
+
+Tensor MakeOpResult(Shape shape, std::shared_ptr<Storage> storage,
+                    std::vector<Tensor> inputs,
+                    std::function<void(TensorImpl&)> backward,
+                    const char* op_name) {
+  auto impl = std::make_shared<TensorImpl>(std::move(shape), std::move(storage));
   if (ShouldRecord(inputs)) {
     auto node = std::make_shared<AutogradNode>();
     node->op_name = op_name;

@@ -1,10 +1,15 @@
 // A small dense float32 tensor with reverse-mode automatic differentiation.
 //
 // Tensors are contiguous, row-major, and have value semantics over a shared
-// implementation (copying a Tensor aliases the same buffer, like
-// torch.Tensor). Operations are free functions declared in tensor/ops.h;
-// each op records an AutogradNode so that calling Backward() on a scalar
-// result accumulates gradients into every `requires_grad` leaf.
+// implementation (copying a Tensor aliases the same TensorImpl, like
+// torch.Tensor). A TensorImpl's values live in a reference-counted Storage:
+// `Reshape` (and `Squeeze`/`Unsqueeze`, built on it) returns a view, a new
+// TensorImpl with its own shape, gradient and tape node over its input's
+// Storage, so a reshape allocates and copies nothing. Every other op writes
+// a fresh buffer, and no op writes into its inputs. Operations are free
+// functions declared in tensor/ops.h; each op records an AutogradNode so
+// that calling Backward() on a scalar result accumulates gradients into
+// every `requires_grad` leaf.
 
 #ifndef CONFORMER_TENSOR_TENSOR_H_
 #define CONFORMER_TENSOR_TENSOR_H_
@@ -62,17 +67,43 @@ struct AutogradNode {
   const char* op_name = "";
 };
 
-/// \brief Shared tensor storage: data, shape, gradient, and tape node.
+/// \brief A tensor's value buffer, shared by reference between a tensor and
+/// its reshaped views. It is counted in AllocStats once: when it is created
+/// and when its last owner lets go, whatever order those owners die in.
+class Storage {
+ public:
+  explicit Storage(std::vector<float> values);
+  ~Storage();
+
+  Storage(const Storage&) = delete;
+  Storage& operator=(const Storage&) = delete;
+
+  float* data() { return values_.data(); }
+  const float* data() const { return values_.data(); }
+  int64_t size() const { return static_cast<int64_t>(values_.size()); }
+
+ private:
+  // Fixed length for the storage's life: views rely on it, and the
+  // destructor frees what the constructor counted.
+  std::vector<float> values_;
+};
+
+/// \brief One tensor: shared value storage, shape, gradient, and tape node.
 ///
-/// The gradient buffer has one owner and is counted in AllocStats while it
-/// is allocated. Backward functions read `grad` directly but change it only
+/// `numel()` always equals the storage's length: a view differs from its
+/// base only in shape. The gradient buffer is per TensorImpl, never shared
+/// with a view; it has one owner and is counted in AllocStats while it is
+/// allocated. Backward functions read `grad` directly but change it only
 /// through the methods below. A non-leaf's gradient lives from its first
 /// consumer's backward until its own backward has run, when
 /// `Tensor::Backward` frees it (unless `retain_graph`); a leaf's keeps
 /// accumulating across passes until `Tensor::ZeroGrad`.
 class TensorImpl {
  public:
+  /// A tensor over a fresh storage holding `values`.
   TensorImpl(Shape shape, std::vector<float> values);
+  /// A view: `shape` (same element count) over an existing storage.
+  TensorImpl(Shape shape, std::shared_ptr<Storage> storage);
   ~TensorImpl();
 
   TensorImpl(const TensorImpl&) = delete;
@@ -92,7 +123,11 @@ class TensorImpl {
   /// Frees the gradient buffer (no-op when there is none).
   void ReleaseGrad();
 
-  std::vector<float> data;
+  float* data() { return storage->data(); }
+  const float* data() const { return storage->data(); }
+  int64_t numel() const { return storage->size(); }
+
+  std::shared_ptr<Storage> storage;
   Shape shape;
   std::vector<float> grad;  // Empty until a gradient is written.
   bool requires_grad = false;
@@ -161,13 +196,15 @@ class Tensor {
   /// may have been moved into its input.)
   void Backward(bool retain_graph = false);
 
-  /// A copy of this tensor's values in a fresh buffer, cut off from the
-  /// tape.
+  /// A copy of this tensor's values in a fresh storage, cut off from the
+  /// tape: unlike a `Reshape` view, it shares nothing with this tensor.
   Tensor Detach() const;
-  /// A deep copy (fresh buffer, no tape).
+  /// A deep copy (fresh storage, no tape).
   Tensor Clone() const;
 
-  /// In-place elementwise copy from `src` (same numel; no autograd).
+  /// In-place elementwise copy from `src` (same numel; no autograd) into
+  /// this tensor's existing storage, so every view of it sees the new
+  /// values.
   void CopyDataFrom(const Tensor& src);
 
   std::shared_ptr<TensorImpl> impl() const { return impl_; }
@@ -218,7 +255,7 @@ void AccumulateGradWith(TensorImpl& impl, WriteFn write) {
     write(impl.MutableGrad());
     return;
   }
-  std::vector<float> scratch(impl.data.size(), 0.0f);
+  std::vector<float> scratch(static_cast<size_t>(impl.numel()), 0.0f);
   write(scratch.data());
   impl.AccumulateGrad(scratch.data(), static_cast<int64_t>(scratch.size()));
 }
@@ -229,6 +266,11 @@ std::vector<float> AcquireBuffer(int64_t n);
 /// Builds the output tensor for an op: attaches an AutogradNode with the
 /// given backward fn when recording is active.
 Tensor MakeOpResult(Shape shape, std::vector<float> values,
+                    std::vector<Tensor> inputs,
+                    std::function<void(TensorImpl&)> backward,
+                    const char* op_name);
+/// The same for a view op, whose output shares an input's `storage`.
+Tensor MakeOpResult(Shape shape, std::shared_ptr<Storage> storage,
                     std::vector<Tensor> inputs,
                     std::function<void(TensorImpl&)> backward,
                     const char* op_name);

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "data/csv_loader.h"
@@ -269,6 +270,54 @@ TEST(SplitsTest, ChronologicalWithContext) {
   EXPECT_NEAR(mean / 140.0, 0.0, 1e-4);
   // Test rows sit above the train mean (the raw series increases).
   EXPECT_GT(splits.test.series().value(40, 0), 0.5f);
+}
+
+// Under the serving default 32/16/16, val gets floor(n * 0.8) - (floor(n *
+// 0.7) - 32) rows. 0.7 + 0.1 rounds below 0.8, so 160 rows give a val end
+// of 127, not 128: 47 rows, one short of a window, while 159 and 161 rows
+// give 48.
+TEST(SplitsTest, ValidateSplitsAtTheRowBoundary) {
+  const WindowConfig cfg{.input_len = 32, .label_len = 16, .pred_len = 16};
+  for (int64_t n : {159, 161}) {
+    TimeSeries ts = TinySeries(n);
+    EXPECT_TRUE(ValidateSplits(ts, cfg).ok()) << n << " rows";
+    DatasetSplits splits = MakeSplits(ts, cfg);
+    EXPECT_EQ(splits.val.size(), 1) << n << " rows";
+  }
+  const Status status = ValidateSplits(TinySeries(160), cfg);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("val split of a series of 160 rows: 47 rows"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_DEATH(MakeSplits(TinySeries(160), cfg), "val split .* 47 rows");
+}
+
+TEST(SplitsTest, ValidateSplitsRejectsWhatMakeSplitsWouldAbortOn) {
+  const WindowConfig ok{.input_len = 32, .label_len = 16, .pred_len = 16};
+  const TimeSeries ts = TinySeries(400);
+  ASSERT_TRUE(ValidateSplits(ts, ok).ok());
+  // Series too short for any train window, and each split's own window.
+  for (int64_t n : {20, 70, 150, 160}) {
+    EXPECT_EQ(ValidateSplits(TinySeries(n), ok).code(),
+              StatusCode::kInvalidArgument)
+        << n << " rows";
+  }
+  WindowConfig cfg = ok;
+  cfg.input_len = 5000;
+  EXPECT_NE(ValidateSplits(ts, cfg).message().find("train split"),
+            std::string::npos);
+  cfg = ok;
+  cfg.label_len = 40;
+  EXPECT_NE(ValidateSplits(ts, cfg).message().find("exceeds input_len"),
+            std::string::npos);
+  for (WindowConfig bad : {WindowConfig{0, 0, 16}, WindowConfig{32, -1, 16},
+                           WindowConfig{32, 16, 0}}) {
+    EXPECT_EQ(ValidateSplits(ts, bad).code(), StatusCode::kInvalidArgument);
+  }
+  // Lengths near INT64_MAX must not overflow into a pass.
+  cfg = ok;
+  cfg.pred_len = std::numeric_limits<int64_t>::max();
+  EXPECT_FALSE(ValidateSplits(ts, cfg).ok());
 }
 
 TEST(SplitsByDateTest, BoundariesRespectTimestamps) {

@@ -5,36 +5,77 @@ Run as: serve_forecast_smoke_test.py <serve_forecast-binary>
 
 Trains a linear model into a fresh checkpoint directory, serves 16 requests
 through the one-tenant fleet while hot-reloading every 4 submissions, and
-checks the run exits 0 with "failed 0" in its summary.
+checks the run exits 0 with "failed 0" in its summary. Then checks that bad
+data or window geometry (a 160-row CSV, whose val split is one row short of
+a window under the default 32/16/16 geometry; --input-len 5000; --label-len
+40 > input_len) exits 1 with an InvalidArgument message instead of dying on
+a signal.
 """
 
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
 
 
+def run(args):
+    proc = subprocess.run(args, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT)
+    return proc.returncode, proc.stdout.decode()
+
+
+def write_csv(path, rows):
+    with open(path, "w") as f:
+        f.write("date,load,temperature\n")
+        for i in range(rows):
+            day, hour = divmod(i, 24)
+            f.write("2020-01-%02d %02d:00:00,%d.5,%d.25\n"
+                    % (1 + day, hour, i % 7, i % 5))
+
+
+def check_rejected(binary, args, label):
+    """Bad input must exit 1 with InvalidArgument; False (and why) if not."""
+    code, output = run([binary, "--model", "linear", "--requests", "1"] + args)
+    if code != 1 or "InvalidArgument" not in output:
+        print(output)
+        print("FAIL: %s: exit code %d (want 1 with InvalidArgument)"
+              % (label, code))
+        return False
+    print("ok: %s rejected: %s" % (label, output.strip().splitlines()[-1]))
+    return True
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: serve_forecast_smoke_test.py <serve_forecast>")
         return 1
-    checkpoint = tempfile.mkdtemp(prefix="conformer_serve_forecast_")
+    binary = sys.argv[1]
+    workdir = tempfile.mkdtemp(prefix="conformer_serve_forecast_")
     try:
-        proc = subprocess.run(
-            [sys.argv[1], "--model", "linear", "--requests", "16",
+        checkpoint = os.path.join(workdir, "ckpt")
+        os.mkdir(checkpoint)
+        code, output = run(
+            [binary, "--model", "linear", "--requests", "16",
              "--train-if-missing", "--checkpoint", checkpoint,
-             "--reload-every-n", "4"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+             "--reload-every-n", "4"])
+        print(output)
+        if code != 0:
+            print("FAIL: exit code %d" % code)
+            return 1
+        if "failed 0\n" not in output:
+            print("FAIL: summary does not report 'failed 0'")
+            return 1
+
+        short_csv = os.path.join(workdir, "short.csv")
+        write_csv(short_csv, 160)
+        ok = check_rejected(binary, ["--csv", short_csv], "160-row CSV")
+        ok &= check_rejected(binary, ["--input-len", "5000"], "--input-len 5000")
+        ok &= check_rejected(binary, ["--label-len", "40"], "--label-len 40")
+        if not ok:
+            return 1
     finally:
-        shutil.rmtree(checkpoint, ignore_errors=True)
-    output = proc.stdout.decode()
-    print(output)
-    if proc.returncode != 0:
-        print("FAIL: exit code %d" % proc.returncode)
-        return 1
-    if "failed 0\n" not in output:
-        print("FAIL: summary does not report 'failed 0'")
-        return 1
+        shutil.rmtree(workdir, ignore_errors=True)
     print("ok")
     return 0
 

@@ -280,8 +280,9 @@ TEST(StaticRuntimeTest, UncapturedOpConsumedByTraceFailsTheBuild) {
   const data::Batch batch = splits.test.GetRange(0, 1);
 
   auto predict = [](const data::Batch& b) {
-    Tensor raw = internal::MakeOpResult(b.x.shape(), b.x.impl()->data, {b.x},
-                                        nullptr, "TestRawOp");
+    Tensor raw = internal::MakeOpResult(
+        b.x.shape(), std::vector<float>(b.x.data(), b.x.data() + b.x.numel()),
+        {b.x}, nullptr, "TestRawOp");
     return Add(raw, b.x);
   };
   Result<TraceResult> traced = CapturePredictPlan(predict, batch);

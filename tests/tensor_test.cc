@@ -1591,5 +1591,119 @@ TEST(AllocStatsTest, TracksPeak) {
   EXPECT_GE(after.peak_bytes, before.current_bytes + 4096);
 }
 
+// -- views ----------------------------------------------------------------------
+
+TEST(ViewTest, ReshapeSqueezeUnsqueezeShareStorageAndAllocateNothing) {
+  for (bool record : {false, true}) {
+    Tensor a = Tensor::Arange(24);
+    a.set_requires_grad(record);
+    const AllocStats before = GetAllocStats();
+    Tensor r = Reshape(a, {2, 3, 4});
+    Tensor u = Unsqueeze(r, 0);
+    Tensor s = Squeeze(u, 0);
+    const AllocStats after = GetAllocStats();
+    EXPECT_EQ(r.data(), a.data()) << "record " << record;
+    EXPECT_EQ(u.data(), a.data()) << "record " << record;
+    EXPECT_EQ(s.data(), a.data()) << "record " << record;
+    EXPECT_EQ(after.total_allocs, before.total_allocs) << "record " << record;
+    EXPECT_EQ(after.current_bytes, before.current_bytes)
+        << "record " << record;
+    // Each view keeps its own shape and tape node.
+    EXPECT_EQ(u.shape(), (Shape{1, 2, 3, 4}));
+    EXPECT_EQ(s.shape(), (Shape{2, 3, 4}));
+    EXPECT_EQ(s.impl()->node != nullptr, record);
+    EXPECT_NE(s.impl(), r.impl());
+  }
+}
+
+TEST(ViewTest, DetachAndCloneReturnFreshBuffers) {
+  Tensor a = Tensor::Arange(6);
+  Tensor view = Reshape(a, {2, 3});
+  Tensor detached = view.Detach();
+  Tensor cloned = view.Clone();
+  EXPECT_NE(detached.data(), a.data());
+  EXPECT_NE(cloned.data(), a.data());
+  EXPECT_NE(cloned.data(), detached.data());
+  detached.data()[0] = 9.0f;
+  cloned.data()[1] = 9.0f;
+  EXPECT_EQ(a.data()[0], 0.0f);
+  EXPECT_EQ(a.data()[1], 1.0f);
+}
+
+TEST(ViewTest, CopyDataFromShowsThroughViews) {
+  Tensor base = Tensor::Zeros({2, 3});
+  Tensor view = Reshape(base, {6});
+  base.CopyDataFrom(Tensor::Arange(6));
+  EXPECT_EQ(view.at({4}), 4.0f);
+  view.CopyDataFrom(Tensor::Full({6}, -1.0f));
+  EXPECT_EQ(base.at({1, 2}), -1.0f);
+}
+
+TEST(ViewTest, StorageIsCountedOnceWhicheverOwnerDiesLast) {
+  const int64_t bytes = 1024 * static_cast<int64_t>(sizeof(float));
+  for (bool base_dies_first : {true, false}) {
+    const AllocStats before = GetAllocStats();
+    Tensor base = Tensor::Arange(1024);
+    Tensor view = Reshape(base, {32, 32});
+    EXPECT_EQ(GetAllocStats().current_bytes - before.current_bytes, bytes);
+    EXPECT_EQ(GetAllocStats().total_allocs - before.total_allocs, 1);
+    (base_dies_first ? base : view) = Tensor();
+    EXPECT_EQ(GetAllocStats().current_bytes - before.current_bytes, bytes);
+    // The survivor still reads the storage (use-after-free shows under asan).
+    const Tensor& survivor = base_dies_first ? view : base;
+    EXPECT_EQ(survivor.data()[1023], 1023.0f);
+    (base_dies_first ? view : base) = Tensor();
+    EXPECT_EQ(GetAllocStats().current_bytes, before.current_bytes);
+  }
+}
+
+TEST(ViewTest, ViewOfATemporaryOutlivesIt) {
+  Tensor view;
+  {
+    Tensor x = Tensor::Arange(12);
+    view = Unsqueeze(Reshape(Tanh(x), {3, 4}), 0);
+  }
+  for (int64_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(view.at({0, i / 4, i % 4}), std::tanh(static_cast<float>(i)));
+  }
+}
+
+// A Reshape chain, run once with the view Reshape and once with a copying
+// reshape (a contiguous AsStrided gather, whose backward scatters the
+// gradient into a fresh buffer): gradients must agree bitwise. The chain
+// reads both a view and its base, and one view twice, so gradients both
+// move into an empty input and add into a held one.
+TEST(ViewTest, GradientsThroughReshapeChainsMatchACopyingReshape) {
+  using ReshapeFn = std::function<Tensor(const Tensor&, Shape)>;
+  const ReshapeFn copying = [](const Tensor& a, Shape shape) {
+    std::vector<int64_t> strides = ContiguousStrides(shape);
+    return AsStrided(a, std::move(shape), std::move(strides), 0, "Reshape");
+  };
+  const ReshapeFn views = [](const Tensor& a, Shape shape) {
+    return Reshape(a, std::move(shape));
+  };
+  auto grads = [](const ReshapeFn& reshape) {
+    Rng rng(11);
+    Tensor x = Tensor::Randn({2, 3, 4}, &rng).set_requires_grad(true);
+    Tensor w = Tensor::Randn({4, 5}, &rng).set_requires_grad(true);
+    Tensor flat = reshape(x, {6, 4});
+    Tensor h = Tanh(MatMul(flat, w));                  // [6, 5]
+    Tensor back = reshape(reshape(h, {2, 3, 5}), {30});
+    Tensor twice = Mul(back, back);
+    Tensor direct = Sum(Mul(x, x));
+    Tensor loss = Add(Add(Sum(twice), direct), Sum(Mul(flat, flat)));
+    loss.Backward();
+    const Tensor gx = x.grad();
+    const Tensor gw = w.grad();
+    std::vector<float> out(gx.data(), gx.data() + gx.numel());
+    out.insert(out.end(), gw.data(), gw.data() + gw.numel());
+    return out;
+  };
+  const std::vector<float> want = grads(copying);
+  const std::vector<float> got = grads(views);
+  ASSERT_EQ(want.size(), got.size());
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), sizeof(float) * want.size()));
+}
+
 }  // namespace
 }  // namespace conformer

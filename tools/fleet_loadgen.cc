@@ -223,6 +223,13 @@ int Main(int argc, char** argv) {
     spec.session.window = {.input_len = opts.input_len,
                            .label_len = opts.label_len,
                            .pred_len = pred_len};
+    if (Status valid =
+            data::ValidateSplits(series.value(), spec.session.window);
+        !valid.ok()) {
+      std::fprintf(stderr, "tenant %s: %s\n", tenant.key.c_str(),
+                   valid.ToString().c_str());
+      return 1;
+    }
     spec.session.dims = series.value().dims();
     spec.queue = {.max_batch_size = opts.max_batch,
                   .max_queue_delay_us = opts.delay_us,
@@ -237,11 +244,6 @@ int Main(int argc, char** argv) {
     }
     data::DatasetSplits splits =
         data::MakeSplits(series.value(), spec.session.window);
-    if (splits.test.size() == 0) {
-      std::fprintf(stderr, "dataset too short for tenant %s\n",
-                   tenant.key.c_str());
-      return 1;
-    }
     mix.push_back({tenant.key, splits.test.GetRange(0, 1), tenant.mix});
   }
 

@@ -169,6 +169,11 @@ int Main(int argc, char** argv) {
   const data::WindowConfig window{.input_len = opts.input_len,
                                   .label_len = opts.label_len,
                                   .pred_len = opts.pred_len};
+  if (Status valid = data::ValidateSplits(series.value(), window);
+      !valid.ok()) {
+    std::fprintf(stderr, "bad data or window: %s\n", valid.ToString().c_str());
+    return 1;
+  }
   data::DatasetSplits splits = data::MakeSplits(series.value(), window);
 
   // -- Optional bootstrap training ---------------------------------------
@@ -218,10 +223,6 @@ int Main(int argc, char** argv) {
   // -- Replay the request stream -----------------------------------------
   const data::WindowDataset& test = splits.test;
   const int64_t n_windows = test.size();
-  if (n_windows == 0) {
-    std::fprintf(stderr, "dataset too short for the requested window\n");
-    return 1;
-  }
   const serve::RequestOptions request_options{.deadline_us =
                                                   opts.deadline_ms * 1000};
   std::atomic<int64_t> submitted{0}, delivered{0}, shed{0}, rejected{0},
