@@ -1,7 +1,5 @@
 #include "baselines/naive.h"
 
-#include <algorithm>
-
 namespace conformer::models {
 
 Tensor NaiveForecaster::Forward(const data::Batch& batch) const {
@@ -9,21 +7,6 @@ Tensor NaiveForecaster::Forward(const data::Batch& batch) const {
   Tensor last = Slice(batch.x, 1, lx - 1, lx);  // [B, 1, D]
   std::vector<int64_t> reps = {1, window_.pred_len, 1};
   return Tile(last.Detach(), reps);
-}
-
-SeasonalNaiveForecaster::SeasonalNaiveForecaster(data::WindowConfig window,
-                                                 int64_t dims, int64_t period)
-    : Forecaster(window, dims),
-      period_(std::clamp<int64_t>(period, 1, window.input_len)) {}
-
-Tensor SeasonalNaiveForecaster::Forward(const data::Batch& batch) const {
-  const int64_t lx = batch.x.size(1);
-  // Step h (0-based) copies x[lx - period + (h mod period)].
-  std::vector<int64_t> taps(window_.pred_len);
-  for (int64_t h = 0; h < window_.pred_len; ++h) {
-    taps[h] = lx - period_ + (h % period_);
-  }
-  return IndexSelect(batch.x.Detach(), 1, taps);
 }
 
 }  // namespace conformer::models

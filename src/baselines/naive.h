@@ -1,7 +1,6 @@
-// Parameter-free reference forecasters: the last-value ("naive") and
-// last-period ("seasonal naive") predictors every forecasting study is
-// sanity-checked against. A learned model that cannot beat these on a
-// periodic dataset is not learning.
+// Parameter-free reference forecaster: the last-value ("naive") predictor
+// every forecasting study is sanity-checked against. A learned model that
+// cannot beat it is not learning.
 
 #ifndef CONFORMER_BASELINES_NAIVE_H_
 #define CONFORMER_BASELINES_NAIVE_H_
@@ -18,23 +17,6 @@ class NaiveForecaster : public Forecaster {
 
   Tensor Forward(const data::Batch& batch) const override;
   std::string name() const override { return "Naive"; }
-};
-
-/// \brief Repeats the value one season back: y_{t+h} = x_{t+h-period}
-/// (wrapping within the input window when the horizon exceeds the period).
-class SeasonalNaiveForecaster : public Forecaster {
- public:
-  /// `period` is clamped to the input length.
-  SeasonalNaiveForecaster(data::WindowConfig window, int64_t dims,
-                          int64_t period);
-
-  Tensor Forward(const data::Batch& batch) const override;
-  std::string name() const override { return "SeasonalNaive"; }
-
-  int64_t period() const { return period_; }
-
- private:
-  int64_t period_;
 };
 
 }  // namespace conformer::models

@@ -3,10 +3,8 @@
 #include <mutex>
 #include <string>
 
-#include "baselines/deepar.h"
 #include "baselines/gru_forecaster.h"
 #include "baselines/linear_forecaster.h"
-#include "baselines/lstm_forecaster.h"
 #include "baselines/lstnet.h"
 #include "baselines/naive.h"
 #include "baselines/nbeats.h"
@@ -68,14 +66,9 @@ const Entry kModels[] = {
     {"informer", MakeTransformer<InformerConfig>, 2},
     {"reformer", MakeTransformer<ReformerConfig>},
     {"logtrans", MakeTransformer<LogTransConfig>},
-    {"transformer", MakeTransformer<VanillaTransformerConfig>},
     {"gru",
      [](const Window& window, int64_t dims, const Params& p) -> Model {
        return std::make_unique<GruForecaster>(window, dims, p.hidden);
-     }},
-    {"lstm",
-     [](const Window& window, int64_t dims, const Params& p) -> Model {
-       return std::make_unique<LstmForecaster>(window, dims, p.hidden);
      }},
     {"lstnet",
      [](const Window& window, int64_t dims, const Params& p) -> Model {
@@ -92,11 +85,6 @@ const Entry kModels[] = {
      [](const Window& window, int64_t dims, const Params& p) -> Model {
        return std::make_unique<Ts2Vec>(window, dims, p.hidden);
      }},
-    {"deepar",
-     [](const Window& window, int64_t dims, const Params& p) -> Model {
-       return std::make_unique<DeepAr>(window, dims, p.hidden, /*layers=*/2,
-                                       p.seed);
-     }},
     {"timesnet",
      [](const Window& window, int64_t dims, const Params& p) -> Model {
        return std::make_unique<TimesNetLite>(window, dims, p.d_model,
@@ -110,11 +98,6 @@ const Entry kModels[] = {
     {"naive",
      [](const Window& window, int64_t dims, const Params&) -> Model {
        return std::make_unique<NaiveForecaster>(window, dims);
-     }},
-    {"seasonal_naive",
-     [](const Window& window, int64_t dims, const Params& p) -> Model {
-       return std::make_unique<SeasonalNaiveForecaster>(window, dims,
-                                                        p.seasonal_period);
      }},
 };
 

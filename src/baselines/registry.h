@@ -23,11 +23,11 @@ struct ModelHyperParams {
   float dropout = 0.05f;
   uint64_t seed = 7;
   bool univariate = false;  ///< Selects the univariate Conformer RNN depths.
-  int64_t seasonal_period = 24;  ///< Season length for "seasonal_naive".
 };
 
 /// Every model name MakeForecaster accepts, in registry order: Conformer,
-/// the Transformer family, the RNN/CNN/MLP baselines, and the naive floors.
+/// the Transformer family, the RNN/CNN/MLP baselines, and the linear and
+/// naive floors.
 std::vector<std::string> AvailableModels();
 
 /// Builds a model by (case-insensitive) name; NotFound for names outside

@@ -202,11 +202,4 @@ TransformerConfig LogTransConfig() {
   return c;
 }
 
-TransformerConfig VanillaTransformerConfig() {
-  TransformerConfig c;
-  c.display_name = "Transformer";
-  c.kind = attention::AttentionKind::kFull;
-  return c;
-}
-
 }  // namespace conformer::models

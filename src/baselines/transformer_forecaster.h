@@ -111,7 +111,6 @@ TransformerConfig InformerConfig();
 TransformerConfig AutoformerConfig();
 TransformerConfig ReformerConfig();
 TransformerConfig LogTransConfig();
-TransformerConfig VanillaTransformerConfig();
 
 }  // namespace conformer::models
 

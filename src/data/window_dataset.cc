@@ -97,10 +97,9 @@ struct SplitBounds {
   int64_t val_end;
 };
 
-SplitBounds FractionBounds(int64_t n, double train_frac, double val_frac) {
-  return {static_cast<int64_t>(n * train_frac),
-          static_cast<int64_t>(n * (train_frac + val_frac))};
-}
+// The 70 / 10 / 20 split, floored in integers. In double, 1400 * 0.7 is
+// 979.99... and 160 * (0.7 + 0.1) is 127.99..., each a row short.
+SplitBounds FractionBounds(int64_t n) { return {n * 7 / 10, n * 8 / 10}; }
 
 // Each split, with the input_len context rows val and test borrow from the
 // split before them, must hold one window.
@@ -144,14 +143,12 @@ DatasetSplits SplitAt(const TimeSeries& series, const WindowConfig& config,
 
 Status ValidateSplits(const TimeSeries& series, const WindowConfig& config) {
   const int64_t n = series.num_points();
-  return CheckSplitBounds(n, config,
-                          FractionBounds(n, kTrainFraction, kValFraction));
+  return CheckSplitBounds(n, config, FractionBounds(n));
 }
 
-DatasetSplits MakeSplits(const TimeSeries& series, const WindowConfig& config,
-                         double train_frac, double val_frac) {
+DatasetSplits MakeSplits(const TimeSeries& series, const WindowConfig& config) {
   const int64_t n = series.num_points();
-  const SplitBounds bounds = FractionBounds(n, train_frac, val_frac);
+  const SplitBounds bounds = FractionBounds(n);
   const Status valid = CheckSplitBounds(n, config, bounds);
   CONFORMER_CHECK(valid.ok()) << valid.ToString();
   return SplitAt(series, config, bounds);

@@ -66,24 +66,18 @@ struct DatasetSplits {
   StandardScaler scaler;
 };
 
-/// The fractions of a series MakeSplits gives train and val by default;
-/// test takes the rest.
-inline constexpr double kTrainFraction = 0.7;
-inline constexpr double kValFraction = 0.1;
-
 /// InvalidArgument unless `config` is a valid window geometry and each split
-/// MakeSplits would cut from `series` at the default fractions holds at
-/// least one window. Callers with untrusted data or geometry check this
-/// first: MakeSplits itself aborts on what it rejects.
+/// MakeSplits would cut from `series` holds at least one window. Callers
+/// with untrusted data or geometry check this first: MakeSplits itself
+/// aborts on what it rejects.
 Status ValidateSplits(const TimeSeries& series, const WindowConfig& config);
 
-/// Splits by fractions (default 0.7 / 0.1 / 0.2). Val/test segments keep
+/// Splits n rows 70 / 10 / 20: train ends at row n * 7 / 10 and val at
+/// n * 8 / 10, both in integer arithmetic. Val/test segments keep
 /// `input_len` context rows from the preceding split so their first windows
 /// exist (the Informer border convention). Aborts on any split
-/// ValidateSplits would reject at these fractions.
-DatasetSplits MakeSplits(const TimeSeries& series, const WindowConfig& config,
-                         double train_frac = kTrainFraction,
-                         double val_frac = kValFraction);
+/// ValidateSplits would reject.
+DatasetSplits MakeSplits(const TimeSeries& series, const WindowConfig& config);
 
 /// Splits at explicit calendar boundaries (Unix seconds): rows with
 /// timestamp < val_start train, < test_start validate, the rest test —

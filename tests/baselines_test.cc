@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/deepar.h"
 #include "baselines/gru_forecaster.h"
 #include "baselines/linear_forecaster.h"
 #include "baselines/lstnet.h"
@@ -173,40 +172,6 @@ TEST(NaiveTest, RepeatsLastValue) {
   }
 }
 
-TEST(NaiveTest, SeasonalRepeatsOnePeriodBack) {
-  data::Batch batch = SmallBatch();
-  SeasonalNaiveForecaster model(SmallWindow(), batch.x.size(2), /*period=*/4);
-  Tensor pred = model.Forward(batch);
-  const int64_t lx = batch.x.size(1);
-  // Step 0 copies x[lx-4]; step 5 copies x[lx-4+1].
-  EXPECT_EQ(pred.at({0, 0, 0}), batch.x.at({0, lx - 4, 0}));
-  EXPECT_EQ(pred.at({0, 5, 1}), batch.x.at({0, lx - 3, 1}));
-}
-
-TEST(NaiveTest, SeasonalPeriodClampedToWindow) {
-  SeasonalNaiveForecaster model(SmallWindow(), 2, /*period=*/9999);
-  EXPECT_EQ(model.period(), SmallWindow().input_len);
-}
-
-TEST(NaiveTest, PerfectOnExactlyPeriodicData) {
-  // A period-4 series is forecast exactly by seasonal-naive with period 4.
-  const data::WindowConfig cfg{.input_len = 8, .label_len = 4, .pred_len = 4};
-  std::vector<int64_t> stamps(40);
-  std::vector<float> vals(40);
-  for (int64_t i = 0; i < 40; ++i) {
-    stamps[i] = i * 3600;
-    vals[i] = static_cast<float>(i % 4);
-  }
-  data::TimeSeries ts("periodic", std::move(stamps), std::move(vals), 1);
-  data::WindowDataset ds(ts, cfg);
-  SeasonalNaiveForecaster model(cfg, 1, 4);
-  data::Batch batch = ds.GetRange(0, 4);
-  const int64_t total = batch.y.size(1);
-  Tensor target = Slice(batch.y, 1, total - 4, total);
-  Tensor diff = Sub(model.Forward(batch), target);
-  EXPECT_NEAR(Mean(Mul(diff, diff)).item(), 0.0f, 1e-10);
-}
-
 TEST(LinearForecasterTest, ClosedFormFitBeatsRandomInit) {
   data::TimeSeries ts = data::MakeDataset("etth1", 0.07, 33).value();
   data::DatasetSplits splits = data::MakeSplits(ts, SmallWindow());
@@ -261,45 +226,6 @@ TEST(LinearForecasterTest, FitFailsOnTinyDataset) {
   // 2 windows >= 2 passes the row check but the fit itself must at least
   // not crash; with ridge it succeeds.
   EXPECT_TRUE(model.FitLeastSquares(ds, 1.0).ok());
-}
-
-TEST(DeepArTest, NllDecreasesWithBetterFit) {
-  data::Batch batch = SmallBatch();
-  DeepAr model(SmallWindow(), batch.x.size(2), 8, 1);
-  std::vector<Tensor> params = model.Parameters();
-  const float initial = model.Loss(batch).item();
-  for (int step = 0; step < 25; ++step) {
-    for (Tensor& p : params) p.ZeroGrad();
-    model.Loss(batch).Backward();
-    for (Tensor& p : params) {
-      if (!p.has_grad()) continue;
-      for (int64_t j = 0; j < p.numel(); ++j) {
-        p.data()[j] -= 0.02f * p.grad_data()[j];
-      }
-    }
-  }
-  EXPECT_LT(model.Loss(batch).item(), initial);
-}
-
-TEST(DeepArTest, BandsWidenWithCoverage) {
-  data::Batch batch = SmallBatch();
-  DeepAr model(SmallWindow(), batch.x.size(2), 8, 1);
-  flow::UncertaintyBand narrow = model.PredictWithUncertainty(batch, 64, 0.5);
-  flow::UncertaintyBand wide = model.PredictWithUncertainty(batch, 64, 0.95);
-  double narrow_width = 0.0;
-  double wide_width = 0.0;
-  for (int64_t i = 0; i < narrow.mean.numel(); ++i) {
-    narrow_width += narrow.upper.data()[i] - narrow.lower.data()[i];
-    wide_width += wide.upper.data()[i] - wide.lower.data()[i];
-  }
-  EXPECT_GT(wide_width, narrow_width);
-}
-
-TEST(DeepArTest, SigmaIsPositive) {
-  data::Batch batch = SmallBatch();
-  DeepAr model(SmallWindow(), batch.x.size(2), 8, 1);
-  // Indirectly: NLL must be finite even for extreme inputs.
-  EXPECT_TRUE(std::isfinite(model.Loss(batch).item()));
 }
 
 TEST(TransformerForecasterTest, NamedConfigsMatchPaperSettings) {

@@ -149,7 +149,6 @@ TEST(CheckpointTest, RoundTripAcrossAllRegisteredBaselines) {
   hp.hidden = 8;
   hp.ma_kernel = 5;
   hp.dropout = 0.0f;
-  hp.seasonal_period = 4;
 
   for (const std::string& name : models::AvailableModels()) {
     SCOPED_TRACE(name);

@@ -259,7 +259,7 @@ TEST(WindowDatasetTest, RejectsTooShortSeries) {
 TEST(SplitsTest, ChronologicalWithContext) {
   WindowConfig cfg{.input_len = 8, .label_len = 4, .pred_len = 4};
   TimeSeries ts = TinySeries(200);
-  DatasetSplits splits = MakeSplits(ts, cfg, 0.7, 0.1);
+  DatasetSplits splits = MakeSplits(ts, cfg);
   // Train covers rows [0, 140); val [132, 160); test [152, 200).
   EXPECT_EQ(splits.train.series().num_points(), 140);
   EXPECT_EQ(splits.val.series().num_points(), 160 - 132);
@@ -272,24 +272,33 @@ TEST(SplitsTest, ChronologicalWithContext) {
   EXPECT_GT(splits.test.series().value(40, 0), 0.5f);
 }
 
-// Under the serving default 32/16/16, val gets floor(n * 0.8) - (floor(n *
-// 0.7) - 32) rows. 0.7 + 0.1 rounds below 0.8, so 160 rows give a val end
-// of 127, not 128: 47 rows, one short of a window, while 159 and 161 rows
-// give 48.
+// Under the serving default 32/16/16, val gets n * 8 / 10 - (n * 7 / 10 -
+// 32) rows. 150 rows give 120 - 73 = 47, one short of a window; 159, 160
+// and 161 give 48 (160 * (0.7 + 0.1) in double would give 47).
 TEST(SplitsTest, ValidateSplitsAtTheRowBoundary) {
   const WindowConfig cfg{.input_len = 32, .label_len = 16, .pred_len = 16};
-  for (int64_t n : {159, 161}) {
+  for (int64_t n : {159, 160, 161}) {
     TimeSeries ts = TinySeries(n);
     EXPECT_TRUE(ValidateSplits(ts, cfg).ok()) << n << " rows";
     DatasetSplits splits = MakeSplits(ts, cfg);
     EXPECT_EQ(splits.val.size(), 1) << n << " rows";
   }
-  const Status status = ValidateSplits(TinySeries(160), cfg);
+  const Status status = ValidateSplits(TinySeries(150), cfg);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("val split of a series of 160 rows: 47 rows"),
+  EXPECT_NE(status.message().find("val split of a series of 150 rows: 47 rows"),
             std::string::npos)
       << status.ToString();
-  EXPECT_DEATH(MakeSplits(TinySeries(160), cfg), "val split .* 47 rows");
+  EXPECT_DEATH(MakeSplits(TinySeries(150), cfg), "val split .* 47 rows");
+}
+
+// Both bounds floor exactly: 1400 rows end train at 980 (1400 * 0.7 is
+// 979.99... in double) and val at 1120.
+TEST(SplitsTest, BoundsAreExactTenths) {
+  const WindowConfig cfg{.input_len = 8, .label_len = 4, .pred_len = 4};
+  DatasetSplits splits = MakeSplits(TinySeries(1400), cfg);
+  EXPECT_EQ(splits.train.series().num_points(), 980);
+  EXPECT_EQ(splits.val.series().num_points(), 1120 - (980 - 8));
+  EXPECT_EQ(splits.test.series().num_points(), 1400 - (1120 - 8));
 }
 
 TEST(SplitsTest, ValidateSplitsRejectsWhatMakeSplitsWouldAbortOn) {
@@ -297,7 +306,8 @@ TEST(SplitsTest, ValidateSplitsRejectsWhatMakeSplitsWouldAbortOn) {
   const TimeSeries ts = TinySeries(400);
   ASSERT_TRUE(ValidateSplits(ts, ok).ok());
   // Series too short for any train window, and each split's own window.
-  for (int64_t n : {20, 70, 150, 160}) {
+  // 156 is the longest series the split bounds reject at 32/16/16.
+  for (int64_t n : {20, 70, 150, 156}) {
     EXPECT_EQ(ValidateSplits(TinySeries(n), ok).code(),
               StatusCode::kInvalidArgument)
         << n << " rows";

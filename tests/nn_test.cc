@@ -14,7 +14,6 @@
 #include "nn/embedding.h"
 #include "nn/gru.h"
 #include "nn/layer_norm.h"
-#include "nn/lstm.h"
 #include "nn/linear.h"
 #include "nn/serialize.h"
 #include "tensor/gradcheck.h"
@@ -442,57 +441,6 @@ TEST(GruTest, GruSequenceChecksShapes) {
   EXPECT_DEATH(GruSequence(Tensor::Zeros({6, 12}), w_hh, b_hh), "gates");
   EXPECT_DEATH(GruSequence(gates, Tensor::Zeros({4, 11}), b_hh), "w_hh");
   EXPECT_DEATH(GruSequence(gates, w_hh, Tensor::Zeros({4})), "b_hh");
-}
-
-// -- LSTM -----------------------------------------------------------------------
-
-TEST(LstmTest, OutputShapes) {
-  Lstm lstm(3, 6, 2);
-  LstmOutput out = lstm.Forward(Tensor::Randn({4, 5, 3}));
-  EXPECT_EQ(out.output.shape(), (Shape{4, 5, 6}));
-  EXPECT_EQ(out.last_hidden.shape(), (Shape{2, 4, 6}));
-  EXPECT_EQ(out.last_cell.shape(), (Shape{2, 4, 6}));
-}
-
-TEST(LstmTest, LastOutputMatchesTopHidden) {
-  Lstm lstm(2, 4, 1);
-  LstmOutput out = lstm.Forward(Tensor::Randn({1, 6, 2}));
-  for (int64_t j = 0; j < 4; ++j) {
-    EXPECT_NEAR(out.output.at({0, 5, j}), out.last_hidden.at({0, 0, j}), 1e-6);
-  }
-}
-
-TEST(LstmTest, HiddenStaysBounded) {
-  Lstm lstm(1, 3, 1);
-  LstmOutput out = lstm.Forward(MulScalar(Tensor::Randn({2, 40, 1}), 50.0f));
-  for (int64_t i = 0; i < out.output.numel(); ++i) {
-    EXPECT_LE(std::fabs(out.output.data()[i]), 1.0f + 1e-5);
-  }
-}
-
-TEST(LstmTest, GradFlowsThroughTime) {
-  Lstm lstm(2, 3, 1);
-  Tensor x = Tensor::Randn({1, 5, 2});
-  x.set_requires_grad(true);
-  Sum(lstm.Forward(x).output).Backward();
-  Tensor g = x.grad();
-  float first = 0.0f;
-  for (int64_t j = 0; j < 2; ++j) first += std::fabs(g.at({0, 0, j}));
-  EXPECT_GT(first, 0.0f);
-}
-
-TEST(LstmTest, GradCheckSmall) {
-  Lstm lstm(2, 2, 1);
-  std::vector<Tensor> params = lstm.Parameters();
-  GradCheckResult r = CheckGradients(
-      [&](const std::vector<Tensor>&) {
-        Tensor x = Tensor::FromVector({0.2f, -0.1f, 0.4f, 0.3f, -0.6f, 0.5f},
-                                      {1, 3, 2});
-        LstmOutput out = lstm.Forward(x);
-        return Sum(Mul(out.output, out.output));
-      },
-      params, /*eps=*/1e-2, /*tolerance=*/8e-2);
-  EXPECT_TRUE(r.passed) << r.message;
 }
 
 // -- Embeddings -------------------------------------------------------------------------

@@ -5,11 +5,12 @@ Run as: serve_forecast_smoke_test.py <serve_forecast-binary>
 
 Trains a linear model into a fresh checkpoint directory, serves 16 requests
 through the one-tenant fleet while hot-reloading every 4 submissions, and
-checks the run exits 0 with "failed 0" in its summary. Then checks that bad
-data or window geometry (a 160-row CSV, whose val split is one row short of
-a window under the default 32/16/16 geometry; --input-len 5000; --label-len
-40 > input_len) exits 1 with an InvalidArgument message instead of dying on
-a signal.
+checks the run exits 0 with "failed 0" in its summary. Then checks that a
+160-row CSV, whose val split holds exactly one window under the default
+32/16/16 geometry, serves, and that bad data or window geometry (a 150-row
+CSV, whose val split is one row short of a window; --input-len 5000;
+--label-len 40 > input_len) exits 1 with an InvalidArgument message instead
+of dying on a signal.
 """
 
 import os
@@ -67,9 +68,20 @@ def main():
             print("FAIL: summary does not report 'failed 0'")
             return 1
 
+        edge_csv = os.path.join(workdir, "edge.csv")
+        write_csv(edge_csv, 160)
+        code, output = run([binary, "--model", "linear", "--requests", "1",
+                            "--csv", edge_csv])
+        if code != 0 or "failed 0\n" not in output:
+            print(output)
+            print("FAIL: 160-row CSV: exit code %d (want 0 with 'failed 0')"
+                  % code)
+            return 1
+        print("ok: 160-row CSV served")
+
         short_csv = os.path.join(workdir, "short.csv")
-        write_csv(short_csv, 160)
-        ok = check_rejected(binary, ["--csv", short_csv], "160-row CSV")
+        write_csv(short_csv, 150)
+        ok = check_rejected(binary, ["--csv", short_csv], "150-row CSV")
         ok &= check_rejected(binary, ["--input-len", "5000"], "--input-len 5000")
         ok &= check_rejected(binary, ["--label-len", "40"], "--label-len 40")
         if not ok:
