@@ -71,15 +71,6 @@ namespace internal {
 Tensor DenseAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                       bool causal);
 
-/// Banded attention over `width` taps per query, shared by sliding-window
-/// and log-sparse attention: query i attends to keys taps[i * width + j]
-/// with the additive `mask[i * width + j]` (0 or -1e9) on its score.
-/// q [BH, Lq, dk], k [BH, Lk, dk], v [BH, Lk, dv] -> [BH, Lq, dv]; taps and
-/// mask hold Lq * width entries.
-Tensor BandedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                       const std::vector<int64_t>& taps,
-                       std::vector<float> mask, int64_t width);
-
 }  // namespace internal
 }  // namespace conformer::attention
 

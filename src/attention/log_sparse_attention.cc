@@ -45,7 +45,7 @@ Tensor LogSparseAttention::Forward(const Tensor& q, const Tensor& k,
     }
   });
 
-  return internal::BandedAttention(q, k, v, taps, std::move(mask), width);
+  return BandedAttention(q, k, v, std::move(taps), std::move(mask), width);
 }
 
 }  // namespace conformer::attention

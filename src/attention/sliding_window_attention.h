@@ -1,7 +1,8 @@
 // Conformer's sliding-window attention (Section IV-B1): each point attends
 // to w/2 neighbours on each side, giving O(w L) time and memory. Implemented
-// with a differentiable banded gather rather than a dense mask so the linear
-// complexity is real, not simulated.
+// as one fused banded-attention op (conformer::BandedAttention) that reads
+// the neighbours' keys and values in place, rather than a dense mask, so the
+// linear complexity is real, not simulated.
 
 #ifndef CONFORMER_ATTENTION_SLIDING_WINDOW_ATTENTION_H_
 #define CONFORMER_ATTENTION_SLIDING_WINDOW_ATTENTION_H_

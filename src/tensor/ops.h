@@ -167,6 +167,19 @@ Tensor MseLoss(const Tensor& pred, const Tensor& target);
 /// exactly that float order. Backward is hand-written BPTT.
 Tensor GruSequence(const Tensor& gates, const Tensor& w_hh, const Tensor& b_hh);
 
+/// Banded attention over `width` taps per query, as a single op (the
+/// sliding-window and LogSparse patterns): query i of every row attends to
+/// keys taps[i * width + j] with the additive mask[i * width + j] (0 or
+/// -1e9) on its score. q [BH, Lq, dk], k [BH, Lk, dk], v [BH, Lk, dv] ->
+/// [BH, Lq, dv]; taps (in [0, Lk)) and mask hold Lq * width entries. Keys
+/// and values are read in place and only the [BH, Lq, W] softmax weights
+/// are saved. Bitwise equal to the composed IndexSelect / Mul / Sum /
+/// MulScalar / Add / Softmax graph; backward is hand-written, and both
+/// passes are parallel over BH only.
+Tensor BandedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                       std::vector<int64_t> taps, std::vector<float> mask,
+                       int64_t width);
+
 }  // namespace conformer
 
 #endif  // CONFORMER_TENSOR_OPS_H_

@@ -227,6 +227,197 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
   return result;
 }
 
+namespace {
+
+// BandedAttention's geometry: q [BH, Lq, dk], k [BH, Lk, dk], v [BH, Lk, dv]
+// and `width` taps per query.
+struct Band {
+  int64_t bh = 0;
+  int64_t lq = 0;
+  int64_t lk = 0;
+  int64_t dk = 0;
+  int64_t dv = 0;
+  int64_t width = 0;
+  float scale = 1.0f;
+
+  // Rows of BH per ParallelFor chunk: one row is Lq * W dot products and
+  // weighted sums of d floats.
+  int64_t Grain() const {
+    return std::max<int64_t>(
+        1, kernels::kGrainStrided /
+               std::max<int64_t>(1, lq * width * (dk + dv)));
+  }
+};
+
+// One query row's softmax weights when the forward saves none (plan replay
+// and no-grad calls). Thread-local and grown on first use, as GruStepScratch.
+float* BandWeightScratch(int64_t n) {
+  thread_local std::vector<float> scratch;
+  if (static_cast<int64_t>(scratch.size()) < n) scratch.resize(n);
+  return scratch.data();
+}
+
+// Writes out [BH, Lq, dv] and, when `weights` is non-null, the softmax
+// weights [BH, Lq, W]. Per (bh, i): score_j = DotN(q_i, k_tap) * scale +
+// mask_j, then SoftmaxRowN over the W scores, then out_i = +0 plus w_j * v_tap
+// for ascending j. DotN keeps SumN's bins, tail and fold, so every bit is
+// that of the composed Mul, Sum, MulScalar, Add, Softmax, Mul and Sum graph.
+void BandedAttentionForward(const Band& g, const float* q, const float* k,
+                            const float* v, const int64_t* taps,
+                            const float* mask, float* out, float* weights) {
+  ParallelFor(0, g.bh, g.Grain(), [&](int64_t b0, int64_t b1) {
+    float* row_scratch =
+        weights == nullptr ? BandWeightScratch(g.width) : nullptr;
+    for (int64_t b = b0; b < b1; ++b) {
+      const float* kb = k + b * g.lk * g.dk;
+      const float* vb = v + b * g.lk * g.dv;
+      for (int64_t i = 0; i < g.lq; ++i) {
+        const int64_t r = b * g.lq + i;
+        const int64_t* tap = taps + i * g.width;
+        const float* qi = q + r * g.dk;
+        float* w = weights == nullptr ? row_scratch : weights + r * g.width;
+        for (int64_t j = 0; j < g.width; ++j) {
+          w[j] = vec::DotN(qi, kb + tap[j] * g.dk, g.dk) * g.scale +
+                 mask[i * g.width + j];
+        }
+        vec::SoftmaxRowN(w, w, g.width);
+        float* o = out + r * g.dv;
+        std::fill(o, o + g.dv, 0.0f);
+        for (int64_t j = 0; j < g.width; ++j) {
+          vec::MulAddN(vb + tap[j] * g.dv, w[j], o, g.dv);
+        }
+      }
+    }
+  });
+}
+
+// Adds the gradients of q, k and v (each null when not wanted) into zeroed
+// buffers from the output gradient `gd` and the saved weights. Per (bh, i):
+// dw_j = sum_d g_d * v_tap,d and dot = sum_j dw_j * w_j, both sequential
+// from +0 (the broadcast-gradient and Softmax-backward orders); then
+// gs_j = w_j * (dw_j - dot) * scale, and dq_i += gs_j * k_tap,
+// dk_tap += gs_j * q_i and dv_tap += w_j * g in ascending (i, j): the
+// order of the composed graph's broadcast reduce and IndexSelect scatter.
+// dk and dv rows are shared across queries, so chunks own whole BH rows.
+void BandedAttentionBackward(const Band& g, const float* q, const float* k,
+                             const float* v, const int64_t* taps,
+                             const float* weights, const float* gd, float* dq,
+                             float* dk, float* dv) {
+  ParallelFor(0, g.bh, g.Grain(), [&](int64_t b0, int64_t b1) {
+    float* gs = BandWeightScratch(g.width);
+    for (int64_t b = b0; b < b1; ++b) {
+      const float* vb = v + b * g.lk * g.dv;
+      for (int64_t i = 0; i < g.lq; ++i) {
+        const int64_t r = b * g.lq + i;
+        const int64_t* tap = taps + i * g.width;
+        const float* w = weights + r * g.width;
+        const float* go = gd + r * g.dv;
+        float dot = 0.0f;
+        for (int64_t j = 0; j < g.width; ++j) {
+          const float* vt = vb + tap[j] * g.dv;
+          float dw = 0.0f;
+          for (int64_t d = 0; d < g.dv; ++d) dw += vt[d] * go[d];
+          gs[j] = dw;
+          dot += dw * w[j];
+        }
+        for (int64_t j = 0; j < g.width; ++j) {
+          gs[j] = w[j] * (gs[j] - dot) * g.scale;
+        }
+        for (int64_t j = 0; j < g.width; ++j) {
+          const int64_t key = b * g.lk + tap[j];
+          if (dq != nullptr) {
+            vec::MulAddN(k + key * g.dk, gs[j], dq + r * g.dk, g.dk);
+          }
+          if (dk != nullptr) {
+            vec::MulAddN(q + r * g.dk, gs[j], dk + key * g.dk, g.dk);
+          }
+          if (dv != nullptr) {
+            vec::MulAddN(go, w[j], dv + key * g.dv, g.dv);
+          }
+        }
+      }
+    }
+  });
+}
+
+// Runs fn(dst) with `t`'s zeroed gradient contribution buffer, or
+// fn(nullptr) when `t` needs no gradient.
+template <typename Fn>
+void WithGradBuffer(const Tensor& t, Fn fn) {
+  if (!internal::NeedsGrad(t)) {
+    fn(nullptr);
+    return;
+  }
+  internal::AccumulateGradWith(*t.impl(), fn);
+}
+
+}  // namespace
+
+Tensor BandedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                       std::vector<int64_t> taps, std::vector<float> mask,
+                       int64_t width) {
+  CONFORMER_PROFILE_SCOPE("banded_attention");
+  CONFORMER_CHECK(q.defined() && k.defined() && v.defined());
+  CONFORMER_CHECK(q.dim() == 3 && k.dim() == 3 && v.dim() == 3)
+      << "BandedAttention expects [BH, L, d] operands";
+  Band g;
+  g.bh = q.size(0);
+  g.lq = q.size(1);
+  g.lk = k.size(1);
+  g.dk = q.size(2);
+  g.dv = v.size(2);
+  g.width = width;
+  g.scale = 1.0f / std::sqrt(static_cast<float>(g.dk));
+  CONFORMER_CHECK(k.size(0) == g.bh && v.size(0) == g.bh &&
+                  k.size(2) == g.dk && v.size(1) == g.lk)
+      << "BandedAttention shapes q " << ShapeToString(q.shape()) << ", k "
+      << ShapeToString(k.shape()) << ", v " << ShapeToString(v.shape());
+  CONFORMER_CHECK_GE(width, 1);
+  CONFORMER_CHECK_EQ(static_cast<int64_t>(taps.size()), g.lq * width);
+  CONFORMER_CHECK_EQ(static_cast<int64_t>(mask.size()), g.lq * width);
+  for (int64_t t : taps) {
+    CONFORMER_CHECK(t >= 0 && t < g.lk)
+        << "tap " << t << " out of range [0, " << g.lk << ")";
+  }
+
+  const bool record = internal::ShouldRecord({q, k, v});
+  std::vector<float> out = internal::AcquireBuffer(g.bh * g.lq * g.dv);
+  std::vector<float> weights;
+  if (record) weights.resize(g.bh * g.lq * width);
+  BandedAttentionForward(g, q.data(), k.data(), v.data(), taps.data(),
+                         mask.data(), out.data(),
+                         record ? weights.data() : nullptr);
+
+  Tensor q_in = q;
+  Tensor k_in = k;
+  Tensor v_in = v;
+  auto backward = [q_in, k_in, v_in, g, taps,
+                   weights = std::move(weights)](TensorImpl& self) mutable {
+    WithGradBuffer(q_in, [&](float* dq) {
+      WithGradBuffer(k_in, [&](float* dk) {
+        WithGradBuffer(v_in, [&](float* dv) {
+          BandedAttentionBackward(g, q_in.data(), k_in.data(), v_in.data(),
+                                  taps.data(), weights.data(),
+                                  self.grad.data(), dq, dk, dv);
+        });
+      });
+    });
+  };
+  Tensor result = internal::MakeOpResult({g.bh, g.lq, g.dv}, std::move(out),
+                                         {q, k, v}, std::move(backward),
+                                         "BandedAttention");
+  internal::MaybeCaptureStep(
+      result, {q, k, v},
+      {"BandedAttention", /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
+        return [g, taps = std::move(taps), mask = std::move(mask)](
+                   const float* const* in, float* o) {
+          BandedAttentionForward(g, in[0], in[1], in[2], taps.data(),
+                                 mask.data(), o, /*weights=*/nullptr);
+        };
+      });
+  return result;
+}
+
 Tensor Softmax(const Tensor& a, int64_t dim) {
   CONFORMER_PROFILE_SCOPE("softmax");
   CONFORMER_CHECK(a.defined());

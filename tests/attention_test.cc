@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "attention/attention.h"
 #include "attention/multi_head_attention.h"
@@ -444,6 +447,196 @@ TEST(AutoCorrelationTest, ConstantSeriesIsFixedPoint) {
   for (int64_t i = 0; i < out.numel(); ++i) {
     EXPECT_NEAR(out.data()[i], 2.5f, 1e-5);
   }
+}
+
+// -- fused banded attention vs the composed graph ---------------------------
+//
+// BandedAttention is one op that must be bitwise equal, forward and
+// backward, to the graph it replaced: two IndexSelect band gathers, then
+// Mul + Sum, MulScalar, the mask Add, Softmax and Mul + Sum. That graph is
+// kept here as the naive oracle.
+
+Tensor ComposedBandedAttention(const Tensor& q, const Tensor& k,
+                               const Tensor& v,
+                               const std::vector<int64_t>& taps,
+                               std::vector<float> mask, int64_t width) {
+  const int64_t bh = q.size(0);
+  const int64_t lq = q.size(1);
+  const int64_t dk = q.size(2);
+  const int64_t dv = v.size(2);
+  Tensor k_band = Reshape(IndexSelect(k, 1, taps), {bh, lq, width, dk});
+  Tensor v_band = Reshape(IndexSelect(v, 1, taps), {bh, lq, width, dv});
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
+  Tensor q_exp = Reshape(q, {bh, lq, 1, dk});
+  Tensor scores = MulScalar(Sum(Mul(q_exp, k_band), {-1}), scale);
+  scores = Add(scores, Tensor::FromVector(std::move(mask), {1, lq, width}));
+  Tensor weights = Softmax(scores, -1);
+  return Sum(Mul(Reshape(weights, {bh, lq, width, 1}), v_band), {2});
+}
+
+struct Band {
+  std::vector<int64_t> taps;
+  std::vector<float> mask;
+  int64_t width = 0;
+};
+
+// SlidingWindowAttention's taps: centre i * lk / lq, w/2 per side, clamped
+// and masked out of range or (causal) right of the centre.
+Band WindowBand(int64_t lq, int64_t lk, int64_t window, bool causal) {
+  const int64_t half = window / 2;
+  Band band{{}, {}, 2 * half + 1};
+  for (int64_t i = 0; i < lq; ++i) {
+    const int64_t centre = lq == lk ? i : (i * lk) / lq;
+    for (int64_t j = 0; j < band.width; ++j) {
+      const int64_t pos = centre - half + j;
+      band.taps.push_back(std::clamp<int64_t>(pos, 0, lk - 1));
+      const bool masked = pos < 0 || pos >= lk || (causal && pos > centre);
+      band.mask.push_back(masked ? -1e9f : 0.0f);
+    }
+  }
+  return band;
+}
+
+// LogSparseAttention's taps at sub_len 1: self, i - 1, then i - 2, i - 4,
+// ...; negative positions clamp to 0 and are masked.
+Band LogSparseBand(int64_t length) {
+  const int64_t log_taps =
+      static_cast<int64_t>(std::floor(std::log2(std::max<int64_t>(1, length)))) +
+      1;
+  Band band{{}, {}, 2 + log_taps};
+  for (int64_t i = 0; i < length; ++i) {
+    std::vector<int64_t> pos = {i, i - 1};
+    for (int64_t step = 2, t = 0; t < log_taps; ++t, step <<= 1) {
+      pos.push_back(i - step);
+    }
+    for (int64_t p : pos) {
+      band.taps.push_back(std::max<int64_t>(p, 0));
+      band.mask.push_back(p < 0 ? -1e9f : 0.0f);
+    }
+  }
+  return band;
+}
+
+using BandFn = std::function<Tensor(const Tensor&, const Tensor&,
+                                    const Tensor&)>;
+
+// The output and the q, k, v gradients of sum(f(q, k, v) * g) for a random
+// g, from fresh leaves.
+std::vector<Tensor> BandForwardBackward(const BandFn& f, int64_t bh,
+                                        int64_t lq, int64_t lk, int64_t dk,
+                                        int64_t dv) {
+  Tensor q = RandTensor({bh, lq, dk}, 90).set_requires_grad(true);
+  Tensor k = RandTensor({bh, lk, dk}, 91).set_requires_grad(true);
+  Tensor v = RandTensor({bh, lk, dv}, 92).set_requires_grad(true);
+  Tensor out = f(q, k, v);
+  Sum(Mul(out, RandTensor({bh, lq, dv}, 93))).Backward();
+  return {out, q.grad(), k.grad(), v.grad()};
+}
+
+void ExpectBitwiseEqual(const std::vector<Tensor>& got,
+                        const std::vector<Tensor>& want) {
+  const char* names[] = {"output", "dq", "dk", "dv"};
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(got[t].shape(), want[t].shape()) << names[t];
+    if (got[t].numel() == 0) continue;
+    EXPECT_EQ(0, std::memcmp(got[t].data(), want[t].data(),
+                             sizeof(float) * got[t].numel()))
+        << names[t] << " differs from the composed graph";
+  }
+}
+
+// The op against the oracle on `band`, and, when `mech` is given, the
+// mechanism (its own tap builder + the op) against the oracle too.
+void ExpectFusedMatchesComposed(const Band& band, int64_t bh, int64_t lq,
+                                int64_t lk, int64_t dk, int64_t dv,
+                                const AttentionMechanism* mech = nullptr,
+                                bool causal = false) {
+  const std::vector<Tensor> want = BandForwardBackward(
+      [&](const Tensor& q, const Tensor& k, const Tensor& v) {
+        return ComposedBandedAttention(q, k, v, band.taps, band.mask,
+                                       band.width);
+      },
+      bh, lq, lk, dk, dv);
+  ExpectBitwiseEqual(
+      BandForwardBackward(
+          [&](const Tensor& q, const Tensor& k, const Tensor& v) {
+            return BandedAttention(q, k, v, band.taps, band.mask, band.width);
+          },
+          bh, lq, lk, dk, dv),
+      want);
+  if (mech != nullptr) {
+    ExpectBitwiseEqual(
+        BandForwardBackward(
+            [&](const Tensor& q, const Tensor& k, const Tensor& v) {
+              return mech->Forward(q, k, v, causal);
+            },
+            bh, lq, lk, dk, dv),
+        want);
+  }
+}
+
+TEST(BandedAttentionTest, PaperWindowMatchesComposedGraph) {
+  // w = 2 (three taps) at the training geometry's head width.
+  auto mech = MakeAttention(AttentionKind::kSlidingWindow,
+                            AttentionConfig{.window = 2});
+  ExpectFusedMatchesComposed(WindowBand(48, 48, 2, false), 6, 48, 48, 8, 8,
+                             mech.get());
+}
+
+TEST(BandedAttentionTest, CrossLengthMatchesComposedGraph) {
+  auto mech = MakeAttention(AttentionKind::kSlidingWindow,
+                            AttentionConfig{.window = 2});
+  ExpectFusedMatchesComposed(WindowBand(4, 8, 2, false), 2, 4, 8, 2, 2,
+                             mech.get());
+  // Longer keys than queries with wide heads: dk past one 8-lane bin.
+  ExpectFusedMatchesComposed(WindowBand(12, 29, 4, false), 3, 12, 29, 19, 11);
+}
+
+TEST(BandedAttentionTest, CausalMatchesComposedGraph) {
+  auto mech = MakeAttention(AttentionKind::kSlidingWindow,
+                            AttentionConfig{.window = 4});
+  ExpectFusedMatchesComposed(WindowBand(10, 10, 4, true), 3, 10, 10, 5, 3,
+                             mech.get(), /*causal=*/true);
+}
+
+TEST(BandedAttentionTest, WidthOneMatchesComposedGraph) {
+  auto mech = MakeAttention(AttentionKind::kSlidingWindow,
+                            AttentionConfig{.window = 1});
+  ExpectFusedMatchesComposed(WindowBand(6, 6, 1, false), 2, 6, 6, 3, 3,
+                             mech.get());
+}
+
+TEST(BandedAttentionTest, WindowWiderThanSequenceMatchesComposedGraph) {
+  // 17 taps over 5 positions: most are clamped and masked.
+  auto mech = MakeAttention(AttentionKind::kSlidingWindow,
+                            AttentionConfig{.window = 16});
+  ExpectFusedMatchesComposed(WindowBand(5, 5, 16, false), 2, 5, 5, 9, 4,
+                             mech.get());
+}
+
+TEST(BandedAttentionTest, LogSparseTapsMatchComposedGraph) {
+  auto mech = MakeAttention(AttentionKind::kLogSparse, {});
+  ExpectFusedMatchesComposed(LogSparseBand(24), 4, 24, 24, 8, 8, mech.get());
+}
+
+TEST(BandedAttentionTest, GradCheck) {
+  const Band band = WindowBand(5, 7, 2, true);
+  GradCheckResult r = CheckGradients(
+      [&](const std::vector<Tensor>& in) {
+        Tensor out =
+            BandedAttention(in[0], in[1], in[2], band.taps, band.mask,
+                            band.width);
+        return Sum(Mul(out, out));
+      },
+      {RandTensor({2, 5, 3}, 94).set_requires_grad(true),
+       RandTensor({2, 7, 3}, 95).set_requires_grad(true),
+       RandTensor({2, 7, 2}, 96).set_requires_grad(true)});
+  EXPECT_TRUE(r.passed) << r.message << " (max err " << r.max_abs_error << ")";
+}
+
+TEST(BandedAttentionTest, EmptyBatchMatchesComposedGraph) {
+  ExpectFusedMatchesComposed(WindowBand(4, 4, 2, false), 0, 4, 4, 3, 2);
 }
 
 // -- MultiHeadAttention ---------------------------------------------------------------------
