@@ -46,6 +46,9 @@ int Main() {
   config.model_name = "conformer";
   config.window = {.input_len = 32, .label_len = 16, .pred_len = 16};
   config.dims = 7;
+  // The eager forward: the sequential, direct, queue and overload rows are
+  // the baseline that the serve_plan_bN rows below are gated against.
+  config.use_static_plan = false;
   // Untrained weights: throughput does not depend on parameter values, and
   // skipping training keeps the smoke job fast and deterministic.
   std::unique_ptr<serve::InferenceSession> session =

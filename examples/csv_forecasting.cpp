@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   // Deployment: the run's last checkpoint holds the best-validation weights
   // Fit returned; load them the way InferenceSession does.
   core::ConformerModel deployed(config, window, series.dims());
-  Status restored = train::LoadLatestCheckpointParams(ckpt_dir, &deployed);
+  Status restored = train::LoadCheckpointParams(ckpt_dir, &deployed);
   if (!restored.ok()) {
     std::fprintf(stderr, "load failed: %s\n", restored.ToString().c_str());
     return 1;

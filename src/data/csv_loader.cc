@@ -96,24 +96,6 @@ Result<TimeSeries> ParseCsv(const std::string& text, const std::string& name,
                     std::move(columns));
 }
 
-Status SaveCsv(const TimeSeries& series, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out << "date";
-  for (const std::string& name : series.column_names()) out << "," << name;
-  out << "\n";
-  out.precision(9);
-  for (int64_t i = 0; i < series.num_points(); ++i) {
-    out << FormatTimestamp(series.timestamps()[i]);
-    for (int64_t d = 0; d < series.dims(); ++d) {
-      out << "," << series.value(i, d);
-    }
-    out << "\n";
-  }
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
 Result<TimeSeries> LoadCsv(const std::string& path, const CsvOptions& options) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open: " + path);

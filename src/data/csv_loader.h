@@ -32,10 +32,6 @@ Result<TimeSeries> LoadCsv(const std::string& path,
 Result<TimeSeries> ParseCsv(const std::string& text, const std::string& name,
                             const CsvOptions& options = {});
 
-/// Writes `series` to `path` in the same date,value... format LoadCsv
-/// reads (round-trip safe up to float formatting).
-Status SaveCsv(const TimeSeries& series, const std::string& path);
-
 }  // namespace conformer::data
 
 #endif  // CONFORMER_DATA_CSV_LOADER_H_

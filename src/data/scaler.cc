@@ -43,14 +43,4 @@ float StandardScaler::InverseValue(float standardized, int64_t dim) const {
   return standardized * std_[dim] + mean_[dim];
 }
 
-void StandardScaler::InverseInPlace(std::vector<float>* values) const {
-  CONFORMER_CHECK(fitted());
-  const int64_t dims = static_cast<int64_t>(mean_.size());
-  CONFORMER_CHECK_EQ(static_cast<int64_t>(values->size()) % dims, 0);
-  for (size_t i = 0; i < values->size(); ++i) {
-    const int64_t d = static_cast<int64_t>(i) % dims;
-    (*values)[i] = (*values)[i] * std_[d] + mean_[d];
-  }
-}
-
 }  // namespace conformer::data

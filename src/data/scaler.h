@@ -22,9 +22,6 @@ class StandardScaler {
   /// Undoes the transform for column `dim` of a scalar value.
   float InverseValue(float standardized, int64_t dim) const;
 
-  /// Undoes the transform in-place for a [.., dims] flat buffer.
-  void InverseInPlace(std::vector<float>* values) const;
-
   bool fitted() const { return !mean_.empty(); }
   const std::vector<float>& mean() const { return mean_; }
   const std::vector<float>& std() const { return std_; }

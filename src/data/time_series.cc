@@ -52,30 +52,6 @@ TimeSeries TimeSeries::Column(int64_t dim) const {
   return out;
 }
 
-TimeSeries TimeSeries::Downsample(int64_t factor, bool average) const {
-  CONFORMER_CHECK_GE(factor, 1);
-  const int64_t n = num_points() / factor;
-  CONFORMER_CHECK_GT(n, 0) << "factor larger than the series";
-  std::vector<int64_t> ts(n);
-  std::vector<float> vals(n * dims_);
-  for (int64_t i = 0; i < n; ++i) {
-    ts[i] = timestamps_[i * factor];
-    for (int64_t d = 0; d < dims_; ++d) {
-      if (average) {
-        double acc = 0.0;
-        for (int64_t k = 0; k < factor; ++k) acc += value(i * factor + k, d);
-        vals[i * dims_ + d] = static_cast<float>(acc / factor);
-      } else {
-        vals[i * dims_ + d] = value(i * factor, d);
-      }
-    }
-  }
-  TimeSeries out(name_ + "/x" + std::to_string(factor), std::move(ts),
-                 std::move(vals), dims_, column_names_);
-  out.target_column_ = target_column_;
-  return out;
-}
-
 double TimeSeries::ColumnCorrelation(int64_t a, int64_t b) const {
   const int64_t n = num_points();
   CONFORMER_CHECK_GT(n, 1);

@@ -49,11 +49,6 @@ class TimeSeries {
   /// Pearson correlation between two columns (Fig. 2 support).
   double ColumnCorrelation(int64_t a, int64_t b) const;
 
-  /// Reduces temporal resolution by `factor`: keeps every factor-th
-  /// timestamp; values are block means when `average`, else point samples.
-  /// (E.g. factor 4 turns the 15-minute ETTm1 grid into ETTh1's hourly one.)
-  TimeSeries Downsample(int64_t factor, bool average = true) const;
-
  private:
   std::string name_;
   std::vector<int64_t> timestamps_;

@@ -101,10 +101,13 @@ struct SplitBounds {
 // 979.99... and 160 * (0.7 + 0.1) is 127.99..., each a row short.
 SplitBounds FractionBounds(int64_t n) { return {n * 7 / 10, n * 8 / 10}; }
 
-// Each split, with the input_len context rows val and test borrow from the
-// split before them, must hold one window.
-Status CheckSplitBounds(int64_t n, const WindowConfig& config,
-                        SplitBounds bounds) {
+}  // namespace
+
+Status ValidateSplits(const TimeSeries& series, const WindowConfig& config) {
+  // Each split, with the input_len context rows val and test borrow from
+  // the split before them, must hold one window.
+  const int64_t n = series.num_points();
+  const SplitBounds bounds = FractionBounds(n);
   const int64_t begins[] = {
       0, std::max<int64_t>(0, bounds.train_end - config.input_len),
       std::max<int64_t>(0, bounds.val_end - config.input_len)};
@@ -122,8 +125,10 @@ Status CheckSplitBounds(int64_t n, const WindowConfig& config,
   return Status::OK();
 }
 
-DatasetSplits SplitAt(const TimeSeries& series, const WindowConfig& config,
-                      SplitBounds bounds) {
+DatasetSplits MakeSplits(const TimeSeries& series, const WindowConfig& config) {
+  const Status valid = ValidateSplits(series, config);
+  CONFORMER_CHECK(valid.ok()) << valid.ToString();
+  const SplitBounds bounds = FractionBounds(series.num_points());
   StandardScaler scaler;
   scaler.Fit(series.Slice(0, bounds.train_end));
   const TimeSeries scaled = scaler.Transform(series);
@@ -137,39 +142,6 @@ DatasetSplits SplitAt(const TimeSeries& series, const WindowConfig& config,
       WindowDataset(scaled.Slice(test_begin, series.num_points()), config),
       scaler,
   };
-}
-
-}  // namespace
-
-Status ValidateSplits(const TimeSeries& series, const WindowConfig& config) {
-  const int64_t n = series.num_points();
-  return CheckSplitBounds(n, config, FractionBounds(n));
-}
-
-DatasetSplits MakeSplits(const TimeSeries& series, const WindowConfig& config) {
-  const int64_t n = series.num_points();
-  const SplitBounds bounds = FractionBounds(n);
-  const Status valid = CheckSplitBounds(n, config, bounds);
-  CONFORMER_CHECK(valid.ok()) << valid.ToString();
-  return SplitAt(series, config, bounds);
-}
-
-Result<DatasetSplits> MakeSplitsByDate(const TimeSeries& series,
-                                       const WindowConfig& config,
-                                       int64_t val_start, int64_t test_start) {
-  if (val_start >= test_start) {
-    return Status::InvalidArgument("val_start must precede test_start");
-  }
-  const std::vector<int64_t>& ts = series.timestamps();
-  const auto first_at_or_after = [&](int64_t stamp) {
-    return static_cast<int64_t>(
-        std::lower_bound(ts.begin(), ts.end(), stamp) - ts.begin());
-  };
-  const SplitBounds bounds{first_at_or_after(val_start),
-                           first_at_or_after(test_start)};
-  Status valid = CheckSplitBounds(series.num_points(), config, bounds);
-  if (!valid.ok()) return valid;
-  return SplitAt(series, config, bounds);
 }
 
 BatchIterator::BatchIterator(const WindowDataset& dataset, int64_t batch_size,

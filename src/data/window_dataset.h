@@ -79,14 +79,6 @@ Status ValidateSplits(const TimeSeries& series, const WindowConfig& config);
 /// ValidateSplits would reject.
 DatasetSplits MakeSplits(const TimeSeries& series, const WindowConfig& config);
 
-/// Splits at explicit calendar boundaries (Unix seconds): rows with
-/// timestamp < val_start train, < test_start validate, the rest test —
-/// the "train/val/test is 12/2/2 months" convention of Table I. Fails when
-/// any split is too short to hold one window.
-Result<DatasetSplits> MakeSplitsByDate(const TimeSeries& series,
-                                       const WindowConfig& config,
-                                       int64_t val_start, int64_t test_start);
-
 /// \brief Iterates a dataset in shuffled minibatches.
 class BatchIterator {
  public:

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "data/time_features.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/profiler.h"
@@ -30,57 +29,6 @@ Status NotRegistered(const std::string& key) {
 Status NotAdded(const std::string& key) {
   return Status::Unavailable("fleet is shut down; tenant \"" + key +
                              "\" not added");
-}
-
-// Full-geometry admission check against the session's window. Every
-// dimension the merge path (Concat along dim 0) and the model forward will
-// touch is pinned here — all four batch tensors, not just x — so a
-// malformed request becomes a status on its own future instead of a
-// CHECK-abort that would take down the dispatcher and every co-batched
-// request. Pinning every non-batch dimension also makes admitted requests
-// mutually Concat-compatible by construction: no per-merge geometry key is
-// needed.
-Status ValidateRequest(const data::Batch& request,
-                       const SessionConfig& config) {
-  const data::WindowConfig& window = config.window;
-  if (!request.x.defined()) {
-    return Status::InvalidArgument("empty request batch");
-  }
-  // Rank first: request.size() reads x.size(0).
-  if (request.x.dim() != 3 || request.x.size(1) != window.input_len ||
-      request.x.size(2) != config.dims) {
-    return Status::InvalidArgument(
-        "request x geometry does not match the session window");
-  }
-  if (request.size() < 1) {
-    return Status::InvalidArgument("empty request batch");
-  }
-  const int64_t rows = request.size();
-  const int64_t decoder_len = window.label_len + window.pred_len;
-  const struct {
-    const Tensor& tensor;
-    const char* name;
-    int64_t len;
-    int64_t features;
-  } required[] = {
-      {request.x_mark, "x_mark", window.input_len, data::kNumTimeFeatures},
-      {request.y, "y", decoder_len, config.dims},
-      {request.y_mark, "y_mark", decoder_len, data::kNumTimeFeatures},
-  };
-  for (const auto& field : required) {
-    if (!field.tensor.defined()) {
-      return Status::InvalidArgument(std::string("request ") + field.name +
-                                     " is undefined");
-    }
-    if (field.tensor.dim() != 3 || field.tensor.size(0) != rows ||
-        field.tensor.size(1) != field.len ||
-        field.tensor.size(2) != field.features) {
-      return Status::InvalidArgument(std::string("request ") + field.name +
-                                     " geometry does not match the session"
-                                     " window");
-    }
-  }
-  return Status::OK();
 }
 
 FleetConfig Sanitize(FleetConfig config) {
@@ -211,7 +159,10 @@ Status FleetServer::AddTenant(const std::string& key, const TenantSpec& spec) {
 
 Status FleetServer::AdmitLocked(const Tenant& tenant,
                                 const data::Batch& request) const {
-  Status valid = ValidateRequest(request, tenant.session->config());
+  // The session's full-geometry check: a malformed request becomes a status
+  // on its own future instead of aborting the dispatcher, and admitted
+  // requests are Concat-compatible by construction.
+  Status valid = tenant.session->Validate(request);
   if (!valid.ok()) return valid;
   if (shutdown_) return Status::Unavailable("queue is shut down");
   if (tenant.circuit_open) return Status::Unavailable(kCircuitOpen);

@@ -150,7 +150,8 @@ class FleetServer {
 
   /// Enqueues one request (any batch size >= 1 matching the tenant's window
   /// geometry) and returns a future for its forecast-or-status. Admission
-  /// validates the full data::Batch contract — x [B, input_len, D], x_mark
+  /// runs the tenant session's InferenceSession::Validate, which checks the
+  /// full data::Batch contract — x [B, input_len, D], x_mark
   /// [B, input_len, kNumTimeFeatures], y [B, label_len + pred_len, D],
   /// y_mark likewise, all defined — so every admitted request is safe to
   /// co-batch and forward. Refusals resolve the future immediately:

@@ -3,9 +3,9 @@
 #include <utility>
 
 #include "core/conformer_model.h"
+#include "data/time_features.h"
 #include "serve/fault_injector.h"
 #include "train/checkpoint.h"
-#include "util/binary_io.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 
@@ -13,35 +13,31 @@ namespace conformer::serve {
 
 namespace {
 
-std::string JoinPath(const std::string& dir, const std::string& name) {
-  if (dir.empty() || dir.back() == '/') return dir + name;
-  return dir + "/" + name;
-}
-
-// Restores `model`'s parameters from a .ckpt file or a MANIFEST directory
-// (newest-first with fallback) — the shared loader behind Open and Reload.
-Status RestoreParams(const std::string& checkpoint, nn::Module* model) {
-  return io::FileExists(JoinPath(checkpoint, "MANIFEST"))
-             ? train::LoadLatestCheckpointParams(checkpoint, model)
-             : train::LoadCheckpointParams(checkpoint, model);
-}
-
-// Plan-cache key: the shapes of the four batch tensors ("-" when undefined).
-// Two batches with equal keys replay through the same plan.
-std::string GeometryKey(const data::Batch& batch) {
-  std::string key;
-  for (const Tensor* t : {&batch.x, &batch.x_mark, &batch.y, &batch.y_mark}) {
-    if (!t->defined()) {
-      key += "-|";
-      continue;
-    }
-    for (int64_t i = 0; i < t->dim(); ++i) {
-      if (i > 0) key += 'x';
-      key += std::to_string(t->size(i));
-    }
-    key += '|';
+// Builds `config`'s architecture in eval mode and restores it from
+// `checkpoint` (a .ckpt file or a MANIFEST directory; empty keeps the
+// fresh initialization) — the one model loader behind Open and Reload.
+Result<std::unique_ptr<models::Forecaster>> LoadModel(
+    const SessionConfig& config, const std::string& checkpoint) {
+  Result<std::unique_ptr<models::Forecaster>> model = models::MakeForecaster(
+      config.model_name, config.window, config.dims, config.hyper);
+  if (!model.ok()) return model.status();
+  model.value()->SetTraining(false);
+  if (!checkpoint.empty()) {
+    Status restored =
+        train::LoadCheckpointParams(checkpoint, model.value().get());
+    if (!restored.ok()) return restored;
   }
-  return key;
+  return model;
+}
+
+// Plan-cache key: the shapes of the four batch tensors, {} when undefined.
+std::vector<Shape> BatchShapes(const data::Batch& batch) {
+  std::vector<Shape> shapes;
+  shapes.reserve(4);
+  for (const Tensor* t : {&batch.x, &batch.x_mark, &batch.y, &batch.y_mark}) {
+    shapes.push_back(t->defined() ? t->shape() : Shape{});
+  }
+  return shapes;
 }
 
 }  // namespace
@@ -62,26 +58,59 @@ InferenceSession::InferenceSession(SessionConfig config,
 Result<std::unique_ptr<InferenceSession>> InferenceSession::Open(
     const SessionConfig& config, const std::string& checkpoint) {
   CONFORMER_PROFILE_SCOPE_CAT("serve", "session_open");
-  Result<std::unique_ptr<models::Forecaster>> model = models::MakeForecaster(
-      config.model_name, config.window, config.dims, config.hyper);
+  Result<std::unique_ptr<models::Forecaster>> model =
+      LoadModel(config, checkpoint);
   if (!model.ok()) return model.status();
-  model.value()->SetTraining(false);
-
-  if (!checkpoint.empty()) {
-    Status restored = RestoreParams(checkpoint, model.value().get());
-    if (!restored.ok()) return restored;
-  }
-
   return std::unique_ptr<InferenceSession>(
       new InferenceSession(config, std::move(model.value())));
 }
 
+Status InferenceSession::Validate(const data::Batch& batch) const {
+  const data::WindowConfig& window = config_.window;
+  if (!batch.x.defined()) {
+    return Status::InvalidArgument("empty request batch");
+  }
+  // Rank first: batch.size() reads x.size(0).
+  if (batch.x.dim() != 3 || batch.x.size(1) != window.input_len ||
+      batch.x.size(2) != config_.dims) {
+    return Status::InvalidArgument(
+        "request x geometry does not match the session window");
+  }
+  if (batch.size() < 1) {
+    return Status::InvalidArgument("empty request batch");
+  }
+  const int64_t rows = batch.size();
+  const int64_t decoder_len = window.label_len + window.pred_len;
+  const struct {
+    const Tensor& tensor;
+    const char* name;
+    int64_t len;
+    int64_t features;
+  } required[] = {
+      {batch.x_mark, "x_mark", window.input_len, data::kNumTimeFeatures},
+      {batch.y, "y", decoder_len, config_.dims},
+      {batch.y_mark, "y_mark", decoder_len, data::kNumTimeFeatures},
+  };
+  for (const auto& field : required) {
+    if (!field.tensor.defined()) {
+      return Status::InvalidArgument(std::string("request ") + field.name +
+                                     " is undefined");
+    }
+    if (field.tensor.dim() != 3 || field.tensor.size(0) != rows ||
+        field.tensor.size(1) != field.len ||
+        field.tensor.size(2) != field.features) {
+      return Status::InvalidArgument(std::string("request ") + field.name +
+                                     " geometry does not match the session"
+                                     " window");
+    }
+  }
+  return Status::OK();
+}
+
 Forecast InferenceSession::Predict(const data::Batch& batch) {
   CONFORMER_PROFILE_SCOPE_CAT("serve", "predict");
-  CONFORMER_CHECK(batch.x.defined() && batch.size() > 0)
-      << "Predict() needs a non-empty batch";
-  CONFORMER_CHECK_EQ(batch.x.size(1), config_.window.input_len);
-  CONFORMER_CHECK_EQ(batch.x.size(2), config_.dims);
+  const Status valid = Validate(batch);
+  CONFORMER_CHECK(valid.ok()) << valid.ToString();
 
   const int64_t start_ns = prof::internal::NowNs();
   NoGradGuard no_grad;
@@ -126,16 +155,10 @@ Status InferenceSession::Reload(const std::string& checkpoint) {
   if (checkpoint.empty()) {
     staged = Status::InvalidArgument("Reload() needs a checkpoint path");
   } else {
-    Result<std::unique_ptr<models::Forecaster>> built =
-        models::MakeForecaster(config_.model_name, config_.window,
-                               config_.dims, config_.hyper);
-    if (!built.ok()) {
-      staged = built.status();
-    } else {
-      incoming = std::move(built.value());
-      incoming->SetTraining(false);
-      staged = RestoreParams(checkpoint, incoming.get());
-    }
+    Result<std::unique_ptr<models::Forecaster>> loaded =
+        LoadModel(config_, checkpoint);
+    staged = loaded.status();
+    if (loaded.ok()) incoming = std::move(loaded.value());
   }
   if (staged.ok() && FaultInjector::ShouldFailReload(config_.fault_scope)) {
     staged = Status::IOError("injected reload fault before swap");
@@ -153,7 +176,6 @@ Status InferenceSession::Reload(const std::string& checkpoint) {
     std::lock_guard<std::mutex> lock(mu_);
     model_ = std::move(incoming);
     plans_.clear();
-    failed_geometries_.clear();
   }
   registry.GetCounter("serve.reloads").Increment();
   registry.GetHistogram("serve.reload_seconds")
@@ -162,18 +184,16 @@ Status InferenceSession::Reload(const std::string& checkpoint) {
 }
 
 Tensor InferenceSession::PredictPoint(const data::Batch& batch) {
-  const std::string key = GeometryKey(batch);
-
-  auto it = plans_.find(key);
+  std::vector<Shape> shapes = BatchShapes(batch);
+  auto it = plans_.find(shapes);
   if (it != plans_.end()) {
+    if (it->second == nullptr) {
+      plan_fallbacks_.Increment();
+      return model_->Predict(batch);
+    }
     CONFORMER_PROFILE_SCOPE_CAT("serve", "plan_replay");
     plan_hits_.Increment();
     return it->second->Run(batch);
-  }
-
-  if (failed_geometries_.count(key) > 0) {
-    plan_fallbacks_.Increment();
-    return model_->Predict(batch);
   }
 
   // First call at this geometry: trace the eager forward into a plan. The
@@ -183,25 +203,27 @@ Tensor InferenceSession::PredictPoint(const data::Batch& batch) {
   Result<runtime::TraceResult> traced = runtime::CapturePredictPlan(
       [this](const data::Batch& b) { return model_->Predict(b); }, batch);
   if (!traced.ok()) {
-    CONFORMER_LOG(Warning) << "static plan trace failed for " << key << ": "
+    CONFORMER_LOG(Warning) << "static plan trace failed for x "
+                           << ShapeToString(batch.x.shape()) << ": "
                            << traced.status().message()
                            << "; serving eagerly for this geometry";
-    failed_geometries_.insert(key);
+    plans_.emplace(std::move(shapes), nullptr);
     plan_fallbacks_.Increment();
     return model_->Predict(batch);
   }
   metrics::Registry::Global().GetCounter("serve.plan_builds").Increment();
   Tensor output = traced.value().output;
-  plans_.emplace(key, std::make_unique<runtime::PlanExecutor>(
-                          std::move(traced.value().plan)));
+  plans_.emplace(std::move(shapes), std::make_unique<runtime::PlanExecutor>(
+                                        std::move(traced.value().plan)));
   return output;
 }
 
 const runtime::Plan* InferenceSession::plan_for(
     const data::Batch& batch) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = plans_.find(GeometryKey(batch));
-  return it == plans_.end() ? nullptr : &it->second->plan();
+  auto it = plans_.find(BatchShapes(batch));
+  return it == plans_.end() || it->second == nullptr ? nullptr
+                                                      : &it->second->plan();
 }
 
 }  // namespace conformer::serve

@@ -16,11 +16,11 @@
 #ifndef CONFORMER_SERVE_INFERENCE_SESSION_H_
 #define CONFORMER_SERVE_INFERENCE_SESSION_H_
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "baselines/registry.h"
 #include "data/window_dataset.h"
@@ -45,8 +45,9 @@ struct SessionConfig {
   /// the first Predict for each batch geometry traces the model into an
   /// AOT-planned replay program; later calls with the same geometry replay it
   /// with zero per-op dispatch. Models the tracer cannot plan (and geometries
-  /// that fail to trace) fall back to the eager path permanently.
-  bool use_static_plan = false;
+  /// that fail to trace) fall back to the eager path permanently. `false`
+  /// serves every call through the eager forward.
+  bool use_static_plan = true;
   /// Label compared against FaultInjector::Config::scope: a scoped chaos
   /// drill (CONFORMER_SERVE_FAULTS="...,scope=KEY") faults only sessions
   /// carrying the matching label. FleetServer::AddTenant stamps each
@@ -75,9 +76,18 @@ class InferenceSession {
   static Result<std::unique_ptr<InferenceSession>> Open(
       const SessionConfig& config, const std::string& checkpoint);
 
+  /// The request contract, read from the session's immutable config only:
+  /// all four batch tensors defined, rank 3, with at least one row, equal
+  /// row counts, and the window's lengths and widths. Every admitted batch
+  /// is therefore Concat-compatible with every other. InvalidArgument
+  /// names the first field that breaks it. Needs no lock.
+  Status Validate(const data::Batch& batch) const;
+
   /// Forecasts one batch. Bumps serve.predicts and observes
   /// serve.predict_seconds; quantile sampling (when enabled) draws from the
-  /// session's own RNG and does not perturb the point forecast.
+  /// session's own RNG and does not perturb the point forecast. A batch that
+  /// fails Validate() aborts with its message: callers that take untrusted
+  /// input validate first (FleetServer admission does).
   Forecast Predict(const data::Batch& batch);
 
   /// Hot-swaps parameters from `checkpoint` (file or MANIFEST directory,
@@ -106,7 +116,7 @@ class InferenceSession {
 
   /// Point forecast through the plan cache: hit -> replay, miss -> trace and
   /// cache (the traced output is the response), failed trace -> eager with a
-  /// negative-cache entry so the geometry is not re-traced every call.
+  /// null-executor entry so the geometry is not re-traced every call.
   Tensor PredictPoint(const data::Batch& batch);
 
   SessionConfig config_;
@@ -123,10 +133,10 @@ class InferenceSession {
   /// cache). Reload stages its expensive work before taking this.
   mutable std::mutex mu_;
   std::unique_ptr<models::Forecaster> model_;
-  /// Geometry-keyed plan cache; guarded by mu_, invalidated on Reload.
-  std::unordered_map<std::string, std::unique_ptr<runtime::PlanExecutor>>
+  /// Plan cache keyed by the shapes of the batch's four tensors; a null
+  /// executor records a failed trace. Guarded by mu_, cleared on Reload.
+  std::map<std::vector<Shape>, std::unique_ptr<runtime::PlanExecutor>>
       plans_;
-  std::unordered_set<std::string> failed_geometries_;
 };
 
 }  // namespace conformer::serve

@@ -1,6 +1,7 @@
 // Process-wide tensor allocation accounting. The Fig. 5 memory-cost bench
 // compares peak allocation across attention mechanisms, so every TensorImpl
-// reports its data buffer here, and its gradient buffer while it holds one.
+// reports its data buffer here, and its gradient buffer while it holds one;
+// float state an op saves for its backward is a Storage, counted the same.
 
 #ifndef CONFORMER_TENSOR_ALLOC_STATS_H_
 #define CONFORMER_TENSOR_ALLOC_STATS_H_

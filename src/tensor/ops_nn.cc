@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "tensor/capture.h"
 #include "tensor/kernels.h"
@@ -140,10 +141,14 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
 
   const bool record = internal::ShouldRecord({gates, w_hh, b_hh});
   std::vector<float> out = internal::AcquireBuffer(batch * length * hs);
-  std::vector<float> saved;
-  if (record) saved.resize(length * batch * 5 * hs);
+  // The BPTT state is a Storage so AllocStats counts it like a tensor value.
+  std::shared_ptr<Storage> saved;
+  if (record) {
+    saved = std::make_shared<Storage>(
+        std::vector<float>(length * batch * 5 * hs));
+  }
   GruSequenceForward(gates.data(), w_hh.data(), b_hh.data(), batch, length, hs,
-                     out.data(), record ? saved.data() : nullptr);
+                     out.data(), record ? saved->data() : nullptr);
 
   Tensor gates_in = gates;
   Tensor w_in = w_hh;
@@ -152,7 +157,7 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
                    length, hs, g3](TensorImpl& self) mutable {
     const int64_t rows = length * batch;
     const float* gd = self.grad.data();
-    const float* saved_h = saved.data();
+    const float* saved_h = saved->data();
     const float* saved_act = saved_h + rows * hs;
     // dgh: gradient wrt each step's recurrent pre-activations h·W_hh + b_hh,
     // time-major [L, B, 3h] so one step's block is a contiguous Gemm operand.
@@ -382,11 +387,15 @@ Tensor BandedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
 
   const bool record = internal::ShouldRecord({q, k, v});
   std::vector<float> out = internal::AcquireBuffer(g.bh * g.lq * g.dv);
-  std::vector<float> weights;
-  if (record) weights.resize(g.bh * g.lq * width);
+  // Saved as a Storage so AllocStats counts it like a tensor value.
+  std::shared_ptr<Storage> weights;
+  if (record) {
+    weights = std::make_shared<Storage>(
+        std::vector<float>(g.bh * g.lq * width));
+  }
   BandedAttentionForward(g, q.data(), k.data(), v.data(), taps.data(),
                          mask.data(), out.data(),
-                         record ? weights.data() : nullptr);
+                         record ? weights->data() : nullptr);
 
   Tensor q_in = q;
   Tensor k_in = k;
@@ -397,7 +406,7 @@ Tensor BandedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
       WithGradBuffer(k_in, [&](float* dk) {
         WithGradBuffer(v_in, [&](float* dv) {
           BandedAttentionBackward(g, q_in.data(), k_in.data(), v_in.data(),
-                                  taps.data(), weights.data(),
+                                  taps.data(), weights->data(),
                                   self.grad.data(), dq, dk, dv);
         });
       });

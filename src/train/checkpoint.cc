@@ -1,5 +1,7 @@
 #include "train/checkpoint.h"
 
+#include <filesystem>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -196,6 +198,56 @@ Status ParseSections(const std::string& contents, const std::string& path,
   return Status::OK();
 }
 
+// Reads only the "model" section of one checkpoint file into `model`,
+// after every section's CRC validates.
+Status LoadParamsFile(const std::string& path, nn::Module* model) {
+  CONFORMER_PROFILE_SCOPE_CAT("checkpoint", "load_params");
+  Result<std::string> contents = io::ReadFileToString(path);
+  if (!contents.ok()) return contents.status();
+
+  std::map<std::string, std::string> sections;
+  CONFORMER_RETURN_IF_ERROR(ParseSections(contents.value(), path, &sections));
+  auto it = sections.find("model");
+  if (it == sections.end()) {
+    return Status::InvalidArgument(path + ": missing section 'model'");
+  }
+  std::istringstream in(it->second, std::ios::binary);
+  return nn::DeserializeModule(model, in, path + ": model section",
+                               it->second.size());
+}
+
+// The one MANIFEST walk: tries `dir`'s retained checkpoints newest-first
+// with `load` and falls back to an older one when a newer fails
+// validation. NotFound without a manifest or with an empty one; IOError
+// when every retained checkpoint fails.
+Status LoadNewestValid(const std::string& dir,
+                       const std::function<Status(const std::string&)>& load) {
+  Result<std::vector<std::string>> list =
+      CheckpointManager(dir).ListCheckpoints();
+  if (!list.ok()) return list.status();
+  if (list.value().empty()) {
+    return Status::NotFound("checkpoint manifest is empty in " + dir);
+  }
+  Status last_error = Status::OK();
+  for (auto it = list.value().rbegin(); it != list.value().rend(); ++it) {
+    const Status st = load(*it);
+    if (st.ok()) {
+      if (it != list.value().rbegin()) {
+        CONFORMER_LOG(Warning)
+            << "newest checkpoint failed validation ("
+            << last_error.ToString() << "); fell back to " << *it;
+      }
+      return st;
+    }
+    last_error = st;
+    CONFORMER_LOG(Warning) << "checkpoint " << *it
+                           << " failed to load: " << st.ToString();
+  }
+  return Status::IOError("every retained checkpoint in " + dir +
+                         " failed to load; last error: " +
+                         last_error.message());
+}
+
 }  // namespace
 
 Status LoadCheckpointFile(const std::string& path, nn::Module* model,
@@ -263,39 +315,13 @@ Status LoadCheckpointFile(const std::string& path, nn::Module* model,
 }
 
 Status LoadCheckpointParams(const std::string& path, nn::Module* model) {
-  CONFORMER_PROFILE_SCOPE_CAT("checkpoint", "load_params");
-  Result<std::string> contents = io::ReadFileToString(path);
-  if (!contents.ok()) return contents.status();
-
-  std::map<std::string, std::string> sections;
-  CONFORMER_RETURN_IF_ERROR(ParseSections(contents.value(), path, &sections));
-  auto it = sections.find("model");
-  if (it == sections.end()) {
-    return Status::InvalidArgument(path + ": missing section 'model'");
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    return LoadNewestValid(path, [model](const std::string& file) {
+      return LoadParamsFile(file, model);
+    });
   }
-  std::istringstream in(it->second, std::ios::binary);
-  return nn::DeserializeModule(model, in, path + ": model section",
-                               it->second.size());
-}
-
-Status LoadLatestCheckpointParams(const std::string& dir, nn::Module* model) {
-  const CheckpointManager manager(dir);
-  Result<std::vector<std::string>> list = manager.ListCheckpoints();
-  if (!list.ok()) return list.status();
-  if (list.value().empty()) {
-    return Status::NotFound("checkpoint manifest is empty in " + dir);
-  }
-  Status last_error = Status::OK();
-  for (auto it = list.value().rbegin(); it != list.value().rend(); ++it) {
-    const Status st = LoadCheckpointParams(*it, model);
-    if (st.ok()) return st;
-    last_error = st;
-    CONFORMER_LOG(Warning) << "checkpoint " << *it
-                           << " failed to load params: " << st.ToString();
-  }
-  return Status::IOError("every retained checkpoint in " + dir +
-                         " failed to load; last error: " +
-                         last_error.message());
+  return LoadParamsFile(path, model);
 }
 
 CheckpointManager::CheckpointManager(std::string dir, int64_t keep_last)
@@ -402,29 +428,9 @@ Status CheckpointManager::RestoreLatest(nn::Module* model,
                                         Adam* optimizer,
                                         TrainProgress* progress) const {
   CONFORMER_PROFILE_SCOPE_CAT("checkpoint", "restore");
-  Result<std::vector<std::string>> list = ListCheckpoints();
-  if (!list.ok()) return list.status();
-  if (list.value().empty()) {
-    return Status::NotFound("checkpoint manifest is empty in " + dir_);
-  }
-  Status last_error = Status::OK();
-  for (auto it = list.value().rbegin(); it != list.value().rend(); ++it) {
-    const Status st = LoadCheckpointFile(*it, model, optimizer, progress);
-    if (st.ok()) {
-      if (it != list.value().rbegin()) {
-        CONFORMER_LOG(Warning)
-            << "newest checkpoint failed validation ("
-            << last_error.ToString() << "); fell back to " << *it;
-      }
-      return Status::OK();
-    }
-    last_error = st;
-    CONFORMER_LOG(Warning) << "checkpoint " << *it
-                           << " failed to load: " << st.ToString();
-  }
-  return Status::IOError("every retained checkpoint in " + dir_ +
-                         " failed to load; last error: " +
-                         last_error.message());
+  return LoadNewestValid(dir_, [&](const std::string& path) {
+    return LoadCheckpointFile(path, model, optimizer, progress);
+  });
 }
 
 }  // namespace conformer::train

@@ -63,15 +63,13 @@ Status LoadCheckpointFile(const std::string& path, nn::Module* model,
                           Adam* optimizer, TrainProgress* progress);
 
 /// Reads only the "model" section of a checkpoint into `model` — the
-/// serving path's loader (docs/SERVING.md). Every section's CRC is still
-/// validated (corruption anywhere in the file rejects it), but no optimizer
-/// / RNG / trainer state is required, matched, or touched.
+/// serving path's loader (docs/SERVING.md). `path` is a .ckpt file or a
+/// checkpoint directory, whose MANIFEST is walked newest-first like
+/// CheckpointManager::RestoreLatest, loading the newest checkpoint whose
+/// sections all validate. Every section's CRC is still validated
+/// (corruption anywhere in the file rejects it), but no optimizer / RNG /
+/// trainer state is required, matched, or touched.
 Status LoadCheckpointParams(const std::string& path, nn::Module* model);
-
-/// Params-only restore from a checkpoint *directory*: walks the MANIFEST
-/// newest-first like CheckpointManager::RestoreLatest, loading the newest
-/// checkpoint whose sections all validate. NotFound without a manifest.
-Status LoadLatestCheckpointParams(const std::string& dir, nn::Module* model);
 
 /// \brief Owns a checkpoint directory: atomic writes, a manifest of the
 /// last K checkpoints, and newest-first restore with fallback.

@@ -36,20 +36,4 @@ double MetricAccumulator::mape() const {
   return count_ > 0 ? sum_ape_ / static_cast<double>(count_) : 0.0;
 }
 
-double BandCoverage(const Tensor& lower, const Tensor& upper,
-                    const Tensor& target) {
-  CONFORMER_CHECK_EQ(lower.numel(), target.numel());
-  CONFORMER_CHECK_EQ(upper.numel(), target.numel());
-  const int64_t n = target.numel();
-  if (n == 0) return 0.0;
-  int64_t inside = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (target.data()[i] >= lower.data()[i] &&
-        target.data()[i] <= upper.data()[i]) {
-      ++inside;
-    }
-  }
-  return static_cast<double>(inside) / static_cast<double>(n);
-}
-
 }  // namespace conformer::train

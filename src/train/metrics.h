@@ -37,11 +37,6 @@ struct EvalMetrics {
   double mae = 0.0;
 };
 
-/// Fraction of `target` elements inside [lower, upper] — the empirical
-/// coverage of an uncertainty band (Fig. 6 support).
-double BandCoverage(const Tensor& lower, const Tensor& upper,
-                    const Tensor& target);
-
 }  // namespace conformer::train
 
 #endif  // CONFORMER_TRAIN_METRICS_H_

@@ -34,25 +34,6 @@ std::string Strip(const std::string& text) {
   return text.substr(begin, end - begin);
 }
 
-std::string Join(const std::vector<std::string>& parts, const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
-bool StartsWith(const std::string& text, const std::string& prefix) {
-  return text.size() >= prefix.size() &&
-         text.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool EndsWith(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 std::string ToLower(const std::string& text) {
   std::string out = text;
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));

@@ -17,13 +17,6 @@ std::vector<std::string> Split(const std::string& text, char sep);
 /// Removes leading and trailing ASCII whitespace.
 std::string Strip(const std::string& text);
 
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, const std::string& sep);
-
-/// True if `text` starts with / ends with the given prefix / suffix.
-bool StartsWith(const std::string& text, const std::string& prefix);
-bool EndsWith(const std::string& text, const std::string& suffix);
-
 /// ASCII lower-casing.
 std::string ToLower(const std::string& text);
 

@@ -663,6 +663,50 @@ TEST(GradOwnershipTest, GradientBuffersAreCountedOnce) {
   EXPECT_EQ(GetAllocStats().current_bytes, before);
 }
 
+// Bytes `call` keeps live beyond its result while the result is held. The
+// result and its tape are dropped before returning; nothing may stay live.
+template <typename Fn>
+int64_t SavedBytes(Fn call) {
+  const int64_t before = GetAllocStats().current_bytes;
+  int64_t saved = 0;
+  {
+    const Tensor out = call();
+    saved = GetAllocStats().current_bytes - before -
+            out.numel() * static_cast<int64_t>(sizeof(float));
+  }
+  EXPECT_EQ(GetAllocStats().current_bytes, before);
+  return saved;
+}
+
+TEST(GradOwnershipTest, OpSavedStateIsCountedUntilTheTapeIsDropped) {
+  constexpr int64_t kFloat = sizeof(float);
+  // GruSequence saves h_{t-1} and r, z, n, gh_n per step: [L, B, 5h].
+  const int64_t b = 3, l = 5, h = 4;
+  const Tensor gates = Leaf({b, l, 3 * h}, 21);
+  const Tensor w_hh = Leaf({h, 3 * h}, 22);
+  const Tensor b_hh = Leaf({3 * h}, 23);
+  const auto gru = [&] { return GruSequence(gates, w_hh, b_hh); };
+  EXPECT_EQ(SavedBytes(gru), l * b * 5 * h * kFloat);
+
+  // BandedAttention saves its softmax weights: [BH, Lq, W].
+  const int64_t bh = 2, lq = 6, lk = 8, d = 4, width = 3;
+  const Tensor q = Leaf({bh, lq, d}, 24);
+  const Tensor k = Leaf({bh, lk, d}, 25);
+  const Tensor v = Leaf({bh, lk, d}, 26);
+  std::vector<int64_t> taps;
+  for (int64_t i = 0; i < lq; ++i) {
+    for (int64_t j = 0; j < width; ++j) taps.push_back(i + j);
+  }
+  const std::vector<float> mask(lq * width, 0.0f);
+  const auto band = [&] { return BandedAttention(q, k, v, taps, mask, width); };
+  EXPECT_EQ(SavedBytes(band), bh * lq * width * kFloat);
+
+  // Without a tape neither op saves anything.
+  NoGradGuard no_grad;
+  EXPECT_EQ(SavedBytes(gru), 0);
+  EXPECT_EQ(SavedBytes(band), 0);
+}
+
 // Peak bytes allocated during the backward pass of a chain of `n` Tanh ops.
 int64_t BackwardPeakBytes(int n) {
   Tensor x = Leaf({1024}, 8);

@@ -262,6 +262,38 @@ TEST(CheckpointTest, FallsBackToPreviousCheckpointWhenNewestIsCorrupt) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CheckpointTest, LoadParamsFromDirectoryTakesNewestThenFallsBack) {
+  const std::string dir = MakeTempDir("params_dir");
+  nn::Linear model(3, 2);
+  Adam opt(model.Parameters(), 0.1f);
+  CheckpointManager manager(dir, 2);
+  model.Parameters()[0].data()[0] = 11.0f;
+  ASSERT_TRUE(manager.Save(model, opt, MakeProgress(1)).ok());
+  model.Parameters()[0].data()[0] = 22.0f;
+  ASSERT_TRUE(manager.Save(model, opt, MakeProgress(2)).ok());
+
+  // A directory loads its newest checkpoint, like RestoreLatest.
+  nn::Linear target(3, 2);
+  ASSERT_TRUE(LoadCheckpointParams(dir, &target).ok());
+  EXPECT_EQ(target.Parameters()[0].data()[0], 22.0f);
+
+  // A corrupt newest checkpoint falls back to the one before it.
+  const std::string newest = manager.ListCheckpoints().value().back();
+  std::string bytes = ReadFileBytes(newest);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0xFF);
+  WriteFileBytes(newest, bytes);
+  nn::Linear fallback(3, 2);
+  ASSERT_TRUE(LoadCheckpointParams(dir, &fallback).ok());
+  EXPECT_EQ(fallback.Parameters()[0].data()[0], 11.0f);
+
+  // A directory without a manifest is NotFound, not a file-read error.
+  const std::string empty = MakeTempDir("params_dir_empty");
+  EXPECT_EQ(LoadCheckpointParams(empty, &fallback).code(),
+            StatusCode::kNotFound);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(empty);
+}
+
 TEST(CheckpointTest, RetentionPrunesOldCheckpoints) {
   const std::string dir = MakeTempDir("retention");
   nn::Linear model(3, 2);

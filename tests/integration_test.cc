@@ -99,7 +99,7 @@ TEST(IntegrationTest, CheckpointRoundTripPreservesPredictions) {
 
   core::ConformerModel restored(config, splits.train.config(),
                                 splits.train.dims());
-  ASSERT_TRUE(train::LoadLatestCheckpointParams(dir, &restored).ok());
+  ASSERT_TRUE(train::LoadCheckpointParams(dir, &restored).ok());
 
   model.SetTraining(false);
   restored.SetTraining(false);

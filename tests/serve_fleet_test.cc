@@ -139,6 +139,8 @@ TEST(FleetServerTest, ServesMixedHorizonTenantsBatchTransparently) {
   spec8.queue = {.max_batch_size = 4, .max_queue_delay_us = 200};
   TenantSpec spec16;
   spec16.session = LinearConfig(splits16.test.dims(), 16);
+  // One eager tenant beside one plan-replay tenant (the default).
+  spec16.session.use_static_plan = false;
   spec16.queue = {.max_batch_size = 4, .max_queue_delay_us = 200};
   ASSERT_TRUE(fleet.AddTenant("linear@8", spec8).ok());
   ASSERT_TRUE(fleet.AddTenant("linear@16", spec16).ok());

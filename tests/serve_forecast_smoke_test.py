@@ -5,7 +5,10 @@ Run as: serve_forecast_smoke_test.py <serve_forecast-binary>
 
 Trains a linear model into a fresh checkpoint directory, serves 16 requests
 through the one-tenant fleet while hot-reloading every 4 submissions, and
-checks the run exits 0 with "failed 0" in its summary. Then checks that a
+checks the run exits 0 with "failed 0" in its summary and, from its
+--metrics-out JSON, that every batch was served by a static plan. A second
+run of single-series batches over the same checkpoint checks that plans are
+replayed across hot reloads (serve.plan_hits > 0). Then checks that a
 160-row CSV, whose val split holds exactly one window under the default
 32/16/16 geometry, serves, and that bad data or window geometry (a 150-row
 CSV, whose val split is one row short of a window; --input-len 5000;
@@ -13,6 +16,7 @@ CSV, whose val split is one row short of a window; --input-len 5000;
 of dying on a signal.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -33,6 +37,14 @@ def write_csv(path, rows):
             day, hour = divmod(i, 24)
             f.write("2020-01-%02d %02d:00:00,%d.5,%d.25\n"
                     % (1 + day, hour, i % 7, i % 5))
+
+
+def plan_counters(path):
+    """serve.plan_{builds,hits,fallbacks} from a --metrics-out file."""
+    with open(path) as f:
+        counters = json.load(f)["counters"]
+    return {name: counters.get("serve.plan_" + name, 0)
+            for name in ("builds", "hits", "fallbacks")}
 
 
 def check_rejected(binary, args, label):
@@ -56,10 +68,11 @@ def main():
     try:
         checkpoint = os.path.join(workdir, "ckpt")
         os.mkdir(checkpoint)
+        metrics = os.path.join(workdir, "metrics.json")
         code, output = run(
             [binary, "--model", "linear", "--requests", "16",
              "--train-if-missing", "--checkpoint", checkpoint,
-             "--reload-every-n", "4"])
+             "--reload-every-n", "4", "--metrics-out", metrics])
         print(output)
         if code != 0:
             print("FAIL: exit code %d" % code)
@@ -67,6 +80,27 @@ def main():
         if "failed 0\n" not in output:
             print("FAIL: summary does not report 'failed 0'")
             return 1
+        plans = plan_counters(metrics)
+        if plans["builds"] == 0 or plans["fallbacks"] != 0:
+            print("FAIL: not served from the static plan: %s" % plans)
+            return 1
+
+        # One series per batch: 16 batches of one geometry, and each of the
+        # 4 reloads clears at most one plan, so at most 5 are traced and at
+        # least 11 batches replay a plan.
+        code, output = run(
+            [binary, "--model", "linear", "--requests", "16",
+             "--clients", "1", "--max-batch", "1", "--checkpoint", checkpoint,
+             "--reload-every-n", "4", "--metrics-out", metrics])
+        plans = plan_counters(metrics)
+        if (code != 0 or "failed 0\n" not in output
+                or "hot reloads: 4 ok" not in output
+                or plans["hits"] == 0 or plans["fallbacks"] != 0):
+            print(output)
+            print("FAIL: plan replay across hot reloads: exit code %d, %s"
+                  % (code, plans))
+            return 1
+        print("ok: plan replay across hot reloads: %s" % plans)
 
         edge_csv = os.path.join(workdir, "edge.csv")
         write_csv(edge_csv, 160)

@@ -1,7 +1,9 @@
 // Serving-layer suite (docs/SERVING.md): inference-mode bitwise parity with
 // the recording forward pass, the inference guard's state handling, params-only
-// checkpoint loading, checkpoint -> InferenceSession -> Predict round-trips
-// and batched-vs-single bitwise transparency for every registry model,
+// checkpoint loading, checkpoint -> InferenceSession -> Predict round-trips,
+// the session's request contract, the default plan-replay path, and
+// batched-vs-single bitwise transparency for every registry model on both
+// the plan and the eager path,
 // one-tenant fleet coalescing/drain behaviour, and the latency quantile
 // helper behind the CLI's p50/p95/p99 summary.
 
@@ -10,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "data/time_features.h"
 #include "serve/stats.h"
 #include "serve_test_util.h"
 
@@ -174,7 +177,7 @@ TEST(InferenceSessionTest, EarlyStoppedRunServesFitsBestWeights) {
 
   auto loaded =
       models::MakeForecaster("gru", TestWindow(), splits.test.dims()).value();
-  ASSERT_TRUE(train::LoadLatestCheckpointParams(dir, loaded.get()).ok());
+  ASSERT_TRUE(train::LoadCheckpointParams(dir, loaded.get()).ok());
   const std::vector<Tensor> want = model->Parameters();
   const std::vector<Tensor> got = loaded->Parameters();
   ASSERT_EQ(want.size(), got.size());
@@ -229,6 +232,77 @@ TEST(InferenceSessionTest, ConformerQuantileBandOrdersAroundPoint) {
                             "point forecast across sampling calls");
 }
 
+// -- Request contract and the default plan ---------------------------------
+
+TEST(InferenceSessionTest, ValidateRejectsEachMalformedField) {
+  data::DatasetSplits splits = MakeTestSplits();
+  auto session = InferenceSession::Open(LinearConfig(splits.test.dims()), "");
+  ASSERT_TRUE(session.ok());
+  const data::Batch good = splits.test.GetRange(0, 2);
+  EXPECT_TRUE(session.value()->Validate(good).ok());
+
+  const int64_t dims = splits.test.dims();
+  const int64_t in_len = TestWindow().input_len;
+  const int64_t dec_len = TestWindow().label_len + TestWindow().pred_len;
+  const int64_t f = data::kNumTimeFeatures;
+  struct Case {
+    const char* what;
+    Tensor data::Batch::*field;
+    Tensor value;
+  };
+  const Case cases[] = {
+      {"undefined x", &data::Batch::x, Tensor()},
+      {"mis-shaped x", &data::Batch::x, Tensor::Zeros({2, in_len, dims + 1})},
+      {"rank-2 x", &data::Batch::x, Tensor::Zeros({2, in_len})},
+      {"empty x", &data::Batch::x, Tensor::Zeros({0, in_len, dims})},
+      {"undefined x_mark", &data::Batch::x_mark, Tensor()},
+      {"mis-shaped x_mark", &data::Batch::x_mark,
+       Tensor::Zeros({2, in_len - 1, f})},
+      {"undefined y", &data::Batch::y, Tensor()},
+      {"mis-shaped y", &data::Batch::y, Tensor::Zeros({2, dec_len, dims - 1})},
+      {"undefined y_mark", &data::Batch::y_mark, Tensor()},
+      {"mis-shaped y_mark", &data::Batch::y_mark,
+       Tensor::Zeros({2, dec_len, f + 1})},
+      {"row-count mismatch", &data::Batch::y,
+       Tensor::Zeros({3, dec_len, dims})},
+  };
+  for (const Case& c : cases) {
+    data::Batch bad = good;
+    bad.*c.field = c.value;
+    EXPECT_EQ(session.value()->Validate(bad).code(),
+              StatusCode::kInvalidArgument)
+        << c.what;
+  }
+}
+
+TEST(InferenceSessionDeathTest, PredictAbortsWithTheValidatorsMessage) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  data::DatasetSplits splits = MakeTestSplits();
+  auto session = InferenceSession::Open(LinearConfig(splits.test.dims()), "");
+  ASSERT_TRUE(session.ok());
+  data::Batch bad = splits.test.GetRange(0, 1);
+  bad.y = Tensor::Zeros({1, TestWindow().label_len, splits.test.dims()});
+  EXPECT_DEATH(session.value()->Predict(bad),
+               "request y geometry does not match the session window");
+}
+
+TEST(InferenceSessionTest, DefaultConfigServesFromThePlan) {
+  data::DatasetSplits splits = MakeTestSplits();
+  SessionConfig config;
+  config.window = TestWindow();
+  config.dims = splits.test.dims();
+  auto session = InferenceSession::Open(config, "");
+  ASSERT_TRUE(session.ok());
+  const data::Batch batch = splits.test.GetRange(0, 3);
+  EXPECT_EQ(session.value()->plan_for(batch), nullptr);
+  const Tensor traced = session.value()->Predict(batch).point;
+  ASSERT_NE(session.value()->plan_for(batch), nullptr);
+  const Tensor replayed = session.value()->Predict(batch).point;
+  const Tensor eager = session.value()->model().Predict(batch);
+  ExpectTensorsBitwiseEqual(traced, eager, "traced vs eager");
+  ExpectTensorsBitwiseEqual(replayed, eager, "replayed vs eager");
+}
+
 // -- Batching transparency -------------------------------------------------
 
 TEST(InferenceSessionTest, BatchedPredictBitwiseEqualsSingles) {
@@ -236,23 +310,29 @@ TEST(InferenceSessionTest, BatchedPredictBitwiseEqualsSingles) {
   // Data-dependent host logic (TimesNet-lite's per-series FFT periods,
   // Autoformer's per-row top-k lags) must still be a pure function of each
   // row.
-  for (const std::string& name : models::AvailableModels()) {
-    SessionConfig config;
-    config.model_name = name;
-    config.window = TestWindow();
-    config.dims = splits.test.dims();
-    auto session = InferenceSession::Open(config, "");
-    ASSERT_TRUE(session.ok()) << name;
+  // Both serving paths: plan replay (the default) and the eager forward.
+  for (const bool plan : {true, false}) {
+    for (const std::string& name : models::AvailableModels()) {
+      SessionConfig config;
+      config.model_name = name;
+      config.window = TestWindow();
+      config.dims = splits.test.dims();
+      config.use_static_plan = plan;
+      auto session = InferenceSession::Open(config, "");
+      ASSERT_TRUE(session.ok()) << name;
 
-    const int64_t kBatch = 4;
-    const data::Batch merged = splits.test.GetRange(0, kBatch);
-    const Tensor batched = session.value()->Predict(merged).point;
-    for (int64_t r = 0; r < kBatch; ++r) {
-      const Tensor single =
-          session.value()->Predict(splits.test.GetRange(r, 1)).point;
-      const Tensor row = Slice(batched, 0, r, r + 1);
-      ExpectTensorsBitwiseEqual(
-          single, row, name + " row " + std::to_string(r) + " of micro-batch");
+      const int64_t kBatch = 4;
+      const data::Batch merged = splits.test.GetRange(0, kBatch);
+      const Tensor batched = session.value()->Predict(merged).point;
+      for (int64_t r = 0; r < kBatch; ++r) {
+        const Tensor single =
+            session.value()->Predict(splits.test.GetRange(r, 1)).point;
+        const Tensor row = Slice(batched, 0, r, r + 1);
+        ExpectTensorsBitwiseEqual(single, row,
+                                  name + (plan ? " plan" : " eager") +
+                                      " row " + std::to_string(r) +
+                                      " of micro-batch");
+      }
     }
   }
 }

@@ -124,13 +124,6 @@ TEST(MetricsTest, MapeAgainstKnownValues) {
   EXPECT_NEAR(acc.mape(), 0.1, 1e-9);
 }
 
-TEST(MetricsTest, BandCoverage) {
-  Tensor lower = Tensor::FromVector({0, 0, 0, 0}, {4});
-  Tensor upper = Tensor::FromVector({1, 1, 1, 1}, {4});
-  Tensor target = Tensor::FromVector({0.5f, 2.0f, -1.0f, 1.0f}, {4});
-  EXPECT_NEAR(BandCoverage(lower, upper, target), 0.5, 1e-12);
-}
-
 // -- trainer -----------------------------------------------------------------------
 
 data::DatasetSplits SmallSplits() {

@@ -71,18 +71,6 @@ TEST(StringUtilTest, Strip) {
   EXPECT_EQ(Strip("abc"), "abc");
 }
 
-TEST(StringUtilTest, Join) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-}
-
-TEST(StringUtilTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("conformer", "con"));
-  EXPECT_FALSE(StartsWith("con", "conformer"));
-  EXPECT_TRUE(EndsWith("table2.csv", ".csv"));
-  EXPECT_FALSE(EndsWith("csv", "table.csv"));
-}
-
 TEST(StringUtilTest, ParseDoubleStrict) {
   EXPECT_DOUBLE_EQ(ParseDouble("3.25").value(), 3.25);
   EXPECT_DOUBLE_EQ(ParseDouble(" -1e-3 ").value(), -1e-3);

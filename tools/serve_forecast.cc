@@ -51,7 +51,6 @@ struct Options {
   int64_t breaker = 0;
   int64_t quantile_samples = 0;
   double coverage = 0.9;
-  bool static_plan = false;
   int64_t input_len = 32;
   int64_t label_len = 16;
   int64_t pred_len = 16;
@@ -82,8 +81,6 @@ void Usage() {
       "                        batches (default 0 = disabled)\n"
       "  --quantile-samples N  flow samples per request for a quantile band\n"
       "  --coverage C          band coverage (default 0.9)\n"
-      "  --static-plan         serve point forecasts through the static\n"
-      "                        runtime (docs/STATIC_RUNTIME.md)\n"
       "  --input-len/--label-len/--pred-len N   window geometry (32/16/16)\n"
       "  --metrics-out FILE    write the metrics registry JSON here\n");
 }
@@ -103,8 +100,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     const char* v = nullptr;
     if (arg == "--train-if-missing") {
       opts->train_if_missing = true;
-    } else if (arg == "--static-plan") {
-      opts->static_plan = true;
     } else if (arg == "--model" && (v = next())) {
       opts->model = v;
     } else if (arg == "--dataset" && (v = next())) {
@@ -205,7 +200,6 @@ int Main(int argc, char** argv) {
   spec.session.dims = series.value().dims();
   spec.session.quantile_samples = opts.quantile_samples;
   spec.session.coverage = opts.coverage;
-  spec.session.use_static_plan = opts.static_plan;
   spec.checkpoint = opts.checkpoint;
   spec.queue = {.max_batch_size = opts.max_batch,
                 .max_queue_delay_us = opts.delay_us,
