@@ -167,14 +167,15 @@ Tensor MovingAverage(const Tensor& x, int64_t dim, int64_t kernel) {
   std::vector<float> out = internal::AcquireBuffer(x.numel());
   run(x.data(), out.data(), /*adjoint=*/false);
 
-  Tensor x_in = x;
-  auto backward = [x_in, run](TensorImpl& self) mutable {
-    internal::AccumulateGradWith(*x_in.impl(), [&](float* dst) {
-      run(self.grad.data(), dst, /*adjoint=*/true);
-    });
+  const auto make_backward = [&] {
+    return [run](AutogradMeta& self) {
+      internal::AccumulateGradWith(*self.input(0), [&](float* dst) {
+        run(self.grad.data(), dst, /*adjoint=*/true);
+      });
+    };
   };
   Tensor result = internal::MakeOpResult(x.shape(), std::move(out), {x},
-                                         std::move(backward), "MovingAverage");
+                                         make_backward, "MovingAverage");
   internal::MaybeCaptureStep(
       result, {x},
       {"MovingAverage", /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
@@ -227,25 +228,26 @@ Tensor MaxPool1d(const Tensor& input, int64_t kernel, int64_t stride) {
   };
   forward(input.data(), out.data(), argmax.data());
 
-  Tensor a_in = input;
-  auto backward = [a_in, argmax, outer, length, out_len,
-                   pool_grain](TensorImpl& self) mutable {
-    const float* gd = self.grad.data();
-    // argmax indices stay within their own row, so rows scatter disjointly.
-    internal::AccumulateGradWith(*a_in.impl(), [&](float* delta) {
-      ParallelFor(0, outer, pool_grain, [&](int64_t o0, int64_t o1) {
-        for (int64_t o = o0; o < o1; ++o) {
-          for (int64_t j = 0; j < out_len; ++j) {
-            delta[o * length + argmax[o * out_len + j]] +=
-                gd[o * out_len + j];
+  const auto make_backward = [&] {
+    return [argmax = std::move(argmax), outer, length, out_len,
+            pool_grain](AutogradMeta& self) {
+      const float* gd = self.grad.data();
+      // argmax indices stay within their own row, so rows scatter
+      // disjointly.
+      internal::AccumulateGradWith(*self.input(0), [&](float* delta) {
+        ParallelFor(0, outer, pool_grain, [&](int64_t o0, int64_t o1) {
+          for (int64_t o = o0; o < o1; ++o) {
+            for (int64_t j = 0; j < out_len; ++j) {
+              delta[o * length + argmax[o * out_len + j]] +=
+                  gd[o * out_len + j];
+            }
           }
-        }
+        });
       });
-    });
+    };
   };
   Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
-                                         {input}, std::move(backward),
-                                         "MaxPool1d");
+                                         {input}, make_backward, "MaxPool1d");
   internal::MaybeCaptureStep(
       result, {input},
       {"MaxPool1d", /*zero_init=*/false, /*inplace_safe=*/false}, [&] {

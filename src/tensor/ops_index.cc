@@ -45,27 +45,27 @@ Tensor IndexSelect(const Tensor& a, int64_t dim,
   };
   forward(a.data(), out.data());
 
-  Tensor a_in = a;
-  std::vector<int64_t> idx = indices;
-  auto backward = [a_in, idx, outer, inner, size, count,
-                   o_grain](TensorImpl& self) mutable {
-    // Scatter-add: repeated indices accumulate, but only within an outer
-    // slice — chunks over `outer` write disjoint delta ranges.
-    const float* gd = self.grad.data();
-    internal::AccumulateGradWith(*a_in.impl(), [&](float* delta) {
-      ParallelFor(0, outer, o_grain, [&](int64_t o0, int64_t o1) {
-        for (int64_t o = o0; o < o1; ++o) {
-          for (int64_t c = 0; c < count; ++c) {
-            float* dst = delta + (o * size + idx[c]) * inner;
-            const float* src = gd + (o * count + c) * inner;
-            for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
+  const auto make_backward = [&] {
+    return [indices, outer, inner, size, count,
+            o_grain](AutogradMeta& self) {
+      // Scatter-add: repeated indices accumulate, but only within an outer
+      // slice — chunks over `outer` write disjoint delta ranges.
+      const float* gd = self.grad.data();
+      internal::AccumulateGradWith(*self.input(0), [&](float* delta) {
+        ParallelFor(0, outer, o_grain, [&](int64_t o0, int64_t o1) {
+          for (int64_t o = o0; o < o1; ++o) {
+            for (int64_t c = 0; c < count; ++c) {
+              float* dst = delta + (o * size + indices[c]) * inner;
+              const float* src = gd + (o * count + c) * inner;
+              for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
+            }
           }
-        }
+        });
       });
-    });
+    };
   };
   Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
-                                         {a}, std::move(backward), "IndexSelect");
+                                         {a}, make_backward, "IndexSelect");
   internal::MaybeCaptureStep(
       result, {a},
       {"IndexSelect", /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
@@ -105,27 +105,26 @@ Tensor BatchedIndexSelect(const Tensor& a, const std::vector<int64_t>& indices,
   };
   forward(a.data(), out.data());
 
-  Tensor a_in = a;
-  std::vector<int64_t> idx = indices;
-  auto backward = [a_in, idx, batch, length, depth, k,
-                   b_grain](TensorImpl& self) mutable {
-    // Scatter-add stays within each batch's delta slice, so batches are
-    // disjoint chunks.
-    const float* gd = self.grad.data();
-    internal::AccumulateGradWith(*a_in.impl(), [&](float* delta) {
-      ParallelFor(0, batch, b_grain, [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
-          for (int64_t c = 0; c < k; ++c) {
-            float* dst = delta + (b * length + idx[b * k + c]) * depth;
-            const float* src = gd + (b * k + c) * depth;
-            for (int64_t i = 0; i < depth; ++i) dst[i] += src[i];
+  const auto make_backward = [&] {
+    return [indices, batch, length, depth, k, b_grain](AutogradMeta& self) {
+      // Scatter-add stays within each batch's delta slice, so batches are
+      // disjoint chunks.
+      const float* gd = self.grad.data();
+      internal::AccumulateGradWith(*self.input(0), [&](float* delta) {
+        ParallelFor(0, batch, b_grain, [&](int64_t b0, int64_t b1) {
+          for (int64_t b = b0; b < b1; ++b) {
+            for (int64_t c = 0; c < k; ++c) {
+              float* dst = delta + (b * length + indices[b * k + c]) * depth;
+              const float* src = gd + (b * k + c) * depth;
+              for (int64_t i = 0; i < depth; ++i) dst[i] += src[i];
+            }
           }
-        }
+        });
       });
-    });
+    };
   };
-  Tensor result = internal::MakeOpResult({batch, k, depth}, std::move(out), {a},
-                                         std::move(backward),
+  Tensor result = internal::MakeOpResult({batch, k, depth}, std::move(out),
+                                         {a}, make_backward,
                                          "BatchedIndexSelect");
   internal::MaybeCaptureStep(
       result, {a},

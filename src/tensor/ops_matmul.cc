@@ -94,49 +94,53 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   };
   forward(a.data(), b.data(), out.data());
 
-  Tensor a_in = a;
-  Tensor b_in = b;
-  auto backward = [a_in, b_in, m, n, k, num_batches, batch_offsets,
-                   batches_disjoint](TensorImpl& self) mutable {
-    const float* gd = self.grad.data();
-    const float* ad = a_in.data();
-    const float* bd = b_in.data();
-    // Runs `batch_gemm(i)` for every batch.
-    const auto for_batches = [&](const auto& batch_gemm) {
-      if (batches_disjoint) {
-        ParallelFor(0, num_batches, 1, [&](int64_t bb, int64_t be) {
-          for (int64_t i = bb; i < be; ++i) batch_gemm(i);
+  // dA reads B and dB reads A, so each operand is saved only when the other
+  // needs a gradient.
+  const auto make_backward = [&] {
+    return [a_vals = internal::SavedValues(a, internal::NeedsGrad(b)),
+            b_vals = internal::SavedValues(b, internal::NeedsGrad(a)), m, n, k,
+            num_batches, batch_offsets,
+            batches_disjoint](AutogradMeta& self) {
+      const float* gd = self.grad.data();
+      // Runs `batch_gemm(i)` for every batch.
+      const auto for_batches = [&](const auto& batch_gemm) {
+        if (batches_disjoint) {
+          ParallelFor(0, num_batches, 1, [&](int64_t bb, int64_t be) {
+            for (int64_t i = bb; i < be; ++i) batch_gemm(i);
+          });
+        } else {
+          // Broadcast batches accumulate into shared input slices; keep the
+          // fixed sequential order (deterministic and race-free).
+          for (int64_t i = 0; i < num_batches; ++i) batch_gemm(i);
+        }
+      };
+      // dA = dOut * B^T, dB = A^T * dOut, accumulated per broadcast batch.
+      if (AutogradMeta* in = self.input(0)) {
+        const float* bd = b_vals->data();
+        internal::AccumulateGradWith(*in, [&](float* da) {
+          for_batches([&](int64_t i) {
+            const auto [a_off, b_off] = batch_offsets(i);
+            kernels::Gemm(false, true, m, k, n, gd + i * m * n,
+                          bd + b_off * k * n, da + a_off * m * k,
+                          /*accumulate=*/true);
+          });
         });
-      } else {
-        // Broadcast batches accumulate into shared input slices; keep the
-        // fixed sequential order (deterministic and race-free).
-        for (int64_t i = 0; i < num_batches; ++i) batch_gemm(i);
+      }
+      if (AutogradMeta* in = self.input(1)) {
+        const float* ad = a_vals->data();
+        internal::AccumulateGradWith(*in, [&](float* db) {
+          for_batches([&](int64_t i) {
+            const auto [a_off, b_off] = batch_offsets(i);
+            kernels::Gemm(true, false, k, n, m, ad + a_off * m * k,
+                          gd + i * m * n, db + b_off * k * n,
+                          /*accumulate=*/true);
+          });
+        });
       }
     };
-    // dA = dOut * B^T, dB = A^T * dOut, accumulated per broadcast batch.
-    if (internal::NeedsGrad(a_in)) {
-      internal::AccumulateGradWith(*a_in.impl(), [&](float* da) {
-        for_batches([&](int64_t i) {
-          const auto [a_off, b_off] = batch_offsets(i);
-          kernels::Gemm(false, true, m, k, n, gd + i * m * n,
-                        bd + b_off * k * n, da + a_off * m * k,
-                        /*accumulate=*/true);
-        });
-      });
-    }
-    if (internal::NeedsGrad(b_in)) {
-      internal::AccumulateGradWith(*b_in.impl(), [&](float* db) {
-        for_batches([&](int64_t i) {
-          const auto [a_off, b_off] = batch_offsets(i);
-          kernels::Gemm(true, false, k, n, m, ad + a_off * m * k,
-                        gd + i * m * n, db + b_off * k * n,
-                        /*accumulate=*/true);
-        });
-      });
-    }
   };
   Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
-                                         {a, b}, std::move(backward), "MatMul");
+                                         {a, b}, make_backward, "MatMul");
   internal::MaybeCaptureStep(
       result, {a, b}, {"MatMul", /*zero_init=*/false, /*inplace_safe=*/false},
       [&] {

@@ -139,7 +139,9 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
   const int64_t batch = gates.size(0);
   const int64_t length = gates.size(1);
 
-  const bool record = internal::ShouldRecord({gates, w_hh, b_hh});
+  const bool record = internal::GradWillFlow(gates) ||
+                      internal::GradWillFlow(w_hh) ||
+                      internal::GradWillFlow(b_hh);
   std::vector<float> out = internal::AcquireBuffer(batch * length * hs);
   // The BPTT state is a Storage so AllocStats counts it like a tensor value.
   std::shared_ptr<Storage> saved;
@@ -150,77 +152,77 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
   GruSequenceForward(gates.data(), w_hh.data(), b_hh.data(), batch, length, hs,
                      out.data(), record ? saved->data() : nullptr);
 
-  Tensor gates_in = gates;
-  Tensor w_in = w_hh;
-  Tensor b_in = b_hh;
-  auto backward = [gates_in, w_in, b_in, saved = std::move(saved), batch,
-                   length, hs, g3](TensorImpl& self) mutable {
-    const int64_t rows = length * batch;
-    const float* gd = self.grad.data();
-    const float* saved_h = saved->data();
-    const float* saved_act = saved_h + rows * hs;
-    // dgh: gradient wrt each step's recurrent pre-activations h·W_hh + b_hh,
-    // time-major [L, B, 3h] so one step's block is a contiguous Gemm operand.
-    std::vector<float> dgh(rows * g3);
-    // Each gate gradient is one term, so it adds straight into the gates'
-    // gradient.
-    float* dgates = internal::NeedsGrad(gates_in)
-                        ? gates_in.impl()->MutableGrad()
-                        : nullptr;
-    std::vector<float> dh(batch * hs, 0.0f);  // dL/dh_t from later steps.
-    std::vector<float> dh_prev(batch * hs);
-    for (int64_t t = length - 1; t >= 0; --t) {
-      for (int64_t b = 0; b < batch; ++b) {
-        const float* hp = saved_h + (t * batch + b) * hs;
-        const float* act = saved_act + (t * batch + b) * 4 * hs;
-        const float* g = gd + (b * length + t) * hs;
-        float* dghb = dgh.data() + (t * batch + b) * g3;
-        float* dgi = dgates == nullptr ? nullptr
-                                       : dgates + (b * length + t) * g3;
-        for (int64_t j = 0; j < hs; ++j) {
-          const float r = act[j];
-          const float z = act[hs + j];
-          const float n = act[2 * hs + j];
-          const float d = g[j] + dh[b * hs + j];
-          const float dn = d * (1.0f - z) * (1.0f - n * n);
-          const float dz = d * (hp[j] - n) * z * (1.0f - z);
-          const float dr = dn * act[3 * hs + j] * r * (1.0f - r);
-          if (dgi != nullptr) {
-            dgi[j] += dr;
-            dgi[hs + j] += dz;
-            dgi[2 * hs + j] += dn;
+  // BPTT reads the saved state and W_hh; the gates' values are spent.
+  const auto make_backward = [&] {
+    return [w_vals = w_hh.impl()->storage, saved = std::move(saved), batch,
+            length, hs, g3](AutogradMeta& self) {
+      const int64_t rows = length * batch;
+      const float* gd = self.grad.data();
+      const float* saved_h = saved->data();
+      const float* saved_act = saved_h + rows * hs;
+      // dgh: gradient wrt each step's recurrent pre-activations
+      // h·W_hh + b_hh, time-major [L, B, 3h] so one step's block is a
+      // contiguous Gemm operand. A Storage, so AllocStats counts it.
+      Storage dgh(std::vector<float>(rows * g3));
+      // Each gate gradient is one term, so it adds straight into the gates'
+      // gradient.
+      AutogradMeta* gates_in = self.input(0);
+      float* dgates = gates_in != nullptr ? gates_in->MutableGrad() : nullptr;
+      std::vector<float> dh(batch * hs, 0.0f);  // dL/dh_t from later steps.
+      std::vector<float> dh_prev(batch * hs);
+      for (int64_t t = length - 1; t >= 0; --t) {
+        for (int64_t b = 0; b < batch; ++b) {
+          const float* hp = saved_h + (t * batch + b) * hs;
+          const float* act = saved_act + (t * batch + b) * 4 * hs;
+          const float* g = gd + (b * length + t) * hs;
+          float* dghb = dgh.data() + (t * batch + b) * g3;
+          float* dgi = dgates == nullptr ? nullptr
+                                         : dgates + (b * length + t) * g3;
+          for (int64_t j = 0; j < hs; ++j) {
+            const float r = act[j];
+            const float z = act[hs + j];
+            const float n = act[2 * hs + j];
+            const float d = g[j] + dh[b * hs + j];
+            const float dn = d * (1.0f - z) * (1.0f - n * n);
+            const float dz = d * (hp[j] - n) * z * (1.0f - z);
+            const float dr = dn * act[3 * hs + j] * r * (1.0f - r);
+            if (dgi != nullptr) {
+              dgi[j] += dr;
+              dgi[hs + j] += dz;
+              dgi[2 * hs + j] += dn;
+            }
+            dghb[j] = dr;
+            dghb[hs + j] = dz;
+            dghb[2 * hs + j] = dn * r;
+            dh_prev[b * hs + j] = d * z;
           }
-          dghb[j] = dr;
-          dghb[hs + j] = dz;
-          dghb[2 * hs + j] = dn * r;
-          dh_prev[b * hs + j] = d * z;
         }
+        if (t == 0) break;
+        // dL/dh_{t-1} = d*z + dgh_t · W_hh^T.
+        kernels::Gemm(false, true, batch, hs, g3, dgh.data() + t * batch * g3,
+                      w_vals->data(), dh_prev.data(), /*accumulate=*/true);
+        std::swap(dh, dh_prev);
       }
-      if (t == 0) break;
-      // dL/dh_{t-1} = d*z + dgh_t · W_hh^T.
-      kernels::Gemm(false, true, batch, hs, g3, dgh.data() + t * batch * g3,
-                    w_in.data(), dh_prev.data(), /*accumulate=*/true);
-      std::swap(dh, dh_prev);
-    }
-    if (internal::NeedsGrad(w_in)) {
-      // dW_hh = sum_t h_{t-1}^T · dgh_t, as one Gemm over every (t, b) row.
-      internal::AccumulateGradWith(*w_in.impl(), [&](float* dw) {
-        kernels::Gemm(true, false, hs, g3, rows, saved_h, dgh.data(), dw,
-                      /*accumulate=*/true);
-      });
-    }
-    if (internal::NeedsGrad(b_in)) {
-      internal::AccumulateGradWith(*b_in.impl(), [&](float* db) {
-        for (int64_t r = 0; r < rows; ++r) {
-          const float* row = dgh.data() + r * g3;
-          for (int64_t j = 0; j < g3; ++j) db[j] += row[j];
-        }
-      });
-    }
+      if (AutogradMeta* w_in = self.input(1)) {
+        // dW_hh = sum_t h_{t-1}^T · dgh_t, as one Gemm over every (t, b) row.
+        internal::AccumulateGradWith(*w_in, [&](float* dw) {
+          kernels::Gemm(true, false, hs, g3, rows, saved_h, dgh.data(), dw,
+                        /*accumulate=*/true);
+        });
+      }
+      if (AutogradMeta* b_in = self.input(2)) {
+        internal::AccumulateGradWith(*b_in, [&](float* db) {
+          for (int64_t r = 0; r < rows; ++r) {
+            const float* row = dgh.data() + r * g3;
+            for (int64_t j = 0; j < g3; ++j) db[j] += row[j];
+          }
+        });
+      }
+    };
   };
   Tensor result = internal::MakeOpResult({batch, length, hs}, std::move(out),
-                                         {gates, w_hh, b_hh},
-                                         std::move(backward), "GruSequence");
+                                         {gates, w_hh, b_hh}, make_backward,
+                                         "GruSequence");
   internal::MaybeCaptureStep(
       result, {gates, w_hh, b_hh},
       {"GruSequence", /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
@@ -304,6 +306,8 @@ void BandedAttentionForward(const Band& g, const float* q, const float* k,
 // dk_tap += gs_j * q_i and dv_tap += w_j * g in ascending (i, j): the
 // order of the composed graph's broadcast reduce and IndexSelect scatter.
 // dk and dv rows are shared across queries, so chunks own whole BH rows.
+// `k` is read only for dq and `q` only for dk; either may be null when its
+// reader is.
 void BandedAttentionBackward(const Band& g, const float* q, const float* k,
                              const float* v, const int64_t* taps,
                              const float* weights, const float* gd, float* dq,
@@ -345,15 +349,15 @@ void BandedAttentionBackward(const Band& g, const float* q, const float* k,
   });
 }
 
-// Runs fn(dst) with `t`'s zeroed gradient contribution buffer, or
-// fn(nullptr) when `t` needs no gradient.
+// Runs fn(dst) with `in`'s zeroed gradient contribution buffer, or
+// fn(nullptr) when no gradient flows to `in` (null).
 template <typename Fn>
-void WithGradBuffer(const Tensor& t, Fn fn) {
-  if (!internal::NeedsGrad(t)) {
+void WithGradBuffer(AutogradMeta* in, Fn fn) {
+  if (in == nullptr) {
     fn(nullptr);
     return;
   }
-  internal::AccumulateGradWith(*t.impl(), fn);
+  internal::AccumulateGradWith(*in, fn);
 }
 
 }  // namespace
@@ -385,7 +389,8 @@ Tensor BandedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
         << "tap " << t << " out of range [0, " << g.lk << ")";
   }
 
-  const bool record = internal::ShouldRecord({q, k, v});
+  const bool record = internal::GradWillFlow(q) || internal::GradWillFlow(k) ||
+                      internal::GradWillFlow(v);
   std::vector<float> out = internal::AcquireBuffer(g.bh * g.lq * g.dv);
   // Saved as a Storage so AllocStats counts it like a tensor value.
   std::shared_ptr<Storage> weights;
@@ -397,23 +402,26 @@ Tensor BandedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                          mask.data(), out.data(),
                          record ? weights->data() : nullptr);
 
-  Tensor q_in = q;
-  Tensor k_in = k;
-  Tensor v_in = v;
-  auto backward = [q_in, k_in, v_in, g, taps,
-                   weights = std::move(weights)](TensorImpl& self) mutable {
-    WithGradBuffer(q_in, [&](float* dq) {
-      WithGradBuffer(k_in, [&](float* dk) {
-        WithGradBuffer(v_in, [&](float* dv) {
-          BandedAttentionBackward(g, q_in.data(), k_in.data(), v_in.data(),
-                                  taps.data(), weights->data(),
-                                  self.grad.data(), dq, dk, dv);
+  // Every gradient reads V (through dw); dq reads K and dk reads Q.
+  const auto make_backward = [&] {
+    return [q_vals = internal::SavedValues(q, internal::NeedsGrad(k)),
+            k_vals = internal::SavedValues(k, internal::NeedsGrad(q)),
+            v_vals = v.impl()->storage, g, taps,
+            weights = std::move(weights)](AutogradMeta& self) {
+      WithGradBuffer(self.input(0), [&](float* dq) {
+        WithGradBuffer(self.input(1), [&](float* dk) {
+          WithGradBuffer(self.input(2), [&](float* dv) {
+            BandedAttentionBackward(
+                g, q_vals != nullptr ? q_vals->data() : nullptr,
+                k_vals != nullptr ? k_vals->data() : nullptr, v_vals->data(),
+                taps.data(), weights->data(), self.grad.data(), dq, dk, dv);
+          });
         });
       });
-    });
+    };
   };
   Tensor result = internal::MakeOpResult({g.bh, g.lq, g.dv}, std::move(out),
-                                         {q, k, v}, std::move(backward),
+                                         {q, k, v}, make_backward,
                                          "BandedAttention");
   internal::MaybeCaptureStep(
       result, {q, k, v},
@@ -435,7 +443,7 @@ Tensor Softmax(const Tensor& a, int64_t dim) {
   CONFORMER_CHECK(dim >= 0 && dim < rank);
   const DimSplit s = SplitAt(a.shape(), dim);
 
-  std::vector<float> out = internal::AcquireBuffer(a.numel());
+  auto out = std::make_shared<Storage>(internal::AcquireBuffer(a.numel()));
   auto forward = [s](const float* ad, float* dst) {
     if (s.inner == 1) {
       // Contiguous rows: the dispatched SIMD row kernel (same max/exp/sum
@@ -460,28 +468,30 @@ Tensor Softmax(const Tensor& a, int64_t dim) {
       for (int64_t j = 0; j < s.n; ++j) dst[base + j * s.inner] *= inv;
     });
   };
-  forward(a.data(), out.data());
+  forward(a.data(), out->data());
 
-  Tensor a_in = a;
-  auto backward = [a_in, s](TensorImpl& self) mutable {
-    // dx_j = y_j * (g_j - sum_k g_k y_k), one term per element.
-    float* delta = a_in.impl()->MutableGrad();
-    const float* gd = self.grad.data();
-    const float* yd = self.data();
-    ParallelRows(s, [&](int64_t base) {
-      float dot = 0.0f;
-      for (int64_t j = 0; j < s.n; ++j) {
-        const int64_t off = base + j * s.inner;
-        dot += gd[off] * yd[off];
-      }
-      for (int64_t j = 0; j < s.n; ++j) {
-        const int64_t off = base + j * s.inner;
-        delta[off] += yd[off] * (gd[off] - dot);
-      }
-    });
+  const auto make_backward = [&] {
+    return [y = out, s](AutogradMeta& self) {
+      // dx_j = y_j * (g_j - sum_k g_k y_k), one term per element.
+      float* delta = self.input(0)->MutableGrad();
+      const float* gd = self.grad.data();
+      const float* yd = y->data();
+      ParallelRows(s, [&](int64_t base) {
+        float dot = 0.0f;
+        for (int64_t j = 0; j < s.n; ++j) {
+          const int64_t off = base + j * s.inner;
+          dot += gd[off] * yd[off];
+        }
+        for (int64_t j = 0; j < s.n; ++j) {
+          const int64_t off = base + j * s.inner;
+          delta[off] += yd[off] * (gd[off] - dot);
+        }
+      });
+    };
   };
-  Tensor result = internal::MakeOpResult(a.shape(), std::move(out), {a},
-                                         std::move(backward), "Softmax");
+  // `out` is passed by copy: make_backward runs inside and saves it.
+  Tensor result =
+      internal::MakeOpResult(a.shape(), out, {a}, make_backward, "Softmax");
   internal::MaybeCaptureStep(
       result, {a}, {"Softmax", /*zero_init=*/false, /*inplace_safe=*/false},
       [&] {
@@ -500,7 +510,7 @@ Tensor LogSoftmax(const Tensor& a, int64_t dim) {
   CONFORMER_CHECK(dim >= 0 && dim < rank);
   const DimSplit s = SplitAt(a.shape(), dim);
 
-  std::vector<float> out = internal::AcquireBuffer(a.numel());
+  auto out = std::make_shared<Storage>(internal::AcquireBuffer(a.numel()));
   auto forward = [s](const float* ad, float* dst) {
     if (s.inner == 1) {
       ParallelRows(s, [&](int64_t base) {
@@ -523,25 +533,27 @@ Tensor LogSoftmax(const Tensor& a, int64_t dim) {
       }
     });
   };
-  forward(a.data(), out.data());
+  forward(a.data(), out->data());
 
-  Tensor a_in = a;
-  auto backward = [a_in, s](TensorImpl& self) mutable {
-    // dx_j = g_j - softmax_j * sum_k g_k, one term per element.
-    float* delta = a_in.impl()->MutableGrad();
-    const float* gd = self.grad.data();
-    const float* yd = self.data();
-    ParallelRows(s, [&](int64_t base) {
-      float gsum = 0.0f;
-      for (int64_t j = 0; j < s.n; ++j) gsum += gd[base + j * s.inner];
-      for (int64_t j = 0; j < s.n; ++j) {
-        const int64_t off = base + j * s.inner;
-        delta[off] += gd[off] - std::exp(yd[off]) * gsum;
-      }
-    });
+  const auto make_backward = [&] {
+    return [y = out, s](AutogradMeta& self) {
+      // dx_j = g_j - softmax_j * sum_k g_k, one term per element.
+      float* delta = self.input(0)->MutableGrad();
+      const float* gd = self.grad.data();
+      const float* yd = y->data();
+      ParallelRows(s, [&](int64_t base) {
+        float gsum = 0.0f;
+        for (int64_t j = 0; j < s.n; ++j) gsum += gd[base + j * s.inner];
+        for (int64_t j = 0; j < s.n; ++j) {
+          const int64_t off = base + j * s.inner;
+          delta[off] += gd[off] - std::exp(yd[off]) * gsum;
+        }
+      });
+    };
   };
-  Tensor result = internal::MakeOpResult(a.shape(), std::move(out), {a},
-                                         std::move(backward), "LogSoftmax");
+  // `out` is passed by copy: make_backward runs inside and saves it.
+  Tensor result =
+      internal::MakeOpResult(a.shape(), out, {a}, make_backward, "LogSoftmax");
   internal::MaybeCaptureStep(
       result, {a}, {"LogSoftmax", /*zero_init=*/false, /*inplace_safe=*/false},
       [&] {

@@ -96,15 +96,16 @@ Tensor Sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
   };
   forward(a.data(), out.data());
 
-  Tensor a_in = a;
-  auto backward = [a_in, out_strides](TensorImpl& self) mutable {
-    // Gradient broadcasts the output gradient back over reduced dims.
-    internal::AccumulateGradWith(*a_in.impl(), [&](float* dst) {
-      kernels::Gather(self.grad.data(), a_in.shape(), out_strides, 0, dst);
-    });
+  const auto make_backward = [&] {
+    return [in_shape, out_strides](AutogradMeta& self) {
+      // Gradient broadcasts the output gradient back over reduced dims.
+      internal::AccumulateGradWith(*self.input(0), [&](float* dst) {
+        kernels::Gather(self.grad.data(), in_shape, out_strides, 0, dst);
+      });
+    };
   };
   Tensor result = internal::MakeOpResult(out_shape, std::move(out), {a},
-                                         std::move(backward), "Sum");
+                                         make_backward, "Sum");
   internal::MaybeCaptureStep(
       result, {a}, {"Sum", /*zero_init=*/true, /*inplace_safe=*/false}, [&] {
         return [forward](const float* const* in, float* o) {

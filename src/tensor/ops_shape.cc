@@ -27,23 +27,24 @@ Tensor Reshape(const Tensor& a, Shape shape) {
       << "reshape " << ShapeToString(a.shape()) << " -> "
       << ShapeToString(shape);
 
-  Tensor a_in = a;
-  auto backward = [a_in](TensorImpl& self) mutable {
-    // The gradient is the output's, reinterpreted: hand the buffer over
-    // when the input has none yet (it holds no -0, so this equals adding it
-    // into a zeroed buffer), else add it in.
-    TensorImpl& in = *a_in.impl();
-    if (in.grad.empty()) {
-      in.TakeGrad(self);
-    } else {
-      in.AccumulateGrad(self.grad.data(),
-                        static_cast<int64_t>(self.grad.size()));
-    }
+  const auto make_backward = [] {
+    return [](AutogradMeta& self) {
+      // The gradient is the output's, reinterpreted: hand the buffer over
+      // when the input has none yet (it holds no -0, so this equals adding
+      // it into a zeroed buffer), else add it in.
+      AutogradMeta& in = *self.input(0);
+      if (in.grad.empty()) {
+        in.TakeGrad(self);
+      } else {
+        in.AccumulateGrad(self.grad.data(),
+                          static_cast<int64_t>(self.grad.size()));
+      }
+    };
   };
   // A view: the result shares `a`'s storage under a new shape, in eager mode
   // and in replay alike, so nothing is allocated or copied.
   Tensor result = internal::MakeOpResult(std::move(shape), a.impl()->storage,
-                                         {a}, std::move(backward), "Reshape");
+                                         {a}, make_backward, "Reshape");
   internal::MaybeCaptureAlias(result, a, "Reshape");
   return result;
 }
@@ -91,16 +92,17 @@ Tensor AsStrided(const Tensor& a, Shape shape, std::vector<int64_t> strides,
   std::vector<float> out = internal::AcquireBuffer(n);
   forward(a.data(), out.data());
 
-  Tensor a_in = a;
-  auto backward = [a_in, shape, strides, offset](TensorImpl& self) mutable {
-    // Overlapping views (stride 0, im2col windows) add several output
-    // gradients into one input element, in ascending flat output order.
-    internal::AccumulateGradWith(*a_in.impl(), [&](float* dst) {
-      kernels::ScatterAdd(self.grad.data(), shape, strides, offset, dst);
-    });
+  const auto make_backward = [&] {
+    return [shape, strides, offset](AutogradMeta& self) {
+      // Overlapping views (stride 0, im2col windows) add several output
+      // gradients into one input element, in ascending flat output order.
+      internal::AccumulateGradWith(*self.input(0), [&](float* dst) {
+        kernels::ScatterAdd(self.grad.data(), shape, strides, offset, dst);
+      });
+    };
   };
-  Tensor result = internal::MakeOpResult(std::move(shape), std::move(out), {a},
-                                         std::move(backward), name);
+  Tensor result = internal::MakeOpResult(shape, std::move(out), {a},
+                                         make_backward, name);
   internal::MaybeCaptureStep(
       result, {a}, {name, /*zero_init=*/false, /*inplace_safe=*/false}, [&] {
         return [forward](const float* const* in, float* o) {
@@ -209,24 +211,27 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t dim) {
     forward(srcs.data(), out.data());
   }
 
-  std::vector<Tensor> inputs = parts;
-  auto backward = [inputs, dim, out_strides = ContiguousStrides(out_shape)](
-                      TensorImpl& self) mutable {
-    // Part p's gradient is the [.., size_p, ..] view of the output gradient
-    // starting at its running offset along `dim`.
-    int64_t offset = 0;
-    for (Tensor& t : inputs) {
-      if (internal::NeedsGrad(t)) {
-        internal::AccumulateGradWith(*t.impl(), [&](float* dst) {
-          kernels::Gather(self.grad.data(), t.shape(), out_strides,
-                          offset * out_strides[dim], dst);
-        });
+  const auto make_backward = [&] {
+    return [sizes, first, dim, out_strides = ContiguousStrides(out_shape)](
+               AutogradMeta& self) {
+      // Part p's gradient is the [.., size_p, ..] view of the output
+      // gradient starting at its running offset along `dim`.
+      Shape part_shape = first;
+      int64_t offset = 0;
+      for (size_t p = 0; p < sizes.size(); ++p) {
+        if (AutogradMeta* in = self.input(p)) {
+          part_shape[dim] = sizes[p];
+          internal::AccumulateGradWith(*in, [&](float* dst) {
+            kernels::Gather(self.grad.data(), part_shape, out_strides,
+                            offset * out_strides[dim], dst);
+          });
+        }
+        offset += sizes[p];
       }
-      offset += t.shape()[dim];
-    }
+    };
   };
-  Tensor result = internal::MakeOpResult(std::move(out_shape), std::move(out),
-                                         parts, std::move(backward), "Concat");
+  Tensor result = internal::MakeOpResult(out_shape, std::move(out), parts,
+                                         make_backward, "Concat");
   internal::MaybeCaptureStep(
       result, parts, {"Concat", /*zero_init=*/false, /*inplace_safe=*/false},
       [&] { return internal::ReplayFn(forward); });

@@ -52,29 +52,34 @@ TensorImpl::TensorImpl(Shape shape_in, std::shared_ptr<Storage> storage_in)
       << "data size does not match shape " << ShapeToString(shape);
 }
 
-TensorImpl::~TensorImpl() { ReleaseGrad(); }
+AutogradMeta& TensorImpl::MutableAutograd() {
+  if (autograd == nullptr) autograd = std::make_shared<AutogradMeta>(numel());
+  return *autograd;
+}
 
-float* TensorImpl::MutableGrad() {
-  if (grad.empty() && numel() > 0) {
-    grad.assign(static_cast<size_t>(numel()), 0.0f);
+AutogradMeta::~AutogradMeta() { ReleaseGrad(); }
+
+float* AutogradMeta::MutableGrad() {
+  if (grad.empty() && numel > 0) {
+    grad.assign(static_cast<size_t>(numel), 0.0f);
     internal::RecordAlloc(static_cast<int64_t>(grad.size()) * sizeof(float));
   }
   return grad.data();
 }
 
-void TensorImpl::AccumulateGrad(const float* delta, int64_t n) {
-  CONFORMER_CHECK_EQ(n, numel());
+void AutogradMeta::AccumulateGrad(const float* delta, int64_t n) {
+  CONFORMER_CHECK_EQ(n, numel);
   float* dst = MutableGrad();
   for (int64_t i = 0; i < n; ++i) dst[i] += delta[i];
 }
 
-void TensorImpl::TakeGrad(TensorImpl& from) {
+void AutogradMeta::TakeGrad(AutogradMeta& from) {
   CONFORMER_CHECK(grad.empty()) << "TakeGrad into a tensor holding a gradient";
-  CONFORMER_CHECK_EQ(static_cast<int64_t>(from.grad.size()), numel());
+  CONFORMER_CHECK_EQ(static_cast<int64_t>(from.grad.size()), numel);
   grad.swap(from.grad);
 }
 
-void TensorImpl::ReleaseGrad() {
+void AutogradMeta::ReleaseGrad() {
   if (grad.empty()) return;
   internal::RecordFree(static_cast<int64_t>(grad.size()) * sizeof(float));
   std::vector<float>().swap(grad);  // clear() would keep the capacity
@@ -203,30 +208,38 @@ std::string Tensor::ToString(int64_t max_per_dim) const {
 
 // -- Autograd -----------------------------------------------------------
 
-bool Tensor::requires_grad() const { return defined() && impl_->requires_grad; }
+bool Tensor::requires_grad() const {
+  return defined() && impl_->autograd != nullptr &&
+         impl_->autograd->requires_grad;
+}
 
 Tensor& Tensor::set_requires_grad(bool value) {
   CONFORMER_CHECK(defined());
-  impl_->requires_grad = value;
+  if (value || impl_->autograd != nullptr) {
+    impl_->MutableAutograd().requires_grad = value;
+  }
   return *this;
 }
 
-bool Tensor::has_grad() const { return defined() && !impl_->grad.empty(); }
+bool Tensor::has_grad() const {
+  return defined() && impl_->autograd != nullptr &&
+         !impl_->autograd->grad.empty();
+}
 
 Tensor Tensor::grad() const {
   CONFORMER_CHECK(defined());
-  if (impl_->grad.empty()) return Tensor::Zeros(impl_->shape);
-  return Tensor::FromVector(impl_->grad, impl_->shape);
+  if (!has_grad()) return Tensor::Zeros(impl_->shape);
+  return Tensor::FromVector(impl_->autograd->grad, impl_->shape);
 }
 
 float* Tensor::grad_data() {
   CONFORMER_CHECK(defined());
-  return impl_->MutableGrad();
+  return impl_->MutableAutograd().MutableGrad();
 }
 
 void Tensor::ZeroGrad() {
   CONFORMER_CHECK(defined());
-  impl_->ReleaseGrad();
+  if (impl_->autograd != nullptr) impl_->autograd->ReleaseGrad();
 }
 
 Tensor Tensor::Detach() const {
@@ -274,36 +287,22 @@ std::vector<float> AcquireBuffer(int64_t n) {
   return std::vector<float>(static_cast<size_t>(n < 0 ? 0 : n));
 }
 
-bool ShouldRecord(const std::vector<Tensor>& inputs) {
-  if (!g_recording_enabled) return false;
-  for (const Tensor& t : inputs) {
-    if (t.defined() && NeedsGrad(t)) return true;
-  }
-  return false;
-}
-
-Tensor MakeOpResult(Shape shape, std::vector<float> values,
-                    std::vector<Tensor> inputs,
-                    std::function<void(TensorImpl&)> backward,
-                    const char* op_name) {
-  return MakeOpResult(std::move(shape),
-                      std::make_shared<Storage>(std::move(values)),
-                      std::move(inputs), std::move(backward), op_name);
-}
-
-Tensor MakeOpResult(Shape shape, std::shared_ptr<Storage> storage,
-                    std::vector<Tensor> inputs,
-                    std::function<void(TensorImpl&)> backward,
-                    const char* op_name) {
+Tensor AttachOpResult(Shape shape, std::shared_ptr<Storage> storage,
+                      const std::vector<Tensor>& inputs,
+                      std::function<void(AutogradMeta&)> backward,
+                      const char* op_name) {
   auto impl = std::make_shared<TensorImpl>(std::move(shape), std::move(storage));
-  if (ShouldRecord(inputs)) {
-    auto node = std::make_shared<AutogradNode>();
-    node->op_name = op_name;
-    node->backward = std::move(backward);
-    node->inputs.reserve(inputs.size());
-    for (const Tensor& t : inputs) node->inputs.push_back(t.impl());
-    impl->node = std::move(node);
-    impl->requires_grad = true;
+  if (backward) {
+    AutogradMeta& meta = impl->MutableAutograd();
+    meta.requires_grad = true;
+    AutogradNode& node = meta.node.emplace();
+    node.op_name = op_name;
+    node.backward = std::move(backward);
+    node.inputs.reserve(inputs.size());
+    for (const Tensor& t : inputs) {
+      node.inputs.push_back(t.defined() && GradWillFlow(t) ? t.impl()->autograd
+                                                           : nullptr);
+    }
   }
   Tensor result(std::move(impl));
   if (CaptureSink* sink = ActiveCaptureSink()) {

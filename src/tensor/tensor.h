@@ -4,20 +4,23 @@
 // implementation (copying a Tensor aliases the same TensorImpl, like
 // torch.Tensor). A TensorImpl's values live in a reference-counted Storage:
 // `Reshape` (and `Squeeze`/`Unsqueeze`, built on it) returns a view, a new
-// TensorImpl with its own shape, gradient and tape node over its input's
+// TensorImpl with its own shape and autograd state over its input's
 // Storage, so a reshape allocates and copies nothing. Every other op writes
 // a fresh buffer, and no op writes into its inputs. Operations are free
 // functions declared in tensor/ops.h; each op records an AutogradNode so
 // that calling Backward() on a scalar result accumulates gradients into
-// every `requires_grad` leaf.
+// every `requires_grad` leaf. The tape holds gradient slots and only the
+// values each backward formula reads (see AutogradNode).
 
 #ifndef CONFORMER_TENSOR_TENSOR_H_
 #define CONFORMER_TENSOR_TENSOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,16 +40,25 @@ std::vector<int64_t> ContiguousStrides(const Shape& shape);
 /// Renders e.g. "[2, 3, 4]".
 std::string ShapeToString(const Shape& shape);
 
-class TensorImpl;
+struct AutogradMeta;
 
 /// \brief One recorded operation in the autograd tape.
 ///
-/// `inputs` keeps the producing subgraph alive; `backward` reads the output
-/// gradient (passed as the owning TensorImpl) and adds its contribution into
-/// the inputs' gradients, each written once and in place:
+/// `inputs` are the graph's edges: each points at an input's gradient slot
+/// (its AutogradMeta), never at its values, and is null where no gradient
+/// flows. `backward` owns exactly the values its formula reads (an input's
+/// or the output's Storage, or op state such as GruSequence's activations),
+/// so an intermediate that only value-free ops consume (`Add`, `Sub`, the
+/// `AsStrided` family, `Reshape`, `Concat`, `Sum`, ...) is freed when its
+/// last handle drops. A closure never captures a Tensor or an AutogradMeta:
+/// its own output's would form a `shared_ptr` cycle.
+///
+/// `backward` reads the output gradient from the AutogradMeta it is called
+/// with and adds its contribution into the inputs' gradients, each written
+/// once and in place:
 ///
 /// - **Fresh:** an input with no gradient yet in this pass (the common case)
-///   gets a zero-filled buffer from `TensorImpl::MutableGrad()`, and the op
+///   gets a zero-filled buffer from `AutogradMeta::MutableGrad()`, and the op
 ///   computes straight into it in the same per-element order its own
 ///   temporary would use, bitwise equal to adding that temporary into a
 ///   zeroed buffer (`0 + x == x` for every such sum).
@@ -62,9 +74,53 @@ class TensorImpl;
 /// buffer instead of adding into it, and `Reshape`'s backward may move its
 /// output gradient into an input that has none instead of copying it.
 struct AutogradNode {
-  std::vector<std::shared_ptr<TensorImpl>> inputs;
-  std::function<void(TensorImpl&)> backward;
+  std::vector<std::shared_ptr<AutogradMeta>> inputs;
+  std::function<void(AutogradMeta&)> backward;
   const char* op_name = "";
+};
+
+/// \brief A tensor's autograd state, apart from its values: its gradient
+/// buffer, its leaf flag and the tape node that produced it.
+///
+/// A TensorImpl gets one only when it needs one (a `requires_grad` leaf or a
+/// recorded op's output), so the no-grad path allocates none. The tensor
+/// and each recorded consumer's edge share it, so the gradient slot
+/// outlives the tensor's handle and values. The gradient buffer has one owner and is counted in AllocStats while it
+/// is allocated. Backward functions read `grad` directly but change it only
+/// through the methods below. A non-leaf's gradient lives from its first
+/// consumer's backward until its own backward has run, when
+/// `Tensor::Backward` frees it and the node's closure (unless
+/// `retain_graph`); a leaf's keeps accumulating across passes until
+/// `Tensor::ZeroGrad`.
+struct AutogradMeta {
+  explicit AutogradMeta(int64_t numel_in) : numel(numel_in) {}
+  ~AutogradMeta();
+
+  AutogradMeta(const AutogradMeta&) = delete;
+  AutogradMeta& operator=(const AutogradMeta&) = delete;
+
+  /// The gradient buffer, zero-filled on first use. Take it before any
+  /// ParallelFor so that chunks never race on the allocation.
+  float* MutableGrad();
+
+  /// Adds `delta` (`numel` floats) into the gradient buffer.
+  void AccumulateGrad(const float* delta, int64_t n);
+
+  /// Moves `from`'s gradient buffer (same length) into this one, which must
+  /// have none: an ownership transfer, not a new allocation.
+  void TakeGrad(AutogradMeta& from);
+
+  /// Frees the gradient buffer (no-op when there is none).
+  void ReleaseGrad();
+
+  /// The gradient slot of the node's `i`-th input; null when no gradient
+  /// flows there.
+  AutogradMeta* input(size_t i) const { return node->inputs[i].get(); }
+
+  const int64_t numel;      // The gradient's length: the tensor's numel().
+  std::vector<float> grad;  // Empty until a gradient is written.
+  bool requires_grad = false;
+  std::optional<AutogradNode> node;  // Empty for leaves.
 };
 
 /// \brief A tensor's value buffer, shared by reference between a tensor and
@@ -88,40 +144,24 @@ class Storage {
   std::vector<float> values_;
 };
 
-/// \brief One tensor: shared value storage, shape, gradient, and tape node.
+/// \brief One tensor: shared value storage, shape, and autograd state.
 ///
 /// `numel()` always equals the storage's length: a view differs from its
-/// base only in shape. The gradient buffer is per TensorImpl, never shared
-/// with a view; it has one owner and is counted in AllocStats while it is
-/// allocated. Backward functions read `grad` directly but change it only
-/// through the methods below. A non-leaf's gradient lives from its first
-/// consumer's backward until its own backward has run, when
-/// `Tensor::Backward` frees it (unless `retain_graph`); a leaf's keeps
-/// accumulating across passes until `Tensor::ZeroGrad`.
+/// base only in shape. The autograd state (gradient, leaf flag, tape node)
+/// lives apart from the values, in an AutogradMeta that is per TensorImpl,
+/// never shared with a view.
 class TensorImpl {
  public:
   /// A tensor over a fresh storage holding `values`.
   TensorImpl(Shape shape, std::vector<float> values);
   /// A view: `shape` (same element count) over an existing storage.
   TensorImpl(Shape shape, std::shared_ptr<Storage> storage);
-  ~TensorImpl();
 
   TensorImpl(const TensorImpl&) = delete;
   TensorImpl& operator=(const TensorImpl&) = delete;
 
-  /// The gradient buffer, zero-filled on first use. Take it before any
-  /// ParallelFor so that chunks never race on the allocation.
-  float* MutableGrad();
-
-  /// Adds `delta` (same length as data) into the gradient buffer.
-  void AccumulateGrad(const float* delta, int64_t n);
-
-  /// Moves `from`'s gradient buffer (same length) into this tensor, which
-  /// must have none: an ownership transfer, not a new allocation.
-  void TakeGrad(TensorImpl& from);
-
-  /// Frees the gradient buffer (no-op when there is none).
-  void ReleaseGrad();
+  /// The autograd state, created on first use.
+  AutogradMeta& MutableAutograd();
 
   float* data() { return storage->data(); }
   const float* data() const { return storage->data(); }
@@ -129,9 +169,7 @@ class TensorImpl {
 
   std::shared_ptr<Storage> storage;
   Shape shape;
-  std::vector<float> grad;  // Empty until a gradient is written.
-  bool requires_grad = false;
-  std::shared_ptr<AutogradNode> node;  // Null for leaves.
+  std::shared_ptr<AutogradMeta> autograd;  // Null until a gradient is needed.
 };
 
 /// \brief Value-semantics handle to a TensorImpl.
@@ -235,45 +273,81 @@ void ClearBufferPool();
 
 namespace internal {
 
-/// True if autograd should record an op over these inputs.
-bool ShouldRecord(const std::vector<Tensor>& inputs);
-
 /// True if a backward pass must produce a gradient for `t`: it is a
 /// differentiable leaf or the output of a recorded op.
 inline bool NeedsGrad(const Tensor& t) {
-  return t.requires_grad() || t.impl()->node != nullptr;
+  const AutogradMeta* meta = t.impl()->autograd.get();
+  return meta != nullptr && (meta->requires_grad || meta->node.has_value());
 }
 
-/// Adds one multi-term or strided gradient contribution into `impl`.
+/// True if an op recorded now sends a gradient to `t`: recording is on and
+/// `t` needs one. Ops decide from it what their backward must save.
+inline bool GradWillFlow(const Tensor& t) {
+  return GradRecordingEnabled() && NeedsGrad(t);
+}
+
+/// `t`'s values for a backward formula that reads them, or null unless
+/// `needed`.
+inline std::shared_ptr<Storage> SavedValues(const Tensor& t, bool needed) {
+  return needed ? t.impl()->storage : nullptr;
+}
+
+/// Adds one multi-term or strided gradient contribution into `meta`.
 /// `write(dst)` adds the contribution into a zero-filled `dst` (a gather,
 /// one term per element, may overwrite it instead). On the first write of a
 /// pass `dst` is the gradient itself; otherwise it is a zeroed scratch
-/// buffer, added into the gradient afterwards in one pass.
+/// buffer, added into the gradient afterwards in one pass. The scratch is a
+/// Storage, so AllocStats counts it like any other float buffer.
 template <typename WriteFn>
-void AccumulateGradWith(TensorImpl& impl, WriteFn write) {
-  if (impl.grad.empty()) {
-    write(impl.MutableGrad());
+void AccumulateGradWith(AutogradMeta& meta, WriteFn write) {
+  if (meta.grad.empty()) {
+    write(meta.MutableGrad());
     return;
   }
-  std::vector<float> scratch(static_cast<size_t>(impl.numel()), 0.0f);
+  Storage scratch(std::vector<float>(static_cast<size_t>(meta.numel), 0.0f));
   write(scratch.data());
-  impl.AccumulateGrad(scratch.data(), static_cast<int64_t>(scratch.size()));
+  meta.AccumulateGrad(scratch.data(), scratch.size());
 }
 
 /// A zero-filled buffer of `n` floats for an op output (empty for n <= 0).
 std::vector<float> AcquireBuffer(int64_t n);
 
-/// Builds the output tensor for an op: attaches an AutogradNode with the
-/// given backward fn when recording is active.
-Tensor MakeOpResult(Shape shape, std::vector<float> values,
-                    std::vector<Tensor> inputs,
-                    std::function<void(TensorImpl&)> backward,
-                    const char* op_name);
-/// The same for a view op, whose output shares an input's `storage`.
+/// Wraps an op's output `storage` in a tensor. When `backward` is non-null
+/// it also attaches an AutogradMeta whose node runs it, with an edge to the
+/// gradient slot of each input that needs a gradient.
+Tensor AttachOpResult(Shape shape, std::shared_ptr<Storage> storage,
+                      const std::vector<Tensor>& inputs,
+                      std::function<void(AutogradMeta&)> backward,
+                      const char* op_name);
+
+/// Builds the output tensor for an op over an existing `storage`: a view
+/// op's input's, or an output the op made first because its backward reads
+/// it. `make_backward()` returns the backward closure; it is invoked only
+/// when recording is on and some input needs a gradient, so the no-grad
+/// path builds no closure and saves nothing.
+template <typename MakeBackward>
 Tensor MakeOpResult(Shape shape, std::shared_ptr<Storage> storage,
-                    std::vector<Tensor> inputs,
-                    std::function<void(TensorImpl&)> backward,
-                    const char* op_name);
+                    const std::vector<Tensor>& inputs,
+                    MakeBackward&& make_backward, const char* op_name) {
+  std::function<void(AutogradMeta&)> backward;
+  if (std::any_of(inputs.begin(), inputs.end(), [](const Tensor& t) {
+        return t.defined() && GradWillFlow(t);
+      })) {
+    backward = make_backward();
+  }
+  return AttachOpResult(std::move(shape), std::move(storage), inputs,
+                        std::move(backward), op_name);
+}
+
+/// The same over fresh output `values`.
+template <typename MakeBackward>
+Tensor MakeOpResult(Shape shape, std::vector<float> values,
+                    const std::vector<Tensor>& inputs,
+                    MakeBackward&& make_backward, const char* op_name) {
+  return MakeOpResult(std::move(shape),
+                      std::make_shared<Storage>(std::move(values)), inputs,
+                      std::forward<MakeBackward>(make_backward), op_name);
+}
 
 }  // namespace internal
 }  // namespace conformer

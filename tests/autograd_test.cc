@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "baselines/registry.h"
+#include "data/dataset_registry.h"
 #include "tensor/alloc_stats.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
@@ -80,7 +82,7 @@ TEST(AutogradTest, NoGradGuardDisablesTape) {
     NoGradGuard guard;
     Tensor y = Mul(x, x);
     EXPECT_FALSE(y.requires_grad());
-    EXPECT_EQ(y.impl()->node, nullptr);
+    EXPECT_EQ(y.impl()->autograd, nullptr);
   }
   Tensor z = Mul(x, x);
   EXPECT_TRUE(z.requires_grad());
@@ -707,6 +709,116 @@ TEST(GradOwnershipTest, OpSavedStateIsCountedUntilTheTapeIsDropped) {
   EXPECT_EQ(SavedBytes(band), 0);
 }
 
+// A fresh intermediate holding `leaf`'s values: AddScalar's backward saves
+// nothing, so only a consumer that saves it keeps it alive.
+Tensor Intermediate(const Tensor& leaf) { return AddScalar(leaf, 0.0f); }
+
+// One op under test and the bytes its tape must keep beyond its result.
+struct SavedCase {
+  std::string name;
+  std::function<Tensor()> call;
+  int64_t want_floats;
+};
+
+// Every op saves exactly the values its backward formula reads. Operands
+// are intermediates built inside the call (or constants, which need no
+// gradient), so an operand the op saves shows up as its bytes and one it
+// does not is freed when its handle drops.
+TEST(GradOwnershipTest, TapeSavesOnlyWhatEachFormulaReads) {
+  const int64_t n = 6;  // elements of every [2, 3] operand
+  const Tensor x = Leaf({2, 3}, 31);
+  const Tensor y = Leaf({2, 3}, 32);
+  const Tensor w = Leaf({3, 4}, 33);
+  const Tensor b = Leaf({4}, 34);
+  const Tensor pos = PositiveLeaf({2, 3}, 35);
+  const auto mid = [](const Tensor& leaf) { return Intermediate(leaf); };
+  const auto constant = [](const Shape& shape) { return Constant(shape, 36); };
+
+  // GruSequence: gates [B, L, 3h], w_hh [h, 3h], b_hh [3h].
+  const int64_t gb = 2, gl = 3, gh = 2;
+  const Tensor gates = Leaf({gb, gl, 3 * gh}, 37);
+  const Tensor w_hh = Leaf({gh, 3 * gh}, 38);
+  const Tensor b_hh = Leaf({3 * gh}, 39);
+  // BandedAttention: q [BH, Lq, d], k and v [BH, Lk, d], W taps per query.
+  const int64_t bh = 2, lq = 3, lk = 4, d = 2, width = 2;
+  const Tensor q = Leaf({bh, lq, d}, 40);
+  const Tensor k = Leaf({bh, lk, d}, 41);
+  const Tensor v = Leaf({bh, lk, d}, 42);
+  std::vector<int64_t> taps;
+  for (int64_t i = 0; i < lq; ++i) {
+    for (int64_t j = 0; j < width; ++j) taps.push_back(i + j);
+  }
+  const std::vector<float> mask(lq * width, 0.0f);
+  const auto band = [&](const Tensor& bq, const Tensor& bk, const Tensor& bv) {
+    return BandedAttention(bq, bk, bv, taps, mask, width);
+  };
+  const int64_t band_weights = bh * lq * width;
+
+  const std::vector<SavedCase> cases = {
+      // Value-free ops: their operands go as soon as the handles drop.
+      {"Add(MatMul, b)", [&] { return Add(MatMul(x, w), b); }, 0},
+      {"Add", [&] { return Add(mid(x), mid(y)); }, 0},
+      {"Sub", [&] { return Sub(mid(x), mid(y)); }, 0},
+      {"AddScalar", [&] { return AddScalar(mid(x), 1.0f); }, 0},
+      {"MulScalar", [&] { return MulScalar(mid(x), 2.0f); }, 0},
+      {"Permute", [&] { return Permute(mid(x), {1, 0}); }, 0},
+      {"Slice", [&] { return Slice(mid(x), 1, 0, 2); }, 0},
+      {"Unfold", [&] {
+         return AsStrided(mid(x), {2, 2, 2}, {3, 1, 1}, 0, "Unfold");
+       }, 0},
+      {"Reshape", [&] { return Sum(Reshape(mid(x), {3, 2})); }, 0},
+      {"Concat", [&] { return Concat({mid(x), mid(y)}, 0); }, 0},
+      {"Tile", [&] { return Tile(mid(x), {2, 1}); }, 0},
+      {"Sum", [&] { return Sum(mid(x), {1}); }, 0},
+      {"MovingAverage", [&] { return MovingAverage(mid(x), 1, 3); }, 0},
+      {"IndexSelect", [&] { return IndexSelect(mid(x), 1, {2, 0}); }, 0},
+      // Mul and MatMul keep an operand only for the other one's gradient.
+      {"Mul, both need gradients", [&] { return Mul(mid(x), mid(y)); }, 2 * n},
+      {"Mul by a constant mask", [&] { return Mul(mid(x), constant({2, 3})); },
+       n},
+      {"Mul of a constant", [&] { return Mul(constant({2, 3}), mid(y)); }, n},
+      {"MatMul, both need gradients", [&] { return MatMul(mid(x), mid(w)); },
+       n + 12},
+      {"MatMul by a constant", [&] { return MatMul(mid(x), constant({3, 4})); },
+       12},
+      {"MatMul of a constant", [&] { return MatMul(constant({2, 3}), mid(w)); },
+       n},
+      // Div: d/da reads b, d/db reads both.
+      {"Div, both need gradients", [&] { return Div(mid(x), mid(pos)); },
+       2 * n},
+      {"Div by a constant", [&] {
+         return Div(mid(x), AddScalar(constant({2, 3}), 9.0f));
+       }, n},
+      {"Div of a constant", [&] { return Div(constant({2, 3}), mid(pos)); },
+       2 * n},
+      // Softmax, LogSoftmax and Tanh read their output, which Sum drops.
+      {"Softmax", [&] { return Sum(Softmax(mid(x), -1)); }, n},
+      {"LogSoftmax", [&] { return Sum(LogSoftmax(mid(x), 0)); }, n},
+      {"Tanh", [&] { return Sum(Tanh(mid(x))); }, n},
+      {"Relu", [&] { return Sum(Relu(mid(x))); }, n},
+      // GruSequence keeps its [L, B, 5h] state and W_hh, not the gates.
+      {"GruSequence", [&] {
+         return GruSequence(mid(gates), mid(w_hh), mid(b_hh));
+       }, gl * gb * 5 * gh + gh * 3 * gh},
+      // BandedAttention keeps its weights and V; K for dq, Q for dk.
+      {"BandedAttention, all need gradients", [&] {
+         return band(mid(q), mid(k), mid(v));
+       }, band_weights + bh * (lq + 2 * lk) * d},
+      {"BandedAttention, only q needs a gradient", [&] {
+         return band(mid(q), constant({bh, lk, d}), constant({bh, lk, d}));
+       }, band_weights + 2 * bh * lk * d},
+  };
+  constexpr int64_t kFloat = sizeof(float);
+  for (const SavedCase& c : cases) {
+    EXPECT_EQ(SavedBytes(c.call), c.want_floats * kFloat) << c.name;
+  }
+  // Without a tape no op saves anything.
+  NoGradGuard no_grad;
+  for (const SavedCase& c : cases) {
+    EXPECT_EQ(SavedBytes(c.call), 0) << c.name << ", no grad";
+  }
+}
+
 // Peak bytes allocated during the backward pass of a chain of `n` Tanh ops.
 int64_t BackwardPeakBytes(int n) {
   Tensor x = Leaf({1024}, 8);
@@ -723,6 +835,73 @@ TEST(GradOwnershipTest, BackwardPeakDoesNotGrowWithChainLength) {
   const int64_t short_chain = BackwardPeakBytes(16);
   EXPECT_GT(short_chain, 0);
   EXPECT_EQ(short_chain, BackwardPeakBytes(64));
+}
+
+// -- tape lifetime over every registry model ---------------------------------
+//
+// These build models from the process-wide GlobalRng(), so they come last.
+
+struct RegistryCase {
+  std::string name;
+  std::unique_ptr<models::Forecaster> model;
+};
+
+data::Batch RegistryBatch() {
+  const data::WindowConfig window{.input_len = 16, .label_len = 8,
+                                  .pred_len = 8};
+  const data::TimeSeries ts = data::MakeDataset("etth1", 0.07, 31).value();
+  return data::MakeSplits(ts, window).train.GetRange(0, 4);
+}
+
+// Every registry model in training mode, after one full step: a lazily
+// built cache is allocated there, not inside a measured pass.
+std::vector<RegistryCase> TrainingRegistryModels(const data::Batch& batch) {
+  const data::WindowConfig window{.input_len = 16, .label_len = 8,
+                                  .pred_len = 8};
+  std::vector<RegistryCase> out;
+  for (const std::string& name : models::AvailableModels()) {
+    auto model = models::MakeForecaster(name, window, batch.x.size(2));
+    EXPECT_TRUE(model.ok()) << name << ": " << model.status().ToString();
+    if (!model.ok()) continue;
+    model.value()->SetTraining(true);
+    model.value()->Loss(batch).Backward();
+    model.value()->ZeroGrad();
+    out.push_back({name, std::move(model).value()});
+  }
+  return out;
+}
+
+// A recorded loss dropped without Backward frees its whole tape: a closure
+// that captured its own output would form a shared_ptr cycle and leak it.
+TEST(TapeLifetimeTest, DroppedLossFreesEveryRegistryModelsTape) {
+  const data::Batch batch = RegistryBatch();
+  for (RegistryCase& c : TrainingRegistryModels(batch)) {
+    const int64_t start = GetAllocStats().current_bytes;
+    {
+      const Tensor loss = c.model->Loss(batch);
+      EXPECT_GT(GetAllocStats().current_bytes, start) << c.name;
+    }
+    EXPECT_EQ(GetAllocStats().current_bytes, start) << c.name;
+  }
+}
+
+// A second pass over a retained graph gives every parameter the first
+// pass's gradient bit for bit: each closure still holds what it reads.
+TEST(TapeLifetimeTest, RetainedGraphReplaysBitwiseForEveryRegistryModel) {
+  const data::Batch batch = RegistryBatch();
+  for (RegistryCase& c : TrainingRegistryModels(batch)) {
+    const std::vector<Tensor> params = c.model->Parameters();
+    Tensor loss = c.model->Loss(batch);
+    loss.Backward(/*retain_graph=*/true);
+    std::vector<std::vector<float>> first;
+    for (const Tensor& p : params) first.push_back(Floats(p.grad()));
+    c.model->ZeroGrad();
+    loss.Backward();
+    for (size_t i = 0; i < params.size(); ++i) {
+      ExpectSameBits(Floats(params[i].grad()), first[i],
+                     c.name + " parameter " + std::to_string(i));
+    }
+  }
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ TEST(InferenceModeTest, BitwiseEqualsRecordingForward) {
       inference = model->Forward(batch);
     }
     EXPECT_FALSE(inference.requires_grad()) << name;
-    ASSERT_EQ(inference.impl()->node, nullptr) << name;
+    ASSERT_EQ(inference.impl()->autograd, nullptr) << name;
     ExpectTensorsBitwiseEqual(recorded, inference, name + " inference");
   }
 }

@@ -273,15 +273,17 @@ TEST(StaticRuntimeTest, EagerAndPlanReplayDoNotInterfere) {
 // -- Untraceable ops fall back instead of freezing wrong values ------------
 
 TEST(StaticRuntimeTest, UncapturedOpConsumedByTraceFailsTheBuild) {
-  // A raw MakeOpResult with no replay closure (stand-in for any future op
+  // A raw op result with no replay closure (stand-in for any future op
   // added without capture support): consuming its output must invalidate
   // the trace, not silently freeze the traced value into the plan.
   data::DatasetSplits splits = MakeTestSplits();
   const data::Batch batch = splits.test.GetRange(0, 1);
 
   auto predict = [](const data::Batch& b) {
-    Tensor raw = internal::MakeOpResult(
-        b.x.shape(), std::vector<float>(b.x.data(), b.x.data() + b.x.numel()),
+    Tensor raw = internal::AttachOpResult(
+        b.x.shape(),
+        std::make_shared<Storage>(
+            std::vector<float>(b.x.data(), b.x.data() + b.x.numel())),
         {b.x}, nullptr, "TestRawOp");
     return Add(raw, b.x);
   };

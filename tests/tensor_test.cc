@@ -1611,7 +1611,7 @@ TEST(ViewTest, ReshapeSqueezeUnsqueezeShareStorageAndAllocateNothing) {
     // Each view keeps its own shape and tape node.
     EXPECT_EQ(u.shape(), (Shape{1, 2, 3, 4}));
     EXPECT_EQ(s.shape(), (Shape{2, 3, 4}));
-    EXPECT_EQ(s.impl()->node != nullptr, record);
+    EXPECT_EQ(s.impl()->autograd != nullptr, record);
     EXPECT_NE(s.impl(), r.impl());
   }
 }
