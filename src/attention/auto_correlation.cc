@@ -17,20 +17,12 @@ AutoCorrelationAttention::AutoCorrelationAttention(int64_t factor)
 Tensor AutoCorrelationAttention::Forward(const Tensor& q, const Tensor& k_in,
                                          const Tensor& v_in,
                                          bool causal) const {
-  // The FFT lag selection is data-dependent host logic; the static runtime
-  // replays the whole call as one opaque step.
-  return conformer::internal::CaptureOpaque(
-      "AutoCorrelationAttention", {q, k_in, v_in},
-      [this, causal](const std::vector<Tensor>& in) {
-        return ForwardEager(in[0], in[1], in[2], causal);
-      });
-}
-
-Tensor AutoCorrelationAttention::ForwardEager(const Tensor& q,
-                                              const Tensor& k_in,
-                                              const Tensor& v_in,
-                                              bool causal) const {
   CONFORMER_PROFILE_SCOPE_CAT("attention", "auto_correlation");
+  // The FFT top-k lag selection reads q and k on the host, so no fixed step
+  // list replays it: a trace through here fails and the model serves
+  // eagerly.
+  conformer::internal::FailCapture(
+      "AutoCorrelationAttention picks its top-k lags on the host");
   (void)causal;  // The operator aggregates rolled series; masking does not apply.
   const int64_t bh = q.size(0);
   const int64_t lq = q.size(1);

@@ -25,11 +25,6 @@ class AutoCorrelationAttention : public AttentionMechanism {
   const char* name() const override { return "auto_correlation"; }
 
  private:
-  /// The actual computation; Forward wraps it as one opaque capture step
-  /// because the FFT top-k lag selection is data-dependent host logic.
-  Tensor ForwardEager(const Tensor& q, const Tensor& k, const Tensor& v,
-                      bool causal) const;
-
   int64_t factor_;
 };
 

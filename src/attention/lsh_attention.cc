@@ -18,17 +18,11 @@ LshAttention::LshAttention(int64_t buckets, int64_t chunk, uint64_t seed)
 
 Tensor LshAttention::Forward(const Tensor& q, const Tensor& k, const Tensor& v,
                              bool causal) const {
-  // Deterministic given (q, k, v): hashing draws from a fresh Rng(seed_)
-  // per call, so the static runtime may replay this as one opaque step.
-  return conformer::internal::CaptureOpaque(
-      "LshAttention", {q, k, v}, [this, causal](const std::vector<Tensor>& in) {
-        return ForwardEager(in[0], in[1], in[2], causal);
-      });
-}
-
-Tensor LshAttention::ForwardEager(const Tensor& q, const Tensor& k,
-                                  const Tensor& v, bool causal) const {
   CONFORMER_PROFILE_SCOPE_CAT("attention", "lsh");
+  // Bucket hashing and sorting read q on the host, so no fixed step list
+  // replays them: a trace through here fails and the model serves eagerly.
+  conformer::internal::FailCapture(
+      "LshAttention hashes and sorts its buckets on the host");
   (void)causal;  // Bucketed chunks approximate locality; causal masking is
                  // not modelled (matches this repo's encoder-only usage).
   CONFORMER_CHECK_EQ(q.size(1), k.size(1))

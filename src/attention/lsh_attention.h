@@ -19,11 +19,6 @@ class LshAttention : public AttentionMechanism {
   const char* name() const override { return "lsh"; }
 
  private:
-  /// The actual computation; Forward wraps it as one opaque capture step
-  /// because bucket hashing/sorting is data-dependent host logic.
-  Tensor ForwardEager(const Tensor& q, const Tensor& k, const Tensor& v,
-                      bool causal) const;
-
   int64_t buckets_;
   int64_t chunk_;
   uint64_t seed_;

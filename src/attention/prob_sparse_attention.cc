@@ -18,18 +18,12 @@ ProbSparseAttention::ProbSparseAttention(int64_t factor, uint64_t seed)
 
 Tensor ProbSparseAttention::Forward(const Tensor& q, const Tensor& k,
                                     const Tensor& v, bool causal) const {
-  // Deterministic given (q, k, v): sampling uses a fresh Rng(seed_) per
-  // call, so the static runtime may replay this as one opaque step.
-  return conformer::internal::CaptureOpaque(
-      "ProbSparseAttention", {q, k, v},
-      [this, causal](const std::vector<Tensor>& in) {
-        return ForwardEager(in[0], in[1], in[2], causal);
-      });
-}
-
-Tensor ProbSparseAttention::ForwardEager(const Tensor& q, const Tensor& k,
-                                         const Tensor& v, bool causal) const {
   CONFORMER_PROFILE_SCOPE_CAT("attention", "prob_sparse");
+  // The top-u query selection reads q and k on the host, so no fixed step
+  // list replays it: a trace through here fails and the model serves
+  // eagerly.
+  conformer::internal::FailCapture(
+      "ProbSparseAttention selects its top-u queries on the host");
   const int64_t bh = q.size(0);
   const int64_t lq = q.size(1);
   const int64_t lk = k.size(1);

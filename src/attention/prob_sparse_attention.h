@@ -19,11 +19,6 @@ class ProbSparseAttention : public AttentionMechanism {
   const char* name() const override { return "prob_sparse"; }
 
  private:
-  /// The actual computation; Forward wraps it as one opaque capture step
-  /// because the top-u query selection is data-dependent host logic.
-  Tensor ForwardEager(const Tensor& q, const Tensor& k, const Tensor& v,
-                      bool causal) const;
-
   int64_t factor_;
   uint64_t seed_;
 };

@@ -35,12 +35,22 @@ TimesNetLite::TimesNetLite(data::WindowConfig window, int64_t dims,
 Tensor TimesNetLite::Forward(const data::Batch& batch) const {
   CONFORMER_PROFILE_SCOPE_CAT("model", "timesnet_lite");
   Tensor emb = embed_->Forward(batch.x);  // [B, L, M]
-  // The FFT period selection is data-dependent host logic; the static
-  // runtime replays the whole block as one opaque step (the same idiom as
-  // AutoCorrelationAttention and InputRepresentation::MultivariateWeights).
-  Tensor mixed = conformer::internal::CaptureOpaque(
-      "TimesNetLiteBlock", {emb},
-      [this](const std::vector<Tensor>& in) { return BlockEager(in[0]); });
+  // The FFT period selection picks each row's grid shape on the host, so no
+  // fixed step list replays the block: a trace through here fails and the
+  // model serves eagerly.
+  conformer::internal::FailCapture(
+      "TimesNetLite selects its periods on the host");
+  // Per-series period selection (not the reference implementation's
+  // batch-mean): each row's periods depend only on that row, so every
+  // row's output is bitwise independent of its batch-mates and the serving
+  // layer's batched-vs-single transparency contract holds.
+  const int64_t rows = emb.size(0);
+  std::vector<Tensor> blocks;
+  blocks.reserve(rows);
+  for (int64_t b = 0; b < rows; ++b) {
+    blocks.push_back(PeriodBlock(Slice(emb, 0, b, b + 1)));
+  }
+  Tensor mixed = rows == 1 ? blocks.front() : Concat(blocks, 0);
   Tensor h = Permute(mixed, {0, 2, 1});  // [B, M, L]
   h = time_head_->Forward(h);            // [B, M, pred_len]
   h = Permute(h, {0, 2, 1});             // [B, pred_len, M]
@@ -68,21 +78,7 @@ std::vector<fft::PeriodCandidate> TimesNetLite::SelectPeriods(
   return fft::TopKPeriods(amplitude, length, top_k_);
 }
 
-Tensor TimesNetLite::BlockEager(const Tensor& x) const {
-  const int64_t batch = x.size(0);
-  // Per-series period selection (not the reference implementation's
-  // batch-mean): each row's periods depend only on that row, so every
-  // row's output is bitwise independent of its batch-mates and the serving
-  // layer's batched-vs-single transparency contract holds.
-  std::vector<Tensor> rows;
-  rows.reserve(batch);
-  for (int64_t b = 0; b < batch; ++b) {
-    rows.push_back(RowEager(Slice(x, 0, b, b + 1)));
-  }
-  return batch == 1 ? rows.front() : Concat(rows, 0);
-}
-
-Tensor TimesNetLite::RowEager(const Tensor& row) const {
+Tensor TimesNetLite::PeriodBlock(const Tensor& row) const {
   const int64_t length = row.size(1);
   const int64_t channels = row.size(2);
   const std::vector<fft::PeriodCandidate> periods = SelectPeriods(row);
@@ -91,7 +87,7 @@ Tensor TimesNetLite::RowEager(const Tensor& row) const {
 
   // Differentiable amplitude weights for the selected frequencies: project
   // the channel-mean series onto constant cos/sin basis vectors and take
-  // |X[f]| = sqrt(re^2 + im^2). Only the indices came from the opaque FFT;
+  // |X[f]| = sqrt(re^2 + im^2). Only the indices came from the host FFT;
   // these amplitudes (and their softmax) stay on the autograd tape.
   std::vector<float> cos_basis(length * n);
   std::vector<float> sin_basis(length * n);

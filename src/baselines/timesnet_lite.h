@@ -11,7 +11,7 @@
 //     row's forecast is a pure function of that row, so the serving layer's
 //     batched-vs-single bitwise-transparency contract holds.
 //   * The non-differentiable frequency index selection happens on the host
-//     (an internal::CaptureOpaque site, so static-plan replay stays legal);
+//     (so a static-plan trace fails and the model serves eagerly);
 //     the amplitude weights are then recomputed differentiably by projecting
 //     the channel-mean series onto the selected cos/sin basis, keeping them
 //     on the autograd tape exactly as the exemplars' topk-amplitude softmax.
@@ -41,10 +41,9 @@ class TimesNetLite : public Forecaster {
   std::vector<fft::PeriodCandidate> SelectPeriods(const Tensor& row) const;
 
  private:
-  /// The period-adaptive block over [B, L, M] (the CaptureOpaque body).
-  Tensor BlockEager(const Tensor& x) const;
-  /// One row [1, L, M]: fold / conv / recombine with residual.
-  Tensor RowEager(const Tensor& row) const;
+  /// The period-adaptive block over one row [1, L, M]: fold / conv /
+  /// recombine with residual.
+  Tensor PeriodBlock(const Tensor& row) const;
 
   int64_t top_k_;
   std::shared_ptr<nn::Linear> embed_;      // D -> M

@@ -28,22 +28,48 @@ int64_t ResolutionCardinality(TemporalResolution r) {
 }
 
 // Recovers the discrete calendar index from the normalized mark features
-// (see data/time_features.cc for the encoding).
+// (see data/time_features.cc for the encoding: column r of a mark row holds
+// resolution r scaled into [-0.5, 0.5]). A mark outside that range clamps
+// to [0, cardinality - 1] and NaN decodes to 0, so no request indexes
+// outside a table; an in-range mark decodes as std::lround rounds it.
 int64_t ResolutionIndex(TemporalResolution r, const float* mark_row) {
-  auto decode = [](float v, float denom) {
-    return static_cast<int64_t>(std::lround((v + 0.5f) * denom));
-  };
-  switch (r) {
-    case TemporalResolution::kMinute:
-      return std::min<int64_t>(59, decode(mark_row[0], 59.0f));
-    case TemporalResolution::kHour:
-      return std::min<int64_t>(23, decode(mark_row[1], 23.0f));
-    case TemporalResolution::kDayOfWeek:
-      return std::min<int64_t>(6, decode(mark_row[2], 6.0f));
-    case TemporalResolution::kDayOfMonth:
-      return std::min<int64_t>(30, decode(mark_row[3], 30.0f));
+  const int64_t top = ResolutionCardinality(r) - 1;
+  const float scaled =
+      (mark_row[static_cast<int>(r)] + 0.5f) * static_cast<float>(top);
+  if (!(scaled > 0.0f)) return 0;
+  if (scaled >= static_cast<float>(top)) return top;
+  return std::lround(scaled);
+}
+
+// Eq. (1) with lag-0 normalization over raw pointers: x [batch, length,
+// dims] -> corr [batch, length, dims]. The eager call and the plan's replay
+// closure both run it.
+void MultivariateCorrelation(const float* x, int64_t batch, int64_t length,
+                             int64_t dims, float* corr) {
+  // Gather the (batch, variable) columns into contiguous rows and run one
+  // batched FFT auto-correlation over all of them (threaded; see
+  // fft::AutoCorrelationBatch for the determinism contract).
+  std::vector<double> columns(batch * dims * length);
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t d = 0; d < dims; ++d) {
+      double* column = columns.data() + (b * dims + d) * length;
+      for (int64_t t = 0; t < length; ++t) {
+        column[t] = x[(b * length + t) * dims + d];
+      }
+    }
   }
-  return 0;
+  const std::vector<double> ac =
+      fft::AutoCorrelationBatch(columns, batch * dims, length);
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t d = 0; d < dims; ++d) {
+      const double* row = ac.data() + (b * dims + d) * length;
+      // Normalize by lag-0 energy so variables are comparable.
+      const double denom = std::max(std::fabs(row[0]), 1e-8);
+      for (int64_t t = 0; t < length; ++t) {
+        corr[(b * length + t) * dims + d] = static_cast<float>(row[t] / denom);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -112,79 +138,41 @@ InputRepresentation::InputRepresentation(const InputRepresentationConfig& config
 }
 
 Tensor InputRepresentation::MultivariateWeights(const Tensor& x) const {
-  // The FFT auto-correlation reads raw values on the host; the static
-  // runtime replays the whole block as one opaque step.
-  return conformer::internal::CaptureOpaque(
-      "MultivariateWeights", {x}, [this](const std::vector<Tensor>& in) {
-        return MultivariateWeightsImpl(in[0]);
-      });
-}
-
-Tensor InputRepresentation::MultivariateWeightsImpl(const Tensor& x) const {
-  // Eq. (1): per-variable auto-correlation over the window; Eq. (2):
-  // softmax across variables per lag. Computed outside the tape — the
-  // weights depend only on the raw input.
-  NoGradGuard guard;
+  // Eq. (1): per-variable auto-correlation over the window, a host step with
+  // no gradient (the weights depend only on the raw input); Eq. (2):
+  // softmax across variables per lag.
   CONFORMER_PROFILE_SCOPE_CAT("model", "multivariate_correlation");
   const int64_t batch = x.size(0);
   const int64_t length = x.size(1);
   const int64_t dims = x.size(2);
-  const float* xd = x.data();
-  // Gather the (batch, variable) columns into contiguous rows and run one
-  // batched FFT auto-correlation over all of them (threaded; see
-  // fft::AutoCorrelationBatch for the determinism contract).
-  std::vector<double> columns(batch * dims * length);
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t d = 0; d < dims; ++d) {
-      double* column = columns.data() + (b * dims + d) * length;
-      for (int64_t t = 0; t < length; ++t) {
-        column[t] = xd[(b * length + t) * dims + d];
-      }
-    }
-  }
-  const std::vector<double> ac =
-      fft::AutoCorrelationBatch(columns, batch * dims, length);
-  std::vector<float> corr(batch * length * dims);
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t d = 0; d < dims; ++d) {
-      const double* row = ac.data() + (b * dims + d) * length;
-      // Normalize by lag-0 energy so variables are comparable.
-      const double denom = std::max(std::fabs(row[0]), 1e-8);
-      for (int64_t t = 0; t < length; ++t) {
-        corr[(b * length + t) * dims + d] = static_cast<float>(row[t] / denom);
-      }
-    }
-  }
-  Tensor mr = Tensor::FromVector(std::move(corr), {batch, length, dims});
+  Tensor mr = conformer::internal::CaptureHostStep(
+      "MultivariateCorrelation", {batch, length, dims}, {x},
+      [batch, length, dims](const float* const* in, float* out) {
+        MultivariateCorrelation(in[0], batch, length, dims, out);
+      });
   return Softmax(mr, -1);
 }
 
 Tensor InputRepresentation::MultiscaleDynamics(const Tensor& marks) const {
-  // Calendar index decoding reads mark values on the host; the static
-  // runtime replays the whole block as one opaque step.
-  return conformer::internal::CaptureOpaque(
-      "MultiscaleDynamics", {marks}, [this](const std::vector<Tensor>& in) {
-        return MultiscaleDynamicsImpl(in[0]);
-      });
-}
-
-Tensor InputRepresentation::MultiscaleDynamicsImpl(const Tensor& marks) const {
   const int64_t batch = marks.size(0);
   const int64_t length = marks.size(1);
   CONFORMER_CHECK_EQ(length, config_.length)
       << "InputRepresentation built for length " << config_.length;
   const int64_t f = marks.size(2);
-  const float* md = marks.data();
 
   Tensor out;
   for (size_t k = 0; k < config_.resolutions.size(); ++k) {
-    // Gather the per-step calendar indices for this resolution.
-    std::vector<int64_t> indices(batch * length);
-    for (int64_t i = 0; i < batch * length; ++i) {
-      indices[i] = ResolutionIndex(config_.resolutions[k], md + i * f);
-    }
-    Tensor emb = Reshape(scale_embeddings_[k]->Forward(indices),
-                         {batch, length, config_.d_model});
+    // The per-step calendar indices of this resolution, as floats (exact:
+    // every cardinality is at most 60).
+    const TemporalResolution r = config_.resolutions[k];
+    Tensor indices = conformer::internal::CaptureHostStep(
+        "CalendarIndex", {batch, length}, {marks},
+        [r, n = batch * length, f](const float* const* in, float* idx) {
+          for (int64_t i = 0; i < n; ++i) {
+            idx[i] = static_cast<float>(ResolutionIndex(r, in[0] + i * f));
+          }
+        });
+    Tensor emb = scale_embeddings_[k]->Forward(indices);  // [B, L, d_model]
     // Eq. (4): temporal mixing with W^S_k in R^{L x L}.
     Tensor mixed = MatMul(scale_mixers_[k], emb);
     out = out.defined() ? Add(out, mixed) : mixed;

@@ -73,12 +73,6 @@ class InputRepresentation : public nn::Module {
   /// Eq. (3)-(4): multiscale calendar embedding, [B, L, d_model].
   Tensor MultiscaleDynamics(const Tensor& marks) const;
 
-  /// Bodies of the two data-dependent blocks (FFT auto-correlation; calendar
-  /// index decoding). The public entry points wrap them as opaque capture
-  /// steps for the static runtime.
-  Tensor MultivariateWeightsImpl(const Tensor& x) const;
-  Tensor MultiscaleDynamicsImpl(const Tensor& marks) const;
-
   InputRepresentationConfig config_;
   std::shared_ptr<nn::Conv1dLayer> value_conv_;  // W^v, b^v of Eq. (5)
   std::vector<std::shared_ptr<nn::Embedding>> scale_embeddings_;

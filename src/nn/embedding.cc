@@ -7,18 +7,13 @@
 
 namespace conformer::nn {
 
-Embedding::Embedding(int64_t num_embeddings, int64_t dim)
-    : num_embeddings_(num_embeddings), dim_(dim) {
+Embedding::Embedding(int64_t num_embeddings, int64_t dim) : dim_(dim) {
   weight_ = RegisterParameter(
       "weight", Tensor::Randn({num_embeddings, dim}) * 0.02f);
 }
 
-Tensor Embedding::Forward(const std::vector<int64_t>& indices) const {
-  for (int64_t i : indices) {
-    CONFORMER_CHECK(i >= 0 && i < num_embeddings_)
-        << "embedding index out of range";
-  }
-  return IndexSelect(weight_, 0, indices);
+Tensor Embedding::Forward(const Tensor& indices) const {
+  return EmbeddingLookup(weight_, indices);
 }
 
 TokenEmbedding::TokenEmbedding(int64_t c_in, int64_t d_model) {

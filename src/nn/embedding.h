@@ -16,18 +16,17 @@
 
 namespace conformer::nn {
 
-/// \brief Lookup table [num_embeddings, dim]; input is an index list.
+/// \brief Lookup table [num_embeddings, dim]; input is an index tensor.
 class Embedding : public Module {
  public:
   Embedding(int64_t num_embeddings, int64_t dim);
 
-  /// indices -> [n, dim]
-  Tensor Forward(const std::vector<int64_t>& indices) const;
+  /// indices (integers stored as floats, any shape) -> [indices..., dim]
+  Tensor Forward(const Tensor& indices) const;
 
   int64_t dim() const { return dim_; }
 
  private:
-  int64_t num_embeddings_;
   int64_t dim_;
   Tensor weight_;
 };

@@ -39,11 +39,9 @@ PlanExecutor::PlanExecutor(std::shared_ptr<const Plan> plan)
     CONFORMER_CHECK_GE(out.offset, 0);
     step_out_[i] = arena_.data() + out.offset;
     step_numel_[i] = out.numel;
-    // Link 0 (or the opaque fn) reads the leading inputs; later links get
-    // their own {chain buffer, extras...} table.
-    const size_t lead = step.chain.empty()
-                            ? step.in_slots.size()
-                            : static_cast<size_t>(step.chain[0].num_inputs);
+    // Link 0 reads the leading inputs; later links get their own
+    // {chain buffer, extras...} table.
+    const size_t lead = static_cast<size_t>(step.chain[0].num_inputs);
     step_inputs_[i].reserve(lead);
     for (size_t k = 0; k < lead; ++k) {
       step_inputs_[i].push_back(SlotPtr(slots[step.in_slots[k]], arena_));
@@ -89,32 +87,10 @@ Tensor PlanExecutor::Run(const data::Batch& batch, StepObserver* observer) {
     const PlanStep& step = steps[i];
     float* out = step_out_[i];
     const int64_t numel = step_numel_[i];
-    if (!step.chain.empty()) {
-      if (step.zero_init) std::memset(out, 0, numel * sizeof(float));
-      step.chain[0].fn(step_inputs_[i].data(), out);
-      for (size_t l = 1; l < step.chain.size(); ++l) {
-        step.chain[l].fn(link_inputs_[i][l - 1].data(), out);
-      }
-    } else {
-      // Opaque composite: materialize tensors from the planned buffers and
-      // re-run the recorded host logic (deterministic by contract).
-      std::vector<Tensor> in_tensors;
-      in_tensors.reserve(step.in_slots.size());
-      for (size_t k = 0; k < step.in_slots.size(); ++k) {
-        const Shape& shape = step.opaque_in_shapes[k];
-        const float* src = step_inputs_[i][k];
-        in_tensors.push_back(Tensor::FromVector(
-            std::vector<float>(src, src + NumElements(shape)), shape));
-      }
-      Tensor value;
-      {
-        NoGradGuard no_grad;
-        internal::CaptureSuspendGuard no_capture;
-        value = step.opaque_fn(in_tensors);
-      }
-      CONFORMER_CHECK_EQ(value.numel(), numel)
-          << "opaque step '" << step.op_name << "' changed output size";
-      std::memcpy(out, value.data(), numel * sizeof(float));
+    if (step.zero_init) std::memset(out, 0, numel * sizeof(float));
+    step.chain[0].fn(step_inputs_[i].data(), out);
+    for (size_t l = 1; l < step.chain.size(); ++l) {
+      step.chain[l].fn(link_inputs_[i][l - 1].data(), out);
     }
     if (plan_->corrupted_step() == static_cast<int>(i) && numel > 0) {
       out[0] = out[0] == 0.0f ? 1.0f : -out[0];

@@ -59,20 +59,14 @@ struct PlanChainLink {
 };
 
 /// \brief One executable step: a chain of >= 1 fused kernel links writing a
-/// single output slot, or an opaque composite replayed through tensors.
+/// single output slot.
 struct PlanStep {
-  std::vector<PlanChainLink> chain;  ///< Empty for opaque steps.
+  std::vector<PlanChainLink> chain;  ///< Link 0 writes the output slot.
   std::vector<int> in_slots;         ///< All links' inputs, concatenated.
   int out_slot = -1;
   bool zero_init = false;  ///< memset the output before link 0 (Sum).
   std::string op_name;     ///< "MatMul+Add+Relu" for fused chains.
   int trace_node = -1;     ///< Node whose value the step's output equals.
-
-  /// Opaque composite replay (chain.empty()): materialize the inputs as
-  /// tensors, re-run the recorded deterministic function, copy the result.
-  std::function<Tensor(const std::vector<Tensor>&)> opaque_fn;
-  std::vector<Shape> opaque_in_shapes;
-  Shape out_shape;  ///< Output shape of this step (opaque + diagnostics).
 };
 
 /// \brief An immutable compiled replay program for one (model, geometry)
@@ -133,12 +127,10 @@ class Tracer : public internal::CaptureSink {
                   const internal::CaptureStepMeta& meta) override;
   void RecordAlias(const Tensor& out, const Tensor& src,
                    const char* op_name) override;
-  void RecordOpaque(const Tensor& out, const std::vector<Tensor>& inputs,
-                    std::function<Tensor(const std::vector<Tensor>&)> fn,
-                    const char* op_name) override;
   void RecordRaw(const Tensor& out, const char* op_name) override;
+  void Fail(const std::string& why) override;
 
-  /// Recorded nodes (steps + opaques, in execution order; aliases excluded).
+  /// Recorded steps, in execution order (aliases excluded).
   int num_nodes() const;
   const std::string& node_op(int i) const;
   /// The retained eager output of node `i` — the per-node parity reference.
@@ -147,7 +139,8 @@ class Tracer : public internal::CaptureSink {
   /// Compiles the trace: slot unification, fusion, liveness, arena offsets.
   /// `output` must be the traced call's result; `num_inputs` the batch
   /// tensor count registered via RegisterInput. Fails (so callers fall back
-  /// to eager) when the output or any consumed value is untraceable.
+  /// to eager) when the output or any consumed value is untraceable, or a
+  /// host-logic composite failed the trace.
   Result<std::shared_ptr<const Plan>> BuildPlan(const Tensor& output,
                                                 int num_inputs);
 

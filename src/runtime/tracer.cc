@@ -23,14 +23,12 @@ int64_t AlignUp(int64_t n) {
 
 struct Tracer::Node {
   std::string op_name;
-  internal::ReplayFn fn;  // Null for opaque composites.
-  std::function<Tensor(const std::vector<Tensor>&)> opaque_fn;
+  internal::ReplayFn fn;
   std::vector<int> in_slots;
   int out_slot = -1;
   bool zero_init = false;
   bool inplace_safe = false;
-  std::vector<Shape> in_shapes;  // Opaque input materialization.
-  Tensor value;                  // Retained eager output (parity reference).
+  Tensor value;  // Retained eager output (parity reference).
 };
 
 struct Tracer::Impl {
@@ -129,28 +127,14 @@ void Tracer::RecordAlias(const Tensor& out, const Tensor& src,
   impl_->retained.push_back(out);
 }
 
-void Tracer::RecordOpaque(const Tensor& out, const std::vector<Tensor>& inputs,
-                          std::function<Tensor(const std::vector<Tensor>&)> fn,
-                          const char* op_name) {
-  Node node;
-  node.op_name = op_name;
-  node.opaque_fn = std::move(fn);
-  node.in_slots.reserve(inputs.size());
-  for (const Tensor& t : inputs) {
-    node.in_slots.push_back(impl_->ResolveInput(t, op_name));
-    node.in_shapes.push_back(t.shape());
-  }
-  node.out_slot = impl_->NewActivation(out);
-  node.value = out;
-  impl_->nodes.push_back(std::move(node));
-}
-
 void Tracer::RecordRaw(const Tensor& out, const char* op_name) {
   // Provisional: RecordStep/RecordAlias for the same tensor (which runs
   // right after MakeOpResult) upgrades it to a planned value.
   impl_->raw.emplace(out.impl().get(), op_name);
   impl_->retained.push_back(out);
 }
+
+void Tracer::Fail(const std::string& why) { impl_->Fail(why); }
 
 int Tracer::num_nodes() const { return static_cast<int>(impl_->nodes.size()); }
 
@@ -208,10 +192,10 @@ Result<std::shared_ptr<const Plan>> Tracer::BuildPlan(const Tensor& output,
   std::vector<int> chain_out;
   for (int ni = 0; ni < static_cast<int>(t.nodes.size()); ++ni) {
     Node& nd = t.nodes[ni];
-    if (nd.fn && nd.inplace_safe && !steps.empty() && !nd.in_slots.empty()) {
+    if (nd.inplace_safe && !steps.empty() && !nd.in_slots.empty()) {
       PlanStep& prev = steps.back();
       const int o = chain_out.back();
-      if (!prev.chain.empty() && nd.in_slots[0] == o &&
+      if (nd.in_slots[0] == o &&
           std::count(nd.in_slots.begin(), nd.in_slots.end(), o) == 1 &&
           consumers[o] == 1 &&
           t.slots[nd.out_slot].numel == t.slots[o].numel) {
@@ -225,7 +209,6 @@ Result<std::shared_ptr<const Plan>> Tracer::BuildPlan(const Tensor& output,
         prev.op_name += "+";
         prev.op_name += nd.op_name;
         prev.trace_node = ni;
-        prev.out_shape = nd.value.shape();
         remap[nd.out_slot] = prev.out_slot;
         chain_out.back() = nd.out_slot;
         continue;
@@ -237,17 +220,11 @@ Result<std::shared_ptr<const Plan>> Tracer::BuildPlan(const Tensor& output,
     step.zero_init = nd.zero_init;
     step.op_name = nd.op_name;
     step.trace_node = ni;
-    step.out_shape = nd.value.shape();
-    if (nd.fn) {
-      PlanChainLink link;
-      link.fn = nd.fn;
-      link.num_inputs = static_cast<int>(nd.in_slots.size());
-      link.trace_node = ni;
-      step.chain.push_back(std::move(link));
-    } else {
-      step.opaque_fn = nd.opaque_fn;
-      step.opaque_in_shapes = nd.in_shapes;
-    }
+    PlanChainLink link;
+    link.fn = nd.fn;
+    link.num_inputs = static_cast<int>(nd.in_slots.size());
+    link.trace_node = ni;
+    step.chain.push_back(std::move(link));
     steps.push_back(std::move(step));
     chain_out.push_back(nd.out_slot);
   }

@@ -14,19 +14,21 @@ CaptureSink* SwapCaptureSink(CaptureSink* sink) {
   return previous;
 }
 
-Tensor CaptureOpaque(const char* name, std::vector<Tensor> inputs,
-                     std::function<Tensor(const std::vector<Tensor>&)> fn) {
-  CaptureSink* sink = g_capture_sink;
-  if (sink == nullptr) return fn(inputs);
-  Tensor out;
-  {
-    // The composite's internal ops run eagerly but unrecorded; the sink
-    // sees the whole call as one step.
-    CaptureSuspendGuard suspend;
-    out = fn(inputs);
-  }
-  sink->RecordOpaque(out, inputs, std::move(fn), name);
-  return out;
+Tensor CaptureHostStep(const char* op_name, Shape out_shape,
+                       const std::vector<Tensor>& inputs, ReplayFn fn) {
+  std::vector<const float*> in;
+  in.reserve(inputs.size());
+  for (const Tensor& t : inputs) in.push_back(t.data());
+  std::vector<float> out = AcquireBuffer(NumElements(out_shape));
+  fn(in.data(), out.data());
+  Tensor result =
+      AttachOpResult(std::move(out_shape),
+                     std::make_shared<Storage>(std::move(out)), inputs,
+                     /*backward=*/nullptr, op_name);
+  MaybeCaptureStep(result, inputs,
+                   {op_name, /*zero_init=*/false, /*inplace_safe=*/false},
+                   [&] { return std::move(fn); });
+  return result;
 }
 
 }  // namespace conformer::internal

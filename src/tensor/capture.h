@@ -16,6 +16,7 @@
 #define CONFORMER_TENSOR_CAPTURE_H_
 
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,20 +60,16 @@ class CaptureSink {
   virtual void RecordAlias(const Tensor& out, const Tensor& src,
                            const char* op_name) = 0;
 
-  /// An opaque composite with data-dependent host control flow (top-k
-  /// selection, hashing, FFT lag picking): replay re-runs `fn` eagerly on
-  /// tensors materialized from the planned input buffers. `fn` must be
-  /// deterministic given its inputs.
-  virtual void RecordOpaque(
-      const Tensor& out, const std::vector<Tensor>& inputs,
-      std::function<Tensor(const std::vector<Tensor>&)> fn,
-      const char* op_name) = 0;
-
   /// Every MakeOpResult reports its output here, before the op decides
   /// whether it also calls RecordStep. An output that is never upgraded to a
   /// step/alias came from an op without a replay closure — consuming it later
   /// must invalidate the trace instead of silently freezing its value.
   virtual void RecordRaw(const Tensor& out, const char* op_name) = 0;
+
+  /// A composite whose control flow depends on tensor values (top-k
+  /// selection, hashing, FFT lag picking) ran: no fixed step list replays
+  /// it, so the trace must not build a plan.
+  virtual void Fail(const std::string& why) = 0;
 };
 
 /// The calling thread's active sink (null when not tracing).
@@ -80,19 +77,6 @@ CaptureSink* ActiveCaptureSink();
 
 /// Installs `sink` on the calling thread; returns the previous sink.
 CaptureSink* SwapCaptureSink(CaptureSink* sink);
-
-/// \brief RAII: suspends capture on this thread. Opaque composites use it so
-/// their internal ops are not recorded as individual steps.
-class CaptureSuspendGuard {
- public:
-  CaptureSuspendGuard() : previous_(SwapCaptureSink(nullptr)) {}
-  ~CaptureSuspendGuard() { SwapCaptureSink(previous_); }
-  CaptureSuspendGuard(const CaptureSuspendGuard&) = delete;
-  CaptureSuspendGuard& operator=(const CaptureSuspendGuard&) = delete;
-
- private:
-  CaptureSink* previous_;
-};
 
 /// Called by op implementations right after building `out`. `make_fn` is
 /// only invoked (and the ReplayFn only allocated) under an active sink.
@@ -123,13 +107,22 @@ inline void MaybeCaptureAlias(const Tensor& out, const Tensor& src,
   }
 }
 
-/// Runs `fn(inputs)` as one opaque composite step. With no sink active this
-/// is a plain call; under capture the internal ops are suspended and the
-/// whole call is recorded as a single replayable unit. `fn` must be a pure
-/// deterministic function of `inputs` (plus immutable captured state such as
-/// module parameters and fixed seeds).
-Tensor CaptureOpaque(const char* name, std::vector<Tensor> inputs,
-                     std::function<Tensor(const std::vector<Tensor>&)> fn);
+/// Fails the active trace, if any, naming why (see CaptureSink::Fail). A
+/// composite with data-dependent host control flow calls it on entry; a
+/// session whose trace fails serves that geometry eagerly.
+inline void FailCapture(const std::string& why) {
+  if (CaptureSink* sink = ActiveCaptureSink()) sink->Fail(why);
+}
+
+/// Runs host code `fn` as one step with no gradient: `fn` reads `inputs`'
+/// values through raw pointers and writes a fresh `out_shape` output. The
+/// eager call and the plan's replay closure are the same `fn`, so replay is
+/// bitwise equal by construction. For blocks that are constant w.r.t.
+/// parameters but read values on the host (the FFT auto-correlation of
+/// Eq. 1, the calendar-index decode of Eq. 3). `fn` must write every output
+/// element and be a pure function of its inputs.
+Tensor CaptureHostStep(const char* op_name, Shape out_shape,
+                       const std::vector<Tensor>& inputs, ReplayFn fn);
 
 }  // namespace conformer::internal
 

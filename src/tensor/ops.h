@@ -117,6 +117,11 @@ Tensor Roll(const Tensor& a, int64_t dim, int64_t shift);
 /// row indices (batch-major); returns [B, K, D]. Gradient scatter-adds.
 Tensor BatchedIndexSelect(const Tensor& a, const std::vector<int64_t>& indices,
                           int64_t k);
+/// Rows of `table` [n, d] at `indices` (any shape; every value an integer
+/// in [0, n) stored as a float): [indices..., d]. The indices are a tensor so
+/// a static plan reads them from their slot. Gradient scatter-adds into
+/// `table`, in IndexSelect's order; none flows to `indices`.
+Tensor EmbeddingLookup(const Tensor& table, const Tensor& indices);
 
 // -- Convolution / pooling -------------------------------------------------------
 

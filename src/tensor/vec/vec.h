@@ -37,10 +37,9 @@
 
 namespace conformer::vec {
 
-/// Logical lane counts every backend implements (NOT the hardware width:
+/// Logical lane count every backend implements (NOT the hardware width:
 /// SSE2 uses two 4-lane registers per logical float vector).
 inline constexpr int64_t kFloatLanes = 8;
-inline constexpr int64_t kDoubleLanes = 4;
 
 /// Instruction-set levels, ordered from weakest to strongest so levels can
 /// be clamped with min(). kNeon sorts above kScalar on aarch64 builds; the

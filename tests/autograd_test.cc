@@ -261,6 +261,16 @@ TEST(GradCheckTest, IndexSelectWithRepeats) {
       {Leaf({3, 2}, 39)});
 }
 
+TEST(GradCheckTest, EmbeddingLookupWithRepeats) {
+  const Tensor indices = Tensor::FromVector({0, 2, 2, 1}, {2, 2});
+  ExpectGradOk(
+      [&indices](const Inputs& in) {
+        Tensor s = EmbeddingLookup(in[0], indices);
+        return Sum(Mul(s, s));
+      },
+      {Leaf({3, 2}, 39)});
+}
+
 TEST(GradCheckTest, Roll) {
   ExpectGradOk(
       [](const Inputs& in) {

@@ -447,15 +447,27 @@ TEST(GruTest, GruSequenceChecksShapes) {
 
 TEST(EmbeddingTest, LookupShape) {
   Embedding emb(10, 4);
-  Tensor out = emb.Forward({1, 5, 5, 9});
+  Tensor out = emb.Forward(Tensor::FromVector({1, 5, 5, 9}, {4}));
   EXPECT_EQ(out.shape(), (Shape{4, 4}));
   // Repeated index returns identical rows.
   for (int64_t j = 0; j < 4; ++j) EXPECT_EQ(out.at({1, j}), out.at({2, j}));
+  // An index tensor of any shape keeps its shape, plus the row width.
+  Tensor grid = emb.Forward(Tensor::FromVector({1, 5, 5, 9}, {2, 2}));
+  EXPECT_EQ(grid.shape(), (Shape{2, 2, 4}));
+  EXPECT_EQ(std::memcmp(grid.data(), out.data(), out.numel() * sizeof(float)),
+            0);
+}
+
+TEST(EmbeddingDeathTest, RejectsIndicesOutsideTheTable) {
+  Embedding emb(10, 4);
+  EXPECT_DEATH(emb.Forward(Tensor::FromVector({10}, {1})), "out of range");
+  EXPECT_DEATH(emb.Forward(Tensor::FromVector({-1}, {1})), "out of range");
+  EXPECT_DEATH(emb.Forward(Tensor::FromVector({0.5f}, {1})), "out of range");
 }
 
 TEST(EmbeddingTest, GradAccumulatesOnRepeats) {
   Embedding emb(5, 2);
-  Tensor out = emb.Forward({3, 3, 3});
+  Tensor out = emb.Forward(Tensor::FromVector({3, 3, 3}, {3}));
   Sum(out).Backward();
   Tensor g = emb.Parameters()[0].grad();
   EXPECT_NEAR(g.at({3, 0}), 3.0f, 1e-6);

@@ -13,9 +13,12 @@
 //       keep serving bitwise-identical forecasts,
 //   (e) Shutdown() drains every tenant's queue (no accepted request lost),
 //   (f) concurrent clients across tenants are race-free (tsan label), and
-//   (g) the open-loop load generator's report tallies add up.
+//   (g) the open-loop load generator's report tallies add up, and
+//   (h) out-of-range or NaN calendar marks serve as their clamped value.
 
+#include <algorithm>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -172,6 +175,55 @@ TEST(FleetServerTest, ServesMixedHorizonTenantsBatchTransparently) {
             ->Predict(splits16.test.GetRange(r, 1))
             .point,
         "linear@16 request " + std::to_string(r));
+  }
+}
+
+// -- Out-of-range calendar marks ----------------------------------------------
+
+// A calendar mark outside its [-0.5, 0.5] encoding decodes as the nearest
+// in-range value would, and NaN as the lowest index: eagerly, when the plan
+// is traced, and when it replays. The request passes Validate, so it must
+// get a forecast, never abort the server.
+TEST(FleetServerTest, OutOfRangeCalendarMarksServeAsTheirClampedValue) {
+  data::DatasetSplits splits = MakeTestSplits(16);
+  const data::Batch good = splits.test.GetRange(0, 1);
+  // Every mark of the first time step, in both mark tensors, set to `value`.
+  auto with_first_marks = [&good](float value) {
+    data::Batch batch = good;
+    for (Tensor* marks : {&batch.x_mark, &batch.y_mark}) {
+      *marks = marks->Clone();
+      std::fill(marks->data(), marks->data() + marks->size(2), value);
+    }
+    return batch;
+  };
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  // {mark sent, the in-range mark it must serve as}
+  const std::pair<float, float> cases[] = {
+      {-0.6f, -0.5f}, {kNaN, -0.5f}, {kInf, 0.5f}};
+  for (const bool plan : {false, true}) {
+    FleetServer fleet;
+    TenantSpec spec;
+    spec.session.model_name = "conformer";
+    spec.session.window = TestWindow(16);
+    spec.session.dims = splits.test.dims();
+    spec.session.use_static_plan = plan;
+    ASSERT_TRUE(fleet.AddTenant("conformer@16", spec).ok());
+    for (const auto& [sent, clamped] : cases) {
+      const std::string tag = "mark " + std::to_string(sent) +
+                              (plan ? " with the plan" : " eager");
+      // With the plan, the first call traces and the second replays.
+      for (int call = 0; call < 2; ++call) {
+        Result<Forecast> got =
+            fleet.Submit("conformer@16", with_first_marks(sent)).get();
+        ASSERT_TRUE(got.ok()) << tag << ": " << got.status().message();
+        Result<Forecast> want =
+            fleet.Submit("conformer@16", with_first_marks(clamped)).get();
+        ASSERT_TRUE(want.ok()) << tag << ": " << want.status().message();
+        ExpectTensorsBitwiseEqual(got.value().point, want.value().point, tag);
+      }
+    }
+    fleet.Shutdown();
   }
 }
 

@@ -1,12 +1,14 @@
 // Static-runtime suite (docs/STATIC_RUNTIME.md): differential parity of the
 // AOT-planned replay against the eager Predict path. Every registry model is
 // traced, planned, and replayed — cold and warm, at 1 and 8 threads —
-// with bitwise comparison per node (VerifyParity) and at the output boundary.
-// Also covered: the seeded randomized-geometry fuzz pass, the injected-
-// mismatch drill for the per-node checker, arena offset/liveness overlap
-// invariants, interleaved eager/replay runs, untraceable-op fallback, the
-// InferenceSession plan cache, and concurrent replay through a fleet shard
-// (tsan label).
+// with bitwise comparison per node (VerifyParity) and at the output boundary,
+// or its trace fails naming the composite whose host logic no step list can
+// replay, and its session serves eagerly. A warm replay allocates only its
+// output. Also covered: the seeded randomized-geometry fuzz pass, the
+// injected-mismatch drill for the per-node checker, arena offset/liveness
+// overlap invariants, interleaved eager/replay runs, untraceable-op
+// fallback, the InferenceSession plan cache, and concurrent replay through a
+// fleet shard (tsan label).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "data/dataset_registry.h"
 #include "runtime/static_runtime.h"
 #include "serve/fleet_server.h"
+#include "tensor/alloc_stats.h"
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -65,6 +68,18 @@ std::function<Tensor(const data::Batch&)> BindPredict(
   return [&model](const data::Batch& b) { return model.Predict(b); };
 }
 
+// A trace may fail only because a composite with data-dependent host logic
+// ran: Unimplemented, naming that composite.
+bool FailedOnHostLogic(const Status& status) {
+  if (status.code() != StatusCode::kUnimplemented) return false;
+  for (const char* composite :
+       {"ProbSparseAttention", "LshAttention", "AutoCorrelationAttention",
+        "TimesNetLite"}) {
+    if (status.message().find(composite) != std::string::npos) return true;
+  }
+  return false;
+}
+
 // -- Differential parity: every registry model, 1 and 8 threads ------------
 
 TEST(StaticRuntimeTest, AllModelsReplayBitwiseIdenticalAtOneAndEightThreads) {
@@ -85,7 +100,13 @@ TEST(StaticRuntimeTest, AllModelsReplayBitwiseIdenticalAtOneAndEightThreads) {
 
       Result<TraceResult> traced = CapturePredictPlan(BindPredict(*model),
                                                       batch);
-      ASSERT_TRUE(traced.ok()) << tag << ": " << traced.status().ToString();
+      if (!traced.ok()) {
+        // Host-logic models serve eagerly; AllModelsPlanOrFailNamingHostLogic
+        // covers their sessions.
+        EXPECT_TRUE(FailedOnHostLogic(traced.status()))
+            << tag << ": " << traced.status().ToString();
+        continue;
+      }
       // The traced call's own output answers the request that built the plan.
       ExpectTensorsBitwiseEqual(eager, traced.value().output,
                                 tag + " traced output");
@@ -97,6 +118,81 @@ TEST(StaticRuntimeTest, AllModelsReplayBitwiseIdenticalAtOneAndEightThreads) {
 
       // Warm replay under the per-node checker: every planned step must
       // reproduce its eager node value bitwise, not just the boundary.
+      ParityReport report = VerifyParity(executor, BindPredict(*model), batch);
+      EXPECT_TRUE(report.structural_ok)
+          << tag << ": " << report.structural_error;
+      EXPECT_TRUE(report.mismatches.empty())
+          << tag << ": first mismatch at step "
+          << report.mismatches[0].step_index << " ("
+          << report.mismatches[0].op_name << ")";
+    }
+  }
+}
+
+// -- One kind of plan step: every model plans, or fails naming host logic --
+
+TEST(StaticRuntimeTest, AllModelsPlanOrFailNamingHostLogic) {
+  data::DatasetSplits splits = MakeTestSplits();
+  const data::Batch batch = splits.test.GetRange(0, 3);
+  const data::Batch other = splits.test.GetRange(40, 3);
+  for (const std::string& name : models::AvailableModels()) {
+    serve::SessionConfig config;
+    config.model_name = name;
+    config.window = TestWindow();
+    config.dims = splits.test.dims();
+    config.use_static_plan = true;
+    auto session = serve::InferenceSession::Open(config, "");
+    ASSERT_TRUE(session.ok()) << name;
+    const models::Forecaster& model = session.value()->model();
+    const Tensor eager = model.Predict(batch);
+
+    Result<TraceResult> traced = CapturePredictPlan(BindPredict(model), batch);
+    if (traced.ok()) {
+      // Every step is a closure over arena pointers, so a warm replay
+      // allocates only the returned output.
+      PlanExecutor executor(traced.value().plan);
+      (void)executor.Run(batch);
+      ResetAllocPeak();
+      const Tensor warm = executor.Run(batch);
+      EXPECT_EQ(GetAllocStats().total_allocs, 1) << name;
+      ExpectTensorsBitwiseEqual(eager, warm, name + " warm replay");
+    } else {
+      EXPECT_NE(name, "conformer") << traced.status().ToString();
+      EXPECT_TRUE(FailedOnHostLogic(traced.status()))
+          << name << ": " << traced.status().ToString();
+    }
+
+    // Either way the session answers bitwise equal to the model: from the
+    // plan when it built, eagerly from a null-executor entry when not. The
+    // second batch has the same geometry and other values, so a plan that
+    // froze a data-dependent choice at trace time would diverge on it.
+    ExpectTensorsBitwiseEqual(eager, session.value()->Predict(batch).point,
+                              name + " session, traced batch");
+    ExpectTensorsBitwiseEqual(model.Predict(other),
+                              session.value()->Predict(other).point,
+                              name + " session, other batch");
+    EXPECT_EQ(session.value()->plan_for(batch) != nullptr, traced.ok())
+        << name;
+  }
+}
+
+TEST(StaticRuntimeTest, ConformerPerNodeParityAtBatchOneAndEight) {
+  ThreadCountGuard thread_guard;
+  data::DatasetSplits splits = MakeTestSplits();
+  auto model =
+      models::MakeForecaster("conformer", TestWindow(), splits.test.dims())
+          .value();
+  model->SetTraining(false);
+  for (int64_t threads : {int64_t{1}, int64_t{8}}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    for (int64_t rows : {int64_t{1}, int64_t{8}}) {
+      const std::string tag = "B=" + std::to_string(rows) + " @" +
+                              std::to_string(threads) + " threads";
+      const data::Batch batch = splits.test.GetRange(0, rows);
+      Result<TraceResult> traced =
+          CapturePredictPlan(BindPredict(*model), batch);
+      ASSERT_TRUE(traced.ok()) << tag << ": " << traced.status().ToString();
+      PlanExecutor executor(traced.value().plan);
       ParityReport report = VerifyParity(executor, BindPredict(*model), batch);
       EXPECT_TRUE(report.structural_ok)
           << tag << ": " << report.structural_error;
@@ -148,7 +244,11 @@ TEST(StaticRuntimeFuzzTest, RandomGeometriesReplayBitwiseIdentical) {
 
     Result<TraceResult> traced = CapturePredictPlan(BindPredict(*model),
                                                     batch);
-    ASSERT_TRUE(traced.ok()) << tag << ": " << traced.status().ToString();
+    if (!traced.ok()) {
+      EXPECT_TRUE(FailedOnHostLogic(traced.status()))
+          << tag << ": " << traced.status().ToString();
+      continue;
+    }
     PlanExecutor executor(traced.value().plan);
     ExpectTensorsBitwiseEqual(eager, traced.value().output, tag + " trace");
     ExpectTensorsBitwiseEqual(eager, executor.Run(batch), tag + " replay");
