@@ -137,6 +137,33 @@ void BenchSimdLevels(std::vector<BenchRow>* results) {
   vec::SetSimdLevel(vec::DetectedSimdLevel());
   results->push_back({"gemm_dispatch", 1, MeasureOpsPerSec(gemm)});
 
+  // The training step's Gemm shapes (batch 16 x 48 steps = 768 rows, width
+  // 16): a [768, 16] x [16, 16] product (NN), its dA = dC * B^T (NT), and
+  // dB = A^T * dC against a [768, 48] gradient (TN). NT falling well below
+  // NN means it is back to a separate dot per element.
+  {
+    const int64_t tokens = 768, width = 16, wide = 48;
+    Tensor a = Tensor::Randn({tokens, width}, &rng);
+    Tensor w = Tensor::Randn({width, width}, &rng);
+    Tensor g = Tensor::Randn({tokens, wide}, &rng);
+    std::vector<float> c(tokens * wide);
+    results->push_back({"gemm_nn_768x16x16", 1, MeasureOpsPerSec([&] {
+                          kernels::Gemm(false, false, tokens, width, width,
+                                        a.data(), w.data(), c.data(),
+                                        /*accumulate=*/false);
+                        })});
+    results->push_back({"gemm_nt_768x16x16", 1, MeasureOpsPerSec([&] {
+                          kernels::Gemm(false, true, tokens, width, width,
+                                        a.data(), w.data(), c.data(),
+                                        /*accumulate=*/false);
+                        })});
+    results->push_back({"gemm_tn_16x48x768", 1, MeasureOpsPerSec([&] {
+                          kernels::Gemm(true, false, width, wide, tokens,
+                                        a.data(), g.data(), c.data(),
+                                        /*accumulate=*/false);
+                        })});
+  }
+
   // One GRU layer's forward at the serving geometry: batch 8, 48 steps,
   // hidden 16.
   const int64_t batch = 8, length = 48, hidden = 16;
@@ -196,7 +223,7 @@ void BenchSimdLevels(std::vector<BenchRow>* results) {
     results->push_back(
         {"bias_add_bwd_768x16", 1, MeasureOpsPerSec([&] {
            std::fill(dbias.begin(), dbias.end(), 0.0f);
-           kernels::BroadcastScatterAdd(
+           kernels::BroadcastScatterAdd<kernels::kReadsNone>(
                x.data(), out_shape, bias.data(), bias_shape, g.data(),
                out_shape, dbias.data(), bias_shape, /*unit=*/true,
                [](float, float, float grad) { return grad; });

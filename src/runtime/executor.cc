@@ -108,7 +108,7 @@ Tensor PlanExecutor::Run(const data::Batch& batch, StepObserver* observer) {
 
 Result<TraceResult> CapturePredictPlan(
     const std::function<Tensor(const data::Batch&)>& predict,
-    const data::Batch& batch) {
+    const data::Batch& batch, Tensor* failed_output) {
   Tracer tracer;
   const Tensor* inputs[] = {&batch.x, &batch.x_mark, &batch.y, &batch.y_mark};
   for (int i = 0; i < 4; ++i) {
@@ -120,7 +120,10 @@ Result<TraceResult> CapturePredictPlan(
     output = predict(batch);
   }
   Result<std::shared_ptr<const Plan>> plan = tracer.BuildPlan(output, 4);
-  if (!plan.ok()) return plan.status();
+  if (!plan.ok()) {
+    if (failed_output != nullptr) *failed_output = std::move(output);
+    return plan.status();
+  }
   return TraceResult{std::move(plan).value(), std::move(output)};
 }
 

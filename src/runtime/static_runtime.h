@@ -208,10 +208,12 @@ struct TraceResult {
 
 /// Traces `predict(batch)` (normally a bound Forecaster::Predict) under a
 /// fresh Tracer and compiles the plan. Inputs are registered in Batch order:
-/// x, x_mark, y, y_mark.
+/// x, x_mark, y, y_mark. The traced call is the eager forward, so its output
+/// answers `batch` whether or not the plan builds: when it does not, the
+/// error is returned and the output goes to `*failed_output` if given.
 Result<TraceResult> CapturePredictPlan(
     const std::function<Tensor(const data::Batch&)>& predict,
-    const data::Batch& batch);
+    const data::Batch& batch, Tensor* failed_output = nullptr);
 
 /// \brief One per-node bitwise difference between replay and eager.
 struct ParityMismatch {

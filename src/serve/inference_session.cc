@@ -197,11 +197,14 @@ Tensor InferenceSession::PredictPoint(const data::Batch& batch) {
   }
 
   // First call at this geometry: trace the eager forward into a plan. The
-  // traced output doubles as this call's response, so a miss costs one eager
-  // forward plus planning — never two forwards.
+  // traced output doubles as this call's response, even when the plan does
+  // not build, so a miss costs one eager forward plus planning — never two
+  // forwards.
   CONFORMER_PROFILE_SCOPE_CAT("serve", "plan_build");
+  Tensor eager_output;
   Result<runtime::TraceResult> traced = runtime::CapturePredictPlan(
-      [this](const data::Batch& b) { return model_->Predict(b); }, batch);
+      [this](const data::Batch& b) { return model_->Predict(b); }, batch,
+      &eager_output);
   if (!traced.ok()) {
     CONFORMER_LOG(Warning) << "static plan trace failed for x "
                            << ShapeToString(batch.x.shape()) << ": "
@@ -209,7 +212,7 @@ Tensor InferenceSession::PredictPoint(const data::Batch& batch) {
                            << "; serving eagerly for this geometry";
     plans_.emplace(std::move(shapes), nullptr);
     plan_fallbacks_.Increment();
-    return model_->Predict(batch);
+    return eager_output;
   }
   metrics::Registry::Global().GetCounter("serve.plan_builds").Increment();
   Tensor output = traced.value().output;

@@ -10,39 +10,68 @@ namespace conformer::kernels {
 
 namespace {
 
-// Rows per Gemm chunk so one chunk does at least kGrainGemmMacs MACs.
+// Rows per Gemm chunk so one chunk does at least kGrainGemmMacs MACs, in
+// whole 4-row panels: a chunk of fewer rows would run the kernels' one-row
+// tiles, whose accumulators wait on each other's adds.
 int64_t GemmRowGrain(int64_t n, int64_t k) {
   const int64_t macs_per_row = std::max<int64_t>(1, n * k);
-  return std::max<int64_t>(1, kGrainGemmMacs / macs_per_row);
+  const int64_t rows = std::max<int64_t>(1, kGrainGemmMacs / macs_per_row);
+  return (rows + 3) / 4 * 4;
+}
+
+// Row-blocked over the batches' stacked output rows: each chunk owns rows
+// [r0, r1) and makes one dispatched call, so every c element is written by
+// exactly one thread and accumulates over p in sequential order — bitwise
+// deterministic for any thread count. NT sums each element in the 8 bins
+// of the dot kernel, folded in a fixed order (docs/SIMD.md), so its sum
+// order differs from a sequential loop but is identical at every SIMD
+// level and thread count.
+void RunGemm(void (*rows)(const vec::GemmOperands&, int64_t, int64_t),
+             int64_t batches, const vec::GemmOperands& g) {
+  ParallelFor(0, batches * g.m, GemmRowGrain(g.n, g.k),
+              [&](int64_t r0, int64_t r1) { rows(g, r0, r1); });
+}
+
+auto* GemmRowsFor(bool trans_a, bool trans_b) {
+  CONFORMER_CHECK(!(trans_a && trans_b))
+      << "Gemm: A^T * B^T is not supported; transpose the product instead";
+  return trans_b ? vec::GemmRowsNT
+                 : (trans_a ? vec::GemmRowsTN : vec::GemmRowsNN);
+}
+
+int64_t GemmBytes(int64_t batches, int64_t m, int64_t n, int64_t k) {
+  return static_cast<int64_t>(sizeof(float)) * batches *
+         (m * k + k * n + m * n);
 }
 
 }  // namespace
 
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           const float* a, const float* b, float* c, bool accumulate) {
-  CONFORMER_PROFILE_SCOPE_BYTES(
-      "kernel", "Gemm",
-      static_cast<int64_t>(sizeof(float)) * (m * k + k * n + m * n));
-  CONFORMER_CHECK(!(trans_a && trans_b))
-      << "Gemm: A^T * B^T is not supported; transpose the product instead";
+  CONFORMER_PROFILE_SCOPE_BYTES("kernel", "Gemm", GemmBytes(1, m, n, k));
+  auto* rows = GemmRowsFor(trans_a, trans_b);
   // Explicit zero-size early-outs: empty output writes nothing; an empty
   // inner dimension makes the product a zero matrix.
   if (m <= 0 || n <= 0) return;
   if (!accumulate) std::memset(c, 0, sizeof(float) * m * n);
   if (k <= 0) return;
+  RunGemm(rows, 1, {m, n, k, a, 0, b, 0, c, 0});
+}
 
-  // Row-blocked over the output: each chunk owns rows [i0, i1) and makes
-  // one dispatched call, so every c element is written by exactly one
-  // thread and accumulates over p in sequential order — bitwise
-  // deterministic for any thread count. NT sums each element in the 8 bins
-  // of the dot kernel, folded in a fixed order (docs/SIMD.md), so its sum
-  // order differs from a sequential loop but is identical at every SIMD
-  // level and thread count.
-  auto* rows = trans_b ? vec::GemmRowsNT
-                       : (trans_a ? vec::GemmRowsTN : vec::GemmRowsNN);
-  ParallelFor(0, m, GemmRowGrain(n, k), [&](int64_t i0, int64_t i1) {
-    rows(i0, i1, m, n, k, a, b, c);
-  });
+void GemmBatched(bool trans_a, bool trans_b, int64_t batches,
+                 const vec::GemmOperands& g) {
+  CONFORMER_PROFILE_SCOPE_BYTES("kernel", "Gemm",
+                                GemmBytes(batches, g.m, g.n, g.k));
+  auto* rows = GemmRowsFor(trans_a, trans_b);
+  if (batches <= 0 || g.m <= 0 || g.n <= 0 || g.k <= 0) return;
+  RunGemm(rows, batches, g);
+}
+
+void GemmPackedNT(int64_t m, int64_t n, int64_t k, const float* a,
+                  const float* packed_b, float* c) {
+  CONFORMER_PROFILE_SCOPE_BYTES("kernel", "Gemm", GemmBytes(1, m, n, k));
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  RunGemm(vec::GemmRowsNTPacked, 1, {m, n, k, a, 0, packed_b, 0, c, 0});
 }
 
 Shape BroadcastShape(const Shape& a, const Shape& b) {

@@ -41,6 +41,18 @@ inline constexpr int64_t kGrainGemmMacs = 1 << 15;
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           const float* a, const float* b, float* c, bool accumulate);
 
+/// `batches` accumulating products of one shape (vec::GemmOperands), which
+/// must write disjoint C slices: each batch gets the bits of an
+/// accumulating Gemm on its own slices, and each ParallelFor chunk of the
+/// batches' stacked rows is one dispatched call.
+void GemmBatched(bool trans_a, bool trans_b, int64_t batches,
+                 const vec::GemmOperands& g);
+
+/// C (m x n) += A (m x k) * B^T with B packed by vec::PackNT: bitwise
+/// Gemm(false, true, m, n, k, a, b, c, /*accumulate=*/true).
+void GemmPackedNT(int64_t m, int64_t n, int64_t k, const float* a,
+                  const float* packed_b, float* c);
+
 /// The shape both operands broadcast to (numpy rules); CHECK-fails if
 /// incompatible.
 Shape BroadcastShape(const Shape& a, const Shape& b);
@@ -318,6 +330,9 @@ void BroadcastBinary(const float* a, const Shape& a_shape, const float* b,
   BroadcastBinarySpan(a, a_shape, b, b_shape, out, out_shape, span);
 }
 
+/// Which operands a gradient term reads: a bit set of kReadsA and kReadsB.
+enum TermReads : int { kReadsNone = 0, kReadsA = 1, kReadsB = 2 };
+
 /// The gradient of one operand of a broadcasting binary op, reduced
 /// straight from its terms: dst[j] += term(a_i, b_i, g[i]) for every flat
 /// output index i, where j is i's element of `dst_shape` read as broadcast
@@ -325,13 +340,18 @@ void BroadcastBinary(const float* a, const Shape& a_shape, const float* b,
 /// and a broadcast one sums over its broadcast dims). Each dst element adds
 /// its terms one at a time in ascending i — ScatterAdd's order — so the
 /// result is bitwise equal to materializing the terms and scatter-adding
-/// them, with no temporary tensor. `unit` says term(a, b, g) == g, which
-/// lets rows add g directly. Threads as ScatterAdd does.
-template <typename TermFn>
+/// them, with no temporary tensor. `kReads` names the operands `term`
+/// reads: only those are walked (and gathered where a block is not
+/// contiguous in them), an unread one may be null, and `term` gets 0 in its
+/// place. `unit` says term(a, b, g) == g, which lets rows add g directly.
+/// Threads as ScatterAdd does.
+template <int kReads, typename TermFn>
 void BroadcastScatterAdd(const float* a, const Shape& a_shape, const float* b,
                          const Shape& b_shape, const float* g,
                          const Shape& out_shape, float* dst,
                          const Shape& dst_shape, bool unit, TermFn term) {
+  constexpr bool kA = (kReads & kReadsA) != 0;
+  constexpr bool kB = (kReads & kReadsB) != 0;
   const RunLoops<3> loops =
       BroadcastLoops<3>(out_shape, {&dst_shape, &a_shape, &b_shape});
   const int64_t sd = loops.col_stride(0), rd = loops.row_stride(0);
@@ -342,9 +362,9 @@ void BroadcastScatterAdd(const float* a, const Shape& a_shape, const float* b,
             const std::array<int64_t, 3>& at) {
           float* d = dst + at[0];
           const float* gb = g + i;
-          const BlockOperand ba{a + at[1], loops.row_stride(1),
+          const BlockOperand ba{kA ? a + at[1] : nullptr, loops.row_stride(1),
                                 loops.col_stride(1)};
-          const BlockOperand bb{b + at[2], loops.row_stride(2),
+          const BlockOperand bb{kB ? b + at[2] : nullptr, loops.row_stride(2),
                                 loops.col_stride(2)};
           if (sd == 1 && (rows == 1 || rd == len)) {
             // One term per dst element of the block, added straight in.
@@ -353,16 +373,20 @@ void BroadcastScatterAdd(const float* a, const Shape& a_shape, const float* b,
               vec::AddN(d, gb, d, total);
               return;
             }
-            const bool a_flat = ba.Contiguous(rows, len);
-            const bool b_flat = bb.Contiguous(rows, len);
-            float abuf[kBroadcastPiece], bbuf[kBroadcastPiece];
+            const bool a_flat = !kA || ba.Contiguous(rows, len);
+            const bool b_flat = !kB || bb.Contiguous(rows, len);
+            float abuf[kA ? kBroadcastPiece : 1];
+            float bbuf[kB ? kBroadcastPiece : 1];
             const int64_t piece = a_flat && b_flat ? total : kBroadcastPiece;
             for (int64_t p = 0; p < total; p += piece) {
               const int64_t m = std::min(piece, total - p);
-              const float* pa = ba.Piece(a_flat, len, p, m, abuf);
-              const float* pb = bb.Piece(b_flat, len, p, m, bbuf);
+              const float* pa =
+                  kA ? ba.Piece(a_flat, len, p, m, abuf) : nullptr;
+              const float* pb =
+                  kB ? bb.Piece(b_flat, len, p, m, bbuf) : nullptr;
               for (int64_t q = 0; q < m; ++q) {
-                d[p + q] += term(pa[q], pb[q], gb[p + q]);
+                d[p + q] += term(kA ? pa[q] : 0.0f, kB ? pb[q] : 0.0f,
+                                 gb[p + q]);
               }
             }
             return;
@@ -370,21 +394,21 @@ void BroadcastScatterAdd(const float* a, const Shape& a_shape, const float* b,
           // A reduction: rows ascend, so every dst element still adds its
           // terms in ascending flat order.
           for (int64_t r = 0; r < rows; ++r, d += rd, gb += len) {
-            const float* ar = ba.at + r * ba.row_stride;
-            const float* br = bb.at + r * bb.row_stride;
+            const float* ar = kA ? ba.at + r * ba.row_stride : nullptr;
+            const float* br = kB ? bb.at + r * bb.row_stride : nullptr;
             const int64_t sa = ba.col_stride, sb = bb.col_stride;
+            const auto term_at = [&](int64_t t) {
+              return term(kA ? ar[t * sa] : 0.0f, kB ? br[t * sb] : 0.0f,
+                          gb[t]);
+            };
             if (sd == 0) {  // a per-row sum (or a single element)
               float acc = *d;
-              for (int64_t t = 0; t < len; ++t) {
-                acc += term(ar[t * sa], br[t * sb], gb[t]);
-              }
+              for (int64_t t = 0; t < len; ++t) acc += term_at(t);
               *d = acc;
             } else if (unit) {
               vec::AddN(d, gb, d, len);
             } else {
-              for (int64_t t = 0; t < len; ++t) {
-                d[t] += term(ar[t * sa], br[t * sb], gb[t]);
-              }
+              for (int64_t t = 0; t < len; ++t) d[t] += term_at(t);
             }
           }
         });

@@ -13,22 +13,22 @@ namespace conformer {
 
 namespace {
 
-// Which operands a partial derivative reads; a bit set of kReadsA and
-// kReadsB.
-enum Reads : int { kReadsNone = 0, kReadsA = 1, kReadsB = 2 };
+using kernels::kReadsA;
+using kernels::kReadsB;
+using kernels::kReadsNone;
 
 // Shared plumbing for broadcasting binary ops. `span` (a dispatched vec::
 // kernel) computes whole contiguous chunks when no broadcasting is needed
 // and the rows of each broadcast block otherwise. `dfda` / `dfdb` compute
 // local partials from (a_i, b_i), or are a constant float (Add, Sub), and
-// `dfda_reads` / `dfdb_reads` name the operands each reads: the backward
-// saves an operand only when a partial it will evaluate reads it. A
-// broadcast operand's gradient is reduced straight from df * g, in
-// ScatterAdd's order, with no temporary.
-template <typename SpanFn, typename DfA, typename DfB>
+// `kDfaReads` / `kDfbReads` name the operands each reads: the backward
+// saves an operand only when a partial it will evaluate reads it, and walks
+// only the operands the partial reads. A broadcast operand's gradient is
+// reduced straight from df * g, in ScatterAdd's order, with no temporary.
+template <int kDfaReads, int kDfbReads, typename SpanFn, typename DfA,
+          typename DfB>
 Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span, DfA dfda,
-                    int dfda_reads, DfB dfdb, int dfdb_reads,
-                    const char* name) {
+                    DfB dfdb, const char* name) {
   CONFORMER_PROFILE_SCOPE(name);
   CONFORMER_CHECK(a.defined() && b.defined()) << name << " on undefined tensor";
   const Shape out_shape = kernels::BroadcastShape(a.shape(), b.shape());
@@ -36,22 +36,21 @@ Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span, DfA dfda,
   kernels::BroadcastBinarySpan(a.data(), a.shape(), b.data(), b.shape(),
                                out.data(), out_shape, span);
   const auto make_backward = [&] {
-    const int reads = (internal::NeedsGrad(a) ? dfda_reads : kReadsNone) |
-                      (internal::NeedsGrad(b) ? dfdb_reads : kReadsNone);
+    const int reads = (internal::NeedsGrad(a) ? kDfaReads : kReadsNone) |
+                      (internal::NeedsGrad(b) ? kDfbReads : kReadsNone);
     return [a_vals = internal::SavedValues(a, (reads & kReadsA) != 0),
             b_vals = internal::SavedValues(b, (reads & kReadsB) != 0),
             a_shape = a.shape(), b_shape = b.shape(), out_shape, dfda,
             dfdb](AutogradMeta& self) {
       const float* gd = self.grad.data();
-      // The kernel walks both operands whatever `term` reads. An operand
-      // that was not saved is read by no term, so the output gradient,
-      // never shorter than a broadcast operand, stands in for it.
-      const float* ad = a_vals != nullptr ? a_vals->data() : gd;
-      const float* bd = b_vals != nullptr ? b_vals->data() : gd;
+      // An operand that was not saved is read by no partial.
+      const float* ad = a_vals != nullptr ? a_vals->data() : nullptr;
+      const float* bd = b_vals != nullptr ? b_vals->data() : nullptr;
       // Adds the terms df_i * g_i into `in`'s gradient: one per element
       // when `in` has the output shape, else summed over its broadcast dims.
-      const auto accumulate = [&](AutogradMeta* in, const Shape& in_shape,
-                                  const auto& df) {
+      // `reads` is df's kReads as a std::integral_constant.
+      const auto accumulate = [&](auto reads, AutogradMeta* in,
+                                  const Shape& in_shape, const auto& df) {
         if (in == nullptr) return;
         constexpr bool kConstant =
             std::is_arithmetic_v<std::decay_t<decltype(df)>>;
@@ -65,8 +64,9 @@ Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span, DfA dfda,
           }
         };
         const auto scatter = [&](float* dst) {
-          kernels::BroadcastScatterAdd(ad, a_shape, bd, b_shape, gd,
-                                       out_shape, dst, in_shape, unit, term);
+          kernels::BroadcastScatterAdd<decltype(reads)::value>(
+              ad, a_shape, bd, b_shape, gd, out_shape, dst, in_shape, unit,
+              term);
         };
         // An output-shaped gradient takes one term per element, so it adds
         // straight in; a reduced one is a multi-term sum.
@@ -76,8 +76,10 @@ Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, SpanFn span, DfA dfda,
           internal::AccumulateGradWith(*in, scatter);
         }
       };
-      accumulate(self.input(0), a_shape, dfda);
-      accumulate(self.input(1), b_shape, dfdb);
+      accumulate(std::integral_constant<int, kDfaReads>(), self.input(0),
+                 a_shape, dfda);
+      accumulate(std::integral_constant<int, kDfbReads>(), self.input(1),
+                 b_shape, dfdb);
     };
   };
   Tensor result = internal::MakeOpResult(out_shape, std::move(out), {a, b},
@@ -200,26 +202,25 @@ void GeluTanhSpan(const float* x, float* t, int64_t n) {
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  return BinaryOpSpan(a, b, vec::AddN, 1.0f, kReadsNone, 1.0f, kReadsNone,
-                      "Add");
+  return BinaryOpSpan<kReadsNone, kReadsNone>(a, b, vec::AddN, 1.0f, 1.0f,
+                                              "Add");
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOpSpan(a, b, vec::SubN, 1.0f, kReadsNone, -1.0f, kReadsNone,
-                      "Sub");
+  return BinaryOpSpan<kReadsNone, kReadsNone>(a, b, vec::SubN, 1.0f, -1.0f,
+                                              "Sub");
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  return BinaryOpSpan(
-      a, b, vec::MulN, [](float, float y) { return y; }, kReadsB,
-      [](float x, float) { return x; }, kReadsA, "Mul");
+  return BinaryOpSpan<kReadsB, kReadsA>(
+      a, b, vec::MulN, [](float, float y) { return y; },
+      [](float x, float) { return x; }, "Mul");
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryOpSpan(
-      a, b, vec::DivN, [](float, float y) { return 1.0f / y; }, kReadsB,
-      [](float x, float y) { return -x / (y * y); }, kReadsA | kReadsB,
-      "Div");
+  return BinaryOpSpan<kReadsB, kReadsA | kReadsB>(
+      a, b, vec::DivN, [](float, float y) { return 1.0f / y; },
+      [](float x, float y) { return -x / (y * y); }, "Div");
 }
 
 Tensor AddScalar(const Tensor& a, float s) {

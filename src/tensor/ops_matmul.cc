@@ -75,7 +75,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     return std::pair<int64_t, int64_t>(a_off, b_off);
   };
   // Without broadcast, every batch owns disjoint slices of both inputs, so
-  // the backward Gemm accumulations can run batch-parallel.
+  // the backward Gemms run as one batched call.
   const bool batches_disjoint = a_batch == batch && b_batch == batch;
 
   // Each batch writes its own out slice; the per-batch Gemm runs inline
@@ -102,39 +102,40 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
             num_batches, batch_offsets,
             batches_disjoint](AutogradMeta& self) {
       const float* gd = self.grad.data();
-      // Runs `batch_gemm(i)` for every batch.
-      const auto for_batches = [&](const auto& batch_gemm) {
-        if (batches_disjoint) {
-          ParallelFor(0, num_batches, 1, [&](int64_t bb, int64_t be) {
-            for (int64_t i = bb; i < be; ++i) batch_gemm(i);
-          });
-        } else {
-          // Broadcast batches accumulate into shared input slices; keep the
-          // fixed sequential order (deterministic and race-free).
-          for (int64_t i = 0; i < num_batches; ++i) batch_gemm(i);
-        }
-      };
-      // dA = dOut * B^T, dB = A^T * dOut, accumulated per broadcast batch.
+      // dA = dOut * B^T, dB = A^T * dOut. Disjoint batches read and write
+      // the i-th slice of every operand, so one GemmBatched covers them.
+      // Broadcast batches accumulate into shared input slices; they keep
+      // the fixed sequential order (deterministic and race-free).
       if (AutogradMeta* in = self.input(0)) {
         const float* bd = b_vals->data();
         internal::AccumulateGradWith(*in, [&](float* da) {
-          for_batches([&](int64_t i) {
+          if (batches_disjoint) {
+            kernels::GemmBatched(false, true, num_batches,
+                                 {m, k, n, gd, m * n, bd, k * n, da, m * k});
+            return;
+          }
+          for (int64_t i = 0; i < num_batches; ++i) {
             const auto [a_off, b_off] = batch_offsets(i);
             kernels::Gemm(false, true, m, k, n, gd + i * m * n,
                           bd + b_off * k * n, da + a_off * m * k,
                           /*accumulate=*/true);
-          });
+          }
         });
       }
       if (AutogradMeta* in = self.input(1)) {
         const float* ad = a_vals->data();
         internal::AccumulateGradWith(*in, [&](float* db) {
-          for_batches([&](int64_t i) {
+          if (batches_disjoint) {
+            kernels::GemmBatched(true, false, num_batches,
+                                 {k, n, m, ad, m * k, gd, m * n, db, k * n});
+            return;
+          }
+          for (int64_t i = 0; i < num_batches; ++i) {
             const auto [a_off, b_off] = batch_offsets(i);
             kernels::Gemm(true, false, k, n, m, ad + a_off * m * k,
                           gd + i * m * n, db + b_off * k * n,
                           /*accumulate=*/true);
-          });
+          }
         });
       }
     };

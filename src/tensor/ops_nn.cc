@@ -170,6 +170,9 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
       float* dgates = gates_in != nullptr ? gates_in->MutableGrad() : nullptr;
       std::vector<float> dh(batch * hs, 0.0f);  // dL/dh_t from later steps.
       std::vector<float> dh_prev(batch * hs);
+      // W_hh^T packed once for every step's dgh_t · W_hh^T.
+      Storage w_packed(std::vector<float>(hs * g3));
+      vec::PackNT(hs, g3, w_vals->data(), w_packed.data());
       for (int64_t t = length - 1; t >= 0; --t) {
         for (int64_t b = 0; b < batch; ++b) {
           const float* hp = saved_h + (t * batch + b) * hs;
@@ -199,8 +202,8 @@ Tensor GruSequence(const Tensor& gates, const Tensor& w_hh,
         }
         if (t == 0) break;
         // dL/dh_{t-1} = d*z + dgh_t · W_hh^T.
-        kernels::Gemm(false, true, batch, hs, g3, dgh.data() + t * batch * g3,
-                      w_vals->data(), dh_prev.data(), /*accumulate=*/true);
+        kernels::GemmPackedNT(batch, hs, g3, dgh.data() + t * batch * g3,
+                              w_packed.data(), dh_prev.data());
         std::swap(dh, dh_prev);
       }
       if (AutogradMeta* w_in = self.input(1)) {

@@ -265,16 +265,22 @@ void MulAddKernel(const float* x, float alpha, float* o, int64_t n) {
 }
 
 // --- Gemm row ranges --------------------------------------------------------
-// Each body computes rows [i0, i1) of C (m x n, row stride n), which already
-// holds its start value. Per C element the arithmetic is exactly that of a
-// MulAddKernel call per (row, p): c = c + a*b in ascending p, skipping
-// a == 0 terms (0 * Inf must not turn into NaN). Only the order in which
-// different elements are visited changes, and no result bit depends on it.
+// Each body computes its rows of C, which already hold their start values.
+// Per C element the arithmetic is exactly that of a MulAddKernel call per
+// (row, p): c = c + a*b in ascending p, skipping a == 0 terms (0 * Inf must
+// not turn into NaN). Only the order in which different elements are
+// visited changes, and no result bit depends on it.
 
-// Outputs up to this wide keep a tile of C in registers across the whole p
-// loop. Wider rows stream instead: tile strips of B lie n floats apart and
-// alias a few cache sets, which made a tiled 512-wide Gemm 1.5-3x slower.
+// Outputs up to this wide keep a tile of C in registers across a k block.
+// Wider rows stream instead: tile strips of B lie n floats apart and alias a
+// few cache sets, which made a tiled 512-wide Gemm 1.5-3x slower.
 constexpr int64_t kGemmTileMaxN = 64;
+
+// The k block: a B block of kGemmKc rows by up to kGemmTileMaxN columns
+// (32 KiB) stays in L1 while every row panel of the range reads it, and C
+// holds the running sums between blocks (a store and a reload are exact).
+// A multiple of 8, so blocks never split one of NT's bin groups.
+constexpr int64_t kGemmKc = 128;
 
 // a(i, p): A is m x k for NN, k x m for TN.
 template <bool kTransA>
@@ -283,11 +289,14 @@ inline float GemmA(const float* a, int64_t m, int64_t k, int64_t i,
   return kTransA ? a[p * m + i] : a[i * k + p];
 }
 
-// Rows [i, i + MR) x columns [j, j + 8 * NV): the C tile stays in registers
-// over all of p, and each B strip load serves the tile's MR rows.
-template <bool kTransA, int MR, int NV>
-inline void GemmTile(int64_t i, int64_t j, int64_t m, int64_t n, int64_t k,
-                     const float* a, const float* b, float* c) {
+// Rows [i, i + MR) x columns [j, j + 8 * NV) over p in [p0, p1): the C tile
+// stays in registers, and each B strip load serves the tile's MR rows.
+// kSkipZeros drops a == 0 terms; without it the tile runs branch-free, which
+// gives the same bits only on a panel that holds no zero.
+template <bool kTransA, bool kSkipZeros, int MR, int NV>
+inline void GemmTile(int64_t i, int64_t j, int64_t p0, int64_t p1, int64_t m,
+                     int64_t n, int64_t k, const float* a, const float* b,
+                     float* c) {
   // The unroll pragmas keep acc in registers rather than on the stack.
   Vec8f acc[MR][NV];
 #pragma GCC unroll 4
@@ -297,14 +306,14 @@ inline void GemmTile(int64_t i, int64_t j, int64_t m, int64_t n, int64_t k,
       acc[r][v] = Vec8f::Load(c + (i + r) * n + j + 8 * v);
     }
   }
-  for (int64_t p = 0; p < k; ++p) {
+  for (int64_t p = p0; p < p1; ++p) {
     Vec8f bv[NV];
 #pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) bv[v] = Vec8f::Load(b + p * n + j + 8 * v);
 #pragma GCC unroll 4
     for (int r = 0; r < MR; ++r) {
       const float x = GemmA<kTransA>(a, m, k, i + r, p);
-      if (x == 0.0f) continue;
+      if (kSkipZeros && x == 0.0f) continue;
       const Vec8f xv = Vec8f::Broadcast(x);
 #pragma GCC unroll 2
       for (int v = 0; v < NV; ++v) acc[r][v] = acc[r][v] + xv * bv[v];
@@ -319,23 +328,25 @@ inline void GemmTile(int64_t i, int64_t j, int64_t m, int64_t n, int64_t k,
   }
 }
 
-// Rows [i, i + MR), every column: 16-wide strips, one 8-wide strip, then
-// the scalar replica for the last n % 8 columns.
-template <bool kTransA, int MR>
-inline void GemmTileRows(int64_t i, int64_t m, int64_t n, int64_t k,
-                         const float* a, const float* b, float* c) {
+// Rows [i, i + MR) over p in [p0, p1), every column: 16-wide strips, one
+// 8-wide strip, then the scalar replica for the last n % 8 columns.
+template <bool kTransA, bool kSkipZeros, int MR>
+inline void GemmPanel(int64_t i, int64_t p0, int64_t p1, int64_t m, int64_t n,
+                      int64_t k, const float* a, const float* b, float* c) {
   int64_t j = 0;
-  for (; j + 16 <= n; j += 16) GemmTile<kTransA, MR, 2>(i, j, m, n, k, a, b, c);
+  for (; j + 16 <= n; j += 16) {
+    GemmTile<kTransA, kSkipZeros, MR, 2>(i, j, p0, p1, m, n, k, a, b, c);
+  }
   if (j + 8 <= n) {
-    GemmTile<kTransA, MR, 1>(i, j, m, n, k, a, b, c);
+    GemmTile<kTransA, kSkipZeros, MR, 1>(i, j, p0, p1, m, n, k, a, b, c);
     j += 8;
   }
   for (int r = 0; r < MR; ++r) {
     for (int64_t jj = j; jj < n; ++jj) {
       float s = c[(i + r) * n + jj];
-      for (int64_t p = 0; p < k; ++p) {
+      for (int64_t p = p0; p < p1; ++p) {
         const float x = GemmA<kTransA>(a, m, k, i + r, p);
-        if (x == 0.0f) continue;
+        if (kSkipZeros && x == 0.0f) continue;
         s = s + x * b[p * n + jj];
       }
       c[(i + r) * n + jj] = s;
@@ -343,9 +354,54 @@ inline void GemmTileRows(int64_t i, int64_t m, int64_t n, int64_t k,
   }
 }
 
+// Rows at most one zero test covers.
+constexpr int64_t kGemmZeroRows = 64;
+
+// Bit t set when x[t] is a zero of either sign, for t < len <= 64. Whole
+// vectors are loaded while `readable` floats from x remain (lanes past len
+// are masked off), the rest one float at a time.
+inline uint64_t ZeroMask(const float* x, int64_t len, int64_t readable) {
+  uint64_t bits = 0;
+  int64_t t = 0;
+  for (; t < len && t + 8 <= readable; t += 8) {
+    const int live = static_cast<int>(std::min<int64_t>(8, len - t));
+    const int lanes = Vec8f::Load(x + t).ZeroLanes() & ((1 << live) - 1);
+    bits |= static_cast<uint64_t>(lanes) << t;
+  }
+  for (; t < len; ++t) bits |= static_cast<uint64_t>(x[t] == 0.0f) << t;
+  return bits;
+}
+
+// Bit r set when row g0 + r of A (rows [g0, g1), at most kGemmZeroRows)
+// holds a zero at some p in [p0, p1). One pass over the A block serves
+// every column tile of every row panel in it.
 template <bool kTransA>
-void GemmRowsKernel(int64_t i0, int64_t i1, int64_t m, int64_t n, int64_t k,
-                    const float* a, const float* b, float* c) {
+inline uint64_t ZeroRows(const float* a, int64_t m, int64_t k, int64_t g0,
+                         int64_t g1, int64_t p0, int64_t p1) {
+  uint64_t zero = 0;
+  if (kTransA) {  // A is k x m: each p holds the rows side by side.
+    for (int64_t p = p0; p < p1; ++p) {
+      zero |= ZeroMask(a + p * m + g0, g1 - g0, m * k - (p * m + g0));
+    }
+    return zero;
+  }
+  for (int64_t r = 0; r < g1 - g0; ++r) {  // A is m x k: rows run along p.
+    const float* x = a + (g0 + r) * k;
+    int lanes = 0;
+    int64_t p = p0;
+    for (; p + 8 <= p1; p += 8) lanes |= Vec8f::Load(x + p).ZeroLanes();
+    for (; p < p1; ++p) lanes |= x[p] == 0.0f;
+    zero |= static_cast<uint64_t>(lanes != 0) << r;
+  }
+  return zero;
+}
+
+// Rows [i0, i1) of one product. Per k block and group of up to 64 rows,
+// one zero test picks each row panel's tiles: a panel with no zero runs
+// them branch-free, one with a zero keeps the per-term skip.
+template <bool kTransA>
+void GemmRows(int64_t i0, int64_t i1, int64_t m, int64_t n, int64_t k,
+              const float* a, const float* b, float* c) {
   if (n > kGemmTileMaxN) {
     // Streaming rows. NN keeps a C row hot across p; TN keeps p outermost
     // so each B row is read once per row block.
@@ -366,9 +422,52 @@ void GemmRowsKernel(int64_t i0, int64_t i1, int64_t m, int64_t n, int64_t k,
     }
     return;
   }
-  int64_t i = i0;
-  for (; i + 4 <= i1; i += 4) GemmTileRows<kTransA, 4>(i, m, n, k, a, b, c);
-  for (; i < i1; ++i) GemmTileRows<kTransA, 1>(i, m, n, k, a, b, c);
+  for (int64_t p0 = 0; p0 < k; p0 += kGemmKc) {
+    const int64_t p1 = std::min(k, p0 + kGemmKc);
+    for (int64_t g0 = i0; g0 < i1; g0 += kGemmZeroRows) {
+      const int64_t g1 = std::min(i1, g0 + kGemmZeroRows);
+      const uint64_t zero = ZeroRows<kTransA>(a, m, k, g0, g1, p0, p1);
+      int64_t i = g0;
+      for (; i + 4 <= g1; i += 4) {
+        if ((zero >> (i - g0)) & 0xf) {
+          GemmPanel<kTransA, true, 4>(i, p0, p1, m, n, k, a, b, c);
+        } else {
+          GemmPanel<kTransA, false, 4>(i, p0, p1, m, n, k, a, b, c);
+        }
+      }
+      for (; i < g1; ++i) {
+        if ((zero >> (i - g0)) & 1) {
+          GemmPanel<kTransA, true, 1>(i, p0, p1, m, n, k, a, b, c);
+        } else {
+          GemmPanel<kTransA, false, 1>(i, p0, p1, m, n, k, a, b, c);
+        }
+      }
+    }
+  }
+}
+
+// Calls rows(a_t, b_t, c_t, i0, i1) for each batch t's share of the stacked
+// rows [r0, r1), in ascending order.
+template <typename RowsFn>
+inline void ForBatchRows(const GemmOperands& g, int64_t r0, int64_t r1,
+                         RowsFn rows) {
+  while (r0 < r1) {
+    const int64_t t = r0 / g.m;
+    const int64_t i0 = r0 % g.m;
+    const int64_t i1 = std::min(g.m, i0 + (r1 - r0));
+    rows(g.a + t * g.a_stride, g.b + t * g.b_stride, g.c + t * g.c_stride, i0,
+         i1);
+    r0 += i1 - i0;
+  }
+}
+
+template <bool kTransA>
+void GemmRowsKernel(const GemmOperands& g, int64_t r0, int64_t r1) {
+  ForBatchRows(g, r0, r1,
+               [&](const float* a, const float* b, float* c, int64_t i0,
+                   int64_t i1) {
+                 GemmRows<kTransA>(i0, i1, g.m, g.n, g.k, a, b, c);
+               });
 }
 
 // --- reductions -------------------------------------------------------------
@@ -384,44 +483,117 @@ float DotKernel(const float* a, const float* b, int64_t n) {
   return FoldAdd(acc) + tail;
 }
 
-// Rows [i0, i1) of C (m x n) += A (m x k) * B^T (B is n x k): every element
-// adds one DotKernel result, and four columns share each pass over the A row
-// with DotKernel's exact bins, tail and fold per column.
-void GemmNTKernel(int64_t i0, int64_t i1, int64_t /*m*/, int64_t n, int64_t k,
-                  const float* a, const float* b, float* c) {
+// --- Gemm NT: C (m x n) += A (m x k) * B^T (B is n x k) -------------------
+// Every element adds one DotKernel result. Eight columns run across the
+// lanes from a packed panel of B^T (PackNTPanel), so column q's bin l (the
+// terms p = l mod 8 below k - k % 8) is lane q of bin[l], and its tail is
+// lane q of `tail`. Each lane makes DotKernel's own adds in DotKernel's
+// order, and FoldAdd's bracketing becomes vector adds, so every element is
+// DotKernel's, bit for bit. The last n % 8 columns call DotKernel.
+
+// Floats a row carries between k blocks: 8 bins and the tail.
+constexpr int64_t kNTCarry = 9 * 8;
+// Rows per pass when k spans several blocks, bounding the carry buffer.
+constexpr int64_t kNTRowBlock = 16;
+
+// Rows [i0, i1) of C's columns [j, j + 8) over the k block [p0, p0 + kb)
+// (p0 a multiple of 8; panel holds it). Bins start at +0 when the block
+// starts k, pass through `carry` (kNTCarry floats per row from i0) when it
+// does not end k, and fold into C when it does.
+inline void NTPanelRows(const float* a, int64_t n, int64_t k, int64_t i0,
+                        int64_t i1, int64_t j, int64_t p0, int64_t kb,
+                        const float* panel, float* c, float* carry) {
+  const int64_t p1 = p0 + kb;
+  const int64_t pv = std::min(p1, k - k % 8);  // The bins' part ends.
   for (int64_t i = i0; i < i1; ++i) {
     const float* arow = a + i * k;
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + j * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      Vec8f acc0 = Vec8f::Zero(), acc1 = Vec8f::Zero();
-      Vec8f acc2 = Vec8f::Zero(), acc3 = Vec8f::Zero();
-      int64_t p = 0;
-      for (; p + 8 <= k; p += 8) {
-        const Vec8f av = Vec8f::Load(arow + p);
-        acc0 = acc0 + av * Vec8f::Load(b0 + p);
-        acc1 = acc1 + av * Vec8f::Load(b1 + p);
-        acc2 = acc2 + av * Vec8f::Load(b2 + p);
-        acc3 = acc3 + av * Vec8f::Load(b3 + p);
-      }
-      float t0 = 0.0f, t1 = 0.0f, t2 = 0.0f, t3 = 0.0f;
-      for (; p < k; ++p) {
-        t0 += arow[p] * b0[p];
-        t1 += arow[p] * b1[p];
-        t2 += arow[p] * b2[p];
-        t3 += arow[p] * b3[p];
-      }
-      crow[j] += FoldAdd(acc0) + t0;
-      crow[j + 1] += FoldAdd(acc1) + t1;
-      crow[j + 2] += FoldAdd(acc2) + t2;
-      crow[j + 3] += FoldAdd(acc3) + t3;
+    float* kept = p0 == 0 && p1 == k ? nullptr : carry + (i - i0) * kNTCarry;
+    // The unroll pragmas keep the bins in registers.
+    Vec8f bin[8];
+    Vec8f tail = p0 == 0 ? Vec8f::Zero() : Vec8f::Load(kept + 64);
+#pragma GCC unroll 8
+    for (int l = 0; l < 8; ++l) {
+      bin[l] = p0 == 0 ? Vec8f::Zero() : Vec8f::Load(kept + 8 * l);
     }
-    for (; j < n; ++j) crow[j] += DotKernel(arow, b + j * k, k);
+    int64_t p = p0;
+    for (; p < pv; p += 8) {
+      const float* col = panel + (p - p0) * 8;
+#pragma GCC unroll 8
+      for (int l = 0; l < 8; ++l) {
+        bin[l] = bin[l] + Vec8f::Broadcast(arow[p + l]) *
+                              Vec8f::Load(col + 8 * l);
+      }
+    }
+    for (; p < p1; ++p) {
+      tail = tail + Vec8f::Broadcast(arow[p]) *
+                        Vec8f::Load(panel + (p - p0) * 8);
+    }
+    if (p1 < k) {
+#pragma GCC unroll 8
+      for (int l = 0; l < 8; ++l) bin[l].Store(kept + 8 * l);
+      tail.Store(kept + 64);
+      continue;
+    }
+    const Vec8f dot = (((bin[0] + bin[4]) + (bin[2] + bin[6])) +
+                       ((bin[1] + bin[5]) + (bin[3] + bin[7]))) +
+                      tail;
+    float* crow = c + i * n + j;
+    (Vec8f::Load(crow) + dot).Store(crow);
   }
+}
+
+// Rows [i0, i1) of one product, packing each panel of B^T on the stack, at
+// most kGemmKc x 8 floats at a time.
+void GemmNTRows(int64_t i0, int64_t i1, int64_t n, int64_t k, const float* a,
+                const float* b, float* c) {
+  alignas(32) float panel[kGemmKc * 8];
+  alignas(32) float carry[kNTRowBlock * kNTCarry];
+  const int64_t rows = k <= kGemmKc ? i1 - i0 : kNTRowBlock;
+  for (int64_t ib = i0; ib < i1; ib += rows) {
+    const int64_t ie = std::min(i1, ib + rows);
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      for (int64_t p0 = 0; p0 < k; p0 += kGemmKc) {
+        const int64_t kb = std::min(kGemmKc, k - p0);
+        PackNTPanel(b, k, j, p0, kb, panel);
+        NTPanelRows(a, n, k, ib, ie, j, p0, kb, panel, c, carry);
+      }
+    }
+    for (; j < n; ++j) {
+      for (int64_t i = ib; i < ie; ++i) {
+        c[i * n + j] += DotKernel(a + i * k, b + j * k, k);
+      }
+    }
+  }
+}
+
+// Rows [i0, i1) of one product whose B is already packed (PackNT): each
+// panel covers all of k.
+void GemmNTPackedRows(int64_t i0, int64_t i1, int64_t n, int64_t k,
+                      const float* a, const float* packed, float* c) {
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    NTPanelRows(a, n, k, i0, i1, j, 0, k, packed + j * k, c, nullptr);
+  }
+  for (; j < n; ++j) {
+    for (int64_t i = i0; i < i1; ++i) {
+      c[i * n + j] += DotKernel(a + i * k, packed + j * k, k);
+    }
+  }
+}
+
+void GemmNTKernel(const GemmOperands& g, int64_t r0, int64_t r1) {
+  ForBatchRows(g, r0, r1,
+               [&](const float* a, const float* b, float* c, int64_t i0,
+                   int64_t i1) { GemmNTRows(i0, i1, g.n, g.k, a, b, c); });
+}
+
+void GemmNTPackedKernel(const GemmOperands& g, int64_t r0, int64_t r1) {
+  ForBatchRows(g, r0, r1,
+               [&](const float* a, const float* b, float* c, int64_t i0,
+                   int64_t i1) {
+                 GemmNTPackedRows(i0, i1, g.n, g.k, a, b, c);
+               });
 }
 
 float SumKernel(const float* a, int64_t n) {
@@ -650,6 +822,7 @@ const internal::KernelTable& Table() {
       .mul_add = MulAddKernel,
       .gemm_nn = GemmRowsKernel<false>,
       .gemm_nt = GemmNTKernel,
+      .gemm_nt_packed = GemmNTPackedKernel,
       .gemm_tn = GemmRowsKernel<true>,
       .dot = DotKernel,
       .sum = SumKernel,

@@ -76,6 +76,43 @@ SimdLevel ActiveSimdLevel();
 /// not be called concurrently with running kernels.
 bool SetSimdLevel(SimdLevel level);
 
+/// Products C_t (m x n) += op(A_t) * op(B_t) of one shape, row-major,
+/// t in [0, batches): batch t reads a + t * a_stride and b + t * b_stride
+/// and writes c + t * c_stride. A is m x k (nn, nt) or k x m (tn); B is
+/// k x n (nn, tn) or n x k (nt). Strides count floats.
+struct GemmOperands {
+  int64_t m, n, k;
+  const float* a;
+  int64_t a_stride;
+  const float* b;
+  int64_t b_stride;
+  float* c;
+  int64_t c_stride;
+};
+
+/// Writes columns [j, j + 8) of B^T (B is n x k) over p in [p0, p0 + kb),
+/// p-major: panel[(p - p0) * 8 + q] = B(j + q, p). The NT kernels run one
+/// such panel's 8 columns across the lanes.
+inline void PackNTPanel(const float* b, int64_t k, int64_t j, int64_t p0,
+                        int64_t kb, float* panel) {
+  for (int64_t q = 0; q < kFloatLanes; ++q) {
+    const float* row = b + (j + q) * k + p0;
+    for (int64_t p = 0; p < kb; ++p) panel[p * kFloatLanes + q] = row[p];
+  }
+}
+
+/// B (n x k) laid out for GemmRowsNTPacked in n * k floats: the panel of
+/// columns [j, j + 8) over all of k (PackNTPanel) at offset j * k for each
+/// full panel, then B's last n % 8 rows as they are. Pack a B that many
+/// products share once, not once per product.
+inline void PackNT(int64_t n, int64_t k, const float* b, float* packed) {
+  int64_t j = 0;
+  for (; j + kFloatLanes <= n; j += kFloatLanes) {
+    PackNTPanel(b, k, j, 0, k, packed + j * k);
+  }
+  for (int64_t t = j * k; t < n * k; ++t) packed[t] = b[t];
+}
+
 namespace internal {
 
 /// One entry per dispatched kernel; each backend fills a table with its
@@ -95,16 +132,15 @@ struct KernelTable {
   void (*tanh)(const float* a, float* o, int64_t n);
   // o[i] += alpha * x[i].
   void (*mul_add)(const float* x, float alpha, float* o, int64_t n);
-  // Rows [i0, i1) of C (m x n) += A * B, with A m x k (nn, nt) or k x m
-  // (tn), and B k x n (nn, tn) or n x k (nt). nn/tn give each C element the
-  // mul_add order (c + a*b in ascending p, a == 0 terms skipped); nt adds
-  // one dot per element. See docs/SIMD.md for the tiling.
-  void (*gemm_nn)(int64_t i0, int64_t i1, int64_t m, int64_t n, int64_t k,
-                  const float* a, const float* b, float* c);
-  void (*gemm_nt)(int64_t i0, int64_t i1, int64_t m, int64_t n, int64_t k,
-                  const float* a, const float* b, float* c);
-  void (*gemm_tn)(int64_t i0, int64_t i1, int64_t m, int64_t n, int64_t k,
-                  const float* a, const float* b, float* c);
+  // Rows [r0, r1) of the batches stacked in `g` (row r is row r % m of
+  // batch r / m) of C += A * B. nn/tn give each C element the mul_add order
+  // (c + a*b in ascending p, a == 0 terms skipped); nt adds one dot per
+  // element, and nt_packed reads B as PackNT writes it. See docs/SIMD.md
+  // for the tiling.
+  void (*gemm_nn)(const GemmOperands& g, int64_t r0, int64_t r1);
+  void (*gemm_nt)(const GemmOperands& g, int64_t r0, int64_t r1);
+  void (*gemm_nt_packed)(const GemmOperands& g, int64_t r0, int64_t r1);
+  void (*gemm_tn)(const GemmOperands& g, int64_t r0, int64_t r1);
   // 8-bin reductions folded in the fixed pairwise order (docs/SIMD.md).
   float (*dot)(const float* a, const float* b, int64_t n);
   float (*sum)(const float* a, int64_t n);
@@ -167,17 +203,17 @@ inline void TanhN(const float* a, float* o, int64_t n) {
 inline void MulAddN(const float* x, float alpha, float* o, int64_t n) {
   internal::ActiveTable().mul_add(x, alpha, o, n);
 }
-inline void GemmRowsNN(int64_t i0, int64_t i1, int64_t m, int64_t n,
-                       int64_t k, const float* a, const float* b, float* c) {
-  internal::ActiveTable().gemm_nn(i0, i1, m, n, k, a, b, c);
+inline void GemmRowsNN(const GemmOperands& g, int64_t r0, int64_t r1) {
+  internal::ActiveTable().gemm_nn(g, r0, r1);
 }
-inline void GemmRowsNT(int64_t i0, int64_t i1, int64_t m, int64_t n,
-                       int64_t k, const float* a, const float* b, float* c) {
-  internal::ActiveTable().gemm_nt(i0, i1, m, n, k, a, b, c);
+inline void GemmRowsNT(const GemmOperands& g, int64_t r0, int64_t r1) {
+  internal::ActiveTable().gemm_nt(g, r0, r1);
 }
-inline void GemmRowsTN(int64_t i0, int64_t i1, int64_t m, int64_t n,
-                       int64_t k, const float* a, const float* b, float* c) {
-  internal::ActiveTable().gemm_tn(i0, i1, m, n, k, a, b, c);
+inline void GemmRowsNTPacked(const GemmOperands& g, int64_t r0, int64_t r1) {
+  internal::ActiveTable().gemm_nt_packed(g, r0, r1);
+}
+inline void GemmRowsTN(const GemmOperands& g, int64_t r0, int64_t r1) {
+  internal::ActiveTable().gemm_tn(g, r0, r1);
 }
 inline float DotN(const float* a, const float* b, int64_t n) {
   return internal::ActiveTable().dot(a, b, n);

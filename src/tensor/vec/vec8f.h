@@ -72,6 +72,11 @@ struct Vec8f {
     _mm256_store_ps(tmp, v);
     return tmp[lane];
   }
+  /// Bit l set when lane l is +0 or -0.
+  int ZeroLanes() const {
+    return _mm256_movemask_ps(
+        _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_EQ_OQ));
+  }
 };
 
 #elif defined(CONFORMER_SIMD_CAPABILITY_SSE2)
@@ -131,6 +136,11 @@ struct Vec8f {
     _mm_store_ps(tmp + 4, hi);
     return tmp[lane];
   }
+  int ZeroLanes() const {
+    const __m128 zero = _mm_setzero_ps();
+    return _mm_movemask_ps(_mm_cmpeq_ps(lo, zero)) |
+           (_mm_movemask_ps(_mm_cmpeq_ps(hi, zero)) << 4);
+  }
 };
 
 #elif defined(CONFORMER_SIMD_CAPABILITY_NEON)
@@ -186,6 +196,15 @@ struct Vec8f {
     float tmp[8];
     Store(tmp);
     return tmp[lane];
+  }
+  int ZeroLanes() const {
+    const float32x4_t zero = vdupq_n_f32(0.0f);
+    uint32_t eq[8];
+    vst1q_u32(eq, vceqq_f32(lo, zero));
+    vst1q_u32(eq + 4, vceqq_f32(hi, zero));
+    int bits = 0;
+    for (int i = 0; i < 8; ++i) bits |= static_cast<int>(eq[i] & 1u) << i;
+    return bits;
   }
 };
 
@@ -272,6 +291,11 @@ struct Vec8f {
     return r;
   }
   float ExtractLane(int lane_index) const { return lane[lane_index]; }
+  int ZeroLanes() const {
+    int bits = 0;
+    for (int i = 0; i < 8; ++i) bits |= static_cast<int>(lane[i] == 0.0f) << i;
+    return bits;
+  }
 };
 
 #endif  // backend selection

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -521,46 +522,95 @@ std::vector<std::pair<SimdLevel, int64_t>> LevelsAndThreads() {
   return out;
 }
 
-TEST_F(SimdTest, GemmMatchesReferenceLoopsAtEveryLevel) {
+// Checks Gemm against ReferenceGemm for one shape, from a -0.0 start, with
+// and without accumulation. A is nonzero except where `zeros` puts zeros:
+// then every third element, all of row 0 (so row 0 of C adds only skipped
+// terms for NN/TN and its -0.0 start survives), and for NN/TN all of
+// column 0, faced with +-Inf and NaN in row 0 of B, which the skip must
+// never multiply. Without `zeros`, A's last row holds one zero in the last
+// k block, so one row panel takes the skipping tile in that block only and
+// every other panel runs zero-free. NT gets +-Inf and NaN in some columns
+// of B either way, and its pre-packed entry point (GemmPackedNT) is
+// checked too.
+void ExpectGemmMatchesReference(bool trans_a, bool trans_b, int64_t m,
+                                int64_t n, int64_t k, bool zeros,
+                                const std::string& where) {
   const float kInf = std::numeric_limits<float>::infinity();
   const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {kInf, -kInf, kNaN};
+  std::vector<float> a(m * k), b(k * n);
+  for (size_t i = 0; i < a.size(); ++i) a[i] = TestValue(i);
+  for (size_t i = 0; i < b.size(); ++i) b[i] = TestValue(i + 7);
+  const auto at = [&](int64_t i, int64_t p) -> float& {
+    return trans_a ? a[p * m + i] : a[i * k + p];
+  };
+  if (zeros) {
+    for (size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+    for (int64_t p = 0; p < k && m > 1; ++p) at(0, p) = 0.0f;
+    if (!trans_b && k > 1) {
+      for (int64_t i = 0; i < m; ++i) at(i, 0) = 0.0f;
+      for (int64_t j = 0; j < n; ++j) b[j] = specials[j % 3];
+    }
+  } else if (k > 0) {
+    at(m - 1, k - 1) = 0.0f;
+  }
+  if (trans_b && k > 0) {  // B is n x k: spoil every fifth column.
+    for (int64_t j = 0; j < n; j += 5) b[j * k + j % k] = specials[j % 3];
+  }
+  const std::string what = "Gemm(" + std::to_string(trans_a) + ", " +
+                           std::to_string(trans_b) + ") m=" +
+                           std::to_string(m) + " n=" + std::to_string(n) +
+                           " k=" + std::to_string(k) +
+                           (zeros ? " with zeros" : " zero-free") + " at " +
+                           where;
+  for (bool accumulate : {false, true}) {
+    std::vector<float> want(m * n, -0.0f), got(m * n, -0.0f);
+    ReferenceGemm(trans_a, trans_b, m, n, k, a.data(), b.data(), want.data(),
+                  accumulate);
+    kernels::Gemm(trans_a, trans_b, m, n, k, a.data(), b.data(), got.data(),
+                  accumulate);
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), sizeof(float) * m * n))
+        << what << " accumulate=" << accumulate;
+  }
+  if (trans_b) {
+    std::vector<float> packed(n * k);
+    if (k > 0) vec::PackNT(n, k, b.data(), packed.data());
+    std::vector<float> want(m * n, -0.0f), got(m * n, -0.0f);
+    ReferenceGemm(false, true, m, n, k, a.data(), b.data(), want.data(),
+                  /*accumulate=*/true);
+    kernels::GemmPackedNT(m, n, k, a.data(), packed.data(), got.data());
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), sizeof(float) * m * n))
+        << what << " pre-packed";
+  }
+}
+
+TEST_F(SimdTest, GemmMatchesReferenceLoopsAtEveryLevel) {
+  const std::pair<bool, bool> variants[] = {{false, false}, {false, true},
+                                            {true, false}};
   for (auto [level, threads] : LevelsAndThreads()) {
     ASSERT_TRUE(vec::SetSimdLevel(level));
     ThreadPool::Global().SetNumThreads(threads);
-    for (auto [trans_a, trans_b] :
-         {std::pair{false, false}, {false, true}, {true, false}}) {
+    const std::string where = std::string(vec::SimdLevelName(level)) + ", " +
+                              std::to_string(threads) + " threads";
+    for (auto [trans_a, trans_b] : variants) {
+      // Tile and tail classes at short k.
       for (int64_t m : {1, 3, 4, 5, 9}) {
         for (int64_t n : {1, 7, 8, 15, 16, 17, 33, 64, 65, 130}) {
           for (int64_t k : {0, 1, 2, 31}) {
-            std::vector<float> a(m * k), b(k * n);
-            for (size_t i = 0; i < a.size(); ++i) a[i] = TestValue(i);
-            for (size_t i = 0; i < b.size(); ++i) b[i] = TestValue(i + 7);
-            for (size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
-            const auto at = [&](int64_t i, int64_t p) -> float& {
-              return trans_a ? a[p * m + i] : a[i * k + p];
-            };
-            // Row 0 of C gets only zero terms, so its -0.0 start survives.
-            for (int64_t p = 0; p < k && m > 1; ++p) at(0, p) = 0.0f;
-            // NN/TN skip a == 0 terms rather than multiply them: zero
-            // column 0 of A and face it with +-Inf and NaN in row 0 of B.
-            // (NT has no skip, so its B stays finite.)
-            if (!trans_b && k > 1) {
-              for (int64_t i = 0; i < m; ++i) at(i, 0) = 0.0f;
-              const float specials[] = {kInf, -kInf, kNaN};
-              for (int64_t j = 0; j < n; ++j) b[j] = specials[j % 3];
-            }
-            for (bool accumulate : {false, true}) {
-              std::vector<float> want(m * n, -0.0f), got(m * n, -0.0f);
-              ReferenceGemm(trans_a, trans_b, m, n, k, a.data(), b.data(),
-                            want.data(), accumulate);
-              kernels::Gemm(trans_a, trans_b, m, n, k, a.data(), b.data(),
-                            got.data(), accumulate);
-              EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
-                                       sizeof(float) * m * n))
-                  << "Gemm(" << trans_a << ", " << trans_b << ") m=" << m
-                  << " n=" << n << " k=" << k << " accumulate=" << accumulate
-                  << " at " << vec::SimdLevelName(level) << ", " << threads
-                  << " threads";
+            ExpectGemmMatchesReference(trans_a, trans_b, m, n, k,
+                                       /*zeros=*/true, where);
+          }
+        }
+      }
+      // The model's inner lengths and widths, and k past one k block
+      // (kGemmKc = 128) and past several. m = 70 spans two 64-row zero
+      // tests and ends in a partial row panel.
+      for (int64_t m : {1, 5, 70}) {
+        for (int64_t n : {7, 8, 16, 48}) {
+          for (int64_t k : {16, 48, 129, 768}) {
+            for (bool zeros : {false, true}) {
+              ExpectGemmMatchesReference(trans_a, trans_b, m, n, k, zeros,
+                                         where);
             }
           }
         }

@@ -14,8 +14,10 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "serve/fleet_server.h"
 #include "tensor/alloc_stats.h"
 #include "util/metrics.h"
+#include "util/profiler.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -173,6 +176,51 @@ TEST(StaticRuntimeTest, AllModelsPlanOrFailNamingHostLogic) {
                               name + " session, other batch");
     EXPECT_EQ(session.value()->plan_for(batch) != nullptr, traced.ok())
         << name;
+  }
+}
+
+// Ops recorded by the profiler while `fn` runs.
+int64_t OpsDuring(const std::function<void()>& fn) {
+  prof::Profiler& profiler = prof::Profiler::Global();
+  profiler.Reset();
+  profiler.Enable();
+  fn();
+  profiler.Disable();
+  int64_t ops = 0;
+  for (const prof::Event& e : profiler.Snapshot()) {
+    ops += std::string_view(e.cat) == "op";
+  }
+  profiler.Reset();
+  return ops;
+}
+
+// A session's first request at a geometry traces the eager forward and
+// answers with its output, whether or not the plan builds: the forward runs
+// once (a second forward would double the op count), and the forecast is
+// the model's own. A model whose trace fails must record ops, so the count
+// can tell one forward from two.
+TEST(StaticRuntimeSessionTest, FirstRequestAtANewGeometryRunsOneForward) {
+  data::DatasetSplits splits = MakeTestSplits();
+  const data::Batch batch = splits.test.GetRange(0, 3);
+  for (const std::string& name : models::AvailableModels()) {
+    serve::SessionConfig config;
+    config.model_name = name;
+    config.window = TestWindow();
+    config.dims = splits.test.dims();
+    config.use_static_plan = true;
+    auto session = serve::InferenceSession::Open(config, "");
+    ASSERT_TRUE(session.ok()) << name;
+    Tensor eager;
+    const int64_t forward_ops =
+        OpsDuring([&] { eager = session.value()->model().Predict(batch); });
+    serve::Forecast first;
+    const int64_t first_ops =
+        OpsDuring([&] { first = session.value()->Predict(batch); });
+    if (session.value()->plan_for(batch) == nullptr) {
+      EXPECT_GT(forward_ops, 0) << name;
+    }
+    EXPECT_EQ(first_ops, forward_ops) << name;
+    ExpectTensorsBitwiseEqual(eager, first.point, name + " first request");
   }
 }
 

@@ -295,6 +295,85 @@ TEST(MatMulTest, SharedRhsFoldMatchesPerBatchLoop) {
   ThreadPool::Global().SetNumThreads(ambient);
 }
 
+// MatMul's backward over batch dims: disjoint batches run as one
+// GemmBatched call per ParallelFor chunk, broadcast ones as per-batch Gemms
+// in ascending batch order. Both gradients must be memcmp-equal to that
+// per-batch Gemm loop: for output batch i (reading A batch a_i and B batch
+// b_i, broadcast dims at index 0), dA_{a_i} += dOut_i * B_{b_i}^T and
+// dB_{b_i} += A_{a_i}^T * dOut_i, into zeroed buffers, i ascending. Checked
+// at 1 and 8 threads.
+TEST(MatMulTest, BatchedBackwardMatchesPerBatchGemmLoop) {
+  struct Case {
+    Shape a, b;
+  };
+  const Case cases[] = {
+      {{16, 48, 16}, {16, 16, 48}},     // disjoint, per-head score shapes
+      {{64, 12, 16}, {64, 16, 16}},     // disjoint, batches split by chunks
+      {{3, 2, 9, 7}, {3, 2, 7, 5}},     // disjoint rank 4, column tails
+      {{2, 1, 5, 6}, {1, 3, 6, 4}},     // both operands broadcast
+      {{5, 6}, {4, 6, 3}},              // 2-D A against batched B
+      {{4, 20, 3}, {1, 3, 9}},          // B's batch dim of size 1
+  };
+  const int64_t ambient = ThreadPool::Global().num_threads();
+  for (const int threads : {1, 8}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(ShapeToString(c.a) + " x " + ShapeToString(c.b) + " at " +
+                   std::to_string(threads) + " threads");
+      const int64_t m = c.a[c.a.size() - 2];
+      const int64_t k = c.a.back();
+      const int64_t n = c.b.back();
+      Rng rng(11);
+      Tensor a = Tensor::Randn(c.a, &rng);
+      Tensor b = Tensor::Randn(c.b, &rng);
+      // Zeros in A make some Gemm panels take the zero-skipping tiles.
+      for (int64_t i = 0; i < a.numel(); i += 7) a.data()[i] = 0.0f;
+      a.set_requires_grad(true);
+      b.set_requires_grad(true);
+      Tensor y = MatMul(a, b);
+      const Tensor proj = Tensor::Randn(y.shape(), &rng);
+      Sum(Mul(y, proj)).Backward();
+
+      // The batch dims, left-padded with 1s to the output's rank.
+      const Shape out_batch(y.shape().begin(), y.shape().end() - 2);
+      const int64_t rank = static_cast<int64_t>(out_batch.size());
+      const auto padded = [&](const Shape& s) {
+        Shape dims(s.begin(), s.end() - 2);
+        dims.insert(dims.begin(), rank - static_cast<int64_t>(dims.size()), 1);
+        return dims;
+      };
+      const Shape a_batch = padded(c.a), b_batch = padded(c.b);
+      std::vector<float> want_da(a.numel(), 0.0f), want_db(b.numel(), 0.0f);
+      for (int64_t i = 0; i < NumElements(out_batch); ++i) {
+        int64_t rest = i, a_off = 0, b_off = 0, a_mul = 1, b_mul = 1;
+        for (int64_t d = rank - 1; d >= 0; --d) {
+          const int64_t idx = rest % out_batch[d];
+          rest /= out_batch[d];
+          a_off += (a_batch[d] == 1 ? 0 : idx) * a_mul;
+          b_off += (b_batch[d] == 1 ? 0 : idx) * b_mul;
+          a_mul *= a_batch[d];
+          b_mul *= b_batch[d];
+        }
+        kernels::Gemm(false, true, m, k, n, proj.data() + i * m * n,
+                      b.data() + b_off * k * n, want_da.data() + a_off * m * k,
+                      /*accumulate=*/true);
+        kernels::Gemm(true, false, k, n, m, a.data() + a_off * m * k,
+                      proj.data() + i * m * n, want_db.data() + b_off * k * n,
+                      /*accumulate=*/true);
+      }
+      ASSERT_TRUE(a.grad().defined());
+      ASSERT_TRUE(b.grad().defined());
+      EXPECT_EQ(0, std::memcmp(a.grad().data(), want_da.data(),
+                               sizeof(float) * a.numel()))
+          << "dA";
+      EXPECT_EQ(0, std::memcmp(b.grad().data(), want_db.data(),
+                               sizeof(float) * b.numel()))
+          << "dB";
+    }
+  }
+  ThreadPool::Global().SetNumThreads(ambient);
+}
+
 // -- reductions ---------------------------------------------------------------
 
 TEST(ReduceTest, SumAll) {
